@@ -9,6 +9,18 @@ Picard iteration of the Duhamel integral equation (trapezoidal quadrature
 over uniformly stored nodes, the solver of record) and an
 integrating-factor RK4 reference. Non-convergence of the Picard map is a
 reported outcome, not an error: it delineates the small-data regime.
+
+Velocities are real, so every spectral array here is the half spectrum
+of ``numpy.fft.rfftn``: shape (N, N, N/2+1), with k_z running over
+0..N/2 and the modes k_z < 0 implied by Hermitian symmetry. Sums over the
+full spectrum (energies, residuals) weight the k_z = 0 and k_z = N/2
+planes once and every other plane twice. One nonlinear evaluation costs
+3 inverse and 6 forward real transforms, one per independent entry of
+the symmetric stress u_j u_b (Canuto, Hussaini, Quarteroni and Zang,
+*Spectral Methods*; Orszag, J. Atmos. Sci. 28 (1971) for the 2/3 rule).
+The Picard solver keeps a single node array, updated in place, and a
+trace stores that coefficient stack; velocity fields on the grid are
+built from it only on demand.
 """
 
 from __future__ import annotations
@@ -27,12 +39,30 @@ DIVERGENCE_RTOL = 1e-8
 _ENERGY_SLACK = 1e-9
 
 
-def _fft(samples: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(samples, norm="forward")
+_AXES = (-3, -2, -1)
 
 
-def _ifft(coeff: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(coeff, norm="forward").real
+def _rfft(samples: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients over the last three axes."""
+    return np.fft.rfftn(samples, axes=_AXES, norm="forward")
+
+
+def _irfft(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Grid samples from half-spectrum coefficients over the last three axes."""
+    return np.fft.irfftn(coeff, s=grid.shape, axes=_AXES, norm="forward")
+
+
+def _relative_l2(delta_sq: float, reference_sq: float) -> float:
+    """sqrt(delta_sq) / sqrt(reference_sq) from two sums of squares.
+
+    A zero reference gives the absolute norm. An overflowed or NaN sum
+    gives NaN, so a caller can tell divergence from a small update.
+    """
+    if not (math.isfinite(delta_sq) and math.isfinite(reference_sq)):
+        return math.nan
+    if reference_sq == 0.0:
+        return math.sqrt(delta_sq)
+    return math.sqrt(delta_sq) / math.sqrt(reference_sq)
 
 
 @dataclass(frozen=True)
@@ -63,11 +93,12 @@ class VelocityField:
 
     @classmethod
     def from_coefficients(cls, grid: TorusGrid, coeff: np.ndarray) -> "VelocityField":
-        fields = tuple(Field(grid, _ifft(coeff[j])) for j in range(3))
-        return cls(grid, fields)
+        """Velocity from its (3, N, N, N/2+1) half-spectrum coefficients."""
+        return cls(grid, tuple(Field(grid, u) for u in _irfft(coeff, grid)))
 
     def coefficients(self) -> np.ndarray:
-        return np.stack([_fft(c.samples) for c in self.components])
+        """Half-spectrum coefficients, shape (3, N, N, N/2+1)."""
+        return _rfft(np.stack([c.samples for c in self.components]))
 
     def energy(self) -> float:
         """Kinetic energy (1/2) integral |u|^2 over the torus."""
@@ -87,13 +118,7 @@ class VelocityField:
 
 def divergence_defect(v: VelocityField) -> float:
     """max_k |k . u_hat(k)| relative to the coefficient peak; 0 for zero."""
-    coeff = v.coefficients()
-    kd = v.grid.derivative_modes
-    div = sum(kd[j] * coeff[j] for j in range(3))
-    peak = float(np.max(np.abs(coeff)))
-    if peak == 0.0:
-        return 0.0
-    return float(np.max(np.abs(div))) / peak
+    return float(_Symbols(v.grid).divergence_defect(v.coefficients()))
 
 
 def make_divergence_free(components) -> VelocityField:
@@ -184,18 +209,20 @@ def shear_modes(
 
 @dataclass(frozen=True)
 class NSTrace:
-    """Stored solution nodes 0 < t_1 < ... <= T.
+    """Stored solution nodes 0 < t_1 < ... <= T as a half-spectrum stack.
 
-    Every snapshot is divergence-free by construction of VelocityField.
-    For converged unforced runs the kinetic energy must be non-increasing
-    along the nodes (checked with a tiny slack on the initial scale);
-    diverged Picard traces skip the check, since they document the
-    non-contraction regime rather than a solution.
+    ``coefficients`` has shape (nodes, 3, N, N, N/2+1). Every node must be
+    divergence-free to 1e-8 relative to its own coefficient peak, the
+    invariant VelocityField enforces. For converged unforced runs the
+    kinetic energy must be finite and non-increasing along the nodes
+    (checked with a tiny slack on the initial scale); diverged Picard
+    traces skip the energy check, since they document the non-contraction
+    regime rather than a solution.
     """
 
     grid: TorusGrid
     times: np.ndarray
-    snapshots: tuple[VelocityField, ...]
+    coefficients: np.ndarray
     config: dict
     residuals: tuple[float, ...] = ()
     converged: bool = True
@@ -206,14 +233,21 @@ class NSTrace:
             raise ValueError("trace needs at least one time node")
         if times[0] <= 0.0 or np.any(np.diff(times) <= 0.0):
             raise ValueError("times must be positive and strictly increasing")
-        if len(self.snapshots) != times.size:
+        coeff = np.asarray(self.coefficients)
+        if coeff.ndim != 5 or coeff.shape[0] != times.size:
             raise ValueError("one snapshot per time node required")
-        for snap in self.snapshots:
-            if snap.grid != self.grid:
-                raise ValueError("snapshot grid mismatch")
+        n = self.grid.size
+        if self.grid.dims != 3 or coeff.shape[1:] != (3, n, n, n // 2 + 1):
+            raise ValueError("coefficient stack does not match the grid")
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "coefficients", coeff.astype(np.complex128, copy=False))
+        defect = float(np.max(self._symbols.divergence_defect(self.coefficients)))
+        if defect > DIVERGENCE_RTOL:
+            raise ValueError(f"trace is not divergence-free: defect {defect:.3e}")
         if self.converged:
             energies = self.energies()
+            if not np.all(np.isfinite(energies)):
+                raise ValueError("converged trace has non-finite kinetic energy")
             scale = max(float(self.config.get("initial_energy", energies[0])),
                         energies[0])
             slack = _ENERGY_SLACK * scale
@@ -223,75 +257,127 @@ class NSTrace:
                     raise ValueError("kinetic energy increased along the trace")
                 previous = e
 
+    @property
+    def _symbols(self) -> "_Symbols":
+        return _Symbols(self.grid)
+
     def energies(self) -> np.ndarray:
-        return np.array([snap.energy() for snap in self.snapshots])
+        """Kinetic energy per node, by Parseval from the coefficients."""
+        vol = self.grid.length ** self.grid.dims
+        return 0.5 * vol * self._symbols.power(self.coefficients)
 
     def component_series(self, j: int) -> TimeSeries:
-        values = np.stack(
-            [snap.components[j].samples for snap in self.snapshots]
-        )
-        return TimeSeries(self.grid, self.times, values)
+        return TimeSeries(self.grid, self.times,
+                          _irfft(self.coefficients[:, j], self.grid))
+
+    @property
+    def snapshots(self) -> tuple[VelocityField, ...]:
+        """Every node as a VelocityField, built on each access."""
+        return tuple(VelocityField.from_coefficients(self.grid, c)
+                     for c in self.coefficients)
 
     def final(self) -> VelocityField:
-        return self.snapshots[-1]
+        return VelocityField.from_coefficients(self.grid, self.coefficients[-1])
 
 
 class _Symbols:
-    """Per-grid spectral machinery shared by both integrators."""
+    """Per-grid spectral machinery on the half-spectrum layout."""
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
-        kd = grid.derivative_modes
-        self.kd = np.stack(kd)
-        ksq = sum(k * k for k in kd)
+        n = grid.size
+        full = np.fft.fftfreq(n, d=1.0 / n)
+        half = np.arange(n // 2 + 1, dtype=float)
+        self.modes = np.stack(np.meshgrid(full, full, half, indexing="ij"))
+        # odd symbols vanish on the self-conjugate Nyquist planes
+        self.kd = np.where(np.abs(self.modes) == n // 2, 0.0, self.modes)
+        ksq = np.sum(self.modes**2, axis=0)
         self.safe_ksq = np.where(ksq > 0.0, ksq, 1.0)
-        self.ik = np.stack(
-            [(2j * np.pi / grid.length) * k for k in kd]
-        )
-        self.heat_rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
-        cut = grid.size / 3.0
-        keep = np.ones(grid.shape, dtype=bool)
-        for axis_modes in grid.modes:
-            keep &= np.abs(axis_modes) < cut
-        self.dealias = keep
+        self.heat_rate = (2.0 * np.pi / grid.length) ** 2 * ksq
+        self.dealias = np.all(np.abs(self.modes) < n / 3.0, axis=0)
+        # -i k on the kept modes, 0 elsewhere: sign, derivative and the
+        # 2/3 cut of the flux in one symbol (projection acts mode-wise,
+        # so cutting before it is the same as cutting after)
+        self.minus_ik_kept = (-2j * np.pi / grid.length) * self.kd * self.dealias
+        # multiplicity of each stored k_z plane in the full spectrum
+        self.weight = np.full(n // 2 + 1, 2.0)
+        self.weight[[0, -1]] = 1.0
 
     def propagator(self, dt: float) -> np.ndarray:
         return np.exp(-self.heat_rate * dt)
 
+    def power(self, coeff: np.ndarray) -> np.ndarray:
+        """sum |c_k|^2 over the full spectrum of each (3, N, N, N/2+1)
+        block in coeff (Parseval: the mean of |u|^2 over the grid)."""
+        sq = coeff.real**2 + coeff.imag**2
+        return (sq @ self.weight).sum(axis=(-3, -2, -1))
+
+    def divergence_defect(self, coeff: np.ndarray) -> np.ndarray:
+        """max_k |k . u_hat(k)| over each block, relative to its peak."""
+        parts = [coeff[..., j, :, :, :] for j in range(3)]
+        div = np.abs(sum(self.kd[j] * parts[j] for j in range(3)))
+        worst = np.max(div, axis=(-3, -2, -1))
+        peak = np.max([np.max(np.abs(p), axis=(-3, -2, -1)) for p in parts], axis=0)
+        return np.divide(worst, peak, out=np.zeros_like(worst), where=peak != 0.0)
+
     def nonlinear(self, vhat: np.ndarray) -> np.ndarray:
         """-dealias(P div(u (x) u)) evaluated pseudospectrally."""
-        u = [_ifft(vhat[j]) for j in range(3)]
+        # one transform per component beats a batched call at these sizes
+        u = [_irfft(c, self.grid) for c in vhat]
+        stress = {}
+        for j in range(3):
+            for b in range(j, 3):
+                # u_j u_b is symmetric: six transforms give all nine entries
+                stress[j, b] = stress[b, j] = _rfft(u[j] * u[b])
+        ik = self.minus_ik_kept
         flux = np.empty_like(vhat)
         for j in range(3):
-            acc = np.zeros(self.grid.shape, dtype=np.complex128)
-            for b in range(3):
-                acc += self.ik[b] * _fft(u[j] * u[b])
-            flux[j] = acc
-        k_dot = sum(self.kd[j] * flux[j] for j in range(3))
-        scale = k_dot / self.safe_ksq
+            flux[j] = ik[0] * stress[j, 0] + ik[1] * stress[j, 1] + ik[2] * stress[j, 2]
+        kd = self.kd
+        scale = (kd[0] * flux[0] + kd[1] * flux[1] + kd[2] * flux[2]) / self.safe_ksq
         for j in range(3):
-            flux[j] = (flux[j] - self.kd[j] * scale) * self.dealias
-        return -flux
+            flux[j] -= kd[j] * scale
+        return flux
 
-    def shell_energy_fraction(self, vhat: np.ndarray) -> float:
-        """Energy fraction in the outermost kept shell of the 2/3 ball."""
-        cut = self.grid.size / 3.0
-        outer = np.zeros(self.grid.shape, dtype=bool)
-        inside = self.dealias
-        for axis_modes in self.grid.modes:
-            outer |= np.abs(axis_modes) >= math.floor(cut)
-        shell = inside & outer
-        total = float(np.sum(np.abs(vhat) ** 2))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(np.abs(vhat[:, shell]) ** 2)) / total
+    def shell_energy_fraction(self, vhat: np.ndarray) -> np.ndarray:
+        """Energy fraction in the outermost kept shell of the 2/3 ball,
+        per (3, N, N, N/2+1) block of vhat; 0 for a zero block."""
+        cut = math.floor(self.grid.size / 3.0)
+        shell = self.dealias & np.any(np.abs(self.modes) >= cut, axis=0)
+        total = self.power(vhat)
+        inner = self.power(np.where(shell, vhat, 0.0))
+        return np.divide(inner, total, out=np.zeros_like(total), where=total != 0.0)
 
 
-def _relative_l2(delta: np.ndarray, reference: np.ndarray) -> float:
-    norm = float(np.linalg.norm(reference))
-    if norm == 0.0:
-        return float(np.linalg.norm(delta))
-    return float(np.linalg.norm(delta)) / norm
+def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray,
+                  step: np.ndarray, h: float) -> float:
+    """One Picard sweep over the node array u, in place.
+
+    Returns the sup over nodes of the relative L2 update, or inf at the
+    first node whose update overflows; that node and the later ones then
+    keep their previous iterate.
+    """
+    prev_b = sym.nonlinear(ahat)
+    heat_tail = prev_b  # E_i applied to the s=0 integrand
+    running = np.zeros_like(ahat)  # sum_{j=1}^{i-1} E_{i-j} B_j
+    lin = ahat
+    worst = 0.0
+    for i in range(u.shape[0]):
+        lin = step * lin
+        heat_tail = step * heat_tail
+        if i > 0:
+            running = step * (running + prev_b)
+        b_here = sym.nonlinear(u[i])
+        integral = h * (0.5 * heat_tail + running + 0.5 * b_here)
+        new = lin + integral
+        change = _relative_l2(float(sym.power(new - u[i])),
+                              float(sym.power(new)))
+        if not math.isfinite(change):
+            return math.inf
+        u[i] = new
+        worst = max(worst, change)
+        prev_b = b_here
+    return worst
 
 
 def mild_solve_picard(
@@ -309,7 +395,12 @@ def mild_solve_picard(
 
     Starts from the heat flow of a; converged means the sup-over-nodes
     relative L2 update fell below tol. A non-contracting run returns a
-    trace flagged converged=False with its residual history intact.
+    trace flagged converged=False with its residual history intact; a
+    sweep whose update overflows ends the solve there with residual inf.
+
+    One array holds the nodes and is updated in place: node i's update
+    reads the old iterate only at nodes <= i, each before it is
+    overwritten, so this is the same map as a two-array sweep.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -322,10 +413,12 @@ def mild_solve_picard(
     step = sym.propagator(h)
 
     ahat = a.coefficients()
-    lin = np.empty((nodes + 1,) + ahat.shape, dtype=np.complex128)
-    lin[0] = ahat
-    for i in range(1, nodes + 1):
-        lin[i] = step * lin[i - 1]
+    # u[i] is node i + 1; it starts as the heat flow e^{t L} a
+    u = np.empty((nodes,) + ahat.shape, dtype=np.complex128)
+    lin = ahat
+    for i in range(nodes):
+        lin = step * lin
+        u[i] = lin
 
     config = {
         "solver": "picard", "horizon": horizon, "nodes": nodes,
@@ -335,43 +428,24 @@ def mild_solve_picard(
     }
 
     if not nonlinear:
-        snaps = tuple(
-            VelocityField.from_coefficients(grid, lin[i])
-            for i in range(1, nodes + 1)
-        )
-        return NSTrace(grid, times, snaps, config, residuals=(), converged=True)
+        return NSTrace(grid, times, u, config, residuals=(), converged=True)
 
-    current = lin.copy()
     residuals: list[float] = []
     converged = False
-    for _ in range(max_iter):
-        new = np.empty_like(current)
-        new[0] = ahat
-        prev_b = sym.nonlinear(ahat)
-        heat_tail = prev_b  # E_i applied to the s=0 integrand
-        running = np.zeros_like(ahat)  # sum_{j=1}^{i-1} E_{i-j} B_j
-        worst = 0.0
-        for i in range(1, nodes + 1):
-            heat_tail = step * heat_tail
-            if i > 1:
-                running = step * (running + prev_b)
-            b_here = sym.nonlinear(current[i])
-            integral = h * (0.5 * heat_tail + running + 0.5 * b_here)
-            new[i] = lin[i] + integral
-            worst = max(worst, _relative_l2(new[i] - current[i], new[i]))
-            prev_b = b_here
-        current = new
-        residuals.append(worst)
-        if worst <= tol:
-            converged = True
-            break
+    # overflow is expected past the contraction regime: it surfaces as a
+    # non-finite residual, which ends the solve as diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            worst = _picard_sweep(sym, u, ahat, step, h)
+            residuals.append(worst)
+            if not math.isfinite(worst):
+                break
+            if worst <= tol:
+                converged = True
+                break
 
-    snaps = tuple(
-        VelocityField.from_coefficients(grid, current[i])
-        for i in range(1, nodes + 1)
-    )
     return NSTrace(
-        grid, times, snaps, config,
+        grid, times, u, config,
         residuals=tuple(residuals), converged=converged,
     )
 
@@ -415,8 +489,7 @@ def step_ifrk4(
     half = sym.propagator(dt / 2.0)
 
     vhat = a.coefficients()
-    times = []
-    snaps = []
+    stored = np.empty((store,) + vhat.shape, dtype=np.complex128)
     for n in range(1, steps + 1):
         if nonlinear:
             k1 = sym.nonlinear(vhat)
@@ -429,14 +502,14 @@ def step_ifrk4(
         else:
             vhat = full * vhat
         if n % stride == 0:
-            times.append(n * dt)
-            snaps.append(VelocityField.from_coefficients(grid, vhat))
+            stored[n // stride - 1] = vhat
     config = {
         "solver": "ifrk4", "horizon": horizon, "steps": steps,
         "stored": store, "viscosity": 1.0, "dealias": "2/3",
         "nonlinear": nonlinear, "initial_energy": a.energy(),
     }
-    return NSTrace(grid, np.array(times), tuple(snaps), config)
+    times = np.arange(stride, steps + 1, stride) * dt
+    return NSTrace(grid, times, stored, config)
 
 
 def trace_difference(a: NSTrace, b: NSTrace) -> float:
@@ -447,12 +520,10 @@ def trace_difference(a: NSTrace, b: NSTrace) -> float:
         a.times, b.times, rtol=1e-12, atol=0.0
     ):
         raise ValueError("traces store different time nodes")
-    worst = 0.0
-    for ua, ub in zip(a.snapshots, b.snapshots):
-        sa = np.stack([c.samples for c in ua.components])
-        sb = np.stack([c.samples for c in ub.components])
-        worst = max(worst, _relative_l2(sa - sb, sb))
-    return worst
+    sym = _Symbols(a.grid)
+    deltas = sym.power(a.coefficients - b.coefficients)
+    refs = sym.power(b.coefficients)
+    return max(_relative_l2(float(d), float(r)) for d, r in zip(deltas, refs))
 
 
 def export_trace(trace: NSTrace, directory) -> "Path":
@@ -546,14 +617,17 @@ def scaling_defect(
     fine = mild_solve_picard(a_lam, horizon / lam**2, nodes=nodes)
     if not (coarse.converged and fine.converged):
         raise ValueError("scaling check requires both runs to contract")
+    coarse_u = _irfft(coarse.coefficients, a.grid)
+    fine_u = _irfft(fine.coefficients, a.grid)
     worst = 0.0
     for i in range(nodes):
         want = np.stack([
-            float(lam) * lattice_rescale(c, lam).samples
-            for c in coarse.snapshots[i].components
+            float(lam) * lattice_rescale(Field(a.grid, c), lam).samples
+            for c in coarse_u[i]
         ])
-        got = np.stack([c.samples for c in fine.snapshots[i].components])
-        worst = max(worst, _relative_l2(got - want, want))
+        got = fine_u[i]
+        worst = max(worst, _relative_l2(float(np.sum((got - want) ** 2)),
+                                        float(np.sum(want**2))))
     return worst
 
 
@@ -635,8 +709,10 @@ def smalldata_probe(
         raise ValueError("probe data shape has zero data norm")
     unit = shape.scaled(1.0 / base)
 
-    heat = mild_solve_picard(unit, horizon, nodes=nodes, nonlinear=False)
-    linear_ratio = solution_x_norm(heat, alpha, horizon, boxes)
+    linear_ratio = solution_x_norm(
+        mild_solve_picard(unit, horizon, nodes=nodes, nonlinear=False),
+        alpha, horizon, boxes,
+    )
 
     rows = []
     for delta in sorted(float(d) for d in deltas):
@@ -692,10 +768,9 @@ class InflationReport:
 
 
 def _sqrt_t_peak(trace: NSTrace) -> float:
-    return max(
-        math.sqrt(t) * snap.max_abs()
-        for t, snap in zip(trace.times, trace.snapshots)
-    )
+    peaks = np.max(np.abs(_irfft(trace.coefficients, trace.grid)),
+                   axis=(1, 2, 3, 4))
+    return float(np.max(np.sqrt(trace.times) * peaks))
 
 
 def inflation_probe(
@@ -727,11 +802,7 @@ def inflation_probe(
     skew = step_ifrk4(data, horizon, steps)
     heat = step_ifrk4(data, horizon, steps, nonlinear=False)
 
-    sym = _Symbols(grid)
-    shell = max(
-        sym.shell_energy_fraction(snap.coefficients())
-        for snap in skew.snapshots
-    )
+    shell = float(np.max(_Symbols(grid).shell_energy_fraction(skew.coefficients)))
     resolved = shell <= 1e-6
     if not resolved:
         warnings.warn(

@@ -16,6 +16,7 @@ import pytest
 
 from toruslab.norms import BoxFamily, TimeSeries, x_space_norm, inverse_space_norm
 from toruslab.ns3d import (
+    _Symbols,
     InflationReport,
     NSTrace,
     SmallDataReport,
@@ -63,6 +64,94 @@ def shear_y(grid: TorusGrid, amplitude: float = 1.0) -> VelocityField:
     return VelocityField(
         grid, (Field(grid, zero), Field(grid, wave), Field(grid, zero.copy()))
     )
+
+
+def full_nonlinear(grid: TorusGrid, coeff: np.ndarray) -> np.ndarray:
+    """Reference -dealias(P div(u (x) u)) on the full complex spectrum:
+    complex fftn/ifftn and all nine stress products."""
+    kd = np.stack(grid.derivative_modes)
+    ik = (2j * np.pi / grid.length) * kd
+    keep = np.all([np.abs(k) < grid.size / 3.0 for k in grid.modes], axis=0)
+    ksq = grid.mode_square
+    u = [np.fft.ifftn(c, norm="forward").real for c in coeff]
+    flux = np.stack([
+        sum(ik[b] * np.fft.fftn(u[j] * u[b], norm="forward") for b in range(3))
+        for j in range(3)
+    ])
+    k_dot = sum(kd[j] * flux[j] for j in range(3))
+    flux = (flux - kd * (k_dot / np.where(ksq > 0.0, ksq, 1.0))) * keep
+    return -flux
+
+
+def full_picard(a: VelocityField, horizon: float, nodes: int):
+    """Reference Picard loop on the full complex spectrum with separate
+    old/new node arrays; returns the residuals and the final samples."""
+    grid = a.grid
+    h = horizon / nodes
+    step = np.exp(-((2.0 * np.pi / grid.length) ** 2) * grid.mode_square * h)
+    ahat = np.stack([np.fft.fftn(c.samples, norm="forward") for c in a.components])
+    lin = [ahat]
+    for _ in range(nodes):
+        lin.append(step * lin[-1])
+    current = np.stack(lin)
+    residuals = []
+    for _ in range(40):
+        new = np.empty_like(current)
+        new[0] = ahat
+        prev_b = full_nonlinear(grid, ahat)
+        heat_tail = prev_b
+        running = np.zeros_like(ahat)
+        worst = 0.0
+        for i in range(1, nodes + 1):
+            heat_tail = step * heat_tail
+            if i > 1:
+                running = step * (running + prev_b)
+            b_here = full_nonlinear(grid, current[i])
+            new[i] = lin[i] + h * (0.5 * heat_tail + running + 0.5 * b_here)
+            delta = np.linalg.norm(new[i] - current[i]) / np.linalg.norm(new[i])
+            worst = max(worst, float(delta))
+            prev_b = b_here
+        current = new
+        residuals.append(worst)
+        if worst <= 1e-10:  # the solver's default tol
+            break
+    return residuals, np.stack([np.fft.ifftn(c, norm="forward").real for c in current[-1]])
+
+
+class TestHalfSpectrumOracles:
+    """The half-spectrum kernel against full-spectrum reference formulas."""
+
+    def test_nonlinear_matches_full_spectrum(self, g16):
+        # band 6 reaches past the 2/3 cut, so aliasing and the cut both act
+        v = random_divergence_free(g16, seed=3, max_freq=6)
+        full = np.stack([np.fft.fftn(c.samples, norm="forward") for c in v.components])
+        want = full_nonlinear(g16, full)[..., : g16.size // 2 + 1]
+        got = _Symbols(g16).nonlinear(v.coefficients())
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_picard_matches_full_spectrum_loop(self, rand16):
+        v = rand16.scaled(0.5)
+        residuals, final = full_picard(v, 0.1, nodes=32)
+        trace = mild_solve_picard(v, 0.1, nodes=32)
+        assert trace.converged and len(residuals) > 2
+        assert len(trace.residuals) == len(residuals)
+        np.testing.assert_allclose(trace.residuals, residuals, rtol=0.0, atol=1e-14)
+        got = np.stack([c.samples for c in trace.final().components])
+        assert np.max(np.abs(got - final)) <= 1e-13 * np.max(np.abs(final))
+
+    def test_shell_fraction_matches_full_spectrum(self, g16):
+        # interacting shear waves push energy into the outermost kept shell
+        trace = step_ifrk4(shear_modes(g16, 4, seed=2), 0.01, steps=20, store=4)
+        got = _Symbols(g16).shell_energy_fraction(trace.coefficients)
+        # kept: every |k_j| < 16/3; shell: some |k_j| = floor(16/3) = 5
+        keep = np.all([np.abs(k) < 16 / 3.0 for k in g16.modes], axis=0)
+        shell = keep & np.any([np.abs(k) >= 5 for k in g16.modes], axis=0)
+        for fraction, snap in zip(got, trace.snapshots):
+            full = np.stack([np.fft.fftn(c.samples, norm="forward") for c in snap.components])
+            power = np.abs(full) ** 2
+            want = np.sum(power[:, shell]) / np.sum(power)
+            assert want > 1e-12
+            assert fraction == pytest.approx(want, rel=1e-12)
 
 
 class TestVelocityField:
@@ -259,26 +348,63 @@ class TestSolvers:
 
     def test_trace_validation(self, g16):
         v = taylor_green(g16, amplitude=0.1)
+        c = v.coefficients()
         cfg = {"initial_energy": v.energy()}
         with pytest.raises(ValueError, match="positive"):
-            NSTrace(g16, np.array([0.0, 0.1]), (v, v), cfg)
+            NSTrace(g16, np.array([0.0, 0.1]), np.stack([c, c]), cfg)
         with pytest.raises(ValueError, match="increasing"):
-            NSTrace(g16, np.array([0.2, 0.1]), (v, v), cfg)
+            NSTrace(g16, np.array([0.2, 0.1]), np.stack([c, c]), cfg)
         with pytest.raises(ValueError, match="one snapshot per"):
-            NSTrace(g16, np.array([0.1, 0.2]), (v,), cfg)
+            NSTrace(g16, np.array([0.1, 0.2]), c[None], cfg)
         g8 = TorusGrid(dims=3, size=8, length=1.0)
         with pytest.raises(ValueError, match="grid"):
-            NSTrace(g16, np.array([0.1]), (taylor_green(g8),), cfg)
+            NSTrace(g16, np.array([0.1]), taylor_green(g8).coefficients()[None], cfg)
+        x, _, _ = g16.coordinates()
+        compressive = c.copy()
+        compressive[0] += np.fft.rfftn(np.cos(2.0 * np.pi * x), norm="forward")
+        with pytest.raises(ValueError, match="divergence"):
+            NSTrace(g16, np.array([0.1]), compressive[None], cfg)
+
+    def test_trace_snapshots_round_trip(self, g16):
+        v = taylor_green(g16, amplitude=0.1)
+        trace = NSTrace(g16, np.array([0.1]), v.coefficients()[None], {})
+        (snap,) = trace.snapshots
+        for got, want in zip(snap.components, v.components):
+            np.testing.assert_allclose(got.samples, want.samples, atol=1e-15)
+        np.testing.assert_allclose(
+            trace.component_series(1).values[0], v.components[1].samples, atol=1e-15
+        )
+        assert trace.energies()[0] == pytest.approx(v.energy(), rel=1e-14)
 
     def test_energy_growth_rejected_when_converged(self, g16):
-        small = taylor_green(g16, amplitude=0.1)
-        big = taylor_green(g16, amplitude=0.2)
+        small = taylor_green(g16, amplitude=0.1).coefficients()
+        big = taylor_green(g16, amplitude=0.2).coefficients()
         times = np.array([0.05, 0.1])
         with pytest.raises(ValueError, match="energy increased"):
-            NSTrace(g16, times, (small, big), {})
+            NSTrace(g16, times, np.stack([small, big]), {})
         # a diverged trace documents non-contraction, so no energy check
-        trace = NSTrace(g16, times, (small, big), {}, converged=False)
+        trace = NSTrace(g16, times, np.stack([small, big]), {}, converged=False)
         assert not trace.converged
+        # an overflowed energy is never a converged solution
+        huge = np.stack([small, 1e200 * small])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                NSTrace(g16, times, huge, {})
+            assert not NSTrace(g16, times, huge, {}, converged=False).converged
+
+    def test_overflow_is_divergence_not_convergence(self):
+        # at this rung the iterate overflows: the old residual read
+        # inf/inf = nan as a zero update and reported convergence
+        grid = TorusGrid(dims=3, size=32, length=1.0)
+        shape = random_divergence_free(grid, seed=0)
+        unit = shape.scaled(
+            1.0 / initial_data_norm(shape, -0.5, 0.1, BoxFamily.default(grid))
+        )
+        trace = mild_solve_picard(unit.scaled(64.0), 0.1, nodes=32)
+        assert not trace.converged
+        assert trace.residuals[-1] == math.inf
+        assert all(math.isfinite(r) for r in trace.residuals[:-1])
+        assert np.all(np.isfinite(trace.coefficients))
 
     def test_trace_difference_errors(self, g16, rand16):
         a = mild_solve_picard(rand16, 0.1, nodes=32, nonlinear=False)
@@ -375,6 +501,12 @@ class TestProbes:
         assert payload["threshold"] == 2.0
         assert len(payload["rows"]) == 5
         json.dumps(payload)
+
+    def test_diverged_rung_ends_threshold(self, g16):
+        report = smalldata_probe([0.5, 32.0], -0.5, 0.1, g16, seed=0, nodes=32)
+        assert [row.converged for row in report.rows] == [True, False]
+        assert report.threshold == 0.5
+        assert report.to_payload()["rows"][1]["converged"] is False
 
     def test_smalldata_validation(self, g16):
         with pytest.raises(ValueError, match="nonnegative"):
