@@ -30,6 +30,23 @@ from .spectral import (
 
 VALID_KINDS = ("poisson", "heat")
 
+# Cap on the grid points one batched transform covers (2 MB as complex).
+# Every 1-D mesh fits in one chunk; on 2-D and 3-D grids a chunk holds a
+# few rows, so temporaries stay bounded however many nodes a mesh has.
+CHUNK_POINTS = 2**17
+
+
+def row_chunks(rows: int, grid: TorusGrid, unit: int = 1) -> Iterator[slice]:
+    """Slices covering range(rows) for transforms batched over grid fields.
+
+    Each slice holds whole groups of ``unit`` consecutive rows and at most
+    CHUNK_POINTS grid points, but never less than one group. Pocketfft
+    transforms every row on its own, so batching leaves each bit unchanged.
+    """
+    step = unit * max(1, CHUNK_POINTS // (unit * grid.point_count))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
 
 @dataclass(frozen=True)
 class TimeMesh:
@@ -140,7 +157,14 @@ class ExtensionStack:
 
 
 def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
-    """Evaluate the extension and its full gradient at every mesh node."""
+    """Evaluate the extension and its full gradient at every mesh node.
+
+    Nodes are transformed in ``row_chunks``: one inverse transform per
+    chunk for each of ``values``, ``grad_t`` and every ``grad_x[:, j]``,
+    written straight into the preallocated output. Besides the returned
+    arrays and the per-mode symbols, at most two complex chunk-sized
+    temporaries are alive at once.
+    """
     if kind not in VALID_KINDS:
         raise ValueError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
     peak = f.max_abs()
@@ -148,8 +172,10 @@ def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
         raise ValueError("build_stack requires a mean-zero trace; remove the mean first")
     grid = f.grid
     trace = forward_transform(f)
-    rate = _extension_rate(grid, kind)
-    wave = [2j * np.pi / grid.length * grid.derivative_modes[j] for j in range(grid.dims)]
+    neg_rate = -_extension_rate(grid, kind)
+    # symbols of d/dt, then of each d/dx_j, acting on the coefficients
+    symbols = [neg_rate] + [2j * np.pi / grid.length * grid.derivative_modes[j]
+                            for j in range(grid.dims)]
     nodes = mesh.nodes
     m = nodes.size
 
@@ -158,14 +184,18 @@ def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
     grad_t = np.empty((m,) + grid.shape)
     axes = tuple(range(1, grid.dims + 1))
     base = trace.coefficients
-    for sl in mesh.panel_slices():
+    for sl in row_chunks(m, grid):
         t_chunk = nodes[sl].reshape((-1,) + (1,) * grid.dims)
-        decay = np.exp(-rate[np.newaxis] * t_chunk)
-        coeff = decay * base[np.newaxis]
-        values[sl] = np.fft.ifftn(coeff, axes=axes, norm="forward").real
-        grad_t[sl] = np.fft.ifftn(-rate[np.newaxis] * coeff, axes=axes, norm="forward").real
-        for j in range(grid.dims):
-            grad_x[sl, j] = np.fft.ifftn(wave[j] * coeff, axes=axes, norm="forward").real
+        coeff = np.exp(neg_rate[np.newaxis] * t_chunk) * base[np.newaxis]
+        work = np.fft.ifftn(coeff, axes=axes, norm="forward", out=np.empty_like(coeff))
+        values[sl] = work.real
+        targets = [grad_t[sl]] + [grad_x[sl, j] for j in range(grid.dims)]
+        for symbol, target in zip(symbols, targets):
+            np.multiply(symbol, coeff, out=work)
+            np.fft.ifftn(work, axes=axes, norm="forward", out=work)
+            target[...] = work.real
+        # free this chunk's buffers before the next chunk allocates its own
+        del coeff, work
 
     for arr in (values, grad_x, grad_t):
         arr.flags.writeable = False
@@ -180,17 +210,14 @@ def zero_time_gradient_square(stack: ExtensionStack, full: bool = True) -> np.nd
     is what certifies the quadrature truncation below the mesh floor.
     """
     grid = stack.grid
-    coeff = stack.trace.coefficients
-    axes = tuple(range(grid.dims))
-    acc = np.zeros(grid.shape)
-    for j in range(grid.dims):
-        gj = np.fft.ifftn(2j * np.pi / grid.length * grid.derivative_modes[j] * coeff,
-                          axes=axes, norm="forward").real
-        acc += gj**2
+    symbols = [2j * np.pi / grid.length * grid.derivative_modes[j] for j in range(grid.dims)]
     if full:
-        rate = _extension_rate(grid, stack.kind)
-        dt = np.fft.ifftn(-rate * coeff, axes=axes, norm="forward").real
-        acc += dt**2
+        symbols.append(-_extension_rate(grid, stack.kind))
+    grads = np.fft.ifftn(np.stack(symbols) * stack.trace.coefficients,
+                         axes=tuple(range(1, grid.dims + 1)), norm="forward").real
+    acc = np.zeros(grid.shape)
+    for g in grads:
+        acc += g**2
     return acc
 
 

@@ -76,11 +76,15 @@ def field_to_csv(field: Field, path: str | Path) -> Path:
 
 
 def write_json(payload: Any, path: str | Path) -> Path:
-    """Dump JSON with sorted keys and a trailing newline (reproducible)."""
+    """Dump JSON with sorted keys and a trailing newline (reproducible).
+
+    NaN and infinities are refused with ValueError, before the file is
+    opened: they are not JSON, and a report must not carry them.
+    """
     path = Path(path)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
     return path
 
 

@@ -11,7 +11,11 @@ Geometry conventions shared by every functional here:
   - the mean is removed from trace inputs first and recorded on the result.
 
 Ball sums over all centers at once are FFT correlations, which is what makes
-the exhaustive-family oracles and the 3D norms affordable.
+the exhaustive-family oracles and the 3D norms affordable. One forward and
+one inverse transform serve every radius of a family: the ball spectra are
+stacked along a leading radius axis. Node sweeps (heat snapshots for the
+Besov sup and the inverse-space norm) are transformed in ``row_chunks`` of
+whole rows, so batching changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .extensions import (
     TimeMesh,
     build_stack,
     frac_lift_spectral,
+    row_chunks,
     zero_time_gradient_square,
 )
 from .spectral import (
@@ -145,10 +151,17 @@ def _ball_offsets(grid: TorusGrid, j: int) -> np.ndarray:
     return out
 
 
-def _ball_correlate(arr: np.ndarray, grid: TorusGrid, j: int) -> np.ndarray:
-    """out(c) = sum over ball offsets d of arr(c + d), all centers at once."""
-    spectrum = np.fft.fftn(arr) * _ball_mask_hat_conj(grid, j)
-    return np.fft.ifftn(spectrum).real
+def _ball_correlate(arr: np.ndarray, grid: TorusGrid, js: Sequence[int]) -> np.ndarray:
+    """out[i](c) = sum over offsets d of ball js[i] of a(c + d), all centers
+    at once, where a is arr, or arr[i] when arr stacks one field per radius.
+
+    Shape (len(js), *grid.shape): one forward and one inverse transform for
+    the whole family.
+    """
+    axes = tuple(range(-grid.dims, 0))
+    masks = np.stack([_ball_mask_hat_conj(grid, j) for j in js])
+    spectrum = np.fft.fftn(arr, axes=axes) * masks
+    return np.fft.ifftn(spectrum, axes=axes, out=spectrum).real
 
 
 def _sup_over_family(
@@ -188,12 +201,11 @@ def campanato_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
     grid = _require_grid(f, boxes)
     mean = f.mean()
     g = f.remove_mean().samples
-    g_sq = g * g
     cellvol = grid.cell_volume
+    s1_all = _ball_correlate(g, grid, boxes.j_values)
+    s2_all = _ball_correlate(g * g, grid, boxes.j_values)
     per_radius = []
-    for j, radius in zip(boxes.j_values, boxes.radii):
-        s1 = _ball_correlate(g, grid, j)
-        s2 = _ball_correlate(g_sq, grid, j)
+    for j, radius, s1, s2 in zip(boxes.j_values, boxes.radii, s1_all, s2_all):
         count = _ball_count(grid, j)
         integral = np.maximum(s2 - s1 * s1 / count, 0.0) * cellvol
         per_radius.append((radius, radius ** -(grid.dims + 2 * alpha) * integral))
@@ -206,12 +218,11 @@ def campanato_pair_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
     grid = _require_grid(f, boxes)
     mean = f.mean()
     g = f.remove_mean().samples
-    g_sq = g * g
     cellvol = grid.cell_volume
+    s1_all = _ball_correlate(g, grid, boxes.j_values)
+    s2_all = _ball_correlate(g * g, grid, boxes.j_values)
     per_radius = []
-    for j, radius in zip(boxes.j_values, boxes.radii):
-        s1 = _ball_correlate(g, grid, j)
-        s2 = _ball_correlate(g_sq, grid, j)
+    for j, radius, s1, s2 in zip(boxes.j_values, boxes.radii, s1_all, s2_all):
         count = _ball_count(grid, j)
         pair = np.maximum(2.0 * (count * s2 - s1 * s1), 0.0) * cellvol**2
         per_radius.append((radius, radius ** (-2 * (alpha + grid.dims)) * pair))
@@ -334,15 +345,17 @@ def _carleson_box_norm(
     g0 = zero_time_gradient_square(stack, full=full_grad)
     floor_term = g0 * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp)
 
-    cellvol = grid.cell_volume
-    per_radius = []
-    for j, radius in zip(boxes.j_values, boxes.radii):
+    time_integrals = []
+    for radius in boxes.radii:
         height = radius**2 if parabolic_height else radius
         cut = mesh.aligned_cut(height)  # raises on mesh/radius mismatch
-        time_integral = floor_term + (prefix[cut - 1] if cut > 0 else 0.0)
-        ball = _ball_correlate(time_integral, grid, j)
-        vals_sq = np.maximum(ball, 0.0) * cellvol * radius ** (-scale_exp)
-        per_radius.append((radius, vals_sq))
+        time_integrals.append(floor_term + (prefix[cut - 1] if cut > 0 else 0.0))
+    balls = _ball_correlate(np.stack(time_integrals), grid, boxes.j_values)
+    cellvol = grid.cell_volume
+    per_radius = [
+        (radius, np.maximum(ball, 0.0) * cellvol * radius ** (-scale_exp))
+        for radius, ball in zip(boxes.radii, balls)
+    ]
     return _sup_over_family(boxes, per_radius, 0.0)
 
 
@@ -459,15 +472,20 @@ def besov_norm(f: Field, t_grid: np.ndarray | None = None) -> float:
     if t_grid is None:
         scale = grid.length**2
         t_grid = np.geomspace(1e-9 * scale, scale, 700)
+    t_grid = np.asarray(t_grid, dtype=float)
     coeff = forward_transform(g).coefficients
     rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
+    axes = tuple(range(1, grid.dims + 1))
     best = 0.0
-    for t in t_grid:
+    for sl in row_chunks(t_grid.size, grid):
+        t = t_grid[sl]
         # Raw inverse FFT: deep heat damping shrinks the output peak to
         # roundoff scale, where the guarded transform's relative
         # Hermitian-defect check would reject harmless noise.
-        u = np.fft.ifftn(coeff * np.exp(-rate * float(t)), norm="forward").real
-        best = max(best, math.sqrt(t) * float(np.max(np.abs(u))))
+        u = np.fft.ifftn(coeff * np.exp(-rate * t.reshape((-1,) + (1,) * grid.dims)),
+                         axes=axes, norm="forward").real
+        peaks = np.sqrt(t) * np.abs(u).reshape(t.size, -1).max(axis=1)
+        best = max(best, float(np.max(peaks)))
     return best
 
 
@@ -483,8 +501,9 @@ def inverse_space_norm(
     """value^2 = max over boxes with r^2 < horizon of
     r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt.
 
-    Streams the heat extension panel by panel: only the value snapshots at
-    the radius cuts are kept, so 3D grids stay cheap.
+    Streams the heat extension in panel-aligned ``row_chunks`` and
+    accumulates panel by panel: only the value snapshots at the radius cuts
+    are kept, so 3D grids stay cheap.
     """
     _check_alpha(alpha)
     grid = _require_grid(f, boxes)
@@ -509,24 +528,29 @@ def inverse_space_norm(
     snapshots: dict[int, np.ndarray] = {}
     acc = g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha)
     axes = tuple(range(1, grid.dims + 1))
-    done = 0
-    for sl in mesh.panel_slices():
-        t_chunk = t[sl].reshape((-1,) + (1,) * grid.dims)
+    per = mesh.nodes_per_panel
+    for chunk in row_chunks(t.size, grid, unit=per):
+        t_chunk = t[chunk].reshape((-1,) + (1,) * grid.dims)
         coeff = np.exp(-rate[np.newaxis] * t_chunk) * fhat.coefficients[np.newaxis]
         u = np.fft.ifftn(coeff, axes=axes, norm="forward").real
-        acc = acc + np.einsum(
-            "m...,m->...", u * u, node_factor[sl]
-        )
-        done = sl.stop
-        for j, cut in cuts.items():
-            if cut == done and j not in snapshots:
-                snapshots[j] = acc.copy()
+        u_sq = u * u
+        # one einsum per panel, in node order, as the quadrature sums it
+        for start in range(chunk.start, chunk.stop, per):
+            done = start + per
+            acc = acc + np.einsum(
+                "m...,m->...", u_sq[start - chunk.start : done - chunk.start],
+                node_factor[start:done],
+            )
+            for j, cut in cuts.items():
+                if cut == done and j not in snapshots:
+                    snapshots[j] = acc.copy()
+    js = [j for j, _ in eligible]
+    balls = _ball_correlate(np.stack([snapshots[j] for j in js]), grid, js)
     cellvol = grid.cell_volume
-    per_radius = []
-    for j, radius in eligible:
-        ball = _ball_correlate(snapshots[j], grid, j)
-        vals_sq = np.maximum(ball, 0.0) * cellvol * radius ** (-(2 * alpha + grid.dims))
-        per_radius.append((radius, vals_sq))
+    per_radius = [
+        (radius, np.maximum(ball, 0.0) * cellvol * radius ** (-(2 * alpha + grid.dims)))
+        for (_, radius), ball in zip(eligible, balls)
+    ]
     return _sup_over_family(boxes, per_radius, mean)
 
 
@@ -609,18 +633,23 @@ def x_space_norm(
                             * np.abs(flat[in_range])))
 
     h = series.values**2 * (times ** alpha).reshape((-1,) + (1,) * grid.dims)
-    cellvol = grid.cell_volume
-    best_sq = 0.0
-    for j, radius in zip(boxes.j_values, boxes.radii):
+    eligible = [
+        (j, radius) for j, radius in zip(boxes.j_values, boxes.radii)
+        if radius**2 < horizon
+    ]
+    time_integrals = []
+    for _, radius in eligible:
         upper = radius**2
-        if not (upper < horizon):
-            continue
         lead_top = min(times[0], upper)
         lead = series.values[0] ** 2 * lead_top ** (1.0 + alpha) / (1.0 + alpha)
-        time_integral = lead + _clipped_time_integral(times, h, upper)
-        ball = _ball_correlate(time_integral, grid, j)
-        vals_sq = np.maximum(ball, 0.0) * cellvol * radius ** (-(2 * alpha + grid.dims))
-        best_sq = max(best_sq, float(np.max(boxes.center_view(vals_sq))))
+        time_integrals.append(lead + _clipped_time_integral(times, h, upper))
+    cellvol = grid.cell_volume
+    best_sq = 0.0
+    if eligible:
+        balls = _ball_correlate(np.stack(time_integrals), grid, [j for j, _ in eligible])
+        for (_, radius), ball in zip(eligible, balls):
+            vals_sq = np.maximum(ball, 0.0) * cellvol * radius ** (-(2 * alpha + grid.dims))
+            best_sq = max(best_sq, float(np.max(boxes.center_view(vals_sq))))
     carleson = math.sqrt(best_sq)
     return XSpaceResult(
         value=sup_part + carleson,

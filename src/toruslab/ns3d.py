@@ -350,15 +350,16 @@ class _Symbols:
 
 
 def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray,
-                  step: np.ndarray, h: float) -> float:
-    """One Picard sweep over the node array u, in place.
+                  b0: np.ndarray, step: np.ndarray, h: float) -> float:
+    """One Picard sweep over the node array u, in place; b0 is the data's
+    nonlinear term N(a), which no sweep changes.
 
     Returns the sup over nodes of the relative L2 update, or inf at the
     first node whose update overflows; that node and the later ones then
     keep their previous iterate.
     """
-    prev_b = sym.nonlinear(ahat)
-    heat_tail = prev_b  # E_i applied to the s=0 integrand
+    prev_b = b0
+    heat_tail = b0  # E_i applied to the s=0 integrand
     running = np.zeros_like(ahat)  # sum_{j=1}^{i-1} E_{i-j} B_j
     lin = ahat
     worst = 0.0
@@ -435,8 +436,9 @@ def mild_solve_picard(
     # overflow is expected past the contraction regime: it surfaces as a
     # non-finite residual, which ends the solve as diverged
     with np.errstate(over="ignore", invalid="ignore"):
+        b0 = sym.nonlinear(ahat)
         for _ in range(max_iter):
-            worst = _picard_sweep(sym, u, ahat, step, h)
+            worst = _picard_sweep(sym, u, ahat, b0, step, h)
             residuals.append(worst)
             if not math.isfinite(worst):
                 break
@@ -555,7 +557,8 @@ def export_trace(trace: NSTrace, directory) -> "Path":
         },
         "config": trace.config,
         "converged": trace.converged,
-        "residuals": list(trace.residuals),
+        # an overflowed sweep's residual is inf, which JSON cannot hold
+        "residuals": [r if math.isfinite(r) else None for r in trace.residuals],
         "energies": [float(e) for e in trace.energies()],
         "nodes": nodes,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -636,10 +639,12 @@ def scaling_defect(
 
 @dataclass(frozen=True)
 class SmallDataRow:
+    """One ladder rung; a rung whose solve diverged has no X-norm (None)."""
+
     delta: float
     converged: bool
-    x_norm: float
-    ratio: float
+    x_norm: float | None
+    ratio: float | None
 
 
 @dataclass(frozen=True)
@@ -698,7 +703,9 @@ def smalldata_probe(
     The data shape is fixed band-limited projected noise; each ladder
     entry rescales it so the initial-data norm equals delta, solves, and
     reports solution_x_norm / delta. The linear-flow ratio (heat
-    evolution only) is included as the small-delta limit.
+    evolution only) is included as the small-delta limit. A rung whose
+    solve diverged reports no X-norm and no ratio: its last iterate is not
+    a solution.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -722,10 +729,11 @@ def smalldata_probe(
             rows.append(SmallDataRow(0.0, True, 0.0, 0.0))
             continue
         trace = mild_solve_picard(unit.scaled(delta), horizon, nodes=nodes)
+        if not trace.converged:
+            rows.append(SmallDataRow(delta, False, None, None))
+            continue
         x_val = solution_x_norm(trace, alpha, horizon, boxes)
-        rows.append(
-            SmallDataRow(delta, trace.converged, x_val, x_val / delta)
-        )
+        rows.append(SmallDataRow(delta, True, x_val, x_val / delta))
     return SmallDataReport(
         alpha=alpha, horizon=horizon, ratio_max=ratio_max,
         linear_ratio=linear_ratio, rows=tuple(rows),

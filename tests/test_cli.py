@@ -289,15 +289,19 @@ class TestNsCommand:
         out = tmp_path / "small"
         code = main([
             "ns", "--probe", "smalldata", "--grid", "16", "--nodes", "32",
-            "--deltas", "0,0.5", "--alpha=-0.5", "--out", str(out),
+            "--deltas", "0,0.5,32", "--alpha=-0.5", "--out", str(out),
         ])
         assert code == 0
         assert "threshold 0.5" in capsys.readouterr().out
         payload = json.loads((out / "smalldata.json").read_text())
         assert payload["threshold"] == 0.5
+        # the delta=32 rung diverges: no X-norm and no ratio
+        assert payload["rows"][2]["x_norm"] is None
+        assert payload["rows"][2]["ratio"] is None
         rows = (out / "smalldata.csv").read_text().strip().splitlines()
         assert rows[0] == "delta,converged,x_norm,ratio"
-        assert len(rows) == 3
+        assert len(rows) == 4
+        assert rows[3] == "32.0,False,,"
 
     def test_inflation_null_control(self, tmp_path):
         out = tmp_path / "inf"
@@ -327,6 +331,20 @@ class TestNsCommand:
         assert first.grid.dims == 3 and first.grid.size == 16
         energies = manifest["energies"]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+    def test_diverged_run_exports_null_residual(self, tmp_path):
+        out = tmp_path / "div"
+        code = main([
+            "ns", "--probe", "run", "--grid", "16", "--data", "random",
+            "--amplitude", "2000", "--nodes", "32", "--out", str(out),
+        ])
+        assert code == 0
+        text = (out / "trace" / "manifest.json").read_text()
+        manifest = json.loads(text)
+        assert manifest["converged"] is False
+        # the overflowed sweep's residual is null, never Infinity
+        assert manifest["residuals"][-1] is None
+        assert "Infinity" not in text and "NaN" not in text
 
     def test_linear_only_run(self, tmp_path):
         out = tmp_path / "lin"

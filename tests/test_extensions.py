@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from toruslab.extensions import (
+    CHUNK_POINTS,
     ExtensionStack,
     TimeMesh,
     build_stack,
@@ -16,6 +18,7 @@ from toruslab.extensions import (
     frac_lift_subordination,
     gradient_bound_ratio,
     modulus_bound_check,
+    row_chunks,
     zero_time_gradient_square,
 )
 from toruslab.fieldio import read_field
@@ -205,6 +208,98 @@ class TestBuildStack:
         g0 = zero_time_gradient_square(stack, full=False)
         expected = TWO_PI**2 * np.sin(TWO_PI * x) ** 2
         assert np.max(np.abs(g0 - expected)) <= 1e-10
+
+
+def panel_loop_stack(f: Field, kind: str, mesh: TimeMesh):
+    """Unbatched reference for build_stack: one panel at a time, one
+    transform per panel for values, grad_t and each grad_x[:, j]."""
+    grid = f.grid
+    base = forward_transform(f).coefficients
+    if kind == "poisson":
+        rate = (TWO_PI / grid.length) * grid.mode_norm
+    else:
+        rate = (TWO_PI / grid.length) ** 2 * grid.mode_square
+    wave = [2j * np.pi / grid.length * grid.derivative_modes[j] for j in range(grid.dims)]
+    axes = tuple(range(1, grid.dims + 1))
+    m = mesh.node_count
+    values = np.empty((m,) + grid.shape)
+    grad_x = np.empty((m, grid.dims) + grid.shape)
+    grad_t = np.empty((m,) + grid.shape)
+    for sl in mesh.panel_slices():
+        t = mesh.nodes[sl].reshape((-1,) + (1,) * grid.dims)
+        coeff = np.exp(-rate[np.newaxis] * t) * base[np.newaxis]
+        values[sl] = np.fft.ifftn(coeff, axes=axes, norm="forward").real
+        grad_t[sl] = np.fft.ifftn(-rate[np.newaxis] * coeff, axes=axes, norm="forward").real
+        for j in range(grid.dims):
+            grad_x[sl, j] = np.fft.ifftn(wave[j] * coeff, axes=axes, norm="forward").real
+    return values, grad_x, grad_t
+
+
+def symbol_loop_zero_time(stack: ExtensionStack, full: bool) -> np.ndarray:
+    """Unbatched reference for zero_time_gradient_square: one transform
+    per symbol, accumulated in the same order."""
+    grid = stack.grid
+    coeff = stack.trace.coefficients
+    acc = np.zeros(grid.shape)
+    for j in range(grid.dims):
+        symbol = 2j * np.pi / grid.length * grid.derivative_modes[j]
+        acc += np.fft.ifftn(symbol * coeff, norm="forward").real ** 2
+    if full:
+        if stack.kind == "poisson":
+            rate = (TWO_PI / grid.length) * grid.mode_norm
+        else:
+            rate = (TWO_PI / grid.length) ** 2 * grid.mode_square
+        acc += np.fft.ifftn(-rate * coeff, norm="forward").real ** 2
+    return acc
+
+
+class TestBatchedTransforms:
+    def test_row_chunks_rule(self):
+        # every 1-D mesh is one chunk; 3-D N=32 rows come CHUNK_POINTS at a time
+        assert list(row_chunks(160, TorusGrid(1, 512))) == [slice(0, 160)]
+        chunks = list(row_chunks(10, TorusGrid(3, 32)))
+        assert [c.stop - c.start for c in chunks] == [4, 4, 2]
+        # whole panels only, and never less than one panel
+        assert list(row_chunks(24, TorusGrid(3, 32), unit=8)) == [
+            slice(0, 8), slice(8, 16), slice(16, 24)
+        ]
+        assert [c.stop - c.start for c in row_chunks(160, TorusGrid(2, 64), unit=8)] == [32] * 5
+
+    @pytest.mark.parametrize("kind", ["poisson", "heat"])
+    @pytest.mark.parametrize("dims,size", [(1, 256), (2, 64)])
+    def test_build_stack_matches_panel_loop(self, kind, dims, size):
+        # 2-D N=64 chunks span four panels, so chunk and panel edges differ
+        grid = TorusGrid(dims, size)
+        f = noise_field(grid, seed=dims)
+        mesh = TimeMesh(top=0.5)
+        stack = build_stack(f, kind, mesh)
+        values, grad_x, grad_t = panel_loop_stack(f, kind, mesh)
+        assert np.array_equal(stack.values, values)
+        assert np.array_equal(stack.grad_x, grad_x)
+        assert np.array_equal(stack.grad_t, grad_t)
+        for full in (True, False):
+            assert np.array_equal(zero_time_gradient_square(stack, full=full),
+                                  symbol_loop_zero_time(stack, full))
+
+    def test_build_stack_memory_is_chunk_bounded(self):
+        grid = TorusGrid(3, 32)
+        f = noise_field(grid)
+        build_stack(f, "poisson", TimeMesh(top=0.5, panels=1))  # fill grid caches
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            stack = build_stack(f, "poisson", TimeMesh(top=0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (stack.values, stack.grad_x, stack.grad_t,
+                                          stack.trace.coefficients))
+        chunk = 16 * CHUNK_POINTS  # one complex chunk temporary
+        # per-mode symbols: the real rate and one complex wave number per axis
+        symbols = 8 * grid.point_count + 16 * grid.dims * grid.point_count
+        # one complex field of slack for numpy's ufunc buffers
+        slack = 16 * grid.point_count
+        assert peak - start < returned + 2 * chunk + symbols + slack
 
 
 class TestSubordination:

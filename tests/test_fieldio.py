@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -96,6 +97,12 @@ class TestCsvAndJson:
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text()) == payload
         assert p1.read_text().index('"a"') < p1.read_text().index('"b"')
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            write_json({"a": [1.0, bad]}, tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()
 
     def test_write_csv(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["name", "value"], [["x", 1], ["y", 2.5]])

@@ -19,6 +19,7 @@ from scipy.special import gammainc
 from toruslab.extensions import TimeMesh, build_stack
 from toruslab.norms import (
     BoxFamily,
+    NormResult,
     TimeSeries,
     XSpaceResult,
     besov_norm,
@@ -38,8 +39,12 @@ from toruslab.norms import (
     star_norm,
     t_alpha2_norm,
     x_space_norm,
+    _ball_correlate,
+    _ball_mask,
+    _ball_mask_hat_conj,
+    _sup_over_family,
 )
-from toruslab.spectral import Field, TorusGrid
+from toruslab.spectral import Field, TorusGrid, forward_transform
 
 
 def lower_gamma_integral(w: float, a: float, upper: float) -> float:
@@ -637,6 +642,103 @@ class TestXSpace:
         assert series.times.size == stack.node_count
         got = x_space_norm(series, 0.0, horizon=1.0, boxes=self.boxes)
         assert got.value > 0
+
+
+# --- batched transforms against their unbatched loops ---
+
+def radius_loop_correlate(arr: np.ndarray, grid: TorusGrid, j: int) -> np.ndarray:
+    """One radius, one forward and one inverse transform."""
+    return np.fft.ifftn(np.fft.fftn(arr) * _ball_mask_hat_conj(grid, j)).real
+
+
+def t_loop_besov(f: Field, t_grid: np.ndarray) -> float:
+    """besov_norm one t at a time."""
+    grid = f.grid
+    coeff = forward_transform(f.remove_mean()).coefficients
+    rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
+    best = 0.0
+    for t in t_grid:
+        u = np.fft.ifftn(coeff * np.exp(-rate * float(t)), norm="forward").real
+        best = max(best, math.sqrt(t) * float(np.max(np.abs(u))))
+    return best
+
+
+def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
+                             boxes: BoxFamily) -> NormResult:
+    """inverse_space_norm one panel and one radius at a time."""
+    grid = f.grid
+    mesh = default_parabolic_mesh(grid)
+    g = f.remove_mean()
+    fhat = forward_transform(g).coefficients
+    rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
+    eligible = [(j, r) for j, r in zip(boxes.j_values, boxes.radii) if r * r < horizon]
+    cuts = {j: mesh.aligned_cut(r * r) for j, r in eligible}
+    t = mesh.nodes
+    node_factor = mesh.weights * t**alpha
+    snapshots = {}
+    acc = g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha)
+    axes = tuple(range(1, grid.dims + 1))
+    for sl in mesh.panel_slices():
+        t_chunk = t[sl].reshape((-1,) + (1,) * grid.dims)
+        coeff = np.exp(-rate[np.newaxis] * t_chunk) * fhat[np.newaxis]
+        u = np.fft.ifftn(coeff, axes=axes, norm="forward").real
+        acc = acc + np.einsum("m...,m->...", u * u, node_factor[sl])
+        for j, cut in cuts.items():
+            if cut == sl.stop and j not in snapshots:
+                snapshots[j] = acc.copy()
+    per_radius = []
+    for j, radius in eligible:
+        ball = radius_loop_correlate(snapshots[j], grid, j)
+        vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-(2 * alpha + grid.dims))
+        per_radius.append((radius, vals_sq))
+    return _sup_over_family(boxes, per_radius, f.mean())
+
+
+class TestBatchedTransforms:
+    @pytest.mark.parametrize("dims,size", [(1, 256), (2, 32), (3, 16)])
+    def test_ball_correlate_matches_radius_loop(self, dims, size):
+        grid = TorusGrid(dims, size)
+        js = tuple(range(1, int(math.log2(size))))
+        f = random_field(grid, seed=dims).samples
+        got = _ball_correlate(f, grid, js)
+        assert got.shape == (len(js),) + grid.shape
+        stacked = np.stack([f * (i + 1) for i in range(len(js))])
+        got_stacked = _ball_correlate(stacked, grid, js)
+        for i, j in enumerate(js):
+            assert np.array_equal(got[i], radius_loop_correlate(f, grid, j))
+            assert np.array_equal(got_stacked[i], radius_loop_correlate(stacked[i], grid, j))
+
+    def test_ball_correlate_matches_offset_sum(self):
+        grid = TorusGrid(2, 8)
+        js = (1, 2)
+        f = random_field(grid, seed=3).samples
+        got = _ball_correlate(f, grid, js)
+        for i, j in enumerate(js):
+            offsets = np.argwhere(_ball_mask(grid, j))
+            want = np.zeros(grid.shape)
+            for c in np.ndindex(*grid.shape):
+                want[c] = sum(f[(c[0] + d0) % 8, (c[1] + d1) % 8] for d0, d1 in offsets)
+            assert np.max(np.abs(got[i] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("dims,size", [(1, 256), (1, 512), (2, 32)])
+    def test_besov_matches_t_loop(self, dims, size):
+        grid = TorusGrid(dims, size)
+        f = random_field(grid, seed=size)
+        scale = grid.length**2
+        t_grid = np.geomspace(1e-9 * scale, scale, 700)
+        assert besov_norm(f) == t_loop_besov(f, t_grid)
+
+    @pytest.mark.parametrize("dims,size", [(1, 256), (2, 64), (3, 16)])
+    @pytest.mark.parametrize("horizon", [math.inf, 0.02])
+    def test_inverse_space_matches_panel_loop(self, dims, size, horizon):
+        # 2-D N=64 and 3-D N=16 chunks hold four panels each
+        grid = TorusGrid(dims, size)
+        f = Field(grid, random_field(grid, seed=7).samples + 0.5)
+        boxes = BoxFamily.default(grid)
+        for alpha in (-0.5, 0.25):
+            got = inverse_space_norm(f, alpha, horizon, boxes)
+            want = panel_loop_inverse_space(f, alpha, horizon, boxes)
+            assert got == want
 
 
 # --- corpus regularity ordering ---

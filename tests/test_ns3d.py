@@ -506,7 +506,11 @@ class TestProbes:
         report = smalldata_probe([0.5, 32.0], -0.5, 0.1, g16, seed=0, nodes=32)
         assert [row.converged for row in report.rows] == [True, False]
         assert report.threshold == 0.5
-        assert report.to_payload()["rows"][1]["converged"] is False
+        row = report.to_payload()["rows"][1]
+        assert row["converged"] is False
+        # the diverged rung's last iterate is no solution: no X-norm, no ratio
+        assert row["x_norm"] is None and row["ratio"] is None
+        assert report.rows[0].x_norm > 0.0
 
     def test_smalldata_validation(self, g16):
         with pytest.raises(ValueError, match="nonnegative"):
