@@ -177,8 +177,22 @@ def _fuse_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _finite_float(text: str) -> float:
+    """Float option value; NaN and infinities are refused here, because
+    run_config.json is strict JSON and cannot record them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _parse_horizon(text: str) -> float | None:
+    """Horizon of the inverse-space norm: 'inf' is the default, None."""
+    return None if float(text) == math.inf else _finite_float(text)
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    values = tuple(_finite_float(tok) for tok in text.split(",") if tok.strip())
     if not values:
         raise ValueError(f"no numbers in {text!r}")
     return values
@@ -196,7 +210,7 @@ def _add_common(parser: argparse.ArgumentParser, grid: int, dims: int) -> None:
                         help=f"points per axis (default {grid})")
     parser.add_argument("--dims", type=int, default=dims, choices=(1, 2, 3),
                         help=f"torus dimension (default {dims})")
-    parser.add_argument("--length", type=float, default=1.0,
+    parser.add_argument("--length", type=_finite_float, default=1.0,
                         help="torus side length (default 1.0)")
     parser.add_argument("--boxes", type=_parse_boxes, default=None,
                         metavar="JMIN:JMAX:STRIDE",
@@ -222,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, grid=256, dims=1)
     p.add_argument("--norm", required=True, choices=NORM_NAMES)
     p.add_argument("--input", required=True, metavar="FIELD.BIN")
-    p.add_argument("--alpha", type=float, default=0.0,
+    p.add_argument("--alpha", type=_finite_float, default=0.0,
                    help="norm parameter (default 0)")
-    p.add_argument("--horizon", type=float, default=None,
+    p.add_argument("--horizon", type=_parse_horizon, default=None,
                    help="time horizon for the inverse-space norm (default inf)")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="also write norm.json and the run config here")
@@ -241,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"sup-norm levels in (0,1) (default {DEFAULT_BETAS})")
     p.add_argument("--corpus", default=None, metavar="MANIFEST.JSON",
                    help="function battery to use (default: built-in 20)")
-    p.add_argument("--spread-max", type=float, default=30.0)
-    p.add_argument("--drift-max", type=float, default=0.25)
+    p.add_argument("--spread-max", type=_finite_float, default=30.0)
+    p.add_argument("--drift-max", type=_finite_float, default=0.25)
     p.add_argument("--no-refine", action="store_true",
                    help="skip the doubled-grid drift measurement")
     p.add_argument("--out", default="toruslab-reports", metavar="DIR")
@@ -251,28 +265,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, grid=32, dims=3)
     p.add_argument("--probe", required=True,
                    choices=("smalldata", "inflation", "run"))
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=_finite_float, default=None,
                    help="data-norm regularity (defaults: smalldata -0.5, "
                         "inflation 0.5)")
     p.add_argument("--deltas", type=_parse_floats,
                    default=(0.0, 0.25, 0.5, 1.0, 2.0), metavar="D1,D2,...",
                    help="small-data amplitude ladder")
-    p.add_argument("--eps", type=float, default=1.0,
+    p.add_argument("--eps", type=_finite_float, default=1.0,
                    help="inflation data-norm size")
     p.add_argument("--modes", type=int, default=8,
                    help="shear mode count for inflation/shear data")
-    p.add_argument("--horizon", type=float, default=0.1)
+    p.add_argument("--horizon", type=_finite_float, default=0.1)
     p.add_argument("--nodes", type=int, default=128,
                    help="stored quadrature nodes for the fixed-point solver")
     p.add_argument("--steps", type=int, default=400,
                    help="time steps for the Runge-Kutta reference")
-    p.add_argument("--ratio-max", type=float, default=4.0,
+    p.add_argument("--ratio-max", type=_finite_float, default=4.0,
                    help="contraction bound for the small-data ladder")
     p.add_argument("--data", default="random",
                    choices=("taylor-green", "random", "shear"),
                    help="initial data for --probe run")
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--max-freq", type=float, default=2.0,
+    p.add_argument("--amplitude", type=_finite_float, default=1.0)
+    p.add_argument("--max-freq", type=_finite_float, default=2.0,
                    help="band limit of random initial data")
     p.add_argument("--solver", default="picard", choices=("picard", "ifrk4"))
     p.add_argument("--linear-only", action="store_true",

@@ -113,10 +113,6 @@ class TimeMesh:
             raise ValueError(f"cut {upper} is not a dyadic fraction of {self.top}")
         return (self.panels - m) * self.nodes_per_panel
 
-    def panel_slices(self) -> Iterator[slice]:
-        for p in range(self.panels):
-            yield slice(p * self.nodes_per_panel, (p + 1) * self.nodes_per_panel)
-
 
 def _extension_rate(grid: TorusGrid, kind: str) -> np.ndarray:
     """Per-mode decay rate: u_hat(k, t) = exp(-rate t) f_hat(k)."""
@@ -161,9 +157,10 @@ def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
 
     Nodes are transformed in ``row_chunks``: one inverse transform per
     chunk for each of ``values``, ``grad_t`` and every ``grad_x[:, j]``,
-    written straight into the preallocated output. Besides the returned
-    arrays and the per-mode symbols, at most two complex chunk-sized
-    temporaries are alive at once.
+    copied into the preallocated output. Besides the returned arrays and
+    the per-mode symbols, at most four complex chunk-sized temporaries are
+    alive at once: the chunk's coefficients, one symbol product, and the
+    transform's output with its per-axis intermediate.
     """
     if kind not in VALID_KINDS:
         raise ValueError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
@@ -187,13 +184,12 @@ def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
     for sl in row_chunks(m, grid):
         t_chunk = nodes[sl].reshape((-1,) + (1,) * grid.dims)
         coeff = np.exp(neg_rate[np.newaxis] * t_chunk) * base[np.newaxis]
-        work = np.fft.ifftn(coeff, axes=axes, norm="forward", out=np.empty_like(coeff))
-        values[sl] = work.real
+        values[sl] = np.fft.ifftn(coeff, axes=axes, norm="forward").real
+        work = np.empty_like(coeff)
         targets = [grad_t[sl]] + [grad_x[sl, j] for j in range(grid.dims)]
         for symbol, target in zip(symbols, targets):
             np.multiply(symbol, coeff, out=work)
-            np.fft.ifftn(work, axes=axes, norm="forward", out=work)
-            target[...] = work.real
+            target[...] = np.fft.ifftn(work, axes=axes, norm="forward").real
         # free this chunk's buffers before the next chunk allocates its own
         del coeff, work
 

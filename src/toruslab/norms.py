@@ -161,7 +161,7 @@ def _ball_correlate(arr: np.ndarray, grid: TorusGrid, js: Sequence[int]) -> np.n
     axes = tuple(range(-grid.dims, 0))
     masks = np.stack([_ball_mask_hat_conj(grid, j) for j in js])
     spectrum = np.fft.fftn(arr, axes=axes) * masks
-    return np.fft.ifftn(spectrum, axes=axes, out=spectrum).real
+    return np.fft.ifftn(spectrum, axes=axes).real
 
 
 def _sup_over_family(

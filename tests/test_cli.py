@@ -197,6 +197,37 @@ class TestNormCommand:
         assert config["command"] == "norm"
         assert config["alphas"] == [-0.5]
 
+    def test_horizon_inf_is_the_default(self, mode_file, tmp_path, capsys):
+        out = tmp_path / "inf"
+        code = main([
+            "norm", "--norm", "inverse", "--alpha=-0.5", "--horizon", "inf",
+            "--input", str(mode_file), "--out", str(out),
+        ])
+        assert code == 0
+        stdout_payload = json.loads(capsys.readouterr().out)
+        assert json.loads((out / "norm.json").read_text()) == stdout_payload
+        config = json.loads((out / "run_config.json").read_text())
+        assert config["options"]["horizon"] is None
+        assert main(["norm", "--norm", "inverse", "--alpha=-0.5",
+                     "--input", str(mode_file)]) == 0
+        assert json.loads(capsys.readouterr().out) == stdout_payload
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--norm", "inverse", "--horizon", "nan", "--input", "f.bin"],
+        ["norm", "--norm", "inverse", "--horizon=-inf", "--input", "f.bin"],
+        ["verify", "--spread-max", "inf"],
+        ["verify", "--drift-max", "inf"],
+        ["verify", "--alpha", "0,inf"],
+        ["ns", "--probe", "smalldata", "--ratio-max", "inf"],
+        ["ns", "--probe", "smalldata", "--deltas", "0,nan"],
+    ])
+    def test_non_finite_options_refused(self, argv, capsys):
+        # run_config.json is strict JSON: a NaN or infinity stops at parsing
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "is not a finite number" in capsys.readouterr().err
+
     def test_stack_and_sup_norms_run(self, mode_file, capsys):
         for name in ("scaled_t", "bloch_hb", "besov", "q"):
             alpha = "0.25" if name != "q" else "0.5"

@@ -55,7 +55,9 @@ class TestTimeMesh:
 
     def test_panel_weight_sums(self):
         mesh = TimeMesh(top=1.0, panels=20, nodes_per_panel=8)
-        for m, sl in zip(range(mesh.panels - 1, -1, -1), mesh.panel_slices()):
+        n = mesh.nodes_per_panel
+        for p, m in enumerate(range(mesh.panels - 1, -1, -1)):
+            sl = slice(p * n, (p + 1) * n)
             length = 1.0 * 2.0 ** (-m) / 2.0
             assert abs(mesh.weights[sl].sum() - length) <= 1e-14
 
@@ -225,7 +227,8 @@ def panel_loop_stack(f: Field, kind: str, mesh: TimeMesh):
     values = np.empty((m,) + grid.shape)
     grad_x = np.empty((m, grid.dims) + grid.shape)
     grad_t = np.empty((m,) + grid.shape)
-    for sl in mesh.panel_slices():
+    n = mesh.nodes_per_panel
+    for sl in (slice(p * n, (p + 1) * n) for p in range(mesh.panels)):
         t = mesh.nodes[sl].reshape((-1,) + (1,) * grid.dims)
         coeff = np.exp(-rate[np.newaxis] * t) * base[np.newaxis]
         values[sl] = np.fft.ifftn(coeff, axes=axes, norm="forward").real
@@ -295,11 +298,14 @@ class TestBatchedTransforms:
         returned = sum(a.nbytes for a in (stack.values, stack.grad_x, stack.grad_t,
                                           stack.trace.coefficients))
         chunk = 16 * CHUNK_POINTS  # one complex chunk temporary
+        # alive at once: the chunk's coefficients, one symbol product, and a
+        # multi-axis transform's output plus its per-axis intermediate
+        temporaries = 4 * chunk
         # per-mode symbols: the real rate and one complex wave number per axis
         symbols = 8 * grid.point_count + 16 * grid.dims * grid.point_count
         # one complex field of slack for numpy's ufunc buffers
         slack = 16 * grid.point_count
-        assert peak - start < returned + 2 * chunk + symbols + slack
+        assert peak - start < returned + temporaries + symbols + slack
 
 
 class TestSubordination:
@@ -353,7 +359,8 @@ class TestSubordination:
         bound = lifted.meta["subordination_tail_bound"]
         # True remainder for the k=1 mode, dense trapezoid on [s_cut, s_cut+8].
         s = np.linspace(s_cut, s_cut + 8.0, 20001)
-        tail = np.trapezoid(np.exp(-TWO_PI * s) * s ** (alpha - 1.0), s)
+        y = np.exp(-TWO_PI * s) * s ** (alpha - 1.0)
+        tail = float(np.sum((y[1:] + y[:-1]) * np.diff(s)) / 2.0)
         true_remainder = tail / math.gamma(alpha)  # coefficient magnitude 1/2 each at +-1
         assert bound >= true_remainder
         assert bound <= 1e-6  # e^{-2 pi * 3} makes the tail negligible

@@ -678,7 +678,8 @@ def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
     snapshots = {}
     acc = g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha)
     axes = tuple(range(1, grid.dims + 1))
-    for sl in mesh.panel_slices():
+    n = mesh.nodes_per_panel
+    for sl in (slice(p * n, (p + 1) * n) for p in range(mesh.panels)):
         t_chunk = t[sl].reshape((-1,) + (1,) * grid.dims)
         coeff = np.exp(-rate[np.newaxis] * t_chunk) * fhat[np.newaxis]
         u = np.fft.ifftn(coeff, axes=axes, norm="forward").real
