@@ -5,16 +5,13 @@ from toruslab.spectral import (
     Field,
     SpectralField,
     TorusGrid,
-    extension_time_derivative,
     forward_transform,
     frac_laplacian_power,
     heat_semigroup,
     inverse_transform,
-    laplacian,
     leray_project,
     poisson_semigroup,
     riesz_transform,
-    spatial_gradient,
 )
 
 __version__ = "0.1.0"
@@ -23,15 +20,12 @@ __all__ = [
     "Field",
     "SpectralField",
     "TorusGrid",
-    "extension_time_derivative",
     "forward_transform",
     "frac_laplacian_power",
     "heat_semigroup",
     "inverse_transform",
-    "laplacian",
     "leray_project",
     "poisson_semigroup",
     "riesz_transform",
-    "spatial_gradient",
     "__version__",
 ]

@@ -28,27 +28,8 @@ from .corpus import (
     specs_from_manifest,
     write_corpus_manifest,
 )
-from .extensions import build_stack
 from .fieldio import read_field, write_csv, write_field, write_json
-from .norms import (
-    BoxFamily,
-    besov_norm,
-    bloch_cb_norm,
-    bloch_hb_norm,
-    campanato_norm,
-    campanato_pair_norm,
-    dagger_norm,
-    default_linear_mesh,
-    default_parabolic_mesh,
-    frac_campanato_norm,
-    h_alpha2_norm,
-    inverse_space_norm,
-    q_norm,
-    scaled_h_norm,
-    scaled_t_norm,
-    star_norm,
-    t_alpha2_norm,
-)
+from .norms import NORMS, BoxFamily, NormResult
 from .ns3d import (
     export_trace,
     inflation_probe,
@@ -61,44 +42,20 @@ from .ns3d import (
 )
 from .spectral import TorusGrid
 from .verify import (
+    CHECKS,
     SCALING_NORMS,
     VerifyConfig,
     Workspace,
-    check_gradient_constant,
     check_inclusions,
     check_scaling,
-    check_theorem_2_1,
-    check_theorem_3_1,
-    check_theorem_4_1,
-    check_theorem_4_2,
+    run_check,
     write_reports,
 )
 
 DEFAULT_ALPHAS = (-0.5, -0.25, 0.0, 0.25, 0.5)
 DEFAULT_BETAS = (0.25, 0.5, 0.75)
-THEOREMS = ("2.1", "2.2", "3.1", "4.1", "4.2", "inclusions", "scaling", "all")
-
-_TRACE_NORMS = {
-    "campanato": campanato_norm,
-    "campanato_pair": campanato_pair_norm,
-    "q": q_norm,
-    "frac_campanato": frac_campanato_norm,
-}
-_STACK_NORMS = {
-    "h": ("poisson", h_alpha2_norm),
-    "scaled_h": ("poisson", scaled_h_norm),
-    "star": ("poisson", star_norm),
-    "t": ("heat", t_alpha2_norm),
-    "scaled_t": ("heat", scaled_t_norm),
-}
-NORM_NAMES = tuple(
-    sorted(
-        list(_TRACE_NORMS)
-        + list(_STACK_NORMS)
-        + ["besov", "inverse", "dagger_linear", "dagger_parabolic",
-           "bloch_hb", "bloch_cb"]
-    )
-)
+THEOREMS = tuple(sorted({c.group for c in CHECKS})) + ("scaling", "all")
+NORM_NAMES = tuple(sorted(NORMS))
 
 
 @dataclass(frozen=True)
@@ -334,41 +291,21 @@ def cmd_corpus(config: RunConfig) -> int:
     return 0
 
 
-def _evaluate_norm(name, f, alpha, horizon, boxes) -> dict:
-    grid = f.grid
-    if name in _TRACE_NORMS:
-        return _TRACE_NORMS[name](f, alpha, boxes).to_payload()
-    if name == "besov":
-        return {"value": besov_norm(f)}
-    if name == "inverse":
-        top = math.inf if horizon is None else horizon
-        return inverse_space_norm(f, alpha, top, boxes).to_payload()
-    if name in _STACK_NORMS:
-        kind, norm = _STACK_NORMS[name]
-        mesh = (default_linear_mesh(grid) if kind == "poisson"
-                else default_parabolic_mesh(grid))
-        return norm(build_stack(f, kind, mesh), alpha, boxes).to_payload()
-    if name in ("dagger_linear", "dagger_parabolic"):
-        stack = build_stack(f, "heat", default_parabolic_mesh(grid))
-        height = "linear" if name == "dagger_linear" else "parabolic"
-        return dagger_norm(stack, alpha, boxes, box_height=height).to_payload()
-    if name == "bloch_hb":
-        return {"value": bloch_hb_norm(build_stack(f, "poisson", default_linear_mesh(grid)))}
-    if name == "bloch_cb":
-        return {"value": bloch_cb_norm(build_stack(f, "heat", default_parabolic_mesh(grid)))}
-    raise ValueError(f"unknown norm {name!r}")
-
-
 def cmd_norm(config: RunConfig) -> int:
     opts = config.options
     f = read_field(opts["input"])
     alpha = config.alphas[0] if config.alphas else 0.0
     boxes = config.box_family(f.grid)
+    spec = NORMS[opts["norm"]]
+    horizon = opts.get("horizon")
+    result = spec.evaluate(spec.argument(f), alpha, boxes,
+                           math.inf if horizon is None else horizon)
     payload = {
         "norm": opts["norm"],
         "alpha": alpha,
         "input": opts["input"],
-        "result": _evaluate_norm(opts["norm"], f, alpha, opts.get("horizon"), boxes),
+        "result": (result.to_payload() if isinstance(result, NormResult)
+                   else {"value": result}),
     }
     print(json.dumps(payload, sort_keys=True))
     if config.out is not None:
@@ -391,41 +328,23 @@ def _scaling_field(alpha: float, grid: TorusGrid, seed: int):
 
 def _verify_reports(config: RunConfig, ws: Workspace, boxes: BoxFamily) -> list:
     theorem = config.options["theorem"]
-    alphas = config.alphas or DEFAULT_ALPHAS
-    betas = config.betas or DEFAULT_BETAS
+    levels = {"alpha": config.alphas or DEFAULT_ALPHAS,
+              "beta": config.betas or DEFAULT_BETAS}
     refine = not config.options.get("no_refine", False)
 
     def want(name: str) -> bool:
         return theorem in ("all", name)
 
+    # one sweep per table row, or per shared sweep name, in table order
+    sweeps = {c.name: c.levels for c in CHECKS
+              if c.group != "inclusions" and want(c.group)}
     reports: list = []
-    if want("2.1"):
-        reports += [check_theorem_2_1(ws, a, refine=refine) for a in alphas]
-    if want("3.1"):
-        reports += [check_theorem_3_1(ws, a, refine=refine, part="i")
-                    for a in alphas]
-        reports += [check_theorem_3_1(ws, b, refine=refine, part="bloch")
-                    for b in betas]
-        reports += [check_theorem_3_1(ws, a, refine=refine, part="star")
-                    for a in alphas]
-    if want("4.1"):
-        for part in ("i", "ii"):
-            reports += [check_theorem_4_1(ws, a, refine=refine, part=part)
-                        for a in alphas]
-        reports += [check_theorem_4_1(ws, b, refine=refine, part="bloch")
-                    for b in betas]
-        for part in ("dagger-linear", "dagger-parabolic"):
-            reports += [check_theorem_4_1(ws, a, refine=refine, part=part)
-                        for a in alphas]
-    if want("4.2"):
-        reports += [check_theorem_4_2(ws, a, refine=refine) for a in alphas]
-    if want("2.2"):
-        reports += [check_gradient_constant(ws, a, refine=refine)
-                    for a in alphas]
+    for name, over in sweeps.items():
+        reports += [run_check(ws, name, x, refine=refine) for x in levels[over]]
     if want("inclusions"):
-        reports += [check_inclusions(ws, b, refine=refine) for b in betas]
+        reports += [check_inclusions(ws, b, refine=refine) for b in levels["beta"]]
     if want("scaling"):
-        for a in alphas:
+        for a in levels["alpha"]:
             f = _scaling_field(a, ws.grid, config.seed)
             # at the -1/2 endpoint no periodic band-limited field can
             # exhibit the trace exponent, so the row is report-only

@@ -57,24 +57,6 @@ def read_field(path: str | Path) -> Field:
     return Field(grid, samples.reshape(grid.shape))
 
 
-def field_to_csv(field: Field, path: str | Path) -> Path:
-    """Write one row per grid point: index columns, then the sample value.
-
-    Intended for small grids; the binary format is the bulk carrier.
-    """
-    path = Path(path)
-    grid = field.grid
-    index_names = ["i", "j", "k"][: grid.dims]
-    flat = field.samples.reshape(-1)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(index_names + ["value"])
-        for offset, value in enumerate(flat):
-            idx = np.unravel_index(offset, grid.shape)
-            writer.writerow([*map(int, idx), repr(float(value))])
-    return path
-
-
 def write_json(payload: Any, path: str | Path) -> Path:
     """Dump JSON with sorted keys and a trailing newline (reproducible).
 

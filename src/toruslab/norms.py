@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,10 +38,15 @@ from .extensions import (
 from .spectral import (
     Field,
     TorusGrid,
+    extension_rate,
     forward_transform,
     frac_laplacian_power,
     inverse_transform,
 )
+
+# Cap on the dense ball-pair matrix q_norm builds for one radius (ball
+# points^2 doubles); its temporaries take a few times as much again.
+PAIR_MATRIX_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -103,10 +108,6 @@ class NormResult:
     arg_radius: float | None
     mean_removed: float = 0.0
     per_box_table: tuple[tuple[float, float], ...] = ()
-
-    @property
-    def arg_box(self) -> tuple[tuple[int, ...] | None, float | None]:
-        return (self.arg_center, self.arg_radius)
 
     def to_payload(self) -> dict:
         return {
@@ -255,6 +256,11 @@ def q_norm(f: Field, beta: float, boxes: BoxFamily) -> NormResult:
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     grid = _require_grid(f, boxes)
+    pair_bytes = 8 * _ball_count(grid, boxes.j_values[0]) ** 2
+    if pair_bytes > PAIR_MATRIX_BYTES:
+        raise ValueError(f"q_norm on the {grid.dims}-D N={grid.size} grid needs a {pair_bytes} "
+                         f"byte pair matrix for radius {boxes.radii[0]}, over the "
+                         f"{PAIR_MATRIX_BYTES} byte cap")
     mean = f.mean()
     g = f.remove_mean().samples
     cellvol = grid.cell_volume
@@ -474,7 +480,7 @@ def besov_norm(f: Field, t_grid: np.ndarray | None = None) -> float:
         t_grid = np.geomspace(1e-9 * scale, scale, 700)
     t_grid = np.asarray(t_grid, dtype=float)
     coeff = forward_transform(g).coefficients
-    rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
+    rate = extension_rate(grid, "heat")
     axes = tuple(range(1, grid.dims + 1))
     best = 0.0
     for sl in row_chunks(t_grid.size, grid):
@@ -514,7 +520,7 @@ def inverse_space_norm(
     mean = f.mean()
     g = f.remove_mean()
     fhat = forward_transform(g)
-    rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
+    rate = extension_rate(grid, "heat")
 
     eligible = [
         (j, r) for j, r in zip(boxes.j_values, boxes.radii) if r * r < horizon
@@ -576,10 +582,6 @@ class TimeSeries:
             )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_stack(cls, stack: ExtensionStack) -> "TimeSeries":
-        return cls(grid=stack.grid, times=stack.mesh.nodes, values=stack.values)
 
 
 @dataclass(frozen=True)
@@ -658,3 +660,54 @@ def x_space_norm(
         alpha=alpha,
         horizon=horizon,
     )
+
+
+# --- the norm registry ---
+
+@dataclass(frozen=True)
+class Norm:
+    """A registry entry: the input a norm takes and how to evaluate it.
+
+    ``kind`` is "trace" for a norm of the field itself, or the extension
+    ("poisson" or "heat") whose stack the norm takes. ``evaluate(x, alpha,
+    boxes, horizon)`` returns a NormResult or a float; arguments a norm does
+    not take are ignored.
+    """
+
+    kind: str
+    evaluate: Callable[..., "NormResult | float"]
+
+    @staticmethod
+    def extension(f: Field, kind: str) -> ExtensionStack:
+        """Stack of a mean-zero trace on the default mesh of its box height."""
+        mesh = (default_linear_mesh(f.grid) if kind == "poisson"
+                else default_parabolic_mesh(f.grid))
+        return build_stack(f, kind, mesh)
+
+    def argument(self, f: Field) -> Field | ExtensionStack:
+        return f if self.kind == "trace" else self.extension(f, self.kind)
+
+    def value(self, x, alpha: float, boxes: BoxFamily, horizon: float = math.inf) -> float:
+        result = self.evaluate(x, alpha, boxes, horizon)
+        return result.value if isinstance(result, NormResult) else result
+
+
+# Name -> Norm. Each evaluation looks its function up by module-level name
+# when it runs, so a wrapper installed on this module sees every call.
+NORMS: dict[str, Norm] = {
+    "campanato": Norm("trace", lambda f, a, boxes, _: campanato_norm(f, a, boxes)),
+    "campanato_pair": Norm("trace", lambda f, a, boxes, _: campanato_pair_norm(f, a, boxes)),
+    "q": Norm("trace", lambda f, a, boxes, _: q_norm(f, a, boxes)),
+    "frac_campanato": Norm("trace", lambda f, a, boxes, _: frac_campanato_norm(f, a, boxes)),
+    "besov": Norm("trace", lambda f, *_: besov_norm(f)),
+    "inverse": Norm("trace", lambda f, a, boxes, top: inverse_space_norm(f, a, top, boxes)),
+    "h": Norm("poisson", lambda s, a, boxes, _: h_alpha2_norm(s, a, boxes)),
+    "scaled_h": Norm("poisson", lambda s, a, boxes, _: scaled_h_norm(s, a, boxes)),
+    "star": Norm("poisson", lambda s, a, boxes, _: star_norm(s, a, boxes)),
+    "bloch_hb": Norm("poisson", lambda s, *_: bloch_hb_norm(s)),
+    "t": Norm("heat", lambda s, a, boxes, _: t_alpha2_norm(s, a, boxes)),
+    "scaled_t": Norm("heat", lambda s, a, boxes, _: scaled_t_norm(s, a, boxes)),
+    "dagger_linear": Norm("heat", lambda s, a, boxes, _: dagger_norm(s, a, boxes, "linear")),
+    "dagger_parabolic": Norm("heat", lambda s, a, boxes, _: dagger_norm(s, a, boxes, "parabolic")),
+    "bloch_cb": Norm("heat", lambda s, *_: bloch_cb_norm(s)),
+}

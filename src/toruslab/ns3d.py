@@ -600,7 +600,6 @@ def scaling_defect(
     horizon: float,
     nodes: int = 64,
     lam: int = 2,
-    boxes: BoxFamily | None = None,
 ) -> float:
     """Deviation from the scaling symmetry u -> lam u(lam x, lam^2 t).
 

@@ -33,13 +33,14 @@ __all__ = [
     "frac_laplacian_power",
     "riesz_transform",
     "leray_project",
-    "spatial_gradient",
-    "extension_time_derivative",
-    "laplacian",
+    "extension_rate",
 ]
 
 # Relative tolerance used by the mean-zero flag and the zero-mode checks.
 MEAN_ZERO_RTOL = 1e-12
+
+# The semigroup extensions a trace can be lifted by.
+VALID_KINDS = ("poisson", "heat")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -176,10 +177,6 @@ class Field:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.samples)))
 
-    def l2_norm(self) -> float:
-        """Grid L2 norm, sqrt(sum |f|^2 * cell volume)."""
-        return float(np.sqrt(np.sum(self.samples**2) * self.grid.cell_volume))
-
     def remove_mean(self) -> "Field":
         # Two passes: one subtraction leaves O(ulp) of the removed constant,
         # which can dominate when the oscillating part is tiny.
@@ -189,13 +186,6 @@ class Field:
 
     def scaled(self, factor: float) -> "Field":
         return Field(self.grid, self.samples * factor, mean_zero=self.mean_zero)
-
-
-def _negated_mode_view(coefficients: np.ndarray) -> np.ndarray:
-    """coefficients evaluated at -k, in the same FFT layout."""
-    n = coefficients.shape[0]
-    idx = (-np.arange(n)) % n
-    return coefficients[np.ix_(*([idx] * coefficients.ndim))]
 
 
 @dataclass(frozen=True)
@@ -214,12 +204,6 @@ class SpectralField:
         if not np.isfinite(coeff).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coeff)
-
-    def hermitian_defect(self) -> float:
-        """max |c(-k) - conj(c(k))|; zero for transforms of real fields."""
-        return float(
-            np.max(np.abs(_negated_mode_view(self.coefficients) - np.conj(self.coefficients)))
-        )
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coefficients)))
@@ -257,21 +241,31 @@ def _apply_symbol(fhat: SpectralField, symbol: np.ndarray) -> SpectralField:
     return SpectralField(fhat.grid, fhat.coefficients * symbol)
 
 
+def extension_rate(grid: TorusGrid, kind: str) -> np.ndarray:
+    """Per-mode decay rate of a semigroup: u_hat(k, t) = exp(-rate t) f_hat(k).
+
+    kind "poisson": 2 pi |k| / L, the symbol of sqrt(-Laplacian);
+    kind "heat":    (2 pi / L)^2 |k|^2, the symbol of -Laplacian.
+    """
+    if kind == "poisson":
+        return (2.0 * np.pi / grid.length) * grid.mode_norm
+    if kind == "heat":
+        return (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
+    raise ValueError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
+
+
 def poisson_semigroup(fhat: SpectralField, t: float) -> SpectralField:
     """Multiplier exp(-2 pi |k| t / L), the harmonic-extension semigroup."""
     if t < 0:
         raise ValueError(f"poisson semigroup requires t >= 0, got {t}")
-    grid = fhat.grid
-    return _apply_symbol(fhat, np.exp(-(2.0 * np.pi / grid.length) * grid.mode_norm * t))
+    return _apply_symbol(fhat, np.exp(-extension_rate(fhat.grid, "poisson") * t))
 
 
 def heat_semigroup(fhat: SpectralField, t: float) -> SpectralField:
     """Multiplier exp(-4 pi^2 |k|^2 t / L^2), the caloric-extension semigroup."""
     if t < 0:
         raise ValueError(f"heat semigroup requires t >= 0, got {t}")
-    grid = fhat.grid
-    rate = (2.0 * np.pi / grid.length) ** 2
-    return _apply_symbol(fhat, np.exp(-rate * grid.mode_square * t))
+    return _apply_symbol(fhat, np.exp(-extension_rate(fhat.grid, "heat") * t))
 
 
 def frac_laplacian_power(fhat: SpectralField, s: float) -> SpectralField:
@@ -286,7 +280,7 @@ def frac_laplacian_power(fhat: SpectralField, s: float) -> SpectralField:
     if s < 0 and not fhat.is_mean_zero():
         raise ValueError("negative fractional powers require mean-zero input")
     grid = fhat.grid
-    base = (2.0 * np.pi / grid.length) * grid.mode_norm
+    base = extension_rate(grid, "poisson")
     with np.errstate(divide="ignore"):
         symbol = np.where(base > 0.0, base, 1.0) ** s
     symbol[grid.origin] = 0.0
@@ -333,37 +327,3 @@ def leray_project(components: Sequence[SpectralField]) -> tuple[SpectralField, .
         coeff = components[j].coefficients - kd[j] * scale
         out.append(SpectralField(grid, coeff))
     return tuple(out)
-
-
-def spatial_gradient(fhat: SpectralField) -> tuple[Field, ...]:
-    """Exact spectral gradient, one real Field per axis (symbol i 2 pi k_j / L)."""
-    grid = fhat.grid
-    factor = 2j * np.pi / grid.length
-    return tuple(
-        inverse_transform(_apply_symbol(fhat, factor * grid.derivative_modes[j]))
-        for j in range(grid.dims)
-    )
-
-
-def extension_time_derivative(fhat: SpectralField, t: float, kind: str) -> SpectralField:
-    """d/dt of the semigroup extension at height t, per-mode exact.
-
-    kind "poisson": symbol -(2 pi |k| / L) exp(-2 pi |k| t / L).
-    kind "heat":    symbol -(4 pi^2 |k|^2 / L^2) exp(-4 pi^2 |k|^2 t / L^2).
-    """
-    if t <= 0:
-        raise ValueError(f"extension time derivative requires t > 0, got {t}")
-    grid = fhat.grid
-    if kind == "poisson":
-        rate = (2.0 * np.pi / grid.length) * grid.mode_norm
-    elif kind == "heat":
-        rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
-    else:
-        raise ValueError(f"kind must be 'poisson' or 'heat', got {kind!r}")
-    return _apply_symbol(fhat, -rate * np.exp(-rate * t))
-
-
-def laplacian(fhat: SpectralField) -> SpectralField:
-    """Spectral Laplacian, symbol -(2 pi |k| / L)^2."""
-    grid = fhat.grid
-    return _apply_symbol(fhat, -((2.0 * np.pi / grid.length) ** 2) * grid.mode_square)

@@ -10,35 +10,20 @@ Constant and zero corpus members are skipped, counted, and listed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .corpus import CorpusSpec, generate
-from .extensions import ExtensionStack, build_stack, gradient_bound_ratio
+from .extensions import ExtensionStack, gradient_bound_ratio
 from .fieldio import write_csv, write_json
-from .norms import (
-    BoxFamily,
-    bloch_cb_norm,
-    bloch_hb_norm,
-    besov_norm,
-    campanato_norm,
-    dagger_norm,
-    default_linear_mesh,
-    default_parabolic_mesh,
-    frac_campanato_norm,
-    h_alpha2_norm,
-    inverse_space_norm,
-    q_norm,
-    scaled_h_norm,
-    scaled_t_norm,
-    star_norm,
-    t_alpha2_norm,
-)
+from .norms import NORMS, BoxFamily, Norm, scaled_h_norm
 from .spectral import Field, TorusGrid
 
 DEGENERATE_RTOL = 1e-13
@@ -238,12 +223,7 @@ class Workspace:
         f = self.field(label)
         if f is None:
             raise ValueError(f"degenerate member {label!r} has no extension")
-        mesh = (
-            default_linear_mesh(self.grid)
-            if kind == "poisson"
-            else default_parabolic_mesh(self.grid)
-        )
-        stack = build_stack(f, kind, mesh)
+        stack = Norm.extension(f, kind)
         with self._lock:
             self._stacks.setdefault(key, stack)
         return stack
@@ -261,45 +241,17 @@ class Workspace:
         return value
 
     def _compute(self, op: str, label: str, alpha: float) -> float:
-        f = self.field(label)
-        boxes = self.boxes
-        if op == "campanato":
-            return campanato_norm(f, alpha, boxes).value
-        if op == "frac_campanato":
-            return frac_campanato_norm(f, alpha, boxes).value
-        if op == "q":
-            return q_norm(f, alpha, boxes).value
-        if op == "besov":
-            return besov_norm(f)
-        if op == "inverse":
-            return inverse_space_norm(f, alpha, math.inf, boxes).value
-        if op == "h":
-            return h_alpha2_norm(self.stack(label, "poisson"), alpha, boxes).value
-        if op == "scaled_h":
-            return scaled_h_norm(self.stack(label, "poisson"), alpha, boxes).value
-        if op == "star":
-            return star_norm(self.stack(label, "poisson"), alpha, boxes).value
-        if op == "bloch_hb":
-            return bloch_hb_norm(self.stack(label, "poisson"))
-        if op == "t":
-            return t_alpha2_norm(self.stack(label, "heat"), alpha, boxes).value
-        if op == "scaled_t":
-            return scaled_t_norm(self.stack(label, "heat"), alpha, boxes).value
-        if op == "dagger_linear":
-            return dagger_norm(self.stack(label, "heat"), alpha, boxes,
-                               box_height="linear").value
-        if op == "dagger_parabolic":
-            return dagger_norm(self.stack(label, "heat"), alpha, boxes,
-                               box_height="parabolic").value
-        if op == "bloch_cb":
-            return bloch_cb_norm(self.stack(label, "heat"))
         if op == "grad_constant":
             stack = self.stack(label, "poisson")
             h = self.norm("h", label, alpha)
             return gradient_bound_ratio(stack, alpha, h)
         if op == "one":
             return 1.0
-        raise ValueError(f"unknown norm op {op!r}")
+        if op not in NORMS:
+            raise ValueError(f"unknown norm op {op!r}")
+        spec = NORMS[op]
+        x = self.field(label) if spec.kind == "trace" else self.stack(label, spec.kind)
+        return spec.value(x, alpha, self.boxes)
 
     def evaluate(self, op_pairs: tuple[tuple[str, float], tuple[str, float]]):
         """Member -> (left, right) for an op pair, in parallel, corpus order."""
@@ -334,196 +286,118 @@ class Workspace:
         return self._refined
 
 
-def _as_workspace(corpus, grid, boxes, threads) -> Workspace:
-    if isinstance(corpus, Workspace):
-        if grid is not None and grid != corpus.grid:
-            raise ValueError("grid argument conflicts with workspace grid")
-        return corpus
-    if grid is None:
-        raise ValueError("grid is required when corpus is a spec sequence")
-    return Workspace(corpus, grid, boxes, threads)
-
-
 def _band_drift(a: tuple[float, float], b: tuple[float, float]) -> float:
     return max(abs(b[0] / a[0] - 1.0), abs(b[1] / a[1] - 1.0))
 
 
-def _equivalence(
-    ws: Workspace,
-    theorem: str,
-    alpha: float,
-    pair: tuple[tuple[str, float], tuple[str, float]],
-    refine: bool,
-    enforce_spread: bool = True,
-    enforce_drift: bool = True,
-    note: str = "",
-) -> EquivalenceReport:
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table: a report id and the norm ops it compares.
+
+    Each side is (op, sign): the op runs at sign times the level, sign 0
+    meaning level 0. ``levels`` names the sweep the row runs over: "alpha",
+    or "beta", whose levels lie in (0, 1). ``domain`` narrows the levels a
+    row accepts; rows that share a ``sweep`` name split one sweep between
+    them by domain.
+    """
+
+    theorem: str
+    group: str  # the --theorem group
+    left: tuple[str, int]
+    right: tuple[str, int]
+    levels: str = "alpha"
+    domain: Callable[[float], bool] = lambda level: True
+    enforce_spread: bool = True
+    enforce_drift: bool = True
+    note: str = ""
+    sweep: str = ""
+
+    @property
+    def name(self) -> str:
+        return self.sweep or self.theorem
+
+    def admits(self, level: float) -> bool:
+        return (self.levels == "alpha" or 0.0 < level < 1.0) and self.domain(level)
+
+    def pair(self, level: float) -> tuple[tuple[str, float], tuple[str, float]]:
+        return tuple((op, sign * level if sign else 0.0)
+                     for op, sign in (self.left, self.right))
+
+
+_DAGGER_NOTE = "reported only: box-height reading is an open question"
+
+# Report order: the rows of each group in table order. Inclusion links
+# read "A in B" and report the band of norm_B / norm_A.
+CHECKS = (
+    # Poisson Carleson-box norm against the Campanato trace norm
+    Check("2.1", "2.1", ("h", 1), ("campanato", 1)),
+    # scaling-invariant box norm vs lifted Campanato; harmonic Bloch sup vs
+    # box norm; lifted-stack box norm vs scaling-invariant box norm
+    Check("3.1i", "3.1", ("scaled_h", 1), ("frac_campanato", 1)),
+    Check("3.1ii-bloch", "3.1", ("bloch_hb", 0), ("scaled_h", 1), levels="beta"),
+    Check("3.3-star", "3.1", ("star", 1), ("scaled_h", 1)),
+    # heat analogues; the full-gradient lifted box norm is reported only
+    Check("4.1i", "4.1", ("t", 1), ("campanato", 1)),
+    Check("4.1ii", "4.1", ("scaled_t", 1), ("frac_campanato", 1)),
+    Check("4.1iii-bloch", "4.1", ("bloch_cb", 0), ("scaled_t", 1), levels="beta"),
+    Check("4.1-dagger-linear", "4.1", ("dagger_linear", 1), ("scaled_t", 1),
+          enforce_spread=False, enforce_drift=False, note=_DAGGER_NOTE),
+    Check("4.1-dagger-parabolic", "4.1", ("dagger_parabolic", 1), ("scaled_t", 1),
+          enforce_spread=False, enforce_drift=False, note=_DAGGER_NOTE),
+    # alpha < 0: lifted Campanato vs double-oscillation norm at -alpha;
+    # alpha = 0: the BMO endpoint; alpha > 0: inverse-space vs Besov sup norm
+    Check("4.2i-q", "4.2", ("frac_campanato", 1), ("q", -1),
+          domain=lambda a: a < 0, sweep="4.2"),
+    Check("4.2-alpha0-bmo", "4.2", ("inverse", 0), ("besov", 0),
+          domain=lambda a: a == 0, sweep="4.2",
+          note="alpha=0: both branches collapse to the BMO endpoint"),
+    Check("4.2ii-besov", "4.2", ("inverse", 1), ("besov", 0),
+          domain=lambda a: a > 0, sweep="4.2"),
+    # empirical constant C in sup t^(1-a) |grad u| <= C * box norm
+    Check("2.2i-gradient", "2.2", ("grad_constant", 1), ("one", 0),
+          enforce_spread=False),
+    # the double-oscillation space sits inside BMO, and the harmonic and
+    # caloric box-norm scales nest through BMO up to the Bloch spaces
+    Check("inc-q-in-bmo", "inclusions", ("campanato", 0), ("q", 1), levels="beta"),
+    Check("inc-hneg-in-hmo", "inclusions", ("scaled_h", 0), ("scaled_h", -1), levels="beta"),
+    Check("inc-hmo-in-hpos", "inclusions", ("scaled_h", 1), ("scaled_h", 0), levels="beta"),
+    Check("inc-hpos-is-hb", "inclusions", ("bloch_hb", 0), ("scaled_h", 1), levels="beta"),
+    Check("inc-tneg-in-tmo", "inclusions", ("scaled_t", 0), ("scaled_t", -1), levels="beta"),
+    Check("inc-tmo-in-tpos", "inclusions", ("scaled_t", 1), ("scaled_t", 0), levels="beta"),
+    Check("inc-tpos-is-cb", "inclusions", ("bloch_cb", 0), ("scaled_t", 1), levels="beta"),
+)
+
+
+def run_check(ws: Workspace, name: str, level: float,
+              refine: bool = True) -> EquivalenceReport:
+    """The report of the table row called ``name`` (its theorem id or its
+    sweep name) whose domain holds ``level``; with ``refine``, its band
+    drift on the doubled grid."""
+    rows = [c for c in CHECKS if name in (c.theorem, c.sweep)]
+    if not rows:
+        raise ValueError(f"unknown check {name!r}")
+    fits = [c for c in rows if c.admits(level)]
+    if not fits:
+        raise ValueError(f"check {name!r} is not defined at {rows[0].levels} {level}")
+    check = fits[0]
+    pair = check.pair(level)
+    flags = dict(theorem=check.theorem, alpha=level,
+                 enforce_spread=check.enforce_spread,
+                 enforce_drift=check.enforce_drift)
     members, skipped = ws.evaluate(pair)
-    report = EquivalenceReport(
-        theorem=theorem, alpha=alpha, members=members, skipped=skipped,
-        enforce_spread=enforce_spread, enforce_drift=enforce_drift, note=note,
-    )
+    report = EquivalenceReport(members=members, skipped=skipped,
+                               note=check.note, **flags)
     if not refine:
         return report
     fine_members, _ = ws.refined().evaluate(pair)
-    fine = EquivalenceReport(
-        theorem=theorem, alpha=alpha, members=fine_members, skipped=skipped,
-        enforce_spread=enforce_spread, enforce_drift=enforce_drift,
-    )
-    return EquivalenceReport(
-        theorem=theorem, alpha=alpha, members=members, skipped=skipped,
-        drift=_band_drift(report.band, fine.band),
-        enforce_spread=enforce_spread, enforce_drift=enforce_drift, note=note,
-    )
+    fine = EquivalenceReport(members=fine_members, skipped=skipped, **flags)
+    return dataclasses.replace(report, drift=_band_drift(report.band, fine.band))
 
 
-# --- theorem checks ---
-
-def check_theorem_2_1(
-    corpus, alpha: float, grid: TorusGrid | None = None,
-    boxes: BoxFamily | None = None, threads: int | None = None,
-    refine: bool = True,
-) -> EquivalenceReport:
-    """Poisson Carleson-box norm against the Campanato trace norm."""
-    ws = _as_workspace(corpus, grid, boxes, threads)
-    return _equivalence(
-        ws, "2.1", alpha, (("h", alpha), ("campanato", alpha)), refine
-    )
-
-
-def check_theorem_3_1(
-    corpus, alpha: float, grid: TorusGrid | None = None,
-    boxes: BoxFamily | None = None, threads: int | None = None,
-    refine: bool = True, part: str = "i",
-) -> EquivalenceReport:
-    """part='i': scaling-invariant box norm vs lifted Campanato norm;
-    part='bloch' (alpha in (0,1)): harmonic Bloch sup vs box norm;
-    part='star': lifted-stack box norm vs scaling-invariant box norm."""
-    ws = _as_workspace(corpus, grid, boxes, threads)
-    if part == "i":
-        return _equivalence(
-            ws, "3.1i", alpha,
-            (("scaled_h", alpha), ("frac_campanato", alpha)), refine,
-        )
-    if part == "bloch":
-        if not (0.0 < alpha < 1.0):
-            raise ValueError("bloch part needs alpha in (0, 1)")
-        return _equivalence(
-            ws, "3.1ii-bloch", alpha,
-            (("bloch_hb", 0.0), ("scaled_h", alpha)), refine,
-        )
-    if part == "star":
-        return _equivalence(
-            ws, "3.3-star", alpha,
-            (("star", alpha), ("scaled_h", alpha)), refine,
-        )
-    raise ValueError(f"unknown part {part!r}")
-
-
-def check_theorem_4_1(
-    corpus, alpha: float, grid: TorusGrid | None = None,
-    boxes: BoxFamily | None = None, threads: int | None = None,
-    refine: bool = True, part: str = "i",
-) -> EquivalenceReport:
-    """Heat analogues. part='i': parabolic box norm vs Campanato;
-    part='ii': scaling-invariant variant vs lifted Campanato;
-    part='bloch' (alpha in (0,1)): caloric Bloch sup vs box norm;
-    part='dagger-linear'/'dagger-parabolic': full-gradient lifted box norm
-    vs the part='ii' left side (reported, not enforced)."""
-    ws = _as_workspace(corpus, grid, boxes, threads)
-    if part == "i":
-        return _equivalence(
-            ws, "4.1i", alpha, (("t", alpha), ("campanato", alpha)), refine
-        )
-    if part == "ii":
-        return _equivalence(
-            ws, "4.1ii", alpha,
-            (("scaled_t", alpha), ("frac_campanato", alpha)), refine,
-        )
-    if part == "bloch":
-        if not (0.0 < alpha < 1.0):
-            raise ValueError("bloch part needs alpha in (0, 1)")
-        return _equivalence(
-            ws, "4.1iii-bloch", alpha,
-            (("bloch_cb", 0.0), ("scaled_t", alpha)), refine,
-        )
-    if part in ("dagger-linear", "dagger-parabolic"):
-        op = "dagger_linear" if part == "dagger-linear" else "dagger_parabolic"
-        return _equivalence(
-            ws, f"4.1-{part}", alpha, ((op, alpha), ("scaled_t", alpha)),
-            refine, enforce_spread=False, enforce_drift=False,
-            note="reported only: box-height reading is an open question",
-        )
-    raise ValueError(f"unknown part {part!r}")
-
-
-def check_theorem_4_2(
-    corpus, alpha: float, grid: TorusGrid | None = None,
-    boxes: BoxFamily | None = None, threads: int | None = None,
-    refine: bool = True,
-) -> EquivalenceReport:
-    """alpha > 0: inverse-space norm vs Besov sup norm.
-    alpha < 0: lifted Campanato vs double-oscillation norm at -alpha.
-    alpha = 0: both branches collapse to the BMO case, reported as such."""
-    ws = _as_workspace(corpus, grid, boxes, threads)
-    if alpha > 0:
-        return _equivalence(
-            ws, "4.2ii-besov", alpha,
-            (("inverse", alpha), ("besov", 0.0)), refine,
-        )
-    if alpha < 0:
-        return _equivalence(
-            ws, "4.2i-q", alpha, (("frac_campanato", alpha), ("q", -alpha)),
-            refine,
-        )
-    return _equivalence(
-        ws, "4.2-alpha0-bmo", 0.0, (("inverse", 0.0), ("besov", 0.0)), refine,
-        note="alpha=0: both branches collapse to the BMO endpoint",
-    )
-
-
-def check_gradient_constant(
-    corpus, alpha: float, grid: TorusGrid | None = None,
-    boxes: BoxFamily | None = None, threads: int | None = None,
-    refine: bool = True,
-) -> EquivalenceReport:
-    """Empirical constant in the pointwise gradient bound
-    sup t^{1-a} |grad u| <= C * box norm, per corpus member."""
-    ws = _as_workspace(corpus, grid, boxes, threads)
-    return _equivalence(
-        ws, "2.2i-gradient", alpha, (("grad_constant", alpha), ("one", 0.0)),
-        refine, enforce_spread=False, enforce_drift=True,
-    )
-
-
-def check_inclusions(
-    corpus, beta: float, grid: TorusGrid | None = None,
-    boxes: BoxFamily | None = None, threads: int | None = None,
-    refine: bool = True,
-) -> InclusionReport:
-    """Inclusion chains at level beta in (0, 1): the double-oscillation
-    space sits inside BMO, and the harmonic/caloric box-norm scales are
-    nested through the BMO endpoint up to the Bloch spaces. Each inclusion
-    A in B is realized as the band of norm_B/norm_A over the corpus."""
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    ws = _as_workspace(corpus, grid, boxes, threads)
-    links = (
-        _equivalence(ws, "inc-q-in-bmo", beta,
-                     (("campanato", 0.0), ("q", beta)), refine),
-        _equivalence(ws, "inc-hneg-in-hmo", beta,
-                     (("scaled_h", 0.0), ("scaled_h", -beta)), refine),
-        _equivalence(ws, "inc-hmo-in-hpos", beta,
-                     (("scaled_h", beta), ("scaled_h", 0.0)), refine),
-        _equivalence(ws, "inc-hpos-is-hb", beta,
-                     (("bloch_hb", 0.0), ("scaled_h", beta)), refine),
-        _equivalence(ws, "inc-tneg-in-tmo", beta,
-                     (("scaled_t", 0.0), ("scaled_t", -beta)), refine),
-        _equivalence(ws, "inc-tmo-in-tpos", beta,
-                     (("scaled_t", beta), ("scaled_t", 0.0)), refine),
-        _equivalence(ws, "inc-tpos-is-cb", beta,
-                     (("bloch_cb", 0.0), ("scaled_t", beta)), refine),
-    )
+def check_inclusions(ws: Workspace, beta: float, refine: bool = True) -> InclusionReport:
+    """The table's inclusion links at level beta, and the weight-monotone test."""
+    links = tuple(run_check(ws, c.theorem, beta, refine)
+                  for c in CHECKS if c.group == "inclusions")
     return InclusionReport(
         beta=beta, links=links,
         weight_monotone_ok=_weight_monotone_exact(ws, beta),
@@ -576,21 +450,12 @@ def check_scaling(
     """
     if norm_id not in SCALING_NORMS:
         raise ValueError(f"unknown scaling norm id {norm_id!r}")
-    grid = f.grid
+    spec = NORMS[norm_id]
     g = f.remove_mean()
     g_lam = lattice_rescale(g, lam)
 
     def value(h: Field) -> float:
-        if norm_id == "campanato":
-            return campanato_norm(h, alpha, boxes).value
-        if norm_id == "frac_campanato":
-            return frac_campanato_norm(h, alpha, boxes).value
-        if norm_id == "inverse":
-            return inverse_space_norm(h, alpha, math.inf, boxes).value
-        stack = build_stack(h, "poisson", default_linear_mesh(grid))
-        if norm_id == "scaled_h":
-            return scaled_h_norm(stack, alpha, boxes).value
-        return h_alpha2_norm(stack, alpha, boxes).value
+        return spec.value(spec.argument(h), alpha, boxes)
 
     if norm_id == "inverse":
         g_lam = g_lam.scaled(float(lam))

@@ -51,12 +51,8 @@ from toruslab.verify import (
     SCALING_NORMS,
     VerifyConfig,
     Workspace,
-    check_gradient_constant,
     check_scaling,
-    check_theorem_2_1,
-    check_theorem_3_1,
-    check_theorem_4_1,
-    check_theorem_4_2,
+    run_check,
 )
 
 ALPHAS = (-0.5, -0.25, 0.0, 0.25, 0.5)
@@ -327,7 +323,7 @@ def test_criterion_03_scaling_laws():
 def test_criterion_04_harmonic_box_equivalence(workspace):
     start = time.perf_counter()
     bad: list = []
-    reports = [check_theorem_2_1(workspace, a, refine=True) for a in ALPHAS]
+    reports = [run_check(workspace, "2.1", a, refine=True) for a in ALPHAS]
     for r in reports:
         if r.drift is None:
             bad.append(f"2.1 a={r.alpha}: no refinement drift")
@@ -340,11 +336,10 @@ def test_criterion_04_harmonic_box_equivalence(workspace):
 def test_criterion_05_scaled_harmonic_equivalence(workspace):
     start = time.perf_counter()
     bad: list = []
-    reports = [check_theorem_3_1(workspace, a, refine=True, part="i")
-               for a in ALPHAS]
-    reports += [check_theorem_3_1(workspace, b, refine=True, part="bloch")
+    reports = [run_check(workspace, "3.1i", a, refine=True) for a in ALPHAS]
+    reports += [run_check(workspace, "3.1ii-bloch", b, refine=True)
                 for b in BETAS]
-    reports += [check_theorem_3_1(workspace, a, refine=True, part="star")
+    reports += [run_check(workspace, "3.3-star", a, refine=True)
                 for a in ALPHAS]
     spread, drift = _enforce(reports, CONFIG, bad)
     _conclude(5, 180.0, start, bad,
@@ -355,16 +350,16 @@ def test_criterion_05_scaled_harmonic_equivalence(workspace):
 def test_criterion_06_caloric_equivalence(workspace):
     start = time.perf_counter()
     bad: list = []
-    reports = [check_theorem_4_1(workspace, a, refine=True, part=p)
-               for p in ("i", "ii") for a in ALPHAS]
-    reports += [check_theorem_4_1(workspace, b, refine=True, part="bloch")
+    reports = [run_check(workspace, name, a, refine=True)
+               for name in ("4.1i", "4.1ii") for a in ALPHAS]
+    reports += [run_check(workspace, "4.1iii-bloch", b, refine=True)
                 for b in BETAS]
     spread, drift = _enforce(reports, CONFIG, bad)
     bands = {}
     for part in ("dagger-linear", "dagger-parabolic"):
         lo, hi = math.inf, 0.0
         for a in ALPHAS:
-            rep = check_theorem_4_1(workspace, a, refine=False, part=part)
+            rep = run_check(workspace, f"4.1-{part}", a, refine=False)
             lo, hi = min(lo, rep.band[0]), max(hi, rep.band[1])
         bands[part] = (lo, hi)
     dagger = ", ".join(f"{p} [{lo:.2g}, {hi:.2g}]"
@@ -377,7 +372,7 @@ def test_criterion_06_caloric_equivalence(workspace):
 def test_criterion_07_inverse_and_oscillation_pairings(workspace):
     start = time.perf_counter()
     bad: list = []
-    reports = [check_theorem_4_2(workspace, a, refine=False)
+    reports = [run_check(workspace, "4.2", a, refine=False)
                for a in (0.25, 0.5, 0.75, -0.75, -0.5, -0.25)]
     spread, _ = _enforce(reports, CONFIG, bad)
     _conclude(7, 120.0, start, bad,
@@ -389,7 +384,7 @@ def test_criterion_08_gradient_constant(workspace):
     bad: list = []
     worst_hi, worst_drift = 0.0, 0.0
     for a in ALPHAS:
-        rep = check_gradient_constant(workspace, a, refine=True)
+        rep = run_check(workspace, "2.2i-gradient", a, refine=True)
         hi = rep.band[1]
         if not math.isfinite(hi):
             bad.append(f"a={a}: constant not finite")

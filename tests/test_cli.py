@@ -30,8 +30,9 @@ from toruslab.cli import (
 )
 from toruslab.corpus import default_corpus_specs, spec_to_payload, specs_from_manifest
 from toruslab.fieldio import read_field, sha256_hex, write_field
-from toruslab.norms import BoxFamily, campanato_norm
+from toruslab.norms import NORMS, BoxFamily, campanato_norm
 from toruslab.spectral import Field, TorusGrid
+from toruslab.verify import Workspace
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +239,28 @@ class TestNormCommand:
             assert code == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["result"]["value"] > 0
+
+
+class TestNormRegistry:
+    """The norm subcommand and the verify workspace resolve every name
+    through the one registry, so they agree bit for bit."""
+
+    def test_norm_choices_are_the_registry(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if a.dest == "command"]
+        (norm,) = [a for a in commands.choices["norm"]._actions if a.dest == "norm"]
+        assert sorted(norm.choices) == sorted(NORMS)
+
+    def test_every_norm_matches_workspace(self, tmp_path, capsys):
+        grid = TorusGrid(dims=1, size=128, length=1.0)
+        spec = default_corpus_specs(0)[3]
+        ws = Workspace([spec], grid, threads=1)
+        path = write_field(ws.field(spec.label()), tmp_path / "member.bin")
+        for name in NORMS:
+            argv = ["norm", "--norm", name, "--alpha", "0.25", "--input", str(path)]
+            assert main(argv) == 0, name
+            got = json.loads(capsys.readouterr().out)["result"]["value"]
+            assert got == ws.norm(name, spec.label(), 0.25), name
 
 
 class TestVerifyCommand:

@@ -1,4 +1,4 @@
-"""Binary field format, CSV export, reproducible JSON."""
+"""Binary field format, CSV tables, reproducible JSON."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import pytest
 from toruslab.fieldio import (
     FORMAT_VERSION,
     MAGIC,
-    field_to_csv,
     read_field,
     sha256_hex,
     write_csv,
@@ -73,19 +72,10 @@ class TestBinaryFormat:
 
 
 class TestCsvAndJson:
-    def test_field_csv(self, tmp_path):
-        grid = TorusGrid(dims=2, size=4)
-        values = np.arange(16, dtype=float).reshape(4, 4)
-        path = field_to_csv(Field(grid, values), tmp_path / "f.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "i,j,value"
-        assert len(lines) == 17
-        assert lines[1] == "0,0,0.0"
-        assert lines[-1] == "3,3,15.0"
-
     def test_csv_round_trip_precision(self, tmp_path):
         f = sample_field(dims=1, size=8, seed=3)
-        path = field_to_csv(f, tmp_path / "f.csv")
+        path = write_csv(tmp_path / "f.csv", ["i", "value"],
+                         [[i, float(v)] for i, v in enumerate(f.samples)])
         rows = path.read_text().strip().splitlines()[1:]
         values = np.array([float(r.split(",")[-1]) for r in rows])
         assert np.array_equal(values, f.samples)

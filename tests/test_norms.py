@@ -10,6 +10,7 @@ Oracle strategy:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scipy.special import gammainc
 
 from toruslab.extensions import TimeMesh, build_stack
 from toruslab.norms import (
+    PAIR_MATRIX_BYTES,
     BoxFamily,
     NormResult,
     TimeSeries,
@@ -42,6 +44,7 @@ from toruslab.norms import (
     _ball_correlate,
     _ball_mask,
     _ball_mask_hat_conj,
+    _pair_weights,
     _sup_over_family,
 )
 from toruslab.spectral import Field, TorusGrid, forward_transform
@@ -295,6 +298,39 @@ class TestTraceNormProperties:
         }
 
 
+class TestQMemoryGuard:
+    """q_norm refuses, before allocating, a ball-pair matrix over the cap."""
+
+    def test_2d_n128_refused_up_front(self):
+        grid = TorusGrid(dims=2, size=128, length=1.0)
+        f = random_field(grid, seed=5)
+        boxes = BoxFamily.default(grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                q_norm(f, 0.5, boxes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the dense matrix would be ~1.3 GB; refusing costs a few masks
+        assert peak < 8 * 2**20
+        points = int(_ball_mask(grid, boxes.j_values[0]).sum())
+        message = str(err.value)
+        assert "2-D N=128" in message
+        assert f"radius {boxes.radii[0]}" in message
+        assert f"{8 * points**2} byte" in message
+        assert 8 * points**2 > PAIR_MATRIX_BYTES
+
+    @pytest.mark.parametrize("dims,size", [(1, 512), (2, 64)])
+    def test_largest_grids_under_the_cap_evaluate(self, dims, size):
+        grid = TorusGrid(dims=dims, size=size, length=1.0)
+        try:
+            res = q_norm(random_field(grid, seed=6), 0.5, BoxFamily.default(grid))
+        finally:
+            _pair_weights.cache_clear()  # ~80 MB of matrices at 2-D N=64
+        assert math.isfinite(res.value) and res.value > 0
+
+
 class TestBoxFamily:
     def test_default_shape(self):
         grid = TorusGrid(dims=1, size=256, length=1.0)
@@ -461,7 +497,7 @@ class TestCarlesonSingleMode:
         a = t_alpha2_norm(stack1, 0.25, self.boxes)
         b = t_alpha2_norm(stack2, 0.25, self.boxes)
         assert b.value == pytest.approx(2.5 * a.value, rel=1e-12)
-        assert b.arg_box == a.arg_box
+        assert (b.arg_center, b.arg_radius) == (a.arg_center, a.arg_radius)
 
 
 # --- sup-type norms ---
@@ -638,7 +674,7 @@ class TestXSpace:
     def test_from_stack(self):
         f = Field(self.grid, self.cos_vals)
         stack = build_stack(f, "heat", default_parabolic_mesh(self.grid))
-        series = TimeSeries.from_stack(stack)
+        series = TimeSeries(stack.grid, stack.mesh.nodes, stack.values)
         assert series.times.size == stack.node_count
         got = x_space_norm(series, 0.0, horizon=1.0, boxes=self.boxes)
         assert got.value > 0
@@ -754,5 +790,6 @@ class TestCorpusRegularity:
         for s in (0.0, 0.5, 1.0, 1.5):
             spec = CorpusSpec.make("frac_noise", seed=7, s=s, max_freq=20)
             f = generate(spec, grid)
-            values.append(campanato_norm(f, 0.25, boxes).value / f.l2_norm())
+            l2 = math.sqrt(np.sum(f.samples**2) * grid.cell_volume)
+            values.append(campanato_norm(f, 0.25, boxes).value / l2)
         assert values == sorted(values, reverse=True)

@@ -13,22 +13,19 @@ import numpy as np
 import pytest
 
 from toruslab.corpus import CorpusSpec, generate
-from toruslab.norms import BoxFamily
+from toruslab.norms import NORMS, BoxFamily
 from toruslab.spectral import TorusGrid
 from toruslab.verify import (
+    CHECKS,
     EquivalenceReport,
     MemberRatio,
     ScalingReport,
     VerifyConfig,
     Workspace,
-    check_gradient_constant,
     check_inclusions,
     check_scaling,
-    check_theorem_2_1,
-    check_theorem_3_1,
-    check_theorem_4_1,
-    check_theorem_4_2,
     lattice_rescale,
+    run_check,
     write_reports,
 )
 
@@ -187,19 +184,10 @@ class TestWorkspace:
         with pytest.raises(ValueError):
             Workspace(small_specs(), grid, boxes=BoxFamily.default(other))
 
-    def test_workspace_grid_conflict_rejected(self, ws: Workspace) -> None:
-        other = TorusGrid(dims=1, size=128, length=1.0)
-        with pytest.raises(ValueError):
-            check_theorem_2_1(ws, 0.0, grid=other)
-
-    def test_specs_without_grid_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            check_theorem_2_1(small_specs(), 0.0)
-
 
 class TestReportInvariants:
     def test_band_positive_and_finite(self, ws: Workspace) -> None:
-        report = check_theorem_2_1(ws, 0.25)
+        report = run_check(ws, "2.1", 0.25)
         lo, hi = report.band
         assert 0.0 < lo <= hi < math.inf
         assert report.spread >= 1.0
@@ -207,16 +195,16 @@ class TestReportInvariants:
         assert report.passes(VerifyConfig())
 
     def test_drift_absent_without_refinement(self, ws: Workspace) -> None:
-        report = check_theorem_2_1(ws, -0.25, refine=False)
+        report = run_check(ws, "2.1", -0.25, refine=False)
         assert report.drift is None
 
     def test_members_follow_corpus_order(self, ws: Workspace) -> None:
-        report = check_theorem_2_1(ws, 0.25)
+        report = run_check(ws, "2.1", 0.25)
         assert tuple(m.label for m in report.members) == ws.labels
 
     def test_deterministic_across_workspaces(self, grid: TorusGrid) -> None:
-        a = check_theorem_2_1(Workspace(small_specs(), grid, threads=3), 0.25)
-        b = check_theorem_2_1(Workspace(small_specs(), grid, threads=1), 0.25)
+        a = run_check(Workspace(small_specs(), grid, threads=3), "2.1", 0.25)
+        b = run_check(Workspace(small_specs(), grid, threads=1), "2.1", 0.25)
         assert a.to_payload() == b.to_payload()
 
     def test_spread_invariant_under_global_rescale(self, grid) -> None:
@@ -225,23 +213,23 @@ class TestReportInvariants:
                             **dict(s.params, amplitude=10.0))
             for s in small_specs()
         ]
-        base = check_theorem_2_1(Workspace(small_specs(), grid, threads=2),
-                                 0.25, refine=False)
-        scaled = check_theorem_2_1(Workspace(loud, grid, threads=2),
-                                   0.25, refine=False)
+        base = run_check(Workspace(small_specs(), grid, threads=2),
+                         "2.1", 0.25, refine=False)
+        scaled = run_check(Workspace(loud, grid, threads=2),
+                           "2.1", 0.25, refine=False)
         assert scaled.spread == pytest.approx(base.spread, rel=1e-9)
 
     def test_skipped_member_listed(self, grid: TorusGrid) -> None:
         dead = CorpusSpec.make("single_mode", seed=0, k=1, amplitude=0.0)
         space = Workspace(small_specs() + [dead], grid, threads=1)
-        report = check_theorem_2_1(space, 0.0, refine=False)
+        report = run_check(space, "2.1", 0.0, refine=False)
         assert dead.label() in report.skipped
         assert dead.label() not in {m.label for m in report.members}
 
     def test_all_degenerate_corpus_rejected(self, grid: TorusGrid) -> None:
         dead = [CorpusSpec.make("single_mode", seed=0, k=1, amplitude=0.0)]
         with pytest.raises(ValueError):
-            check_theorem_2_1(Workspace(dead, grid, threads=1), 0.0)
+            run_check(Workspace(dead, grid, threads=1), "2.1", 0.0)
 
     def test_nonpositive_ratio_rejected(self) -> None:
         bad = (MemberRatio("x", 1.0, 0.0),)
@@ -252,7 +240,7 @@ class TestReportInvariants:
             EquivalenceReport(theorem="t", alpha=0.0, members=neg, skipped=())
 
     def test_payload_complete(self, ws: Workspace) -> None:
-        payload = check_theorem_2_1(ws, 0.25).to_payload()
+        payload = run_check(ws, "2.1", 0.25).to_payload()
         for key in ("theorem", "alpha", "band", "spread", "drift", "members",
                     "skipped", "note", "enforce_spread", "enforce_drift"):
             assert key in payload
@@ -260,31 +248,38 @@ class TestReportInvariants:
 
 
 class TestCheckDispatch:
+    def test_table_ops_resolve(self) -> None:
+        ids = [c.theorem for c in CHECKS]
+        assert len(set(ids)) == len(ids)
+        for check in CHECKS:
+            for op, sign in (check.left, check.right):
+                assert op in NORMS or op in ("grad_constant", "one"), op
+                assert sign in (-1, 0, 1)
+
     def test_theorem_3_1_parts(self, ws: Workspace) -> None:
-        assert check_theorem_3_1(ws, 0.25, refine=False).theorem == "3.1i"
-        bloch = check_theorem_3_1(ws, 0.5, refine=False, part="bloch")
+        assert run_check(ws, "3.1i", 0.25, refine=False).theorem == "3.1i"
+        bloch = run_check(ws, "3.1ii-bloch", 0.5, refine=False)
         assert bloch.theorem == "3.1ii-bloch"
-        star = check_theorem_3_1(ws, -0.25, refine=False, part="star")
+        star = run_check(ws, "3.3-star", -0.25, refine=False)
         assert star.theorem == "3.3-star"
         with pytest.raises(ValueError):
-            check_theorem_3_1(ws, 1.2, refine=False, part="bloch")
+            run_check(ws, "3.1ii-bloch", 1.2, refine=False)
         with pytest.raises(ValueError):
-            check_theorem_3_1(ws, 0.2, refine=False, part="nope")
+            run_check(ws, "3.1nope", 0.2, refine=False)
 
     def test_theorem_4_1_parts(self, ws: Workspace) -> None:
-        assert check_theorem_4_1(ws, 0.0, refine=False).theorem == "4.1i"
-        assert check_theorem_4_1(
-            ws, 0.25, refine=False, part="ii").theorem == "4.1ii"
-        bloch = check_theorem_4_1(ws, 0.25, refine=False, part="bloch")
+        assert run_check(ws, "4.1i", 0.0, refine=False).theorem == "4.1i"
+        assert run_check(ws, "4.1ii", 0.25, refine=False).theorem == "4.1ii"
+        bloch = run_check(ws, "4.1iii-bloch", 0.25, refine=False)
         assert bloch.theorem == "4.1iii-bloch"
         with pytest.raises(ValueError):
-            check_theorem_4_1(ws, 0.0, refine=False, part="bloch")
+            run_check(ws, "4.1iii-bloch", 0.0, refine=False)
         with pytest.raises(ValueError):
-            check_theorem_4_1(ws, 0.0, refine=False, part="iv")
+            run_check(ws, "4.1iv", 0.0, refine=False)
 
     def test_dagger_reported_not_enforced(self, ws: Workspace) -> None:
-        for part in ("dagger-linear", "dagger-parabolic"):
-            report = check_theorem_4_1(ws, 0.25, refine=False, part=part)
+        for name in ("4.1-dagger-linear", "4.1-dagger-parabolic"):
+            report = run_check(ws, name, 0.25, refine=False)
             assert not report.enforce_spread
             assert not report.enforce_drift
             assert report.note
@@ -292,23 +287,23 @@ class TestCheckDispatch:
             assert report.passes(VerifyConfig(spread_max=1e-9, drift_max=0.0))
 
     def test_theorem_4_2_branches(self, ws: Workspace) -> None:
-        assert check_theorem_4_2(ws, 0.5, refine=False).theorem == "4.2ii-besov"
-        assert check_theorem_4_2(ws, -0.5, refine=False).theorem == "4.2i-q"
-        bmo = check_theorem_4_2(ws, 0.0, refine=False)
+        assert run_check(ws, "4.2", 0.5, refine=False).theorem == "4.2ii-besov"
+        assert run_check(ws, "4.2", -0.5, refine=False).theorem == "4.2i-q"
+        bmo = run_check(ws, "4.2", 0.0, refine=False)
         assert bmo.theorem == "4.2-alpha0-bmo"
         assert bmo.note
 
     def test_equivalences_pass_default_thresholds(self, ws: Workspace) -> None:
         config = VerifyConfig()
         reports = [
-            check_theorem_3_1(ws, -0.25, refine=False),
-            check_theorem_3_1(ws, 0.5, refine=False, part="bloch"),
-            check_theorem_3_1(ws, 0.25, refine=False, part="star"),
-            check_theorem_4_1(ws, 0.25, refine=False),
-            check_theorem_4_1(ws, -0.25, refine=False, part="ii"),
-            check_theorem_4_1(ws, 0.5, refine=False, part="bloch"),
-            check_theorem_4_2(ws, 0.5, refine=False),
-            check_theorem_4_2(ws, -0.5, refine=False),
+            run_check(ws, "3.1i", -0.25, refine=False),
+            run_check(ws, "3.1ii-bloch", 0.5, refine=False),
+            run_check(ws, "3.3-star", 0.25, refine=False),
+            run_check(ws, "4.1i", 0.25, refine=False),
+            run_check(ws, "4.1ii", -0.25, refine=False),
+            run_check(ws, "4.1iii-bloch", 0.5, refine=False),
+            run_check(ws, "4.2", 0.5, refine=False),
+            run_check(ws, "4.2", -0.5, refine=False),
         ]
         for report in reports:
             assert report.passes(config), report.theorem
@@ -316,7 +311,7 @@ class TestCheckDispatch:
 
 class TestGradientConstant:
     def test_constant_reported_with_drift_only(self, ws: Workspace) -> None:
-        report = check_gradient_constant(ws, 0.25)
+        report = run_check(ws, "2.2i-gradient", 0.25)
         assert report.theorem == "2.2i-gradient"
         assert not report.enforce_spread
         assert report.enforce_drift
@@ -348,7 +343,7 @@ class TestInclusions:
 def reports(ws: Workspace):
     mode = generate(CorpusSpec.make("single_mode", seed=0, k=2), ws.grid)
     return [
-        check_theorem_2_1(ws, 0.25, refine=False),
+        run_check(ws, "2.1", 0.25, refine=False),
         check_inclusions(ws, 0.5, refine=False),
         check_scaling(mode, "scaled_h", 0.25, ws.boxes),
     ]
