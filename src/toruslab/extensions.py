@@ -131,43 +131,63 @@ class ExtensionStack:
             out += self.grad_t**2
         return out
 
+    def gradient_peaks(self, full: bool = True) -> np.ndarray:
+        """max over grid points of |grad u| at each node, shape (nodes,)."""
+        # sqrt is monotone, so the sqrt of the max is the max of the sqrt
+        return np.sqrt(self.gradient_square(full).reshape(self.node_count, -1).max(axis=1))
+
+
+def _semigroup(trace: SpectralField, kind: str, times: np.ndarray,
+               unit: int = 1) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, e^{-rate t} f_hat at t = times[rows]) per ``row_chunks`` chunk.
+
+    The one holder of the chunk rule and of the extension rate of ``kind``.
+    It yields coefficients, not transforms, so no chunk outlives its turn.
+    """
+    grid = trace.grid
+    neg_rate = -extension_rate(grid, kind)  # refuses an unknown kind
+    for rows in row_chunks(times.size, grid, unit):
+        t = times[rows].reshape((-1,) + (1,) * grid.dims)
+        yield rows, np.exp(neg_rate * t) * trace.coefficients
+
+
+def _inverse_rows(coeff: np.ndarray) -> np.ndarray:
+    """Real inverse FFT of each row of a (rows, *shape) stack. It is raw: deep heat
+    damping leaves roundoff-scale rows that the guarded transform would refuse."""
+    return np.fft.ifftn(coeff, axes=tuple(range(1, coeff.ndim)), norm="forward").real
+
 
 def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
     """Evaluate the extension and its full gradient at every mesh node.
 
-    Nodes are transformed in ``row_chunks``: one inverse transform per
-    chunk for each of ``values``, ``grad_t`` and every ``grad_x[:, j]``,
-    copied into the preallocated output. Besides the returned arrays and
-    the per-mode symbols, at most four complex chunk-sized temporaries are
-    alive at once: the chunk's coefficients, one symbol product, and the
+    Node chunks come from ``_semigroup``, the one holder of the chunk rule
+    and of e^{-rate t}: one inverse transform per chunk for each of
+    ``values``, ``grad_t`` and every ``grad_x[:, j]``, copied into the
+    preallocated output. Besides the returned arrays and the per-mode
+    symbols, at most four complex chunk-sized temporaries are alive at
+    once: the chunk's coefficients, one symbol product, and the
     transform's output with its per-axis intermediate.
     """
     grid = f.grid
-    neg_rate = -extension_rate(grid, kind)  # refuses an unknown kind
+    # symbols of d/dt, then of each d/dx_j, acting on the coefficients
+    symbols = [-extension_rate(grid, kind)]  # refuses an unknown kind
+    symbols += [2j * np.pi / grid.length * grid.derivative_modes[j] for j in range(grid.dims)]
     peak = f.max_abs()
     if abs(f.mean()) > 1e-12 * max(peak, 1e-300):
         raise ValueError("build_stack requires a mean-zero trace; remove the mean first")
     trace = forward_transform(f)
-    # symbols of d/dt, then of each d/dx_j, acting on the coefficients
-    symbols = [neg_rate] + [2j * np.pi / grid.length * grid.derivative_modes[j]
-                            for j in range(grid.dims)]
-    nodes = mesh.nodes
-    m = nodes.size
+    m = mesh.node_count
 
     values = np.empty((m,) + grid.shape)
     grad_x = np.empty((m, grid.dims) + grid.shape)
     grad_t = np.empty((m,) + grid.shape)
-    axes = tuple(range(1, grid.dims + 1))
-    base = trace.coefficients
-    for sl in row_chunks(m, grid):
-        t_chunk = nodes[sl].reshape((-1,) + (1,) * grid.dims)
-        coeff = np.exp(neg_rate[np.newaxis] * t_chunk) * base[np.newaxis]
-        values[sl] = np.fft.ifftn(coeff, axes=axes, norm="forward").real
+    for sl, coeff in _semigroup(trace, kind, mesh.nodes):
+        values[sl] = _inverse_rows(coeff)
         work = np.empty_like(coeff)
         targets = [grad_t[sl]] + [grad_x[sl, j] for j in range(grid.dims)]
         for symbol, target in zip(symbols, targets):
             np.multiply(symbol, coeff, out=work)
-            target[...] = np.fft.ifftn(work, axes=axes, norm="forward").real
+            target[...] = _inverse_rows(work)
         # free this chunk's buffers before the next chunk allocates its own
         del coeff, work
 
@@ -187,10 +207,8 @@ def zero_time_gradient_square(stack: ExtensionStack, full: bool = True) -> np.nd
     symbols = [2j * np.pi / grid.length * grid.derivative_modes[j] for j in range(grid.dims)]
     if full:
         symbols.append(-extension_rate(grid, stack.kind))
-    grads = np.fft.ifftn(np.stack(symbols) * stack.trace.coefficients,
-                         axes=tuple(range(1, grid.dims + 1)), norm="forward").real
     acc = np.zeros(grid.shape)
-    for g in grads:
+    for g in _inverse_rows(np.stack(symbols) * stack.trace.coefficients):
         acc += g**2
     return acc
 
@@ -207,7 +225,5 @@ def gradient_bound_ratio(stack: ExtensionStack, alpha: float, h_norm: float) -> 
         raise ValueError(f"alpha must lie in (-1, 1), got {alpha}")
     if not (np.isfinite(h_norm) and h_norm > 0):
         raise ValueError("gradient bound ratio needs a positive norm")
-    grad_mag = np.sqrt(stack.gradient_square(full=True))
-    per_node = grad_mag.reshape(stack.node_count, -1).max(axis=1)
     t = stack.mesh.nodes
-    return float(np.max(t ** (1.0 - alpha) * per_node)) / h_norm
+    return float(np.max(t ** (1.0 - alpha) * stack.gradient_peaks())) / h_norm

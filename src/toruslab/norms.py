@@ -13,13 +13,17 @@ Geometry conventions shared by every functional here:
 Ball sums over all centers at once are FFT correlations, which is what makes
 the exhaustive-family oracles and the 3D norms affordable. One forward and
 one inverse transform serve every radius of a family: the ball spectra are
-stacked along a leading radius axis. Node sweeps (heat snapshots for the
-Besov sup and the inverse-space norm) are transformed in ``row_chunks`` of
-whole rows, so batching changes no bit of any result.
+stacked along a leading radius axis, and ``_box_sup`` is the one place that
+ball-correlates a family's time integrals, scales them and takes the sup.
+Heat snapshots for the Besov sup and the inverse-space norm come from the
+extension sampler ``extensions._semigroup``, which holds the chunk rule and
+e^{-rate t}; its chunks are whole rows, so batching changes no bit of any
+result.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,15 +34,15 @@ import numpy as np
 from .extensions import (
     ExtensionStack,
     TimeMesh,
+    _inverse_rows,
+    _semigroup,
     build_stack,
     frac_lift_spectral,
-    row_chunks,
     zero_time_gradient_square,
 )
 from .spectral import (
     Field,
     TorusGrid,
-    extension_rate,
     forward_transform,
     frac_laplacian_power,
     inverse_transform,
@@ -194,27 +198,32 @@ def _sup_over_family(
     )
 
 
+def _box_sup(boxes: BoxFamily, eligible: Sequence[tuple[int, float]],
+             integrals: Sequence[np.ndarray], scale_exp: float, mean: float) -> NormResult:
+    """Sup over centers and eligible (j, r) of r^-scale_exp * cellvol times the
+    ball sum of integrals[i], the time integral of the box eligible[i]."""
+    js = [j for j, _ in eligible]
+    balls = _ball_correlate(np.stack(integrals), boxes.grid, js) if js else ()
+    cellvol = boxes.grid.cell_volume
+    per_radius = [(radius, np.maximum(ball, 0.0) * cellvol * radius ** (-scale_exp))
+                  for (_, radius), ball in zip(eligible, balls)]
+    return _sup_over_family(boxes, per_radius, mean)
+
+
 # --- trace-side norms ---
 
 def campanato_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max over boxes of r^-(n+2a) * integral_B |f - f_B|^2."""
-    _check_alpha(alpha)
-    grid = _require_grid(f, boxes)
-    mean = f.mean()
-    g = f.remove_mean().samples
-    cellvol = grid.cell_volume
-    s1_all = _ball_correlate(g, grid, boxes.j_values)
-    s2_all = _ball_correlate(g * g, grid, boxes.j_values)
-    per_radius = []
-    for j, radius, s1, s2 in zip(boxes.j_values, boxes.radii, s1_all, s2_all):
-        count = _ball_count(grid, j)
-        integral = np.maximum(s2 - s1 * s1 / count, 0.0) * cellvol
-        per_radius.append((radius, radius ** -(grid.dims + 2 * alpha) * integral))
-    return _sup_over_family(boxes, per_radius, mean)
+    return _campanato_family(f, alpha, boxes, pair=False)
 
 
 def campanato_pair_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max over boxes of r^-2(a+n) * double integral |f(y)-f(z)|^2."""
+    return _campanato_family(f, alpha, boxes, pair=True)
+
+
+def _campanato_family(f: Field, alpha: float, boxes: BoxFamily, pair: bool) -> NormResult:
+    """Both Campanato forms from the ball sums s1 = sum g, s2 = sum g^2."""
     _check_alpha(alpha)
     grid = _require_grid(f, boxes)
     mean = f.mean()
@@ -225,8 +234,12 @@ def campanato_pair_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
     per_radius = []
     for j, radius, s1, s2 in zip(boxes.j_values, boxes.radii, s1_all, s2_all):
         count = _ball_count(grid, j)
-        pair = np.maximum(2.0 * (count * s2 - s1 * s1), 0.0) * cellvol**2
-        per_radius.append((radius, radius ** (-2 * (alpha + grid.dims)) * pair))
+        if pair:
+            pairs = np.maximum(2.0 * (count * s2 - s1 * s1), 0.0) * cellvol**2
+            per_radius.append((radius, radius ** (-2 * (alpha + grid.dims)) * pairs))
+        else:
+            integral = np.maximum(s2 - s1 * s1 / count, 0.0) * cellvol
+            per_radius.append((radius, radius ** -(grid.dims + 2 * alpha) * integral))
     return _sup_over_family(boxes, per_radius, mean)
 
 
@@ -288,14 +301,7 @@ def frac_campanato_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
     mean = f.mean()
     g = f.remove_mean()
     lifted = inverse_transform(frac_laplacian_power(forward_transform(g), -alpha))
-    result = campanato_norm(lifted, alpha, boxes)
-    return NormResult(
-        value=result.value,
-        arg_center=result.arg_center,
-        arg_radius=result.arg_radius,
-        mean_removed=mean,
-        per_box_table=result.per_box_table,
-    )
+    return dataclasses.replace(campanato_norm(lifted, alpha, boxes), mean_removed=mean)
 
 
 def _center_lattice(grid: TorusGrid, stride: int) -> np.ndarray:
@@ -356,13 +362,8 @@ def _carleson_box_norm(
         height = radius**2 if parabolic_height else radius
         cut = mesh.aligned_cut(height)  # raises on mesh/radius mismatch
         time_integrals.append(floor_term + (prefix[cut - 1] if cut > 0 else 0.0))
-    balls = _ball_correlate(np.stack(time_integrals), grid, boxes.j_values)
-    cellvol = grid.cell_volume
-    per_radius = [
-        (radius, np.maximum(ball, 0.0) * cellvol * radius ** (-scale_exp))
-        for radius, ball in zip(boxes.radii, balls)
-    ]
-    return _sup_over_family(boxes, per_radius, 0.0)
+    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), time_integrals,
+                    scale_exp, 0.0)
 
 
 def _require_kind(stack: ExtensionStack, kind: str, op: str) -> None:
@@ -432,21 +433,18 @@ def dagger_norm(
     if box_height not in ("linear", "parabolic"):
         raise ValueError(f"box_height must be linear or parabolic, got {box_height!r}")
     grid = stack.grid
-    if alpha == 0.0:
-        lifted_trace = inverse_transform(stack.trace)
+    parabolic = box_height == "parabolic"
+    if parabolic and alpha == 0.0:
+        lifted = stack  # the lift is the identity and the mesh is the stack's own
     else:
-        lifted_trace = inverse_transform(frac_laplacian_power(stack.trace, -alpha))
-    if box_height == "linear":
-        mesh = TimeMesh(
+        # at alpha=0 the trace is kept as is: the -0 power would zero its mean mode
+        lifted_hat = stack.trace if alpha == 0.0 else frac_laplacian_power(stack.trace, -alpha)
+        mesh = stack.mesh if parabolic else TimeMesh(
             top=grid.length / 2.0,
             panels=stack.mesh.panels,
             nodes_per_panel=stack.mesh.nodes_per_panel,
         )
-        lifted = build_stack(lifted_trace, "heat", mesh)
-        parabolic = False
-    else:
-        lifted = build_stack(lifted_trace, "heat", stack.mesh)
-        parabolic = True
+        lifted = build_stack(inverse_transform(lifted_hat), "heat", mesh)
     return _carleson_box_norm(
         lifted, boxes, weight_exp=1.0, scale_exp=2 * alpha + grid.dims,
         full_grad=True, parabolic_height=parabolic,
@@ -458,17 +456,13 @@ def dagger_norm(
 def bloch_hb_norm(stack: ExtensionStack) -> float:
     """sup over nodes and points of t |grad_{x,t} u|."""
     _require_kind(stack, "poisson", "bloch_hb_norm")
-    grad = np.sqrt(stack.gradient_square(full=True))
-    per_node = grad.reshape(stack.node_count, -1).max(axis=1)
-    return float(np.max(stack.mesh.nodes * per_node))
+    return float(np.max(stack.mesh.nodes * stack.gradient_peaks(full=True)))
 
 
 def bloch_cb_norm(stack: ExtensionStack) -> float:
     """sup over nodes and points of sqrt(t) |grad_x u|."""
     _require_kind(stack, "heat", "bloch_cb_norm")
-    grad = np.sqrt(stack.gradient_square(full=False))
-    per_node = grad.reshape(stack.node_count, -1).max(axis=1)
-    return float(np.max(np.sqrt(stack.mesh.nodes) * per_node))
+    return float(np.max(np.sqrt(stack.mesh.nodes) * stack.gradient_peaks(full=False)))
 
 
 def besov_norm(f: Field, t_grid: np.ndarray | None = None) -> float:
@@ -479,18 +473,11 @@ def besov_norm(f: Field, t_grid: np.ndarray | None = None) -> float:
         scale = grid.length**2
         t_grid = np.geomspace(1e-9 * scale, scale, 700)
     t_grid = np.asarray(t_grid, dtype=float)
-    coeff = forward_transform(g).coefficients
-    rate = extension_rate(grid, "heat")
-    axes = tuple(range(1, grid.dims + 1))
     best = 0.0
-    for sl in row_chunks(t_grid.size, grid):
-        t = t_grid[sl]
-        # Raw inverse FFT: deep heat damping shrinks the output peak to
-        # roundoff scale, where the guarded transform's relative
-        # Hermitian-defect check would reject harmless noise.
-        u = np.fft.ifftn(coeff * np.exp(-rate * t.reshape((-1,) + (1,) * grid.dims)),
-                         axes=axes, norm="forward").real
-        peaks = np.sqrt(t) * np.abs(u).reshape(t.size, -1).max(axis=1)
+    for sl, coeff in _semigroup(forward_transform(g), "heat", t_grid):
+        u = _inverse_rows(coeff)
+        del coeff  # free the chunk's coefficients before |u| is taken
+        peaks = np.sqrt(t_grid[sl]) * np.abs(u).reshape(u.shape[0], -1).max(axis=1)
         best = max(best, float(np.max(peaks)))
     return best
 
@@ -507,7 +494,7 @@ def inverse_space_norm(
     """value^2 = max over boxes with r^2 < horizon of
     r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt.
 
-    Streams the heat extension in panel-aligned ``row_chunks`` and
+    Streams the heat extension in panel-aligned chunks of ``_semigroup`` and
     accumulates panel by panel: only the value snapshots at the radius cuts
     are kept, so 3D grids stay cheap.
     """
@@ -519,8 +506,6 @@ def inverse_space_norm(
         mesh = default_parabolic_mesh(grid)
     mean = f.mean()
     g = f.remove_mean()
-    fhat = forward_transform(g)
-    rate = extension_rate(grid, "heat")
 
     eligible = [
         (j, r) for j, r in zip(boxes.j_values, boxes.radii) if r * r < horizon
@@ -533,12 +518,9 @@ def inverse_space_norm(
     node_factor = mesh.weights * t**alpha
     snapshots: dict[int, np.ndarray] = {}
     acc = g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha)
-    axes = tuple(range(1, grid.dims + 1))
     per = mesh.nodes_per_panel
-    for chunk in row_chunks(t.size, grid, unit=per):
-        t_chunk = t[chunk].reshape((-1,) + (1,) * grid.dims)
-        coeff = np.exp(-rate[np.newaxis] * t_chunk) * fhat.coefficients[np.newaxis]
-        u = np.fft.ifftn(coeff, axes=axes, norm="forward").real
+    for chunk, coeff in _semigroup(forward_transform(g), "heat", t, unit=per):
+        u = _inverse_rows(coeff)
         u_sq = u * u
         # one einsum per panel, in node order, as the quadrature sums it
         for start in range(chunk.start, chunk.stop, per):
@@ -550,14 +532,8 @@ def inverse_space_norm(
             for j, cut in cuts.items():
                 if cut == done and j not in snapshots:
                     snapshots[j] = acc.copy()
-    js = [j for j, _ in eligible]
-    balls = _ball_correlate(np.stack([snapshots[j] for j in js]), grid, js)
-    cellvol = grid.cell_volume
-    per_radius = [
-        (radius, np.maximum(ball, 0.0) * cellvol * radius ** (-(2 * alpha + grid.dims)))
-        for (_, radius), ball in zip(eligible, balls)
-    ]
-    return _sup_over_family(boxes, per_radius, mean)
+    return _box_sup(boxes, eligible, [snapshots[j] for j, _ in eligible],
+                    2 * alpha + grid.dims, mean)
 
 
 @dataclass(frozen=True)
@@ -645,14 +621,7 @@ def x_space_norm(
         lead_top = min(times[0], upper)
         lead = series.values[0] ** 2 * lead_top ** (1.0 + alpha) / (1.0 + alpha)
         time_integrals.append(lead + _clipped_time_integral(times, h, upper))
-    cellvol = grid.cell_volume
-    best_sq = 0.0
-    if eligible:
-        balls = _ball_correlate(np.stack(time_integrals), grid, [j for j, _ in eligible])
-        for (_, radius), ball in zip(eligible, balls):
-            vals_sq = np.maximum(ball, 0.0) * cellvol * radius ** (-(2 * alpha + grid.dims))
-            best_sq = max(best_sq, float(np.max(boxes.center_view(vals_sq))))
-    carleson = math.sqrt(best_sq)
+    carleson = _box_sup(boxes, eligible, time_integrals, 2 * alpha + grid.dims, 0.0).value
     return XSpaceResult(
         value=sup_part + carleson,
         sup_part=sup_part,

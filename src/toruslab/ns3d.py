@@ -86,7 +86,7 @@ class VelocityField:
                 raise ValueError("velocity components must share the grid")
         object.__setattr__(self, "components", tuple(self.components))
         defect = divergence_defect(self)
-        if defect > DIVERGENCE_RTOL:
+        if not defect <= DIVERGENCE_RTOL:  # NaN-safe: a NaN defect is refused
             raise ValueError(
                 f"velocity field is not divergence-free: defect {defect:.3e}"
             )
@@ -242,7 +242,7 @@ class NSTrace:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "coefficients", coeff.astype(np.complex128, copy=False))
         defect = float(np.max(self._symbols.divergence_defect(self.coefficients)))
-        if defect > DIVERGENCE_RTOL:
+        if not defect <= DIVERGENCE_RTOL:  # NaN-safe: a NaN defect is refused
             raise ValueError(f"trace is not divergence-free: defect {defect:.3e}")
         if self.converged:
             energies = self.energies()

@@ -17,10 +17,16 @@ import pytest
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
-from toruslab.extensions import TimeMesh, build_stack
+from toruslab.extensions import (
+    TimeMesh,
+    build_stack,
+    frac_lift_spectral,
+    zero_time_gradient_square,
+)
 from toruslab.norms import (
     PAIR_MATRIX_BYTES,
     BoxFamily,
+    NORMS,
     NormResult,
     TimeSeries,
     XSpaceResult,
@@ -44,10 +50,17 @@ from toruslab.norms import (
     _ball_correlate,
     _ball_mask,
     _ball_mask_hat_conj,
+    _clipped_time_integral,
     _pair_weights,
     _sup_over_family,
 )
-from toruslab.spectral import Field, TorusGrid, forward_transform
+from toruslab.spectral import (
+    Field,
+    TorusGrid,
+    forward_transform,
+    frac_laplacian_power,
+    inverse_transform,
+)
 
 
 def lower_gamma_integral(w: float, a: float, upper: float) -> float:
@@ -729,6 +742,120 @@ def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
         vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-(2 * alpha + grid.dims))
         per_radius.append((radius, vals_sq))
     return _sup_over_family(boxes, per_radius, f.mean())
+
+
+def radius_loop_carleson(stack, boxes: BoxFamily, weight_exp: float, scale_exp: float,
+                         full_grad: bool, parabolic: bool) -> NormResult:
+    """Carleson box norm one radius at a time: time integral, ball sum,
+    scale, then the sup over the family."""
+    grid, mesh = stack.grid, stack.mesh
+    node_factor = mesh.weights * mesh.nodes**weight_exp
+    prefix = np.cumsum(stack.gradient_square(full=full_grad)
+                       * node_factor.reshape((-1,) + (1,) * grid.dims), axis=0)
+    floor_term = (zero_time_gradient_square(stack, full=full_grad)
+                  * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp))
+    per_radius = []
+    for j, radius in zip(boxes.j_values, boxes.radii):
+        cut = mesh.aligned_cut(radius**2 if parabolic else radius)
+        ball = radius_loop_correlate(floor_term + (prefix[cut - 1] if cut > 0 else 0.0),
+                                     grid, j)
+        vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-scale_exp)
+        per_radius.append((radius, vals_sq))
+    return _sup_over_family(boxes, per_radius, 0.0)
+
+
+def dagger_lift(stack, alpha: float, parabolic: bool):
+    """The heat stack dagger_norm measures: the stack itself at alpha=0 on
+    parabolic boxes, else the lifted trace on the mesh of the box height."""
+    if parabolic and alpha == 0.0:
+        return stack
+    lifted = stack.trace if alpha == 0.0 else frac_laplacian_power(stack.trace, -alpha)
+    mesh = stack.mesh if parabolic else TimeMesh(
+        top=stack.grid.length / 2.0, panels=stack.mesh.panels,
+        nodes_per_panel=stack.mesh.nodes_per_panel)
+    return build_stack(inverse_transform(lifted), "heat", mesh)
+
+
+def radius_loop_x_carleson(series: TimeSeries, alpha: float, horizon: float,
+                           boxes: BoxFamily) -> float:
+    """Carleson part of x_space_norm one eligible radius at a time."""
+    grid, times = series.grid, series.times
+    h = series.values**2 * (times**alpha).reshape((-1,) + (1,) * grid.dims)
+    best_sq = 0.0
+    for j, radius in zip(boxes.j_values, boxes.radii):
+        upper = radius**2
+        if not upper < horizon:
+            continue
+        lead = series.values[0] ** 2 * min(times[0], upper) ** (1.0 + alpha) / (1.0 + alpha)
+        ball = radius_loop_correlate(lead + _clipped_time_integral(times, h, upper), grid, j)
+        vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-(2 * alpha + grid.dims))
+        best_sq = max(best_sq, float(np.max(boxes.center_view(vals_sq))))
+    return math.sqrt(best_sq)
+
+
+# (weight exponent, full gradient, parabolic height) of each Carleson norm
+CARLESON_SHAPES = {
+    "h": lambda a: (1.0, True, False),
+    "scaled_h": lambda a: (1.0 + 2 * a, True, False),
+    "star": lambda a: (1.0, True, False),
+    "t": lambda a: (0.0, False, True),
+    "scaled_t": lambda a: (a, False, True),
+    "dagger_linear": lambda a: (1.0, True, False),
+    "dagger_parabolic": lambda a: (1.0, True, True),
+}
+
+
+class TestBoxTails:
+    """The shared box tail against one-radius-at-a-time loops, bit for bit,
+    in 2-D and 3-D. The period 2 pi keeps the cell volume off powers
+    of two, so the order of the scale factors shows in the last bit."""
+
+    GRIDS = [(2, 32), (3, 16)]
+    LENGTH = 2 * math.pi
+
+    @pytest.mark.parametrize("dims,size", GRIDS)
+    @pytest.mark.parametrize("name", sorted(CARLESON_SHAPES))
+    def test_carleson_family_matches_radius_loop(self, dims, size, name):
+        grid = TorusGrid(dims, size, length=self.LENGTH)
+        boxes = BoxFamily.default(grid, stride=2)
+        norm = NORMS[name]
+        stack = norm.argument(random_field(grid, seed=size))
+        for alpha in (0.0, -0.5, 0.25):
+            if name == "star":
+                measured = stack if alpha == 0.0 else frac_lift_spectral(stack, alpha)
+            elif name.startswith("dagger"):
+                measured = dagger_lift(stack, alpha, name.endswith("parabolic"))
+            else:
+                measured = stack
+            weight_exp, full_grad, parabolic = CARLESON_SHAPES[name](alpha)
+            want = radius_loop_carleson(measured, boxes, weight_exp, 2 * alpha + dims,
+                                        full_grad, parabolic)
+            assert norm.evaluate(stack, alpha, boxes, math.inf) == want
+
+    def test_dagger_parabolic_at_alpha0_measures_the_given_stack(self):
+        # a stack rebuilt from the inverse-transformed trace differs from the
+        # given one only by an inverse-forward round trip
+        grid = TorusGrid(1, 256)
+        boxes = BoxFamily.default(grid)
+        stack = NORMS["t"].argument(random_field(grid, seed=4))
+        rebuilt = build_stack(inverse_transform(stack.trace), "heat", stack.mesh)
+        got = dagger_norm(stack, 0.0, boxes, "parabolic")
+        want = radius_loop_carleson(rebuilt, boxes, 1.0, 1.0, True, True)
+        assert got.value == pytest.approx(want.value, rel=1e-14)
+        assert (got.arg_center, got.arg_radius) == (want.arg_center, want.arg_radius)
+
+    @pytest.mark.parametrize("dims,size", GRIDS)
+    def test_x_space_carleson_matches_radius_loop(self, dims, size):
+        grid = TorusGrid(dims, size, length=self.LENGTH)
+        boxes = BoxFamily.default(grid, stride=2)
+        rng = np.random.default_rng(dims)
+        times = np.geomspace(1e-3, 5.0, 40)
+        values = rng.standard_normal((times.size,) + grid.shape)
+        series = TimeSeries(grid, times, values * np.exp(-times).reshape((-1,) + (1,) * dims))
+        # horizon 3 leaves out the radius-pi box and clips the others between samples
+        for alpha in (-0.5, 0.0, 0.25):
+            got = x_space_norm(series, alpha, 3.0, boxes)
+            assert got.carleson_part == radius_loop_x_carleson(series, alpha, 3.0, boxes)
 
 
 class TestBatchedTransforms:

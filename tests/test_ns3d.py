@@ -376,6 +376,21 @@ class TestSolvers:
         )
         assert trace.energies()[0] == pytest.approx(v.energy(), rel=1e-14)
 
+    def test_nan_divergence_defect_rejected(self, g16):
+        # NaN compares False against any tolerance, so the check must be NaN-safe
+        c = taylor_green(g16, amplitude=0.1).coefficients()
+        bad = c.copy()
+        bad[0, 1, 1, 1] = np.nan
+        for converged in (True, False):
+            with pytest.raises(ValueError, match="divergence-free: defect nan"):
+                NSTrace(g16, np.array([0.05, 0.1]), np.stack([c, bad]), {},
+                        converged=converged)
+        # finite samples whose mean coefficient overflows give 0 * inf = NaN
+        huge = tuple(Field(g16, np.full(g16.shape, 1e308)) for _ in range(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="divergence-free: defect nan"):
+                VelocityField(g16, huge)
+
     def test_energy_growth_rejected_when_converged(self, g16):
         small = taylor_green(g16, amplitude=0.1).coefficients()
         big = taylor_green(g16, amplitude=0.2).coefficients()
