@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial data for --probe run")
     p.add_argument("--amplitude", type=_finite_float, default=1.0)
     p.add_argument("--max-freq", type=_finite_float, default=2.0,
-                   help="band limit of random initial data")
+                   help="band limit of random initial data; the flow "
+                        "solvers refuse data at or above N/3")
     p.add_argument("--solver", default="picard", choices=("picard", "ifrk4"))
     p.add_argument("--linear-only", action="store_true",
                    help="disable the nonlinearity (pure heat flow)")

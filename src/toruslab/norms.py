@@ -24,7 +24,9 @@ result.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -125,7 +127,30 @@ class NormResult:
 
 # --- ball geometry, cached per (grid, radius exponent) ---
 
-@lru_cache(maxsize=256)
+# Workspace pool threads share these caches, and lru_cache does not
+# serialize misses: two threads missing one key would both compute it.
+# Holding one lock across every lookup computes each (grid, j) once.
+_BALL_LOCK = threading.RLock()
+
+
+def _ball_cache(maxsize: int):
+    """lru_cache for a (grid, j) helper whose misses run one at a time."""
+
+    def wrap(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @functools.wraps(fn)
+        def call(grid: TorusGrid, j: int):
+            with _BALL_LOCK:
+                return cached(grid, j)
+
+        call.cache_clear = cached.cache_clear
+        return call
+
+    return wrap
+
+
+@_ball_cache(maxsize=256)
 def _ball_mask(grid: TorusGrid, j: int) -> np.ndarray:
     radius = grid.length * 2.0 ** (-j)
     idx = np.arange(grid.size)
@@ -137,19 +162,19 @@ def _ball_mask(grid: TorusGrid, j: int) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=256)
+@_ball_cache(maxsize=256)
 def _ball_mask_hat_conj(grid: TorusGrid, j: int) -> np.ndarray:
     out = np.conj(np.fft.fftn(_ball_mask(grid, j).astype(float)))
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=256)
+@_ball_cache(maxsize=256)
 def _ball_count(grid: TorusGrid, j: int) -> int:
     return int(_ball_mask(grid, j).sum())
 
 
-@lru_cache(maxsize=64)
+@_ball_cache(maxsize=64)
 def _ball_offsets(grid: TorusGrid, j: int) -> np.ndarray:
     out = np.argwhere(_ball_mask(grid, j))
     out.setflags(write=False)

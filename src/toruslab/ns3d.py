@@ -10,24 +10,36 @@ over uniformly stored nodes, the solver of record) and an
 integrating-factor RK4 reference. Non-convergence of the Picard map is a
 reported outcome, not an error: it delineates the small-data regime.
 
-Velocities are real, so every spectral array here is the half spectrum
-of ``numpy.fft.rfftn``: shape (N, N, N/2+1), with k_z running over
-0..N/2 and the modes k_z < 0 implied by Hermitian symmetry. Sums over the
-full spectrum (energies, residuals) weight the k_z = 0 and k_z = N/2
-planes once and every other plane twice. One nonlinear evaluation costs
-3 inverse and 6 forward real transforms, one per independent entry of
-the symmetric stress u_j u_b (Canuto, Hussaini, Quarteroni and Zang,
-*Spectral Methods*; Orszag, J. Atmos. Sci. 28 (1971) for the 2/3 rule).
-The Picard solver keeps a single node array, updated in place, and a
-trace stores that coefficient stack; velocity fields on the grid are
-built from it only on demand.
+The solvers hold only the modes the 2/3 rule keeps (Orszag, J. Atmos.
+Sci. 28 (1971)): |k_x|, |k_y| <= K and 0 <= k_z <= K with K = floor(N/3),
+the largest integer below N/3 for the power-of-two N of a TorusGrid. Every
+state array, symbol and trace stores this block, shape
+(2K+1, 2K+1, K+1), with the x and y axes in FFT order [0..K, -K..-1] and
+the modes k_z < 0 implied by Hermitian symmetry; Parseval sums weight
+the k_z = 0 plane once and every other plane twice. The block holds
+27.9% of the rfftn half spectrum at 32^3.
+
+One nonlinear evaluation forms the stress products u_j u_b on the N^3
+grid, which zero-pads the block (the 3/2 rule), so the kept modes are
+alias-free (Canuto, Hussaini, Quarteroni and Zang, *Spectral Methods*).
+Its transforms are pruned to the block. Each of the 3 inverses runs ifft
+along x on the (2K+1)(K+1) nonzero lines, ifft along y on N(K+1) lines,
+then irfft along z. Each of the 6 forwards, one per independent entry of
+the symmetric stress, runs rfft along z keeping K+1 planes, fft along y
+keeping 2K+1 rows, then fft along x keeping 2K+1 rows.
+
+VelocityField stays on the grid. The solvers take its coefficients
+through one crop, which refuses data with a relative L2 above
+BLOCK_RTOL outside the block: band-limit the data below N/3. Grid
+samples come back through the one pruned inverse.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,20 +48,51 @@ from .norms import BoxFamily, TimeSeries, XSpaceResult, inverse_space_norm, x_sp
 from .spectral import Field, TorusGrid, forward_transform
 
 DIVERGENCE_RTOL = 1e-8
+BLOCK_RTOL = 1e-12
 _ENERGY_SLACK = 1e-9
 
 
-_AXES = (-3, -2, -1)
+def _along(axis: int, part: slice) -> tuple:
+    """Index taking `part` of the negative axis `axis`, all of the others."""
+    return (Ellipsis, part) + (slice(None),) * (-axis - 1)
 
 
-def _rfft(samples: np.ndarray) -> np.ndarray:
-    """Half-spectrum coefficients over the last three axes."""
-    return np.fft.rfftn(samples, axes=_AXES, norm="forward")
+def _spread(block: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """Zero-pad an FFT-ordered axis [0..K, -K..-1] to the n-point layout."""
+    k = block.shape[axis] // 2
+    shape = list(block.shape)
+    shape[axis] = n
+    out = np.zeros(shape, dtype=block.dtype)
+    out[_along(axis, slice(0, k + 1))] = block[_along(axis, slice(0, k + 1))]
+    out[_along(axis, slice(n - k, n))] = block[_along(axis, slice(k + 1, None))]
+    return out
 
 
-def _irfft(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Grid samples from half-spectrum coefficients over the last three axes."""
-    return np.fft.irfftn(coeff, s=grid.shape, axes=_AXES, norm="forward")
+def _keep(full: np.ndarray, axis: int, k: int) -> np.ndarray:
+    """The FFT-ordered modes [0..K, -K..-1] of one axis of a full layout."""
+    return np.concatenate((full[_along(axis, slice(0, k + 1))],
+                           full[_along(axis, slice(-k, None))]), axis=axis)
+
+
+def _max_divergence(kd, coeff: np.ndarray) -> float:
+    """max_k |k . u_hat(k)| of one (3, ...) coefficient array, relative to
+    its peak; 0 for zero."""
+    worst = float(np.max(np.abs(kd[0] * coeff[0] + kd[1] * coeff[1] + kd[2] * coeff[2])))
+    peak = float(np.max(np.abs(coeff)))
+    return worst / peak if peak != 0.0 else 0.0
+
+
+def _node_by_node(method):
+    """Let a method of one (3, ...) block take a stack of them too, one
+    node at a time, so no temporary is larger than one node."""
+
+    @functools.wraps(method)
+    def call(self, coeff: np.ndarray):
+        if coeff.ndim == 5:
+            return np.array([method(self, c) for c in coeff])
+        return method(self, coeff)
+
+    return call
 
 
 def _relative_l2(delta_sq: float, reference_sq: float) -> float:
@@ -91,14 +134,10 @@ class VelocityField:
                 f"velocity field is not divergence-free: defect {defect:.3e}"
             )
 
-    @classmethod
-    def from_coefficients(cls, grid: TorusGrid, coeff: np.ndarray) -> "VelocityField":
-        """Velocity from its (3, N, N, N/2+1) half-spectrum coefficients."""
-        return cls(grid, tuple(Field(grid, u) for u in _irfft(coeff, grid)))
-
     def coefficients(self) -> np.ndarray:
-        """Half-spectrum coefficients, shape (3, N, N, N/2+1)."""
-        return _rfft(np.stack([c.samples for c in self.components]))
+        """rfftn half-spectrum coefficients on the grid, (3, N, N, N/2+1)."""
+        samples = np.stack([c.samples for c in self.components])
+        return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
 
     def energy(self) -> float:
         """Kinetic energy (1/2) integral |u|^2 over the torus."""
@@ -117,8 +156,38 @@ class VelocityField:
 
 
 def divergence_defect(v: VelocityField) -> float:
-    """max_k |k . u_hat(k)| relative to the coefficient peak; 0 for zero."""
-    return float(_Symbols(v.grid).divergence_defect(v.coefficients()))
+    """max_k |k . u_hat(k)| over the whole half spectrum, relative to the
+    coefficient peak; 0 for zero. Odd symbols vanish on Nyquist planes."""
+    half = v.grid.size // 2 + 1
+    kd = [k[..., :half] for k in v.grid.derivative_modes]
+    return _max_divergence(kd, v.coefficients())
+
+
+def _block_coefficients(a: VelocityField) -> np.ndarray:
+    """The coefficients of a on the kept block, shape (3, 2K+1, 2K+1, K+1).
+
+    The one way into the solvers, which drop every other mode: data whose
+    relative L2 outside the block is above BLOCK_RTOL is refused.
+    """
+    sym = _Symbols(a.grid)
+    n, k = a.grid.size, sym.cut
+    rest = a.coefficients()
+    block = np.empty((3,) + sym.shape, dtype=np.complex128)
+    corners = ((slice(0, k + 1), slice(0, k + 1)), (slice(n - k, n), slice(k + 1, None)))
+    for gx, bx in corners:
+        for gy, by in corners:
+            block[:, bx, by] = rest[:, gx, gy, : k + 1]
+            rest[:, gx, gy, : k + 1] = 0.0
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    outside = float(((rest.real**2 + rest.imag**2) @ weight).sum())
+    rel = _relative_l2(outside, outside + sym.power(block))
+    if not rel <= BLOCK_RTOL:  # NaN-safe: an overflowed energy is refused
+        raise ValueError(
+            f"velocity data has relative L2 {rel:.3e} outside the kept 2/3 "
+            f"block |k_j| <= {k}; band-limit it below N/3 = {n / 3.0:.4g}"
+        )
+    return block
 
 
 def make_divergence_free(components) -> VelocityField:
@@ -209,15 +278,15 @@ def shear_modes(
 
 @dataclass(frozen=True)
 class NSTrace:
-    """Stored solution nodes 0 < t_1 < ... <= T as a half-spectrum stack.
+    """Stored solution nodes 0 < t_1 < ... <= T as a kept-block stack.
 
-    ``coefficients`` has shape (nodes, 3, N, N, N/2+1). Every node must be
-    divergence-free to 1e-8 relative to its own coefficient peak, the
-    invariant VelocityField enforces. For converged unforced runs the
-    kinetic energy must be finite and non-increasing along the nodes
-    (checked with a tiny slack on the initial scale); diverged Picard
-    traces skip the energy check, since they document the non-contraction
-    regime rather than a solution.
+    ``coefficients`` has shape (nodes, 3, 2K+1, 2K+1, K+1), the layout of
+    the module docstring. Every node must be divergence-free to 1e-8
+    relative to its own coefficient peak, the invariant VelocityField
+    enforces. For converged unforced runs the kinetic energy must be finite
+    and non-increasing along the nodes (checked with a tiny slack on the
+    initial scale); diverged Picard traces skip the energy check, since
+    they document the non-contraction regime rather than a solution.
     """
 
     grid: TorusGrid
@@ -236,9 +305,14 @@ class NSTrace:
         coeff = np.asarray(self.coefficients)
         if coeff.ndim != 5 or coeff.shape[0] != times.size:
             raise ValueError("one snapshot per time node required")
-        n = self.grid.size
-        if self.grid.dims != 3 or coeff.shape[1:] != (3, n, n, n // 2 + 1):
-            raise ValueError("coefficient stack does not match the grid")
+        if self.grid.dims != 3:
+            raise ValueError("traces live on a 3D grid")
+        block = (3,) + self._symbols.shape
+        if coeff.shape[1:] != block:
+            raise ValueError(
+                f"coefficient stack {coeff.shape[1:]} does not match the grid's "
+                f"kept 2/3 block {block}"
+            )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "coefficients", coeff.astype(np.complex128, copy=False))
         defect = float(np.max(self._symbols.divergence_defect(self.coefficients)))
@@ -257,7 +331,7 @@ class NSTrace:
                     raise ValueError("kinetic energy increased along the trace")
                 previous = e
 
-    @property
+    @functools.cached_property
     def _symbols(self) -> "_Symbols":
         return _Symbols(self.grid)
 
@@ -268,68 +342,89 @@ class NSTrace:
 
     def component_series(self, j: int) -> TimeSeries:
         return TimeSeries(self.grid, self.times,
-                          _irfft(self.coefficients[:, j], self.grid))
+                          self._symbols.to_grid(self.coefficients[:, j]))
+
+    def _velocity(self, coeff: np.ndarray) -> VelocityField:
+        return VelocityField(self.grid, tuple(
+            Field(self.grid, u) for u in self._symbols.to_grid(coeff)))
 
     @property
     def snapshots(self) -> tuple[VelocityField, ...]:
         """Every node as a VelocityField, built on each access."""
-        return tuple(VelocityField.from_coefficients(self.grid, c)
-                     for c in self.coefficients)
+        return tuple(self._velocity(c) for c in self.coefficients)
 
     def final(self) -> VelocityField:
-        return VelocityField.from_coefficients(self.grid, self.coefficients[-1])
+        return self._velocity(self.coefficients[-1])
 
 
 class _Symbols:
-    """Per-grid spectral machinery on the half-spectrum layout."""
+    """Per-grid spectral machinery on the kept block (module docstring)."""
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
-        n = grid.size
-        full = np.fft.fftfreq(n, d=1.0 / n)
-        half = np.arange(n // 2 + 1, dtype=float)
-        self.modes = np.stack(np.meshgrid(full, full, half, indexing="ij"))
-        # odd symbols vanish on the self-conjugate Nyquist planes
-        self.kd = np.where(np.abs(self.modes) == n // 2, 0.0, self.modes)
-        ksq = np.sum(self.modes**2, axis=0)
+        # N is a power of two, so |k| < N/3 is |k| <= floor(N/3)
+        self.cut = k = grid.size // 3
+        self.shape = (2 * k + 1, 2 * k + 1, k + 1)
+        side = np.concatenate((np.arange(k + 1), np.arange(-k, 0))).astype(float)
+        # K < N/2: the block has no self-conjugate Nyquist plane, so the
+        # derivative symbols are the modes themselves
+        self.kd = np.stack(np.meshgrid(side, side, np.arange(k + 1.0), indexing="ij"))
+        ksq = np.sum(self.kd**2, axis=0)
         self.safe_ksq = np.where(ksq > 0.0, ksq, 1.0)
         self.heat_rate = (2.0 * np.pi / grid.length) ** 2 * ksq
-        self.dealias = np.all(np.abs(self.modes) < n / 3.0, axis=0)
-        # -i k on the kept modes, 0 elsewhere: sign, derivative and the
-        # 2/3 cut of the flux in one symbol (projection acts mode-wise,
-        # so cutting before it is the same as cutting after)
-        self.minus_ik_kept = (-2j * np.pi / grid.length) * self.kd * self.dealias
+        # -i k: sign and derivative of the flux in one symbol
+        self.minus_ik = (-2j * np.pi / grid.length) * self.kd
         # multiplicity of each stored k_z plane in the full spectrum
-        self.weight = np.full(n // 2 + 1, 2.0)
-        self.weight[[0, -1]] = 1.0
+        self.weight = np.full(k + 1, 2.0)
+        self.weight[0] = 1.0
 
     def propagator(self, dt: float) -> np.ndarray:
         return np.exp(-self.heat_rate * dt)
 
-    def power(self, coeff: np.ndarray) -> np.ndarray:
-        """sum |c_k|^2 over the full spectrum of each (3, N, N, N/2+1)
-        block in coeff (Parseval: the mean of |u|^2 over the grid)."""
-        sq = coeff.real**2 + coeff.imag**2
-        return (sq @ self.weight).sum(axis=(-3, -2, -1))
+    def heat_flow(self, ahat: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """e^{-rate t} ahat at each time, shape (times, 3, ...): the linear
+        flow in closed form, one broadcast."""
+        decay = np.multiply.outer(-times, self.heat_rate)
+        return np.exp(decay, out=decay)[:, None] * ahat
 
-    def divergence_defect(self, coeff: np.ndarray) -> np.ndarray:
-        """max_k |k . u_hat(k)| over each block, relative to its peak."""
-        parts = [coeff[..., j, :, :, :] for j in range(3)]
-        div = np.abs(sum(self.kd[j] * parts[j] for j in range(3)))
-        worst = np.max(div, axis=(-3, -2, -1))
-        peak = np.max([np.max(np.abs(p), axis=(-3, -2, -1)) for p in parts], axis=0)
-        return np.divide(worst, peak, out=np.zeros_like(worst), where=peak != 0.0)
+    @_node_by_node
+    def power(self, coeff: np.ndarray) -> float:
+        """sum |c_k|^2 over the full spectrum of a (3, ...) block
+        (Parseval: the mean of |u|^2 over the grid)."""
+        sq = coeff.real**2 + coeff.imag**2
+        return float((sq @ self.weight).sum())
+
+    @_node_by_node
+    def divergence_defect(self, coeff: np.ndarray) -> float:
+        """max_k |k . u_hat(k)| of a block, relative to its peak."""
+        return _max_divergence(self.kd, coeff)
+
+    def to_grid(self, coeff: np.ndarray) -> np.ndarray:
+        """Grid samples (..., N, N, N) of block coefficients: the pruned
+        inverse, transforming only the lines the block reaches."""
+        n = self.grid.size
+        lines = np.fft.ifft(_spread(coeff, -3, n), axis=-3, norm="forward")
+        lines = np.fft.ifft(_spread(lines, -2, n), axis=-2, norm="forward")
+        return np.fft.irfft(lines, n=n, axis=-1, norm="forward")
+
+    def from_grid(self, samples: np.ndarray) -> np.ndarray:
+        """Block coefficients of grid samples (..., N, N, N): the pruned
+        forward, transforming only the lines that reach the block."""
+        k = self.cut
+        planes = np.fft.rfft(samples, axis=-1, norm="forward")[..., : k + 1]
+        rows = _keep(np.fft.fft(planes, axis=-2, norm="forward"), -2, k)
+        return _keep(np.fft.fft(rows, axis=-3, norm="forward"), -3, k)
 
     def nonlinear(self, vhat: np.ndarray) -> np.ndarray:
-        """-dealias(P div(u (x) u)) evaluated pseudospectrally."""
+        """-P div(u (x) u) on the block, evaluated pseudospectrally."""
         # one transform per component beats a batched call at these sizes
-        u = [_irfft(c, self.grid) for c in vhat]
+        u = [self.to_grid(c) for c in vhat]
         stress = {}
         for j in range(3):
             for b in range(j, 3):
                 # u_j u_b is symmetric: six transforms give all nine entries
-                stress[j, b] = stress[b, j] = _rfft(u[j] * u[b])
-        ik = self.minus_ik_kept
+                stress[j, b] = stress[b, j] = self.from_grid(u[j] * u[b])
+        ik = self.minus_ik
         flux = np.empty_like(vhat)
         for j in range(3):
             flux[j] = ik[0] * stress[j, 0] + ik[1] * stress[j, 1] + ik[2] * stress[j, 2]
@@ -339,14 +434,14 @@ class _Symbols:
             flux[j] -= kd[j] * scale
         return flux
 
-    def shell_energy_fraction(self, vhat: np.ndarray) -> np.ndarray:
-        """Energy fraction in the outermost kept shell of the 2/3 ball,
-        per (3, N, N, N/2+1) block of vhat; 0 for a zero block."""
-        cut = math.floor(self.grid.size / 3.0)
-        shell = self.dealias & np.any(np.abs(self.modes) >= cut, axis=0)
+    @_node_by_node
+    def shell_energy_fraction(self, vhat: np.ndarray) -> float:
+        """Energy fraction of a block in the outermost kept shell, some
+        |k_j| = K; 0 for a zero block."""
+        shell = np.any(np.abs(self.kd) == self.cut, axis=0)
         total = self.power(vhat)
         inner = self.power(np.where(shell, vhat, 0.0))
-        return np.divide(inner, total, out=np.zeros_like(total), where=total != 0.0)
+        return inner / total if total != 0.0 else 0.0
 
 
 def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray,
@@ -371,8 +466,7 @@ def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray,
         b_here = sym.nonlinear(u[i])
         integral = h * (0.5 * heat_tail + running + 0.5 * b_here)
         new = lin + integral
-        change = _relative_l2(float(sym.power(new - u[i])),
-                              float(sym.power(new)))
+        change = _relative_l2(sym.power(new - u[i]), sym.power(new))
         if not math.isfinite(change):
             return math.inf
         u[i] = new
@@ -398,6 +492,7 @@ def mild_solve_picard(
     relative L2 update fell below tol. A non-contracting run returns a
     trace flagged converged=False with its residual history intact; a
     sweep whose update overflows ends the solve there with residual inf.
+    Data outside the kept 2/3 block is refused (ValueError).
 
     One array holds the nodes and is updated in place: node i's update
     reads the old iterate only at nodes <= i, each before it is
@@ -408,18 +503,12 @@ def mild_solve_picard(
     if nodes < 32:
         raise ValueError("quadrature needs at least 32 stored nodes")
     grid = a.grid
+    ahat = _block_coefficients(a)
     sym = _Symbols(grid)
     h = horizon / nodes
     times = h * np.arange(1, nodes + 1)
-    step = sym.propagator(h)
-
-    ahat = a.coefficients()
     # u[i] is node i + 1; it starts as the heat flow e^{t L} a
-    u = np.empty((nodes,) + ahat.shape, dtype=np.complex128)
-    lin = ahat
-    for i in range(nodes):
-        lin = step * lin
-        u[i] = lin
+    u = sym.heat_flow(ahat, times)
 
     config = {
         "solver": "picard", "horizon": horizon, "nodes": nodes,
@@ -431,6 +520,7 @@ def mild_solve_picard(
     if not nonlinear:
         return NSTrace(grid, times, u, config, residuals=(), converged=True)
 
+    step = sym.propagator(h)
     residuals: list[float] = []
     converged = False
     # overflow is expected past the contraction regime: it surfaces as a
@@ -462,9 +552,9 @@ def step_ifrk4(
     """Integrating-factor RK4 reference on the projected spectral ODE.
 
     The stiff viscous factor is integrated exactly, so with the
-    nonlinearity disabled each step is the per-mode heat multiplier.
+    nonlinearity disabled the trace is the heat flow in closed form.
     Snapshots are stored at `store` evenly spaced times (default: every
-    step up to 128 nodes).
+    step up to 128 nodes). Data outside the kept 2/3 block is refused.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -479,6 +569,7 @@ def step_ifrk4(
     if steps % store != 0:
         raise ValueError("store count must divide the step count")
     stride = steps // store
+    vhat = _block_coefficients(a)
     sym = _Symbols(grid)
     dt = horizon / steps
     cfl = a.max_abs() * dt / grid.spacing
@@ -487,30 +578,28 @@ def step_ifrk4(
             f"advective CFL number {cfl:.3f} exceeds 0.5; reduce the step",
             stacklevel=2,
         )
-    full = sym.propagator(dt)
-    half = sym.propagator(dt / 2.0)
-
-    vhat = a.coefficients()
-    stored = np.empty((store,) + vhat.shape, dtype=np.complex128)
-    for n in range(1, steps + 1):
-        if nonlinear:
-            k1 = sym.nonlinear(vhat)
-            k2 = sym.nonlinear(half * (vhat + (dt / 2.0) * k1))
-            k3 = sym.nonlinear(half * vhat + (dt / 2.0) * k2)
-            k4 = sym.nonlinear(full * vhat + dt * half * k3)
-            vhat = full * vhat + (dt / 6.0) * (
-                full * k1 + 2.0 * half * (k2 + k3) + k4
-            )
-        else:
-            vhat = full * vhat
-        if n % stride == 0:
-            stored[n // stride - 1] = vhat
     config = {
         "solver": "ifrk4", "horizon": horizon, "steps": steps,
         "stored": store, "viscosity": 1.0, "dealias": "2/3",
         "nonlinear": nonlinear, "initial_energy": a.energy(),
     }
     times = np.arange(stride, steps + 1, stride) * dt
+    if not nonlinear:
+        return NSTrace(grid, times, sym.heat_flow(vhat, times), config)
+
+    full = sym.propagator(dt)
+    half = sym.propagator(dt / 2.0)
+    stored = np.empty((store,) + vhat.shape, dtype=np.complex128)
+    for n in range(1, steps + 1):
+        k1 = sym.nonlinear(vhat)
+        k2 = sym.nonlinear(half * (vhat + (dt / 2.0) * k1))
+        k3 = sym.nonlinear(half * vhat + (dt / 2.0) * k2)
+        k4 = sym.nonlinear(full * vhat + dt * half * k3)
+        vhat = full * vhat + (dt / 6.0) * (
+            full * k1 + 2.0 * half * (k2 + k3) + k4
+        )
+        if n % stride == 0:
+            stored[n // stride - 1] = vhat
     return NSTrace(grid, times, stored, config)
 
 
@@ -523,9 +612,8 @@ def trace_difference(a: NSTrace, b: NSTrace) -> float:
     ):
         raise ValueError("traces store different time nodes")
     sym = _Symbols(a.grid)
-    deltas = sym.power(a.coefficients - b.coefficients)
-    refs = sym.power(b.coefficients)
-    return max(_relative_l2(float(d), float(r)) for d, r in zip(deltas, refs))
+    return max(_relative_l2(sym.power(x - y), sym.power(y))
+               for x, y in zip(a.coefficients, b.coefficients))
 
 
 def export_trace(trace: NSTrace, directory) -> "Path":
@@ -619,15 +707,14 @@ def scaling_defect(
     fine = mild_solve_picard(a_lam, horizon / lam**2, nodes=nodes)
     if not (coarse.converged and fine.converged):
         raise ValueError("scaling check requires both runs to contract")
-    coarse_u = _irfft(coarse.coefficients, a.grid)
-    fine_u = _irfft(fine.coefficients, a.grid)
+    sym = _Symbols(a.grid)
     worst = 0.0
     for i in range(nodes):
         want = np.stack([
             float(lam) * lattice_rescale(Field(a.grid, c), lam).samples
-            for c in coarse_u[i]
+            for c in sym.to_grid(coarse.coefficients[i])
         ])
-        got = fine_u[i]
+        got = sym.to_grid(fine.coefficients[i])
         worst = max(worst, _relative_l2(float(np.sum((got - want) ** 2)),
                                         float(np.sum(want**2))))
     return worst
@@ -775,9 +862,9 @@ class InflationReport:
 
 
 def _sqrt_t_peak(trace: NSTrace) -> float:
-    peaks = np.max(np.abs(_irfft(trace.coefficients, trace.grid)),
-                   axis=(1, 2, 3, 4))
-    return float(np.max(np.sqrt(trace.times) * peaks))
+    sym = trace._symbols
+    return max(math.sqrt(t) * float(np.max(np.abs(sym.to_grid(c))))
+               for t, c in zip(trace.times, trace.coefficients))
 
 
 def inflation_probe(

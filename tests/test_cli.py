@@ -412,6 +412,19 @@ class TestNsCommand:
         assert manifest["config"]["nonlinear"] is False
         assert manifest["config"]["solver"] == "ifrk4"
 
+    def test_out_of_block_data_refused(self, tmp_path, capsys):
+        # band 6 crosses the 2/3 cut at floor(16/3) = 5
+        out = tmp_path / "wide"
+        code = main([
+            "ns", "--probe", "run", "--grid", "16", "--max-freq", "6",
+            "--nodes", "32", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: velocity data has relative L2 ")
+        assert "outside the kept 2/3 block" in err
+        assert not (out / "trace").exists()
+
     def test_wrong_dims_rejected(self, capsys):
         code = main([
             "ns", "--probe", "smalldata", "--grid", "16", "--dims", "1",

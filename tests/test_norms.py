@@ -10,6 +10,8 @@ Oracle strategy:
 """
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -903,6 +905,35 @@ class TestBatchedTransforms:
             got = inverse_space_norm(f, alpha, horizon, boxes)
             want = panel_loop_inverse_space(f, alpha, horizon, boxes)
             assert got == want
+
+
+def test_concurrent_ball_misses_compute_once(monkeypatch):
+    # a grid no other test uses, so every thread misses the same (grid, j)
+    grid = TorusGrid(dims=1, size=64, length=3.0)
+    calls = []
+    real_fftn = np.fft.fftn
+    start = threading.Barrier(4)
+
+    def slow_fftn(*args, **kwargs):
+        calls.append(threading.get_ident())
+        time.sleep(0.05)  # hold the miss open while the other threads arrive
+        return real_fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", slow_fftn)
+    results = []
+
+    def lookup():
+        start.wait(timeout=10)
+        results.append(_ball_mask_hat_conj(grid, 2))
+
+    threads = [threading.Thread(target=lookup) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert len(calls) == 1
+    assert len(results) == 4 and all(r is results[0] for r in results)
 
 
 # --- corpus regularity ordering ---

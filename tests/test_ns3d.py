@@ -10,12 +10,14 @@ which gives an exact nonlinear reference.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from toruslab.norms import BoxFamily, TimeSeries, x_space_norm, inverse_space_norm
 from toruslab.ns3d import (
+    _block_coefficients,
     _Symbols,
     InflationReport,
     NSTrace,
@@ -64,6 +66,13 @@ def shear_y(grid: TorusGrid, amplitude: float = 1.0) -> VelocityField:
     return VelocityField(
         grid, (Field(grid, zero), Field(grid, wave), Field(grid, zero.copy()))
     )
+
+
+def crop(grid: TorusGrid, full: np.ndarray) -> np.ndarray:
+    """The kept block (..., 2K+1, 2K+1, K+1) of full-spectrum coefficients."""
+    k = grid.size // 3
+    rows = np.r_[0 : k + 1, grid.size - k : grid.size]
+    return full[..., rows, :, :][..., rows, :][..., : k + 1]
 
 
 def full_nonlinear(grid: TorusGrid, coeff: np.ndarray) -> np.ndarray:
@@ -119,14 +128,15 @@ def full_picard(a: VelocityField, horizon: float, nodes: int):
 
 
 class TestHalfSpectrumOracles:
-    """The half-spectrum kernel against full-spectrum reference formulas."""
+    """The block kernel against full-spectrum reference formulas."""
 
     def test_nonlinear_matches_full_spectrum(self, g16):
-        # band 6 reaches past the 2/3 cut, so aliasing and the cut both act
-        v = random_divergence_free(g16, seed=3, max_freq=6)
+        # band 5 is the top of the block: the products reach band 10, past
+        # the 2/3 cut, so the cut acts and aliased modes must not leak in
+        v = random_divergence_free(g16, seed=3, max_freq=5)
         full = np.stack([np.fft.fftn(c.samples, norm="forward") for c in v.components])
-        want = full_nonlinear(g16, full)[..., : g16.size // 2 + 1]
-        got = _Symbols(g16).nonlinear(v.coefficients())
+        want = crop(g16, full_nonlinear(g16, full))
+        got = _Symbols(g16).nonlinear(_block_coefficients(v))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_picard_matches_full_spectrum_loop(self, rand16):
@@ -154,6 +164,70 @@ class TestHalfSpectrumOracles:
             assert fraction == pytest.approx(want, rel=1e-12)
 
 
+class TestKeptBlock:
+    """The solvers hold only the 2/3 block; data outside it is refused."""
+
+    @pytest.fixture(scope="class")
+    def wide16(self, g16) -> VelocityField:
+        # band 6 crosses the cut at floor(16/3) = 5
+        return random_divergence_free(g16, seed=3, max_freq=6)
+
+    def test_picard_refuses_out_of_block_data(self, wide16):
+        with pytest.raises(ValueError, match=r"relative L2 \S+ outside the kept 2/3 block"):
+            mild_solve_picard(wide16, 0.1, nodes=32)
+
+    def test_ifrk4_refuses_out_of_block_data(self, wide16):
+        with pytest.raises(ValueError, match=r"relative L2 \S+ outside the kept 2/3 block"):
+            step_ifrk4(wide16, 0.1, steps=4)
+
+    def test_trace_refuses_out_of_block_stack(self, g16, wide16):
+        # the grid's half spectrum holds modes the block cannot
+        with pytest.raises(ValueError, match="kept 2/3 block"):
+            NSTrace(g16, np.array([0.1]), wide16.coefficients()[None], {})
+
+    def test_probe_data_lies_inside_the_block(self):
+        grid = TorusGrid(dims=3, size=32, length=1.0)
+        shape = random_divergence_free(grid, seed=0)
+        back = _Symbols(grid).to_grid(_block_coefficients(shape))
+        for got, want in zip(back, shape.components):
+            np.testing.assert_allclose(got, want.samples, rtol=0.0,
+                                       atol=1e-14 * shape.max_abs())
+
+    def test_linear_closed_form_matches_stepped_recursion(self, g16, rand16):
+        sym = _Symbols(g16)
+        step = sym.propagator(0.1 / 32)
+        lin = _block_coefficients(rand16)
+        picard = mild_solve_picard(rand16, 0.1, nodes=32, nonlinear=False)
+        rk4 = step_ifrk4(rand16, 0.1, steps=32, store=32, nonlinear=False)
+        for got_p, got_r in zip(picard.coefficients, rk4.coefficients):
+            lin = step * lin
+            peak = np.max(np.abs(lin))
+            assert np.max(np.abs(got_p - lin)) <= 1e-14 * peak
+            assert np.max(np.abs(got_r - lin)) <= 1e-14 * peak
+
+    def test_picard_sweep_memory_is_block_bounded(self):
+        # one 64^3 sweep: the node array on the block plus per-evaluation
+        # temporaries, never a node array on the half spectrum (207 MB here)
+        n, nodes = 64, 32
+        grid = TorusGrid(dims=3, size=n, length=1.0)
+        a = random_divergence_free(grid, seed=0)
+        k = n // 3
+        block = 3 * (2 * k + 1) ** 2 * (k + 1) * 16
+        node_array = nodes * block
+        grid_fields = 4 * n**3 * 8  # u on the grid and one stress product
+        transform = n * n * (n // 2 + 1) * 16 + n * n * (k + 1) * 16  # z, y passes
+        block_temps = 16 * block  # sweep sums, stresses and flux on the block
+        tracemalloc.start()
+        try:
+            trace = mild_solve_picard(a, 0.1, nodes=nodes, max_iter=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.residuals) == 1
+        assert trace.coefficients.nbytes == node_array
+        assert peak <= node_array + grid_fields + transform + block_temps
+
+
 class TestVelocityField:
     def test_taylor_green_solenoidal(self, g16):
         assert divergence_defect(taylor_green(g16)) <= 1e-12
@@ -174,10 +248,11 @@ class TestVelocityField:
         assert zero.max_abs() == 0.0
 
     def test_coefficient_round_trip(self, g16):
+        # into the block by the solvers' crop, back by the pruned inverse
         v = taylor_green(g16, amplitude=0.3)
-        back = VelocityField.from_coefficients(g16, v.coefficients())
-        for got, want in zip(back.components, v.components):
-            np.testing.assert_allclose(got.samples, want.samples, atol=1e-14)
+        back = _Symbols(g16).to_grid(_block_coefficients(v))
+        for got, want in zip(back, v.components):
+            np.testing.assert_allclose(got, want.samples, atol=1e-14)
 
     def test_projection_fixes_solenoidal_fields(self, g16):
         v = taylor_green(g16)
@@ -348,7 +423,7 @@ class TestSolvers:
 
     def test_trace_validation(self, g16):
         v = taylor_green(g16, amplitude=0.1)
-        c = v.coefficients()
+        c = _block_coefficients(v)
         cfg = {"initial_energy": v.energy()}
         with pytest.raises(ValueError, match="positive"):
             NSTrace(g16, np.array([0.0, 0.1]), np.stack([c, c]), cfg)
@@ -358,16 +433,15 @@ class TestSolvers:
             NSTrace(g16, np.array([0.1, 0.2]), c[None], cfg)
         g8 = TorusGrid(dims=3, size=8, length=1.0)
         with pytest.raises(ValueError, match="grid"):
-            NSTrace(g16, np.array([0.1]), taylor_green(g8).coefficients()[None], cfg)
-        x, _, _ = g16.coordinates()
+            NSTrace(g16, np.array([0.1]), _block_coefficients(taylor_green(g8))[None], cfg)
         compressive = c.copy()
-        compressive[0] += np.fft.rfftn(np.cos(2.0 * np.pi * x), norm="forward")
+        compressive[0, [1, -1], 0, 0] += 0.5  # cos(2 pi x) in u_x
         with pytest.raises(ValueError, match="divergence"):
             NSTrace(g16, np.array([0.1]), compressive[None], cfg)
 
     def test_trace_snapshots_round_trip(self, g16):
         v = taylor_green(g16, amplitude=0.1)
-        trace = NSTrace(g16, np.array([0.1]), v.coefficients()[None], {})
+        trace = NSTrace(g16, np.array([0.1]), _block_coefficients(v)[None], {})
         (snap,) = trace.snapshots
         for got, want in zip(snap.components, v.components):
             np.testing.assert_allclose(got.samples, want.samples, atol=1e-15)
@@ -378,7 +452,7 @@ class TestSolvers:
 
     def test_nan_divergence_defect_rejected(self, g16):
         # NaN compares False against any tolerance, so the check must be NaN-safe
-        c = taylor_green(g16, amplitude=0.1).coefficients()
+        c = _block_coefficients(taylor_green(g16, amplitude=0.1))
         bad = c.copy()
         bad[0, 1, 1, 1] = np.nan
         for converged in (True, False):
@@ -392,8 +466,8 @@ class TestSolvers:
                 VelocityField(g16, huge)
 
     def test_energy_growth_rejected_when_converged(self, g16):
-        small = taylor_green(g16, amplitude=0.1).coefficients()
-        big = taylor_green(g16, amplitude=0.2).coefficients()
+        small = _block_coefficients(taylor_green(g16, amplitude=0.1))
+        big = _block_coefficients(taylor_green(g16, amplitude=0.2))
         times = np.array([0.05, 0.1])
         with pytest.raises(ValueError, match="energy increased"):
             NSTrace(g16, times, np.stack([small, big]), {})
