@@ -102,6 +102,11 @@ class TimeMesh:
         """Node count covering (floor, upper] for upper = top*2^-m exactly."""
         if not (0 < upper <= self.top * (1 + 1e-12)):
             raise ValueError(f"cut {upper} outside (0, {self.top}]")
+        if upper < self.floor * (1 - 1e-9):
+            raise ValueError(
+                f"box height {upper:.6g} lies below the mesh floor {self.floor:.6g} "
+                f"(top {self.top:.6g}, {self.panels} panels); the mesh needs more panels"
+            )
         m = round(math.log2(self.top / upper))
         if m < 0 or m > self.panels or not math.isclose(
             upper, self.top * 2.0 ** (-m), rel_tol=1e-9

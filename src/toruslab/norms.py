@@ -19,6 +19,12 @@ Heat snapshots for the Besov sup and the inverse-space norm come from the
 extension sampler ``extensions._semigroup``, which holds the chunk rule and
 e^{-rate t}; its chunks are whole rows, so batching changes no bit of any
 result.
+
+The 3D norms stream their time axis: ``inverse_space_norm`` keeps only the
+running quadrature sum and its snapshots at the radius cuts, and
+``x_space_norm`` walks a series node by node, keeping the running sup and
+one trapezoid sum per eligible radius. Apart from their input, both hold
+node-sized arrays only, never a (nodes, N^3) temporary.
 """
 
 from __future__ import annotations
@@ -541,8 +547,9 @@ def inverse_space_norm(
 
     t = mesh.nodes
     node_factor = mesh.weights * t**alpha
-    snapshots: dict[int, np.ndarray] = {}
     acc = g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha)
+    # a box whose height is the mesh floor takes the floor term alone
+    snapshots = {j: acc for j, cut in cuts.items() if cut == 0}
     per = mesh.nodes_per_panel
     for chunk, coeff in _semigroup(forward_transform(g), "heat", t, unit=per):
         u = _inverse_rows(coeff)
@@ -594,31 +601,20 @@ class XSpaceResult:
     horizon: float
 
 
-def _clipped_time_integral(
-    times: np.ndarray, h: np.ndarray, upper: float
-) -> np.ndarray:
-    """Trapezoid of h(t) dt over stored nodes clipped to [times[0], upper]."""
-    if upper <= times[0]:
-        return np.zeros(h.shape[1:])
-    k = int(np.searchsorted(times, upper, side="right"))
-    segs = np.diff(times[:k])
-    total = np.einsum(
-        "m...,m->...", (h[: k - 1] + h[1:k]), segs / 2.0
-    ) if k >= 2 else np.zeros(h.shape[1:])
-    if k < times.size and upper > times[k - 1]:
-        theta = (upper - times[k - 1]) / (times[k] - times[k - 1])
-        h_up = h[k - 1] * (1 - theta) + h[k] * theta
-        total = total + (upper - times[k - 1]) * (h[k - 1] + h_up) / 2.0
-    return total
-
-
 def x_space_norm(
     series: TimeSeries, alpha: float, horizon: float, boxes: BoxFamily
 ) -> XSpaceResult:
     """sup_{t<horizon} sqrt(t) |u| plus the parabolic Carleson part with t^a.
 
     The leading [0, t_0] strip uses the analytic t^a integral with the first
-    snapshot's values, so series starting at small t_0 lose nothing.
+    snapshot's values, so series starting at small t_0 lose nothing. The
+    Carleson time integral of each eligible box is the trapezoid rule over
+    the stored nodes clipped to [t_0, r^2], with h = u^2 t^a interpolated
+    linearly to r^2 on the segment that straddles it.
+
+    One pass over the nodes: apart from the series itself, only node-sized
+    arrays are alive (the previous and current h, one trapezoid sum per
+    eligible radius), and each sum adds its segments in node order.
     """
     _check_alpha(alpha)
     grid = series.grid
@@ -631,21 +627,39 @@ def x_space_norm(
     if not np.any(in_range):
         raise ValueError("time series has no samples below the horizon")
 
-    flat = series.values.reshape(times.size, -1)
-    sup_part = float(np.max(np.sqrt(times[in_range])[:, None]
-                            * np.abs(flat[in_range])))
-
-    h = series.values**2 * (times ** alpha).reshape((-1,) + (1,) * grid.dims)
     eligible = [
         (j, radius) for j, radius in zip(boxes.j_values, boxes.radii)
         if radius**2 < horizon
     ]
-    time_integrals = []
-    for _, radius in eligible:
-        upper = radius**2
-        lead_top = min(times[0], upper)
-        lead = series.values[0] ** 2 * lead_top ** (1.0 + alpha) / (1.0 + alpha)
-        time_integrals.append(lead + _clipped_time_integral(times, h, upper))
+    uppers = [radius**2 for _, radius in eligible]
+    sums = [np.zeros(grid.shape) for _ in eligible]
+    weights = times ** alpha
+    half_segs = np.diff(times) / 2.0
+    peaks = np.empty(times.size)
+    h_prev = None
+    for m, u in enumerate(series.values):
+        peaks[m] = np.abs(u).max()
+        h = u**2 * weights[m]
+        if m > 0:
+            t_prev, t_m = times[m - 1], times[m]
+            pair = h_prev + h
+            for i, upper in enumerate(uppers):
+                if t_m <= upper:
+                    sums[i] += pair * half_segs[m - 1]
+                elif t_prev < upper:  # the segment that straddles r^2
+                    theta = (upper - t_prev) / (t_m - t_prev)
+                    h_up = h_prev * (1 - theta) + h * theta
+                    sums[i] += (upper - t_prev) * (h_prev + h_up) / 2.0
+        h_prev = h
+    # rounding a product by a positive scalar is monotone, so this is the
+    # max of sqrt(t) |u| over every in-range sample
+    sup_part = float(np.max(np.sqrt(times[in_range]) * peaks[in_range]))
+
+    first_sq = series.values[0] ** 2
+    time_integrals = [
+        first_sq * min(times[0], upper) ** (1.0 + alpha) / (1.0 + alpha) + total
+        for upper, total in zip(uppers, sums)
+    ]
     carleson = _box_sup(boxes, eligible, time_integrals, 2 * alpha + grid.dims, 0.0).value
     return XSpaceResult(
         value=sup_part + carleson,

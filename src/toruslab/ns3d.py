@@ -341,8 +341,12 @@ class NSTrace:
         return 0.5 * vol * self._symbols.power(self.coefficients)
 
     def component_series(self, j: int) -> TimeSeries:
-        return TimeSeries(self.grid, self.times,
-                          self._symbols.to_grid(self.coefficients[:, j]))
+        """Grid samples of component j at every node, transformed one node
+        at a time so that only one node's transform intermediates are alive."""
+        values = np.empty((self.times.size,) + self.grid.shape)
+        for out, coeff in zip(values, self.coefficients[:, j]):
+            out[...] = self._symbols.to_grid(coeff)
+        return TimeSeries(self.grid, self.times, values)
 
     def _velocity(self, coeff: np.ndarray) -> VelocityField:
         return VelocityField(self.grid, tuple(

@@ -184,6 +184,16 @@ class TestNormCommand:
         assert code == 2
         assert "absent.bin" in capsys.readouterr().err
 
+    def test_box_below_mesh_floor_exits_2(self, tmp_path, capsys):
+        # at N=8192 the j=12 box height 2^-24 is under the default mesh
+        # floor 2^-22, and the norm refuses it before any transform
+        grid = TorusGrid(dims=1, size=8192, length=1.0)
+        path = tmp_path / "fine.bin"
+        write_field(Field(grid, np.cos(2 * np.pi * grid.coordinates()[0])), path)
+        code = main(["norm", "--norm", "inverse", "--alpha=-0.5", "--input", str(path)])
+        assert code == 2
+        assert "below the mesh floor 2.38419e-07" in capsys.readouterr().err
+
     def test_out_directory_written(self, mode_file, tmp_path, capsys):
         out = tmp_path / "report"
         code = main([

@@ -227,6 +227,18 @@ class TestTimeMesh:
         with pytest.raises(ValueError):
             mesh.aligned_cut(0.7)
 
+    def test_cut_below_floor_names_the_floor(self):
+        # dyadic, but two panels below the 2^-10 floor: the error says so
+        mesh = TimeMesh(top=0.25, panels=8)
+        assert mesh.aligned_cut(2.0**-10) == 0
+        with pytest.raises(ValueError) as err:
+            mesh.aligned_cut(2.0**-12)
+        message = str(err.value)
+        assert "below the mesh floor" in message
+        assert f"{2.0**-12:.6g}" in message and f"{mesh.floor:.6g}" in message
+        assert "8 panels" in message
+        assert "dyadic" not in message
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             TimeMesh(top=-1.0)

@@ -52,7 +52,6 @@ from toruslab.norms import (
     _ball_correlate,
     _ball_mask,
     _ball_mask_hat_conj,
-    _clipped_time_integral,
     _pair_weights,
     _sup_over_family,
 )
@@ -715,10 +714,10 @@ def t_loop_besov(f: Field, t_grid: np.ndarray) -> float:
 
 
 def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
-                             boxes: BoxFamily) -> NormResult:
+                             boxes: BoxFamily, mesh: TimeMesh | None = None) -> NormResult:
     """inverse_space_norm one panel and one radius at a time."""
     grid = f.grid
-    mesh = default_parabolic_mesh(grid)
+    mesh = mesh or default_parabolic_mesh(grid)
     g = f.remove_mean()
     fhat = forward_transform(g).coefficients
     rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
@@ -726,8 +725,8 @@ def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
     cuts = {j: mesh.aligned_cut(r * r) for j, r in eligible}
     t = mesh.nodes
     node_factor = mesh.weights * t**alpha
-    snapshots = {}
     acc = g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha)
+    snapshots = {j: acc for j, cut in cuts.items() if cut == 0}  # height at the floor
     axes = tuple(range(1, grid.dims + 1))
     n = mesh.nodes_per_panel
     for sl in (slice(p * n, (p + 1) * n) for p in range(mesh.panels)):
@@ -776,6 +775,24 @@ def dagger_lift(stack, alpha: float, parabolic: bool):
         top=stack.grid.length / 2.0, panels=stack.mesh.panels,
         nodes_per_panel=stack.mesh.nodes_per_panel)
     return build_stack(inverse_transform(lifted), "heat", mesh)
+
+
+def _clipped_time_integral(
+    times: np.ndarray, h: np.ndarray, upper: float
+) -> np.ndarray:
+    """Trapezoid of h(t) dt over stored nodes clipped to [times[0], upper]."""
+    if upper <= times[0]:
+        return np.zeros(h.shape[1:])
+    k = int(np.searchsorted(times, upper, side="right"))
+    segs = np.diff(times[:k])
+    total = np.einsum(
+        "m...,m->...", (h[: k - 1] + h[1:k]), segs / 2.0
+    ) if k >= 2 else np.zeros(h.shape[1:])
+    if k < times.size and upper > times[k - 1]:
+        theta = (upper - times[k - 1]) / (times[k] - times[k - 1])
+        h_up = h[k - 1] * (1 - theta) + h[k] * theta
+        total = total + (upper - times[k - 1]) * (h[k - 1] + h_up) / 2.0
+    return total
 
 
 def radius_loop_x_carleson(series: TimeSeries, alpha: float, horizon: float,
@@ -859,6 +876,24 @@ class TestBoxTails:
             got = x_space_norm(series, alpha, 3.0, boxes)
             assert got.carleson_part == radius_loop_x_carleson(series, alpha, 3.0, boxes)
 
+    # below the horizon 3: r^2 = 2.47 and 0.617, and 0.154 on the 2-D grid
+    @pytest.mark.parametrize("dims,size", GRIDS)
+    @pytest.mark.parametrize("times", [
+        np.geomspace(0.7, 5.0, 40),  # first sample above the smallest r^2
+        np.geomspace(1e-3, 2.0, 40),  # ends below r^2 = 2.47: no clipped tail
+        np.array([0.5]),  # one sample
+    ], ids=["late_start", "early_end", "one_sample"])
+    def test_x_space_trapezoid_edges_match_radius_loop(self, dims, size, times):
+        grid = TorusGrid(dims, size, length=self.LENGTH)
+        values = np.random.default_rng(size).standard_normal((times.size,) + grid.shape)
+        series = TimeSeries(grid, times, values)
+        # one radius per family, so that no box hides behind a larger one
+        for j in BoxFamily.default(grid).j_values:
+            boxes = BoxFamily(grid, stride=2, j_values=(j,))
+            for alpha in (-0.5, 0.0, 0.25):
+                got = x_space_norm(series, alpha, 3.0, boxes)
+                assert got.carleson_part == radius_loop_x_carleson(series, alpha, 3.0, boxes)
+
 
 class TestBatchedTransforms:
     @pytest.mark.parametrize("dims,size", [(1, 256), (2, 32), (3, 16)])
@@ -905,6 +940,22 @@ class TestBatchedTransforms:
             got = inverse_space_norm(f, alpha, horizon, boxes)
             want = panel_loop_inverse_space(f, alpha, horizon, boxes)
             assert got == want
+
+    def test_inverse_space_box_on_the_mesh_floor(self):
+        # 8 panels under top 1/4 put the floor at 2^-10, the j=5 box height
+        grid = TorusGrid(1, 64)
+        mesh = TimeMesh(0.25, panels=8)
+        boxes = BoxFamily.default(grid)
+        assert mesh.aligned_cut(boxes.radii[-1] ** 2) == 0
+        f = random_field(grid, seed=5)
+        for alpha in (-0.5, 0.25):
+            got = inverse_space_norm(f, alpha, math.inf, boxes, mesh)
+            assert got == panel_loop_inverse_space(f, alpha, math.inf, boxes, mesh)
+            floor_term = f.remove_mean().samples ** 2 * mesh.floor ** (1 + alpha) / (1 + alpha)
+            ball = radius_loop_correlate(floor_term, grid, 5)
+            want = math.sqrt(np.max(boxes.center_view(ball)) * grid.cell_volume
+                             * boxes.radii[-1] ** -(2 * alpha + 1))
+            assert got.per_box_table[-1][1] == pytest.approx(want, rel=1e-12)
 
 
 def test_concurrent_ball_misses_compute_once(monkeypatch):

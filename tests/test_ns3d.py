@@ -570,6 +570,36 @@ class TestDataNorms:
         total = solution_x_norm(trace, 0.25, 0.1, boxes16)
         assert total == pytest.approx(sum(r.value for r in reports), rel=1e-12)
 
+    def test_solution_x_report_memory_is_one_series(self):
+        # 32^3 with 128 nodes: one component series on the grid plus
+        # node-sized arrays, never a second (nodes, N^3) temporary
+        n, nodes, horizon = 32, 128, 0.1
+        grid = TorusGrid(dims=3, size=n, length=1.0)
+        boxes = BoxFamily.default(grid)
+        a = random_divergence_free(grid, seed=0)
+        trace = mild_solve_picard(a, horizon, nodes=nodes, nonlinear=False)
+        solution_x_report(trace, -0.5, horizon, boxes)  # fill ball and symbol caches
+        radii = sum(r * r < horizon for r in boxes.radii)
+        field = 8 * n**3  # one real grid array; a complex one is two
+        series = nodes * field
+        # a trapezoid sum and a time integral per radius, u_0^2, and a node's
+        # |u|, h, previous h, their pair sum and one product; one node's
+        # pruned inverse transform stays below these
+        trapezoid = (2 * radii + 6) * field
+        # the family tail: stacked integrals, stacked complex ball spectra,
+        # their product, and a multi-axis inverse transform's output with
+        # its per-axis intermediate
+        tail = radii * (1 + 2 + 2 + 2 * 2) * field
+        slack = 2 * field  # numpy's ufunc buffers
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            solution_x_report(trace, -0.5, horizon, boxes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= series + trapezoid + tail + slack
+
 
 class TestProbes:
     def test_smalldata_ladder(self, g16):
