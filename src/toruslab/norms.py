@@ -20,22 +20,23 @@ extension sampler ``extensions._semigroup``, which holds the chunk rule and
 e^{-rate t}; its chunks are whole rows, so batching changes no bit of any
 result.
 
-The 3D norms stream their time axis: ``inverse_space_norm`` keeps only the
-running quadrature sum and its snapshots at the radius cuts, and
-``x_space_norm`` walks a series node by node, keeping the running sup and
-one trapezoid sum per eligible radius. Apart from their input, both hold
-node-sized arrays only, never a (nodes, N^3) temporary.
+Every box norm's time integral is one walk, ``_running_sums``, over the
+weighted gradient square per node (Carleson norms), the floor term and one
+heat term per panel (``inverse_space_norm``) or the trapezoid segments of a
+series (``x_space_norm``, which adds the segment clipped at r^2 after it).
+Only sums at box heights are kept and nothing past the tallest box is drawn.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -131,24 +132,24 @@ class NormResult:
         }
 
 
-# --- ball geometry, cached per (grid, radius exponent) ---
+# --- ball geometry, cached per (grid, radius exponents) ---
 
 # Workspace pool threads share these caches, and lru_cache does not
 # serialize misses: two threads missing one key would both compute it.
-# Holding one lock across every lookup computes each (grid, j) once.
+# Holding one lock across every lookup computes each key once.
 _BALL_LOCK = threading.RLock()
 
 
 def _ball_cache(maxsize: int):
-    """lru_cache for a (grid, j) helper whose misses run one at a time."""
+    """lru_cache for a (grid, key) helper whose misses run one at a time."""
 
     def wrap(fn):
         cached = lru_cache(maxsize=maxsize)(fn)
 
         @functools.wraps(fn)
-        def call(grid: TorusGrid, j: int):
+        def call(grid: TorusGrid, key):
             with _BALL_LOCK:
-                return cached(grid, j)
+                return cached(grid, key)
 
         call.cache_clear = cached.cache_clear
         return call
@@ -168,9 +169,10 @@ def _ball_mask(grid: TorusGrid, j: int) -> np.ndarray:
     return mask
 
 
-@_ball_cache(maxsize=256)
-def _ball_mask_hat_conj(grid: TorusGrid, j: int) -> np.ndarray:
-    out = np.conj(np.fft.fftn(_ball_mask(grid, j).astype(float)))
+@_ball_cache(maxsize=64)
+def _ball_spectra(grid: TorusGrid, js: tuple[int, ...]) -> np.ndarray:
+    """Conjugate ball spectra stacked along a leading radius axis, one per js[i]."""
+    out = np.stack([np.conj(np.fft.fftn(_ball_mask(grid, j).astype(float))) for j in js])
     out.setflags(write=False)
     return out
 
@@ -195,8 +197,7 @@ def _ball_correlate(arr: np.ndarray, grid: TorusGrid, js: Sequence[int]) -> np.n
     the whole family.
     """
     axes = tuple(range(-grid.dims, 0))
-    masks = np.stack([_ball_mask_hat_conj(grid, j) for j in js])
-    spectrum = np.fft.fftn(arr, axes=axes) * masks
+    spectrum = np.fft.fftn(arr, axes=axes) * _ball_spectra(grid, tuple(js))
     return np.fft.ifftn(spectrum, axes=axes).real
 
 
@@ -239,6 +240,18 @@ def _box_sup(boxes: BoxFamily, eligible: Sequence[tuple[int, float]],
     per_radius = [(radius, np.maximum(ball, 0.0) * cellvol * radius ** (-scale_exp))
                   for (_, radius), ball in zip(eligible, balls)]
     return _sup_over_family(boxes, per_radius, mean)
+
+
+def _running_sums(terms: Iterable, counts: Sequence[int]) -> list:
+    """The left-to-right sum of the first c terms for each c in counts, 0.0
+    for c = 0: the time integral of every box in one walk. Only the sums at
+    the wanted counts are kept, and no term past max(counts) is drawn."""
+    wanted, kept, acc = set(counts), {0: 0.0}, 0.0
+    for c, term in zip(range(1, max(counts, default=0) + 1), terms):
+        acc = acc + term
+        if c in wanted:
+            kept[c] = acc
+    return [kept[c] for c in counts]
 
 
 # --- trace-side norms ---
@@ -354,15 +367,14 @@ def _require_grid(f: Field, boxes: BoxFamily) -> TorusGrid:
 
 # --- Carleson-box norms over extension stacks ---
 
-def default_linear_mesh(grid: TorusGrid, panels: int = 20, nodes_per_panel: int = 8) -> TimeMesh:
+def default_linear_mesh(grid: TorusGrid) -> TimeMesh:
     """Mesh for height-r boxes: top L/2 matches the largest dyadic radius."""
-    return TimeMesh(top=grid.length / 2.0, panels=panels, nodes_per_panel=nodes_per_panel)
+    return TimeMesh(top=grid.length / 2.0)
 
 
-def default_parabolic_mesh(grid: TorusGrid, panels: int = 20, nodes_per_panel: int = 8) -> TimeMesh:
+def default_parabolic_mesh(grid: TorusGrid) -> TimeMesh:
     """Mesh for height-r^2 boxes: top (L/2)^2."""
-    return TimeMesh(top=(grid.length / 2.0) ** 2, panels=panels,
-                    nodes_per_panel=nodes_per_panel)
+    return TimeMesh(top=(grid.length / 2.0) ** 2)
 
 
 def _carleson_box_norm(
@@ -380,19 +392,15 @@ def _carleson_box_norm(
     if grid != boxes.grid:
         raise ValueError("stack and box family live on different grids")
     mesh = stack.mesh
-    t = mesh.nodes
-    node_factor = mesh.weights * t**weight_exp
-    integrand = stack.gradient_square(full=full_grad)
-    prefix = np.cumsum(integrand * node_factor.reshape((-1,) + (1,) * grid.dims), axis=0)
-
+    # every box is checked against the mesh before any array work
+    cuts = [mesh.aligned_cut(r**2 if parabolic_height else r) for r in boxes.radii]
+    node_factor = mesh.weights * mesh.nodes**weight_exp
     g0 = zero_time_gradient_square(stack, full=full_grad)
     floor_term = g0 * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp)
-
-    time_integrals = []
-    for radius in boxes.radii:
-        height = radius**2 if parabolic_height else radius
-        cut = mesh.aligned_cut(height)  # raises on mesh/radius mismatch
-        time_integrals.append(floor_term + (prefix[cut - 1] if cut > 0 else 0.0))
+    # unnamed, so the gradient square is freed when the walk returns
+    sums = _running_sums(
+        (g * w for g, w in zip(stack.gradient_square(full=full_grad), node_factor)), cuts)
+    time_integrals = [floor_term + s for s in sums]
     return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), time_integrals,
                     scale_exp, 0.0)
 
@@ -525,9 +533,9 @@ def inverse_space_norm(
     """value^2 = max over boxes with r^2 < horizon of
     r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt.
 
-    Streams the heat extension in panel-aligned chunks of ``_semigroup`` and
-    accumulates panel by panel: only the value snapshots at the radius cuts
-    are kept, so 3D grids stay cheap.
+    Streams the heat extension in panel-aligned chunks of ``_semigroup``
+    through ``_running_sums``, one term per panel: only the sums at the radius
+    cuts are kept, and no chunk past the largest eligible cut is drawn.
     """
     _check_alpha(alpha)
     grid = _require_grid(f, boxes)
@@ -543,28 +551,23 @@ def inverse_space_norm(
     ]
     if not eligible:
         return NormResult(value=0.0, arg_center=None, arg_radius=None, mean_removed=mean)
-    cuts = {j: mesh.aligned_cut(r * r) for j, r in eligible}
-
+    per = mesh.nodes_per_panel
+    # the floor term, then one term per panel: a box whose height is the
+    # mesh floor takes the floor term alone
+    counts = [1 + mesh.aligned_cut(r * r) // per for _, r in eligible]
     t = mesh.nodes
     node_factor = mesh.weights * t**alpha
-    acc = g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha)
-    # a box whose height is the mesh floor takes the floor term alone
-    snapshots = {j: acc for j, cut in cuts.items() if cut == 0}
-    per = mesh.nodes_per_panel
-    for chunk, coeff in _semigroup(forward_transform(g), "heat", t, unit=per):
-        u = _inverse_rows(coeff)
-        u_sq = u * u
-        # one einsum per panel, in node order, as the quadrature sums it
-        for start in range(chunk.start, chunk.stop, per):
-            done = start + per
-            acc = acc + np.einsum(
-                "m...,m->...", u_sq[start - chunk.start : done - chunk.start],
-                node_factor[start:done],
-            )
-            for j, cut in cuts.items():
-                if cut == done and j not in snapshots:
-                    snapshots[j] = acc.copy()
-    return _box_sup(boxes, eligible, [snapshots[j] for j, _ in eligible],
+
+    def terms():
+        yield g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha)
+        for chunk, coeff in _semigroup(forward_transform(g), "heat", t, unit=per):
+            u = _inverse_rows(coeff)
+            u_sq, w = u * u, node_factor[chunk]
+            # one einsum per panel, in node order, as the quadrature sums it
+            for i in range(0, w.size, per):
+                yield np.einsum("m...,m->...", u_sq[i : i + per], w[i : i + per])
+
+    return _box_sup(boxes, eligible, _running_sums(terms(), counts),
                     2 * alpha + grid.dims, mean)
 
 
@@ -612,9 +615,11 @@ def x_space_norm(
     the stored nodes clipped to [t_0, r^2], with h = u^2 t^a interpolated
     linearly to r^2 on the segment that straddles it.
 
-    One pass over the nodes: apart from the series itself, only node-sized
-    arrays are alive (the previous and current h, one trapezoid sum per
-    eligible radius), and each sum adds its segments in node order.
+    The full segments of every box go through ``_running_sums`` in node
+    order, each u^2 t^a computed once and carried to the next segment, and
+    the walk stops at the largest eligible r^2; the segment that straddles
+    r^2 is added after them. Apart from the series itself, only node-sized
+    arrays are alive.
     """
     _check_alpha(alpha)
     grid = series.grid
@@ -623,43 +628,36 @@ def x_space_norm(
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
     times = series.times
-    in_range = times < horizon
-    if not np.any(in_range):
+    in_range = int(np.searchsorted(times, horizon))  # the samples below the horizon
+    if in_range == 0:
         raise ValueError("time series has no samples below the horizon")
+    # rounding a product by a positive scalar is monotone, so this is the
+    # max of sqrt(t) |u| over every in-range sample
+    peaks = [np.abs(u).max() for u in series.values[:in_range]]
+    sup_part = float(np.max(np.sqrt(times[:in_range]) * peaks))
 
     eligible = [
         (j, radius) for j, radius in zip(boxes.j_values, boxes.radii)
         if radius**2 < horizon
     ]
-    uppers = [radius**2 for _, radius in eligible]
-    sums = [np.zeros(grid.shape) for _ in eligible]
     weights = times ** alpha
-    half_segs = np.diff(times) / 2.0
-    peaks = np.empty(times.size)
-    h_prev = None
-    for m, u in enumerate(series.values):
-        peaks[m] = np.abs(u).max()
-        h = u**2 * weights[m]
-        if m > 0:
-            t_prev, t_m = times[m - 1], times[m]
-            pair = h_prev + h
-            for i, upper in enumerate(uppers):
-                if t_m <= upper:
-                    sums[i] += pair * half_segs[m - 1]
-                elif t_prev < upper:  # the segment that straddles r^2
-                    theta = (upper - t_prev) / (t_m - t_prev)
-                    h_up = h_prev * (1 - theta) + h * theta
-                    sums[i] += (upper - t_prev) * (h_prev + h_up) / 2.0
-        h_prev = h
-    # rounding a product by a positive scalar is monotone, so this is the
-    # max of sqrt(t) |u| over every in-range sample
-    sup_part = float(np.max(np.sqrt(times[in_range]) * peaks[in_range]))
-
+    # h = u^2 t^a once per node; pairwise carries it to the next segment
+    h = (u**2 * w for u, w in zip(series.values, weights))
+    segments = ((a + b) * d for (a, b), d in zip(itertools.pairwise(h), np.diff(times) / 2.0))
+    # the full segments below r^2 are those that end at or before it
+    uppers = [radius**2 for _, radius in eligible]
+    counts = np.searchsorted(times[1:], uppers, "right").tolist()
     first_sq = series.values[0] ** 2
-    time_integrals = [
-        first_sq * min(times[0], upper) ** (1.0 + alpha) / (1.0 + alpha) + total
-        for upper, total in zip(uppers, sums)
-    ]
+    time_integrals = []
+    for upper, k, total in zip(uppers, counts, _running_sums(segments, counts)):
+        if k + 1 < times.size and times[k] < upper:  # the segment that straddles r^2
+            t0, t1 = times[k], times[k + 1]
+            h0, h1 = (series.values[m] ** 2 * weights[m] for m in (k, k + 1))
+            theta = (upper - t0) / (t1 - t0)
+            h_up = h0 * (1 - theta) + h1 * theta
+            total = total + (upper - t0) * (h0 + h_up) / 2.0
+        time_integrals.append(
+            first_sq * min(times[0], upper) ** (1.0 + alpha) / (1.0 + alpha) + total)
     carleson = _box_sup(boxes, eligible, time_integrals, 2 * alpha + grid.dims, 0.0).value
     return XSpaceResult(
         value=sup_part + carleson,

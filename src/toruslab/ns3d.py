@@ -352,11 +352,6 @@ class NSTrace:
         return VelocityField(self.grid, tuple(
             Field(self.grid, u) for u in self._symbols.to_grid(coeff)))
 
-    @property
-    def snapshots(self) -> tuple[VelocityField, ...]:
-        """Every node as a VelocityField, built on each access."""
-        return tuple(self._velocity(c) for c in self.coefficients)
-
     def final(self) -> VelocityField:
         return self._velocity(self.coefficients[-1])
 
@@ -634,11 +629,12 @@ def export_trace(trace: NSTrace, directory) -> "Path":
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     nodes = []
-    for i, (t, snap) in enumerate(zip(trace.times, trace.snapshots)):
+    for i, (t, coeff) in enumerate(zip(trace.times, trace.coefficients)):
         files = []
-        for j, comp in enumerate(snap.components):
+        # the trace was checked on the block, so no VelocityField is rebuilt
+        for j, samples in enumerate(trace._symbols.to_grid(coeff)):
             name = f"node_{i:03d}_c{j}.bin"
-            write_field(comp, directory / name)
+            write_field(Field(trace.grid, samples), directory / name)
             files.append(name)
         nodes.append({"time": float(t), "files": files})
     payload = {

@@ -412,8 +412,8 @@ def test_criterion_09_flow_correctness():
         bad.append(f"solver gap {gap:.2e} > 1e-6")
 
     div = max(
-        divergence_defect(snap)
-        for trace in (iterative, stepped) for snap in trace.snapshots
+        divergence_defect(trace._velocity(c))
+        for trace in (iterative, stepped) for c in trace.coefficients
     )
     if div > 1e-8:
         bad.append(f"divergence defect {div:.2e} > 1e-8")

@@ -19,6 +19,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
+import toruslab.norms as norms_module
 from toruslab.extensions import (
     TimeMesh,
     build_stack,
@@ -51,7 +52,8 @@ from toruslab.norms import (
     x_space_norm,
     _ball_correlate,
     _ball_mask,
-    _ball_mask_hat_conj,
+    _ball_spectra,
+    _running_sums,
     _pair_weights,
     _sup_over_family,
 )
@@ -698,7 +700,7 @@ class TestXSpace:
 
 def radius_loop_correlate(arr: np.ndarray, grid: TorusGrid, j: int) -> np.ndarray:
     """One radius, one forward and one inverse transform."""
-    return np.fft.ifftn(np.fft.fftn(arr) * _ball_mask_hat_conj(grid, j)).real
+    return np.fft.ifftn(np.fft.fftn(arr) * _ball_spectra(grid, (j,))[0]).real
 
 
 def t_loop_besov(f: Field, t_grid: np.ndarray) -> float:
@@ -958,6 +960,75 @@ class TestBatchedTransforms:
             assert got.per_box_table[-1][1] == pytest.approx(want, rel=1e-12)
 
 
+class TestRunningSums:
+    """The one walk every box norm sums its time axis with."""
+
+    @staticmethod
+    def terms(values, stop):
+        """Yield values, failing if the term at index ``stop`` is asked for."""
+        for i, v in enumerate(values):
+            if i == stop:
+                raise AssertionError(f"term {i} drawn")
+            yield v
+
+    def test_counts_with_zero_repeats_and_any_order(self):
+        # (1 + 1e16) - 1e16 is 0 left to right and 1 in any other order
+        values = [1.0, 1e16, -1e16, 2.0, 3.0, 4.0]
+        got = _running_sums(self.terms(values, 5), [3, 0, 5, 3, 1])
+        assert got == [0.0, 0.0, 5.0, 0.0, 1.0]
+
+    def test_draws_nothing_for_zero_counts(self):
+        assert _running_sums(self.terms([1.0], 0), [0, 0]) == [0.0, 0.0]
+        assert _running_sums(self.terms([1.0], 0), []) == []
+
+    def test_arrays_match_cumsum_bits(self):
+        rows = np.random.default_rng(0).standard_normal((40, 64)) ** 3
+        prefix = np.cumsum(rows, axis=0)
+        counts = [33, 7, 1, 12]
+        got = _running_sums(self.terms(rows, 33), counts)
+        for c, s in zip(counts, got):
+            assert np.array_equal(s, prefix[c - 1])
+
+    def test_carleson_walk_keeps_one_node_array(self):
+        # 3-D N=16, 160 nodes: the gradient square is one (nodes, N^3) float
+        # array, 5.2 MB. The walk adds node-sized arrays only: the running sum,
+        # one term, the floor term and the three kept sums, and the box tail
+        # works on three-radius stacks. 8 complex grid fields (0.5 MB) bound
+        # those; a prefix array, or the weighted product it sums, would add
+        # another 5.2 MB.
+        grid = TorusGrid(3, 16)
+        boxes = BoxFamily.default(grid)
+        stack = NORMS["scaled_t"].argument(random_field(grid, seed=3))
+        want = scaled_t_norm(stack, -0.5, boxes)  # fills the ball caches
+        tracemalloc.start()
+        try:
+            got = scaled_t_norm(stack, -0.5, boxes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        gradient_square = stack.node_count * grid.point_count * 8
+        assert peak < gradient_square + 8 * grid.point_count * 16
+
+    def test_inverse_space_stops_at_the_largest_cut(self, monkeypatch):
+        # horizon 0.02 keeps only r = 1/8, whose cut is 128 of the 160 nodes;
+        # 3-D N=16 chunks hold 32 nodes, so the fifth chunk is never drawn
+        grid = TorusGrid(3, 16)
+        boxes = BoxFamily.default(grid)
+        f = random_field(grid, seed=2)
+        want = panel_loop_inverse_space(f, 0.25, 0.02, boxes)
+        rows = []
+        real = norms_module._inverse_rows
+
+        def counted(coeff):
+            rows.append(coeff.shape[0])
+            return real(coeff)
+
+        monkeypatch.setattr(norms_module, "_inverse_rows", counted)
+        assert inverse_space_norm(f, 0.25, 0.02, boxes) == want
+        assert sum(rows) == 128 and default_parabolic_mesh(grid).node_count == 160
+
+
 def test_concurrent_ball_misses_compute_once(monkeypatch):
     # a grid no other test uses, so every thread misses the same (grid, j)
     grid = TorusGrid(dims=1, size=64, length=3.0)
@@ -975,7 +1046,7 @@ def test_concurrent_ball_misses_compute_once(monkeypatch):
 
     def lookup():
         start.wait(timeout=10)
-        results.append(_ball_mask_hat_conj(grid, 2))
+        results.append(_ball_spectra(grid, (2,)))
 
     threads = [threading.Thread(target=lookup) for _ in range(4)]
     for t in threads:

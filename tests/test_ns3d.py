@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from toruslab.fieldio import read_field
 from toruslab.norms import BoxFamily, TimeSeries, x_space_norm, inverse_space_norm
 from toruslab.ns3d import (
     _block_coefficients,
@@ -25,6 +26,7 @@ from toruslab.ns3d import (
     SmallDataRow,
     VelocityField,
     divergence_defect,
+    export_trace,
     inflation_probe,
     initial_data_norm,
     make_divergence_free,
@@ -66,6 +68,11 @@ def shear_y(grid: TorusGrid, amplitude: float = 1.0) -> VelocityField:
     return VelocityField(
         grid, (Field(grid, zero), Field(grid, wave), Field(grid, zero.copy()))
     )
+
+
+def snapshots(trace: NSTrace) -> list[VelocityField]:
+    """Every node of a trace as a VelocityField on the grid."""
+    return [trace._velocity(c) for c in trace.coefficients]
 
 
 def crop(grid: TorusGrid, full: np.ndarray) -> np.ndarray:
@@ -156,7 +163,7 @@ class TestHalfSpectrumOracles:
         # kept: every |k_j| < 16/3; shell: some |k_j| = floor(16/3) = 5
         keep = np.all([np.abs(k) < 16 / 3.0 for k in g16.modes], axis=0)
         shell = keep & np.any([np.abs(k) >= 5 for k in g16.modes], axis=0)
-        for fraction, snap in zip(got, trace.snapshots):
+        for fraction, snap in zip(got, snapshots(trace)):
             full = np.stack([np.fft.fftn(c.samples, norm="forward") for c in snap.components])
             power = np.abs(full) ** 2
             want = np.sum(power[:, shell]) / np.sum(power)
@@ -332,7 +339,7 @@ class TestHeatFlow:
         trace = mild_solve_picard(v, 0.1, nodes=32, nonlinear=False)
         rate = 4.0 * np.pi**2
         base = v.components[1].samples
-        for t, snap in zip(trace.times, trace.snapshots):
+        for t, snap in zip(trace.times, snapshots(trace)):
             want = math.exp(-rate * t) * base
             np.testing.assert_allclose(snap.components[1].samples, want, atol=1e-12)
             assert snap.components[0].max_abs() == 0.0
@@ -442,13 +449,30 @@ class TestSolvers:
     def test_trace_snapshots_round_trip(self, g16):
         v = taylor_green(g16, amplitude=0.1)
         trace = NSTrace(g16, np.array([0.1]), _block_coefficients(v)[None], {})
-        (snap,) = trace.snapshots
+        (snap,) = snapshots(trace)
         for got, want in zip(snap.components, v.components):
             np.testing.assert_allclose(got.samples, want.samples, atol=1e-15)
         np.testing.assert_allclose(
             trace.component_series(1).values[0], v.components[1].samples, atol=1e-15
         )
         assert trace.energies()[0] == pytest.approx(v.energy(), rel=1e-14)
+
+    def test_export_trace_builds_no_velocity_field(self, g16, tmp_path, monkeypatch):
+        # the trace was validated on the block; exporting it re-checks nothing
+        v = taylor_green(g16, amplitude=0.1)
+        c = _block_coefficients(v)
+        trace = NSTrace(g16, np.array([0.1, 0.2]), np.stack([c, 0.5 * c]), {})
+        want = [snap.components for snap in snapshots(trace)]
+
+        def refuse(self):
+            raise AssertionError("export_trace built a VelocityField")
+
+        monkeypatch.setattr(VelocityField, "__post_init__", refuse)
+        export_trace(trace, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for node, comps in zip(manifest["nodes"], want):
+            for name, comp in zip(node["files"], comps):
+                assert np.array_equal(read_field(tmp_path / name).samples, comp.samples)
 
     def test_nan_divergence_defect_rejected(self, g16):
         # NaN compares False against any tolerance, so the check must be NaN-safe
