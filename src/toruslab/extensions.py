@@ -133,7 +133,9 @@ class ExtensionStack:
         """|grad_x u|^2 (+ |d_t u|^2 when full) at every node, shape (nodes, *shape)."""
         out = np.einsum("mj...,mj...->m...", self.grad_x, self.grad_x)
         if full:
-            out += self.grad_t**2
+            # by row chunks, so no second (nodes, *shape) array is made
+            for rows in row_chunks(self.node_count, self.grid):
+                out[rows] += self.grad_t[rows] ** 2
         return out
 
     def gradient_peaks(self, full: bool = True) -> np.ndarray:

@@ -20,6 +20,13 @@ extension sampler ``extensions._semigroup``, which holds the chunk rule and
 e^{-rate t}; its chunks are whole rows, so batching changes no bit of any
 result.
 
+``q_norm``'s pair sum at a center is a diagonal term, the ball's squares
+weighted by the kernel's ball sums, less the cross term <u, w * u> of the
+field u on the ball with the min-image pair kernel w. By Parseval the cross
+term is one real transform per center, taken in ``row_chunks`` blocks of
+strided centers; no pair matrix is built, so memory stays at a few chunks
+and grid fields in every dimension.
+
 Every box norm's time integral is one walk, ``_running_sums``, over the
 weighted gradient square per node (Carleson norms), the floor term and one
 heat term per panel (``inverse_space_norm``) or the trapezoid segments of a
@@ -39,6 +46,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .extensions import (
     ExtensionStack,
@@ -47,6 +55,7 @@ from .extensions import (
     _semigroup,
     build_stack,
     frac_lift_spectral,
+    row_chunks,
     zero_time_gradient_square,
 )
 from .spectral import (
@@ -56,10 +65,6 @@ from .spectral import (
     frac_laplacian_power,
     inverse_transform,
 )
-
-# Cap on the dense ball-pair matrix q_norm builds for one radius (ball
-# points^2 doubles); its temporaries take a few times as much again.
-PAIR_MATRIX_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -157,14 +162,17 @@ def _ball_cache(maxsize: int):
     return wrap
 
 
+def _torus_dist_sq(grid: TorusGrid) -> np.ndarray:
+    """Squared min-image distance of every grid point from the origin."""
+    idx = np.arange(grid.size)
+    per_axis = (np.minimum(idx, grid.size - idx) * grid.spacing) ** 2
+    return sum(np.meshgrid(*([per_axis] * grid.dims), indexing="ij"))
+
+
 @_ball_cache(maxsize=256)
 def _ball_mask(grid: TorusGrid, j: int) -> np.ndarray:
     radius = grid.length * 2.0 ** (-j)
-    idx = np.arange(grid.size)
-    per_axis = np.minimum(idx, grid.size - idx) * grid.spacing
-    grids = np.meshgrid(*([per_axis] * grid.dims), indexing="ij")
-    dist_sq = sum(g**2 for g in grids)
-    mask = dist_sq < radius**2  # open ball
+    mask = _torus_dist_sq(grid) < radius**2  # open ball
     mask.setflags(write=False)
     return mask
 
@@ -180,13 +188,6 @@ def _ball_spectra(grid: TorusGrid, js: tuple[int, ...]) -> np.ndarray:
 @_ball_cache(maxsize=256)
 def _ball_count(grid: TorusGrid, j: int) -> int:
     return int(_ball_mask(grid, j).sum())
-
-
-@_ball_cache(maxsize=64)
-def _ball_offsets(grid: TorusGrid, j: int) -> np.ndarray:
-    out = np.argwhere(_ball_mask(grid, j))
-    out.setflags(write=False)
-    return out
 
 
 def _ball_correlate(arr: np.ndarray, grid: TorusGrid, js: Sequence[int]) -> np.ndarray:
@@ -287,54 +288,51 @@ def _campanato_family(f: Field, alpha: float, boxes: BoxFamily, pair: bool) -> N
     return _sup_over_family(boxes, per_radius, mean)
 
 
-@lru_cache(maxsize=64)
-def _pair_weights(grid: TorusGrid, j: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(W, rho) for the ball at exponent j: W[i,k] = |d_i - d_k|^-(n+2b)."""
-    offs = _ball_offsets(grid, j)
-    n = grid.size
-    idx = np.arange(n)
-    per_axis = (np.minimum(idx, n - idx) * grid.spacing) ** 2
-    diff_sq = np.zeros((offs.shape[0], offs.shape[0]))
-    for a in range(grid.dims):
-        d = (offs[:, a, None] - offs[None, :, a]) % n
-        diff_sq += per_axis[d]
-    with np.errstate(divide="ignore"):
-        w = diff_sq ** (-(grid.dims + 2 * beta) / 2.0)
-    np.fill_diagonal(w, 0.0)
-    rho = w.sum(axis=1)
-    w.setflags(write=False)
-    rho.setflags(write=False)
-    return w, rho
-
-
 def q_norm(f: Field, beta: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max over boxes of
-    r^(2b-n) * double sum_{x != y in B} |f(x)-f(y)|^2 |x-y|^-(n+2b)."""
+    r^(2b-n) * double sum_{x != y in B} |f(x)-f(y)|^2 |x-y|^-(n+2b).
+
+    With w(d) = |d|^-(n+2b) in the torus metric, w(0) = 0, and u_c(d) =
+    g(c+d) on the ball around the origin, the double sum at center c is
+    2 (sum_d u_c(d)^2 rho(d) - <u_c, w * u_c>), rho = (w * 1_B) 1_B. The
+    circular convolution with the min-image kernel is the torus distance
+    exactly, and by Parseval the cross term is sum_k |U_c(k)|^2 W(k) / N^n:
+    one real transform per center, in ``row_chunks`` blocks of centers.
+    """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     grid = _require_grid(f, boxes)
-    pair_bytes = 8 * _ball_count(grid, boxes.j_values[0]) ** 2
-    if pair_bytes > PAIR_MATRIX_BYTES:
-        raise ValueError(f"q_norm on the {grid.dims}-D N={grid.size} grid needs a {pair_bytes} "
-                         f"byte pair matrix for radius {boxes.radii[0]}, over the "
-                         f"{PAIR_MATRIX_BYTES} byte cap")
     mean = f.mean()
     g = f.remove_mean().samples
+    axes = tuple(range(1, grid.dims + 1))
+    with np.errstate(divide="ignore"):
+        w = _torus_dist_sq(grid) ** (-(grid.dims + 2 * beta) / 2.0)
+    w.flat[0] = 0.0
+    # rfftn keeps half the last axis: every column but the zero and Nyquist
+    # ones stands for itself and its mirror
+    w_hat = np.fft.rfftn(w).real / grid.point_count
+    w_hat[..., 1 : (grid.size + 1) // 2] *= 2.0
+    view_shape = boxes.center_view(g).shape
+    centers = np.indices(view_shape).reshape(grid.dims, -1) * boxes.stride
+    # u_c is the window of the wrapped field that starts at c
+    windows = sliding_window_view(np.pad(g, (0, grid.size - 1), mode="wrap"), grid.shape)
     cellvol = grid.cell_volume
-    centers = _center_lattice(grid, boxes.stride)
     per_radius = []
-    for j, radius in zip(boxes.j_values, boxes.radii):
-        offs = _ball_offsets(grid, j)
-        w, rho = _pair_weights(grid, j, beta)
-        gather = tuple(
-            (centers[:, a : a + 1] + offs[None, :, a]) % grid.size
-            for a in range(grid.dims)
-        )
-        v = g[gather]  # (centers, ball points)
-        total = 2.0 * ((v * v) @ rho - np.einsum("cp,cp->c", v @ w, v))
-        total = np.maximum(total, 0.0) * cellvol**2
+    # each ball is symmetric, so its correlation with w is w * 1_B
+    for j, radius, w_ball in zip(boxes.j_values, boxes.radii,
+                                 _ball_correlate(w, grid, boxes.j_values)):
+        mask = _ball_mask(grid, j)
+        rho = (w_ball * mask).reshape(-1)
+        total = np.empty(centers.shape[1])
+        for rows in row_chunks(total.size, grid):
+            u = windows[tuple(centers[:, rows])] * mask  # one u_c per center of the block
+            spectrum = np.fft.rfftn(u, axes=axes)
+            power = (spectrum.real**2 + spectrum.imag**2).reshape(u.shape[0], -1)
+            u = u.reshape(u.shape[0], -1)
+            total[rows] = (u * u) @ rho - power @ w_hat.reshape(-1)
         vals_sq = np.zeros(grid.shape)
-        vals_sq[tuple(centers.T)] = radius ** (2 * beta - grid.dims) * total
+        boxes.center_view(vals_sq)[...] = (np.maximum(2.0 * total, 0.0).reshape(view_shape)
+                                           * cellvol**2 * radius ** (2 * beta - grid.dims))
         per_radius.append((radius, vals_sq))
     return _sup_over_family(boxes, per_radius, mean)
 
@@ -346,12 +344,6 @@ def frac_campanato_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
     g = f.remove_mean()
     lifted = inverse_transform(frac_laplacian_power(forward_transform(g), -alpha))
     return dataclasses.replace(campanato_norm(lifted, alpha, boxes), mean_removed=mean)
-
-
-def _center_lattice(grid: TorusGrid, stride: int) -> np.ndarray:
-    axes = [np.arange(0, grid.size, stride)] * grid.dims
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 def _check_alpha(alpha: float) -> None:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -760,18 +760,7 @@ class SmallDataReport:
         return self.threshold is not None
 
     def to_payload(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "horizon": self.horizon,
-            "ratio_max": self.ratio_max,
-            "linear_ratio": self.linear_ratio,
-            "threshold": self.threshold,
-            "rows": [
-                {"delta": r.delta, "converged": r.converged,
-                 "x_norm": r.x_norm, "ratio": r.ratio}
-                for r in self.rows
-            ],
-        }
+        return asdict(self) | {"threshold": self.threshold}
 
 
 def smalldata_probe(
@@ -847,18 +836,7 @@ class InflationReport:
         return self.nonlinear_peak / self.linear_peak
 
     def to_payload(self) -> dict:
-        return {
-            "eps": self.eps,
-            "alpha": self.alpha,
-            "mode_count": self.mode_count,
-            "horizon": self.horizon,
-            "initial_norm": self.initial_norm,
-            "nonlinear_peak": self.nonlinear_peak,
-            "linear_peak": self.linear_peak,
-            "growth_ratio": self.growth_ratio,
-            "shell_fraction": self.shell_fraction,
-            "resolved": self.resolved,
-        }
+        return asdict(self) | {"growth_ratio": self.growth_ratio}
 
 
 def _sqrt_t_peak(trace: NSTrace) -> float:

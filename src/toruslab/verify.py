@@ -89,23 +89,10 @@ class EquivalenceReport:
         return True
 
     def to_payload(self) -> dict:
-        lo, hi = self.band
-        return {
-            "theorem": self.theorem,
-            "alpha": self.alpha,
-            "band": [lo, hi],
-            "spread": self.spread,
-            "drift": self.drift,
-            "enforce_spread": self.enforce_spread,
-            "enforce_drift": self.enforce_drift,
-            "note": self.note,
-            "skipped": list(self.skipped),
-            "members": [
-                {"label": m.label, "left": m.left, "right": m.right,
-                 "ratio": m.ratio}
-                for m in self.members
-            ],
-        }
+        payload = dataclasses.asdict(self)
+        for row, member in zip(payload["members"], self.members):
+            row["ratio"] = member.ratio
+        return payload | {"band": list(self.band), "spread": self.spread}
 
 
 @dataclass(frozen=True)

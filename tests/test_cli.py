@@ -10,6 +10,7 @@ one is on ``PATH``. Verify subsets use the default N=256 battery, which
 
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -249,6 +250,15 @@ class TestNormCommand:
             assert code == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["result"]["value"] > 0
+
+    def test_q_on_2d_n128_corpus_member(self, tmp_path, capsys):
+        out = tmp_path / "corpus2d"
+        assert main(["corpus", "--dims", "2", "--grid", "128", "--out", str(out)]) == 0
+        capsys.readouterr()
+        member = out / "member_00_frac_noise.bin"
+        assert main(["norm", "--norm", "q", "--alpha", "0.5", "--input", str(member)]) == 0
+        value = json.loads(capsys.readouterr().out)["result"]["value"]
+        assert math.isfinite(value) and value > 0
 
 
 class TestNormRegistry:

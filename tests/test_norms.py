@@ -21,13 +21,13 @@ from scipy.special import gammainc
 
 import toruslab.norms as norms_module
 from toruslab.extensions import (
+    CHUNK_POINTS,
     TimeMesh,
     build_stack,
     frac_lift_spectral,
     zero_time_gradient_square,
 )
 from toruslab.norms import (
-    PAIR_MATRIX_BYTES,
     BoxFamily,
     NORMS,
     NormResult,
@@ -54,7 +54,6 @@ from toruslab.norms import (
     _ball_mask,
     _ball_spectra,
     _running_sums,
-    _pair_weights,
     _sup_over_family,
 )
 from toruslab.spectral import (
@@ -146,7 +145,8 @@ class TestBruteForce:
                 dist_sq = sum((min_image(di, n) * grid.spacing) ** 2 for di in d)
                 if dist_sq < radius**2:
                     offsets.append(d)
-            for c in np.ndindex(*grid.shape):
+            for c in np.ndindex(*boxes.center_view(g).shape):
+                c = tuple(ci * boxes.stride for ci in c)
                 total = 0.0
                 vals = [
                     g[tuple((ci + di) % n for ci, di in zip(c, d))] for d in offsets
@@ -216,6 +216,25 @@ class TestBruteForce:
         got = q_norm(f, 0.5, boxes).value
         want = self.brute_q(f, 0.5, boxes)
         assert got == pytest.approx(want, rel=1e-10)
+
+    def test_q_matches_direct_sum_3d(self):
+        # N=4, radius 1/2: a 27-point ball whose pair offsets wrap the torus
+        grid = TorusGrid(dims=3, size=4, length=1.0)
+        f = random_field(grid, seed=17)
+        boxes = BoxFamily.default(grid)
+        got = q_norm(f, 0.5, boxes).value
+        want = self.brute_q(f, 0.5, boxes)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("dims,size", [(1, 32), (2, 16)])
+    def test_q_matches_direct_sum_strided(self, dims, size):
+        grid = TorusGrid(dims=dims, size=size, length=1.0)
+        f = random_field(grid, seed=18)
+        boxes = BoxFamily.default(grid, stride=2)
+        got = q_norm(f, 0.25, boxes)
+        want = self.brute_q(f, 0.25, boxes)
+        assert got.value == pytest.approx(want, rel=1e-10)
+        assert all(c % 2 == 0 for c in got.arg_center)
 
 
 # --- structural properties of the trace norms ---
@@ -315,35 +334,37 @@ class TestTraceNormProperties:
 
 
 class TestQMemoryGuard:
-    """q_norm refuses, before allocating, a ball-pair matrix over the cap."""
+    """q_norm holds a few center blocks and grid fields, never a pair matrix."""
 
-    def test_2d_n128_refused_up_front(self):
+    def test_2d_n128_evaluates_in_chunk_memory(self):
+        # A dense pair matrix for the radius-1/2 ball would take 1.3 GB here.
+        # 1024 strided centers in blocks of CHUNK_POINTS / N^2 = 8; a block's
+        # live arrays are at most five chunk-sized floats (the gathered
+        # windows and their masked copy, the complex half spectrum, and its
+        # squared modulus or the transform's intermediate). Beside them: the
+        # six kernel ball sums (complex), the six per-radius outputs, the
+        # wrapped field ((2N-1)^2 floats) and four grid fields (the field,
+        # the kernel, its half spectrum and rho).
         grid = TorusGrid(dims=2, size=128, length=1.0)
         f = random_field(grid, seed=5)
         boxes = BoxFamily.default(grid)
+        want = q_norm(f, 0.5, boxes)  # fills the ball caches
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError) as err:
-                q_norm(f, 0.5, boxes)
+            got = q_norm(f, 0.5, boxes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the dense matrix would be ~1.3 GB; refusing costs a few masks
-        assert peak < 8 * 2**20
-        points = int(_ball_mask(grid, boxes.j_values[0]).sum())
-        message = str(err.value)
-        assert "2-D N=128" in message
-        assert f"radius {boxes.radii[0]}" in message
-        assert f"{8 * points**2} byte" in message
-        assert 8 * points**2 > PAIR_MATRIX_BYTES
+        assert got == want and math.isfinite(got.value) and got.value > 0
+        radii = len(boxes.j_values)
+        field = 8 * grid.point_count
+        wrapped = 8 * (2 * grid.size - 1) ** 2
+        assert peak < 5 * 8 * CHUNK_POINTS + 3 * radii * field + wrapped + 4 * field
 
     @pytest.mark.parametrize("dims,size", [(1, 512), (2, 64)])
     def test_largest_grids_under_the_cap_evaluate(self, dims, size):
         grid = TorusGrid(dims=dims, size=size, length=1.0)
-        try:
-            res = q_norm(random_field(grid, seed=6), 0.5, BoxFamily.default(grid))
-        finally:
-            _pair_weights.cache_clear()  # ~80 MB of matrices at 2-D N=64
+        res = q_norm(random_field(grid, seed=6), 0.5, BoxFamily.default(grid))
         assert math.isfinite(res.value) and res.value > 0
 
 
@@ -1009,6 +1030,24 @@ class TestRunningSums:
         assert got == want
         gradient_square = stack.node_count * grid.point_count * 8
         assert peak < gradient_square + 8 * grid.point_count * 16
+
+    def test_full_gradient_walk_keeps_one_node_array(self):
+        # As above for h: |grad_x u|^2 is one (nodes, N^3) array and d_t u
+        # is squared into it by row chunks, one float chunk (8 * CHUNK_POINTS)
+        # at a time; squaring grad_t whole would add a second node array.
+        grid = TorusGrid(3, 16)
+        boxes = BoxFamily.default(grid)
+        stack = NORMS["h"].argument(random_field(grid, seed=3))
+        want = h_alpha2_norm(stack, 0.25, boxes)  # fills the ball caches
+        tracemalloc.start()
+        try:
+            got = h_alpha2_norm(stack, 0.25, boxes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        gradient_square = stack.node_count * grid.point_count * 8
+        assert peak < gradient_square + 8 * CHUNK_POINTS + 8 * grid.point_count * 16
 
     def test_inverse_space_stops_at_the_largest_cut(self, monkeypatch):
         # horizon 0.02 keeps only r = 1/8, whose cut is 128 of the 160 nodes;
