@@ -48,6 +48,7 @@ from .verify import (
     Workspace,
     check_inclusions,
     check_scaling,
+    prepare,
     run_check,
     write_reports,
 )
@@ -299,7 +300,7 @@ def cmd_norm(config: RunConfig) -> int:
     boxes = config.box_family(f.grid)
     spec = NORMS[opts["norm"]]
     horizon = opts.get("horizon")
-    result = spec.evaluate(spec.argument(f), alpha, boxes,
+    result = spec.evaluate(spec.argument(f, boxes), alpha, boxes,
                            math.inf if horizon is None else horizon)
     payload = {
         "norm": opts["norm"],
@@ -339,11 +340,12 @@ def _verify_reports(config: RunConfig, ws: Workspace, boxes: BoxFamily) -> list:
     # one sweep per table row, or per shared sweep name, in table order
     sweeps = {c.name: c.levels for c in CHECKS
               if c.group != "inclusions" and want(c.group)}
-    reports: list = []
-    for name, over in sweeps.items():
-        reports += [run_check(ws, name, x, refine=refine) for x in levels[over]]
-    if want("inclusions"):
-        reports += [check_inclusions(ws, b, refine=refine) for b in levels["beta"]]
+    rows = [(name, x) for name, over in sweeps.items() for x in levels[over]]
+    betas = levels["beta"] if want("inclusions") else ()
+    # every value the reports read, member by member, before any report
+    prepare(ws, rows, betas, refine=refine)
+    reports: list = [run_check(ws, name, x, refine=refine) for name, x in rows]
+    reports += [check_inclusions(ws, b, refine=refine) for b in betas]
     if want("scaling"):
         for a in levels["alpha"]:
             f = _scaling_field(a, ws.grid, config.seed)

@@ -199,7 +199,8 @@ def _ball_correlate(arr: np.ndarray, grid: TorusGrid, js: Sequence[int]) -> np.n
     """
     axes = tuple(range(-grid.dims, 0))
     spectrum = np.fft.fftn(arr, axes=axes) * _ball_spectra(grid, tuple(js))
-    return np.fft.ifftn(spectrum, axes=axes).real
+    # a copy, so no caller keeps the complex transform alive through a view
+    return np.fft.ifftn(spectrum, axes=axes).real.copy()
 
 
 def _sup_over_family(
@@ -207,27 +208,29 @@ def _sup_over_family(
     per_radius_values: list[tuple[float, np.ndarray]],
     mean_removed: float,
 ) -> NormResult:
-    """Max of sqrt(value^2 arrays) over strided centers and radii."""
-    best_sq = -np.inf
-    best_center: tuple[int, ...] | None = None
-    best_radius: float | None = None
-    table = []
-    for radius, vals_sq in per_radius_values:
-        view = boxes.center_view(vals_sq)
-        flat = int(np.argmax(view))
-        local = float(view.flat[flat])
-        table.append((radius, math.sqrt(max(local, 0.0))))
-        if local > best_sq:
-            best_sq = local
-            best_center = boxes.center_index(flat, view.shape)
-            best_radius = radius
-    value = math.sqrt(max(best_sq, 0.0))
+    """Max of sqrt(value^2 arrays) over strided centers and radii.
+
+    The box reported is the first center in lattice order, then the first
+    radius, among those whose value lies within 1e-12 relative of the max,
+    so symmetric centers that tie up to roundoff are not told apart by it.
+    """
+    views = [(radius, boxes.center_view(vals_sq)) for radius, vals_sq in per_radius_values]
+    peaks = [float(view.max()) for _, view in views]
+    table = tuple((radius, math.sqrt(max(peak, 0.0))) for (radius, _), peak in zip(views, peaks))
+    if not views:
+        return NormResult(value=0.0, arg_center=None, arg_radius=None,
+                          mean_removed=mean_removed)
+    best_sq = max(peaks)
+    near = max(best_sq, 0.0) * (1.0 - 1e-12) ** 2
+    # argmax of a boolean view is its first True in lattice order
+    flat, i = min((int(np.argmax(view >= near)), i)
+                  for i, (_, view) in enumerate(views) if peaks[i] >= near)
     return NormResult(
-        value=value,
-        arg_center=best_center,
-        arg_radius=best_radius,
+        value=math.sqrt(max(best_sq, 0.0)),
+        arg_center=boxes.center_index(flat, views[i][1].shape),
+        arg_radius=views[i][0],
         mean_removed=mean_removed,
-        per_box_table=tuple(table),
+        per_box_table=table,
     )
 
 
@@ -367,6 +370,23 @@ def default_linear_mesh(grid: TorusGrid) -> TimeMesh:
 def default_parabolic_mesh(grid: TorusGrid) -> TimeMesh:
     """Mesh for height-r^2 boxes: top (L/2)^2."""
     return TimeMesh(top=(grid.length / 2.0) ** 2)
+
+
+def _default_mesh(grid: TorusGrid, kind: str) -> TimeMesh:
+    """The mesh of a stack kind's box height: r for Poisson, r^2 for heat."""
+    return default_linear_mesh(grid) if kind == "poisson" else default_parabolic_mesh(grid)
+
+
+def check_box_heights(boxes: BoxFamily, kind: str) -> None:
+    """Refuse, before any stack is built, a family with a box height below
+    the floor of the default mesh of a stack ``kind`` (trace norms build
+    none). The heat stack's linear-height dagger norm needs no check of its
+    own: its floor lies below every r whose r^2 fits the heat mesh."""
+    if kind == "trace":
+        return
+    mesh = _default_mesh(boxes.grid, kind)
+    for r in boxes.radii:
+        mesh.aligned_cut(r if kind == "poisson" else r * r)
 
 
 def _carleson_box_norm(
@@ -678,11 +698,12 @@ class Norm:
     @staticmethod
     def extension(f: Field, kind: str) -> ExtensionStack:
         """Stack of a mean-zero trace on the default mesh of its box height."""
-        mesh = (default_linear_mesh(f.grid) if kind == "poisson"
-                else default_parabolic_mesh(f.grid))
-        return build_stack(f, kind, mesh)
+        return build_stack(f, kind, _default_mesh(f.grid, kind))
 
-    def argument(self, f: Field) -> Field | ExtensionStack:
+    def argument(self, f: Field, boxes: BoxFamily) -> Field | ExtensionStack:
+        """The input this norm takes on the family ``boxes``: the field, or its
+        stack, built only once every box height is known to fit the mesh."""
+        check_box_heights(boxes, self.kind)
         return f if self.kind == "trace" else self.extension(f, self.kind)
 
     def value(self, x, alpha: float, boxes: BoxFamily, horizon: float = math.inf) -> float:

@@ -348,13 +348,6 @@ class NSTrace:
             out[...] = self._symbols.to_grid(coeff)
         return TimeSeries(self.grid, self.times, values)
 
-    def _velocity(self, coeff: np.ndarray) -> VelocityField:
-        return VelocityField(self.grid, tuple(
-            Field(self.grid, u) for u in self._symbols.to_grid(coeff)))
-
-    def final(self) -> VelocityField:
-        return self._velocity(self.coefficients[-1])
-
 
 class _Symbols:
     """Per-grid spectral machinery on the kept block (module docstring)."""
@@ -602,19 +595,6 @@ def step_ifrk4(
     return NSTrace(grid, times, stored, config)
 
 
-def trace_difference(a: NSTrace, b: NSTrace) -> float:
-    """Max over shared nodes of the relative L2 velocity difference."""
-    if a.grid != b.grid:
-        raise ValueError("traces live on different grids")
-    if a.times.size != b.times.size or not np.allclose(
-        a.times, b.times, rtol=1e-12, atol=0.0
-    ):
-        raise ValueError("traces store different time nodes")
-    sym = _Symbols(a.grid)
-    return max(_relative_l2(sym.power(x - y), sym.power(y))
-               for x, y in zip(a.coefficients, b.coefficients))
-
-
 def export_trace(trace: NSTrace, directory) -> "Path":
     """Per-node component binaries plus a manifest describing the run.
 
@@ -681,43 +661,6 @@ def solution_x_norm(
 ) -> float:
     """Componentwise sum of the solution-space norms over the trace."""
     return sum(r.value for r in solution_x_report(trace, alpha, horizon, boxes))
-
-
-def scaling_defect(
-    a: VelocityField,
-    horizon: float,
-    nodes: int = 64,
-    lam: int = 2,
-) -> float:
-    """Deviation from the scaling symmetry u -> lam u(lam x, lam^2 t).
-
-    Solves from a over [0, horizon] and from lam*a(lam .) over
-    [0, horizon/lam^2] on the same grid and node count, then compares
-    node i of the second run against the rescaled node i of the first.
-    Exact on the continuum; on the lattice limited by the dealiasing cut
-    acting at different physical frequencies for the two runs.
-    """
-    from .verify import lattice_rescale
-
-    rescaled = tuple(
-        lattice_rescale(c, lam).scaled(float(lam)) for c in a.components
-    )
-    a_lam = VelocityField(a.grid, rescaled)
-    coarse = mild_solve_picard(a, horizon, nodes=nodes)
-    fine = mild_solve_picard(a_lam, horizon / lam**2, nodes=nodes)
-    if not (coarse.converged and fine.converged):
-        raise ValueError("scaling check requires both runs to contract")
-    sym = _Symbols(a.grid)
-    worst = 0.0
-    for i in range(nodes):
-        want = np.stack([
-            float(lam) * lattice_rescale(Field(a.grid, c), lam).samples
-            for c in sym.to_grid(coarse.coefficients[i])
-        ])
-        got = sym.to_grid(fine.coefficients[i])
-        worst = max(worst, _relative_l2(float(np.sum((got - want) ** 2)),
-                                        float(np.sum(want**2))))
-    return worst
 
 
 # --- probes ---

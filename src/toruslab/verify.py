@@ -16,14 +16,14 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .corpus import CorpusSpec, generate
 from .extensions import ExtensionStack, gradient_bound_ratio
 from .fieldio import write_csv, write_json
-from .norms import NORMS, BoxFamily, Norm, scaled_h_norm
+from .norms import NORMS, BoxFamily, Norm, check_box_heights, scaled_h_norm
 from .spectral import Field, TorusGrid
 
 DEGENERATE_RTOL = 1e-13
@@ -148,13 +148,33 @@ class InclusionReport:
         }
 
 
-class Workspace:
-    """Corpus fields, extension stacks, and norm values cached per grid.
+# Ops the value table holds besides the registry norms, with the input each
+# is evaluated on: the unit right side, the empirical gradient constant, and
+# the weight-monotone test of the inclusion chains.
+_TABLE_OPS = {"one": "trace", "grad_constant": "poisson", "weight_monotone": "poisson"}
 
-    Norm values are memoized so that the five-alpha sweeps and the
-    inclusion chains never rebuild a stack or recompute a shared side.
-    Member evaluation runs on a thread pool; results are folded in corpus
-    order, so reports are deterministic.
+
+def _op_kind(op: str) -> str:
+    """The input an op is evaluated on: "trace", "poisson" or "heat"."""
+    if op in _TABLE_OPS:
+        return _TABLE_OPS[op]
+    if op not in NORMS:
+        raise ValueError(f"unknown norm op {op!r}")
+    return NORMS[op].kind
+
+
+class Workspace:
+    """Corpus fields and a table of norm values on one grid.
+
+    The table maps (op, member, level) to a value. It is filled from a plan
+    that names each member's (op, level) pairs before any work starts, with
+    one pool task per member and input: the Poisson ops on one Poisson
+    stack of the member, the heat ops on one heat stack, and the trace ops
+    on the field. A task builds its stack and drops it when it ends, so a
+    worker holds at most one base stack (and a transient fractional lift)
+    and no stack outlives its task. A lookup that misses plans just the
+    missing key and runs it the same way. Reports read the table in corpus
+    order, so they are deterministic.
     """
 
     def __init__(
@@ -172,7 +192,6 @@ class Workspace:
         self.threads = threads if threads else min(4, os.cpu_count() or 1)
         self._lock = threading.Lock()
         self._fields: dict[str, Field | None] = {}
-        self._stacks: dict[tuple[str, str], ExtensionStack] = {}
         self._values: dict[tuple, float] = {}
         self._refined: "Workspace | None" = None
 
@@ -203,58 +222,84 @@ class Workspace:
         return tuple(usable), tuple(skipped)
 
     def stack(self, label: str, kind: str) -> ExtensionStack:
-        key = (label, kind)
-        with self._lock:
-            if key in self._stacks:
-                return self._stacks[key]
+        """A new stack of the member; the workspace keeps none."""
         f = self.field(label)
         if f is None:
             raise ValueError(f"degenerate member {label!r} has no extension")
-        stack = Norm.extension(f, kind)
-        with self._lock:
-            self._stacks.setdefault(key, stack)
-        return stack
+        return Norm.extension(f, kind)
 
-    # -- cached norm values --
+    # -- the value table --
 
     def norm(self, op: str, label: str, alpha: float = 0.0) -> float:
+        """The value of ``op`` on the member at level ``alpha``, evaluated
+        through a plan of its own on a miss."""
         key = (op, label, round(alpha, 12))
         with self._lock:
             if key in self._values:
                 return self._values[key]
-        value = self._compute(op, label, alpha)
+        self.run({label: [(op, alpha)]})
         with self._lock:
-            self._values.setdefault(key, value)
-        return value
-
-    def _compute(self, op: str, label: str, alpha: float) -> float:
-        if op == "grad_constant":
-            stack = self.stack(label, "poisson")
-            h = self.norm("h", label, alpha)
-            return gradient_bound_ratio(stack, alpha, h)
-        if op == "one":
-            return 1.0
-        if op not in NORMS:
-            raise ValueError(f"unknown norm op {op!r}")
-        spec = NORMS[op]
-        x = self.field(label) if spec.kind == "trace" else self.stack(label, spec.kind)
-        return spec.value(x, alpha, self.boxes)
+            return self._values[key]
 
     def evaluate(self, op_pairs: tuple[tuple[str, float], tuple[str, float]]):
-        """Member -> (left, right) for an op pair, in parallel, corpus order."""
+        """Member -> (left, right) for an op pair, in corpus order. The values
+        the table lacks are evaluated first, on the pool."""
         (left_op, left_a), (right_op, right_a) = op_pairs
         usable, skipped = self.split_members()
-
-        def one(label: str) -> MemberRatio:
-            return MemberRatio(
-                label=label,
-                left=self.norm(left_op, label, left_a),
-                right=self.norm(right_op, label, right_a),
-            )
-
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            members = tuple(pool.map(one, usable))
+        self.run({label: op_pairs for label in usable})
+        members = tuple(
+            MemberRatio(label=label, left=self.norm(left_op, label, left_a),
+                        right=self.norm(right_op, label, right_a))
+            for label in usable
+        )
         return members, skipped
+
+    def run(self, plan: dict[str, list[tuple[str, float]]]) -> None:
+        """Evaluate the planned (op, level) pairs of each member that the
+        table lacks."""
+        _run_tasks(self._tasks(plan), self.threads)
+
+    def _tasks(self, plan: dict[str, list[tuple[str, float]]]
+               ) -> list[tuple["Workspace", str, str, dict]]:
+        """(workspace, member, input kind, {(op, level key): level}) for each
+        member and kind with keys the table lacks. Every op and box height
+        is checked here, before any work."""
+        tasks, kinds = [], set()
+        for label, pairs in plan.items():
+            todo: dict[tuple[str, float], float] = {}
+            for op, alpha in pairs:
+                kinds.add(_op_kind(op))
+                if op == "grad_constant":  # reads h at its level, so h goes first
+                    todo.setdefault(("h", round(alpha, 12)), alpha)
+                todo.setdefault((op, round(alpha, 12)), alpha)
+            with self._lock:
+                todo = {key: alpha for key, alpha in todo.items()
+                        if (key[0], label, key[1]) not in self._values}
+            for kind in ("poisson", "heat", "trace"):
+                part = {key: alpha for key, alpha in todo.items() if _op_kind(key[0]) == kind}
+                if part:
+                    tasks.append((self, label, kind, part))
+        for kind in sorted(kinds):
+            check_box_heights(self.boxes, kind)
+        return tasks
+
+    def _task(self, label: str, kind: str, todo: dict[tuple[str, float], float]) -> None:
+        """Evaluate one member's ops of one input kind: on the field, or on a
+        stack built here and dropped when the task returns."""
+        x = self.field(label) if kind == "trace" else self.stack(label, kind)
+        if x is None:
+            raise ValueError(f"degenerate member {label!r} has no norm values")
+        for (op, level), alpha in todo.items():
+            if op == "one":
+                value = 1.0
+            elif op == "grad_constant":
+                value = gradient_bound_ratio(x, alpha, self._values[("h", label, level)])
+            elif op == "weight_monotone":
+                value = _weight_monotone_exact(x, alpha, self.boxes)
+            else:
+                value = NORMS[op].value(x, alpha, self.boxes)
+            with self._lock:
+                self._values.setdefault((op, label, level), value)
 
     def refined(self) -> "Workspace":
         """Same corpus on the 2N grid; same physical boxes (stride doubled)."""
@@ -271,6 +316,18 @@ class Workspace:
                 self.specs, grid2, boxes2, threads=self.threads
             )
         return self._refined
+
+
+def _run_tasks(tasks: list[tuple[Workspace, str, str, dict]], threads: int) -> None:
+    """Run member tasks on one pool of ``threads`` workers; every task's
+    values land in its workspace's table."""
+    if not tasks:
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(ws._task, label, kind, todo)
+                   for ws, label, kind, todo in tasks]
+        for future in futures:
+            future.result()
 
 
 def _band_drift(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -355,18 +412,46 @@ CHECKS = (
 )
 
 
-def run_check(ws: Workspace, name: str, level: float,
-              refine: bool = True) -> EquivalenceReport:
-    """The report of the table row called ``name`` (its theorem id or its
-    sweep name) whose domain holds ``level``; with ``refine``, its band
-    drift on the doubled grid."""
+def _row(name: str, level: float) -> Check:
+    """The table row called ``name`` (its theorem id or its sweep name)
+    whose domain holds ``level``."""
     rows = [c for c in CHECKS if name in (c.theorem, c.sweep)]
     if not rows:
         raise ValueError(f"unknown check {name!r}")
     fits = [c for c in rows if c.admits(level)]
     if not fits:
         raise ValueError(f"check {name!r} is not defined at {rows[0].levels} {level}")
-    check = fits[0]
+    return fits[0]
+
+
+def prepare(ws: Workspace, rows: Iterable[tuple[str, float]],
+            betas: Sequence[float] = (), refine: bool = True) -> None:
+    """Evaluate every value the reports of ``rows``, (check name, level)
+    pairs, and the inclusion chains at ``betas`` read, member by member, on
+    ``ws`` and, with ``refine``, on its refinement. Every row, op and box
+    height of both grids is checked before any work starts, and one pool
+    runs the member tasks of both grids."""
+    rows = list(rows) + [(c.theorem, b) for b in betas
+                         for c in CHECKS if c.group == "inclusions"]
+    pairs = [pair for name, level in rows for pair in _row(name, level).pair(level)]
+    usable, _ = ws.split_members()
+    plan = {label: pairs for label in usable}
+    if usable:  # the weight-monotone test reads the first usable member
+        plan[usable[0]] = pairs + [("weight_monotone", b) for b in betas]
+    tasks = ws._tasks(plan)
+    if refine:
+        fine = ws.refined()
+        # the larger grid's tasks first, so the pool's tail is a short task
+        tasks = fine._tasks({label: pairs for label in fine.split_members()[0]}) + tasks
+    _run_tasks(tasks, ws.threads)
+
+
+def run_check(ws: Workspace, name: str, level: float,
+              refine: bool = True) -> EquivalenceReport:
+    """The report of the table row called ``name`` (its theorem id or its
+    sweep name) whose domain holds ``level``; with ``refine``, its band
+    drift on the doubled grid."""
+    check = _row(name, level)
     pair = check.pair(level)
     flags = dict(theorem=check.theorem, alpha=level,
                  enforce_spread=check.enforce_spread,
@@ -382,22 +467,22 @@ def run_check(ws: Workspace, name: str, level: float,
 
 
 def check_inclusions(ws: Workspace, beta: float, refine: bool = True) -> InclusionReport:
-    """The table's inclusion links at level beta, and the weight-monotone test."""
+    """The table's inclusion links at level beta, and the weight-monotone
+    test on the first usable member."""
     links = tuple(run_check(ws, c.theorem, beta, refine)
                   for c in CHECKS if c.group == "inclusions")
+    usable, _ = ws.split_members()
     return InclusionReport(
         beta=beta, links=links,
-        weight_monotone_ok=_weight_monotone_exact(ws, beta),
+        weight_monotone_ok=ws.norm("weight_monotone", usable[0], beta),
     )
 
 
-def _weight_monotone_exact(ws: Workspace, beta: float) -> bool:
+def _weight_monotone_exact(stack: ExtensionStack, beta: float, boxes: BoxFamily) -> bool:
     """Per-radius box values of the scaling-invariant norm must decrease
-    as the weight exponent grows: exact inequality, first usable member."""
-    usable, _ = ws.split_members()
-    stack = ws.stack(usable[0], "poisson")
+    as the weight exponent grows: exact inequality."""
     tables = [
-        scaled_h_norm(stack, a, ws.boxes).per_box_table
+        scaled_h_norm(stack, a, boxes).per_box_table
         for a in (-beta, 0.0, beta)
     ]
     for lower, higher in zip(tables[1:], tables):
@@ -442,7 +527,7 @@ def check_scaling(
     g_lam = lattice_rescale(g, lam)
 
     def value(h: Field) -> float:
-        return spec.value(spec.argument(h), alpha, boxes)
+        return spec.value(spec.argument(h, boxes), alpha, boxes)
 
     if norm_id == "inverse":
         g_lam = g_lam.scaled(float(lam))

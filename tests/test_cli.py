@@ -195,6 +195,25 @@ class TestNormCommand:
         assert code == 2
         assert "below the mesh floor 2.38419e-07" in capsys.readouterr().err
 
+    def test_stack_norm_below_mesh_floor_refused_before_any_stack(
+            self, tmp_path, capsys, monkeypatch):
+        # the j=12 box height r^2 = 2^-24 is under the heat mesh floor 2^-22,
+        # so t refuses the family before a 99 MB heat stack is built
+        import toruslab.extensions
+        import toruslab.norms
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_stack called")
+
+        monkeypatch.setattr(toruslab.extensions, "build_stack", refuse)
+        monkeypatch.setattr(toruslab.norms, "build_stack", refuse)
+        grid = TorusGrid(dims=1, size=8192, length=1.0)
+        path = tmp_path / "fine.bin"
+        write_field(Field(grid, np.cos(2 * np.pi * grid.coordinates()[0])), path)
+        code = main(["norm", "--norm", "t", "--grid", "8192", "--input", str(path)])
+        assert code == 2
+        assert "below the mesh floor 2.38419e-07" in capsys.readouterr().err
+
     def test_out_directory_written(self, mode_file, tmp_path, capsys):
         out = tmp_path / "report"
         code = main([

@@ -32,17 +32,17 @@ from toruslab.ns3d import (
     make_divergence_free,
     mild_solve_picard,
     random_divergence_free,
-    scaling_defect,
     shear_modes,
     smalldata_probe,
     solution_x_norm,
     solution_x_report,
     step_ifrk4,
     taylor_green,
-    trace_difference,
 )
 from toruslab.spectral import Field, TorusGrid
 from toruslab.verify import lattice_rescale
+
+from flow_oracles import final_velocity, scaling_defect, trace_difference, velocity
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ def shear_y(grid: TorusGrid, amplitude: float = 1.0) -> VelocityField:
 
 def snapshots(trace: NSTrace) -> list[VelocityField]:
     """Every node of a trace as a VelocityField on the grid."""
-    return [trace._velocity(c) for c in trace.coefficients]
+    return [velocity(trace, c) for c in trace.coefficients]
 
 
 def crop(grid: TorusGrid, full: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ class TestHalfSpectrumOracles:
         assert trace.converged and len(residuals) > 2
         assert len(trace.residuals) == len(residuals)
         np.testing.assert_allclose(trace.residuals, residuals, rtol=0.0, atol=1e-14)
-        got = np.stack([c.samples for c in trace.final().components])
+        got = np.stack([c.samples for c in final_velocity(trace).components])
         assert np.max(np.abs(got - final)) <= 1e-13 * np.max(np.abs(final))
 
     def test_shell_fraction_matches_full_spectrum(self, g16):
@@ -355,7 +355,7 @@ class TestHeatFlow:
         trace = mild_solve_picard(zero, 0.1, nodes=32)
         assert trace.converged
         assert trace.residuals == (0.0,)
-        assert trace.final().max_abs() == 0.0
+        assert final_velocity(trace).max_abs() == 0.0
 
 
 class TestSolvers:
@@ -367,7 +367,7 @@ class TestSolvers:
         assert trace.converged
         assert len(trace.residuals) == 1
         decay = math.exp(-8.0 * np.pi**2 * horizon)
-        for got, want in zip(trace.final().components, v.components):
+        for got, want in zip(final_velocity(trace).components, v.components):
             np.testing.assert_allclose(got.samples, decay * want.samples, atol=1e-14)
 
     def test_picard_matches_ifrk4(self, rand16):
@@ -383,7 +383,7 @@ class TestSolvers:
         for nodes in (32, 64, 256):
             trace = mild_solve_picard(v, 0.1, nodes=nodes)
             assert trace.converged
-            ends[nodes] = np.stack([c.samples for c in trace.final().components])
+            ends[nodes] = np.stack([c.samples for c in final_velocity(trace).components])
         ref = float(np.linalg.norm(ends[256]))
         d32 = float(np.linalg.norm(ends[32] - ends[256])) / ref
         d64 = float(np.linalg.norm(ends[64] - ends[256])) / ref
@@ -416,7 +416,7 @@ class TestSolvers:
         assert not trace.converged
         assert len(trace.residuals) == 4
         assert all(math.isfinite(r) for r in trace.residuals)
-        assert math.isfinite(trace.final().energy())
+        assert math.isfinite(final_velocity(trace).energy())
 
     def test_solver_argument_validation(self, g16, rand16):
         with pytest.raises(ValueError, match="horizon"):

@@ -3,15 +3,24 @@
 The norm functions themselves are oracled in test_norms.py, so these tests
 focus on the harness contract: report invariants, determinism, skip
 handling, scaling exponents on fields whose maximizing ball stays interior
-and lattice-resolved, and the emitted files.
+and lattice-resolved, the emitted files, and the evaluation plan: how many
+stacks it builds and how long each lives.
 """
 
+import collections
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import toruslab
 from toruslab.corpus import CorpusSpec, generate
 from toruslab.norms import NORMS, BoxFamily
 from toruslab.spectral import TorusGrid
@@ -25,6 +34,7 @@ from toruslab.verify import (
     check_inclusions,
     check_scaling,
     lattice_rescale,
+    prepare,
     run_check,
     write_reports,
 )
@@ -183,6 +193,145 @@ class TestWorkspace:
         other = TorusGrid(dims=1, size=128, length=1.0)
         with pytest.raises(ValueError):
             Workspace(small_specs(), grid, boxes=BoxFamily.default(other))
+
+
+class StackCensus:
+    """Counts the base stacks a Workspace builds, per (grid size, member,
+    kind), and the most alive at any one time, through weak references."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.built: collections.Counter = collections.Counter()
+        self.alive = self.peak = 0
+        self._lock = threading.Lock()
+        build = Workspace.stack
+
+        def stack(ws, label, kind):
+            out = build(ws, label, kind)
+            with self._lock:
+                self.built[(ws.grid.size, label, kind)] += 1
+                self.alive += 1
+                self.peak = max(self.peak, self.alive)
+            weakref.finalize(out, self._release)
+            return out
+
+        monkeypatch.setattr(Workspace, "stack", stack)
+
+    def _release(self) -> None:
+        with self._lock:
+            self.alive -= 1
+
+
+def all_rows(alphas=(-0.25, 0.25), betas=(0.5,)) -> list[tuple[str, float]]:
+    """(check name, level) for every sweep of the table, as the CLI runs them."""
+    sweeps = {c.name: c.levels for c in CHECKS if c.group != "inclusions"}
+    levels = {"alpha": alphas, "beta": betas}
+    return [(name, x) for name, over in sweeps.items() for x in levels[over]]
+
+
+class TestPlan:
+    """prepare() evaluates every report's values member by member: each base
+    stack is built once per grid and lives for one member task."""
+
+    def test_each_base_stack_built_once_per_grid(self, grid, monkeypatch) -> None:
+        census = StackCensus(monkeypatch)
+        space = Workspace(small_specs(), grid, threads=2)
+        rows = all_rows()
+        prepare(space, rows, betas=(0.5,), refine=True)
+        for name, level in rows:
+            run_check(space, name, level, refine=True)
+        check_inclusions(space, 0.5, refine=True)
+        labels = [spec.label() for spec in small_specs()]
+        assert set(census.built) == {(size, label, kind) for size in (64, 128)
+                                     for label in labels for kind in ("poisson", "heat")}
+        assert set(census.built.values()) == {1}
+
+    def test_live_base_stacks_bounded_by_threads(self, grid, monkeypatch) -> None:
+        census = StackCensus(monkeypatch)
+        prepare(Workspace(small_specs(), grid, threads=2), all_rows(),
+                betas=(0.5,), refine=True)
+        assert sum(census.built.values()) == 4 * len(small_specs())
+        assert 1 <= census.peak <= 2
+        assert census.alive == 0
+
+    def test_reports_match_check_by_check_evaluation(self, grid) -> None:
+        rows = all_rows()
+        planned = Workspace(small_specs(), grid, threads=2)
+        prepare(planned, rows, betas=(0.5,), refine=False)
+        bare = Workspace(small_specs(), grid, threads=1)
+        for name, level in rows:
+            assert (run_check(planned, name, level, refine=False).to_payload()
+                    == run_check(bare, name, level, refine=False).to_payload())
+        assert (check_inclusions(planned, 0.5, refine=False).to_payload()
+                == check_inclusions(bare, 0.5, refine=False).to_payload())
+
+    def test_box_below_mesh_floor_refused_before_any_stack(self, monkeypatch) -> None:
+        # at N=8192 the j=12 box height r^2 = 2^-24 is under the heat mesh
+        # floor 2^-22, while every Poisson height r fits its mesh
+        census = StackCensus(monkeypatch)
+        space = Workspace(small_specs(), TorusGrid(dims=1, size=8192), threads=2)
+        with pytest.raises(ValueError, match="below the mesh floor"):
+            prepare(space, [("2.1", 0.25), ("4.1i", 0.25)], refine=False)
+        assert not census.built
+        assert not space._values
+
+    def test_unknown_op_refused_before_any_work(self, ws: Workspace) -> None:
+        with pytest.raises(ValueError, match="unknown norm op"):
+            ws.run({ws.labels[0]: [("h", 0.1), ("sobolev", 0.1)]})
+        assert ("h", ws.labels[0], 0.1) not in ws._values
+
+
+# A full `verify --theorem all` in a fresh interpreter that counts every
+# build_stack call (base stacks and fractional lifts) and reports its own
+# peak RSS. That is VmHWM, the high-water mark of the interpreter's own
+# address space: ru_maxrss would also hold the RSS its parent had when it
+# forked (a child of a 320 MB process reads 332 MB there, 13.5 MB here).
+_FULL_RUN = """
+import json, sys
+from toruslab import extensions, norms
+from toruslab.cli import main
+calls = []
+def counted(build):
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+    return wrapper
+extensions.build_stack = counted(extensions.build_stack)
+norms.build_stack = counted(norms.build_stack)
+code = main(["verify", "--theorem", "all", "--out", sys.argv[1]])
+with open("/proc/self/status") as fh:
+    hwm = [int(line.split()[1]) for line in fh if line.startswith("VmHWM:")]
+print(json.dumps({"code": code, "builds": len(calls), "peak_kb": hwm[0] if hwm else None}))
+"""
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(toruslab.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = tmp_path_factory.mktemp("verify_all")
+    result = subprocess.run([sys.executable, "-c", _FULL_RUN, str(out)],
+                            capture_output=True, text=True, env=env, timeout=600)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+class TestFullRun:
+    def test_stack_builds_within_620(self, full_run) -> None:
+        # 20 members x 2 kinds x 2 grids base stacks, the star and dagger
+        # lifts, and the scaling rows' Poisson stacks
+        assert full_run["code"] == 0
+        assert full_run["builds"] <= 620
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="VmHWM is read from /proc")
+    def test_peak_rss_guard(self, full_run) -> None:
+        # a guard against stacks kept for the whole run (about 166 MB when
+        # every stack was cached); the run itself peaks near 56 MB
+        assert full_run["peak_kb"] is not None
+        assert full_run["peak_kb"] <= 90 * 1024
 
 
 class TestReportInvariants:
