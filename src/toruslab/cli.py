@@ -47,7 +47,7 @@ from .verify import (
     VerifyConfig,
     Workspace,
     check_inclusions,
-    check_scaling,
+    check_scaling_rows,
     prepare,
     run_check,
     write_reports,
@@ -347,13 +347,12 @@ def _verify_reports(config: RunConfig, ws: Workspace, boxes: BoxFamily) -> list:
     reports: list = [run_check(ws, name, x, refine=refine) for name, x in rows]
     reports += [check_inclusions(ws, b, refine=refine) for b in betas]
     if want("scaling"):
-        for a in levels["alpha"]:
-            f = _scaling_field(a, ws.grid, config.seed)
-            # at the -1/2 endpoint no periodic band-limited field can
-            # exhibit the trace exponent, so the row is report-only
-            enforce = a > -0.5
-            reports += [check_scaling(f, norm_id, a, boxes, enforce=enforce)
-                        for norm_id in SCALING_NORMS]
+        fields = {a: _scaling_field(a, ws.grid, config.seed) for a in levels["alpha"]}
+        # at the -1/2 endpoint no periodic band-limited field can exhibit
+        # the trace exponent, so the row is report-only
+        reports += check_scaling_rows(
+            [(fields[a], norm_id, a, a > -0.5) for a in levels["alpha"]
+             for norm_id in SCALING_NORMS], boxes, ws.threads)
     return reports
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -73,7 +73,8 @@ class TimeMesh:
     def node_count(self) -> int:
         return self.panels * self.nodes_per_panel
 
-    @cached_property
+    # keyed by the mesh's value, so equal meshes share one computation
+    @lru_cache(maxsize=64)
     def _nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         ref_x, ref_w = leggauss(self.nodes_per_panel)
         nodes = np.empty(self.node_count)
@@ -92,11 +93,11 @@ class TimeMesh:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self._nodes_weights[0]
+        return self._nodes_weights()[0]
 
     @property
     def weights(self) -> np.ndarray:
-        return self._nodes_weights[1]
+        return self._nodes_weights()[1]
 
     def aligned_cut(self, upper: float) -> int:
         """Node count covering (floor, upper] for upper = top*2^-m exactly."""
@@ -144,41 +145,59 @@ class ExtensionStack:
         return np.sqrt(self.gradient_square(full).reshape(self.node_count, -1).max(axis=1))
 
 
+def _half(arr: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The Hermitian half of a full-layout spectrum or symbol: the last axis
+    keeps its modes 0..N/2, the rest follow by symmetry (``rfftn`` layout)."""
+    return arr[..., : grid.size // 2 + 1]
+
+
+def _gradient_symbols(grid: TorusGrid, kind: str) -> list[np.ndarray]:
+    """Half-spectrum symbols of d/dt on the extension of ``kind``, then of
+    each d/dx_j."""
+    symbols = [-_half(extension_rate(grid, kind), grid)]  # refuses an unknown kind
+    return symbols + [2j * np.pi / grid.length * _half(grid.derivative_modes[j], grid)
+                      for j in range(grid.dims)]
+
+
 def _semigroup(trace: SpectralField, kind: str, times: np.ndarray,
                unit: int = 1) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, e^{-rate t} f_hat at t = times[rows]) per ``row_chunks`` chunk.
 
     The one holder of the chunk rule and of the extension rate of ``kind``.
-    It yields coefficients, not transforms, so no chunk outlives its turn.
+    Every trace is real, so the coefficients are the Hermitian half
+    spectrum (``_half``) that ``_inverse_rows`` takes. It yields
+    coefficients, not transforms, so no chunk outlives its turn.
     """
     grid = trace.grid
-    neg_rate = -extension_rate(grid, kind)  # refuses an unknown kind
+    neg_rate = -_half(extension_rate(grid, kind), grid)  # refuses an unknown kind
+    coeff = _half(trace.coefficients, grid)
     for rows in row_chunks(times.size, grid, unit):
         t = times[rows].reshape((-1,) + (1,) * grid.dims)
-        yield rows, np.exp(neg_rate * t) * trace.coefficients
+        yield rows, np.exp(neg_rate * t) * coeff
 
 
-def _inverse_rows(coeff: np.ndarray) -> np.ndarray:
-    """Real inverse FFT of each row of a (rows, *shape) stack. It is raw: deep heat
-    damping leaves roundoff-scale rows that the guarded transform would refuse."""
-    return np.fft.ifftn(coeff, axes=tuple(range(1, coeff.ndim)), norm="forward").real
+def _inverse_rows(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Real inverse FFT of each row of a (rows, *half shape) stack of half
+    spectra, shape (rows, *grid.shape). It is raw: deep heat damping leaves
+    roundoff-scale rows that the guarded transform would refuse."""
+    return np.fft.irfftn(coeff, s=grid.shape, axes=tuple(range(1, coeff.ndim)),
+                         norm="forward")
 
 
 def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
     """Evaluate the extension and its full gradient at every mesh node.
 
     Node chunks come from ``_semigroup``, the one holder of the chunk rule
-    and of e^{-rate t}: one inverse transform per chunk for each of
+    and of e^{-rate t}: one real inverse transform per chunk for each of
     ``values``, ``grad_t`` and every ``grad_x[:, j]``, copied into the
-    preallocated output. Besides the returned arrays and the per-mode
-    symbols, at most four complex chunk-sized temporaries are alive at
-    once: the chunk's coefficients, one symbol product, and the
-    transform's output with its per-axis intermediate.
+    preallocated output. The symbols are sliced to the half spectrum
+    before they act. Besides the returned arrays and the half-spectrum
+    symbols, the chunk temporaries alive at once are the chunk's half
+    coefficients, one symbol product, and the transform's complex
+    per-axis intermediates and real output.
     """
     grid = f.grid
-    # symbols of d/dt, then of each d/dx_j, acting on the coefficients
-    symbols = [-extension_rate(grid, kind)]  # refuses an unknown kind
-    symbols += [2j * np.pi / grid.length * grid.derivative_modes[j] for j in range(grid.dims)]
+    symbols = _gradient_symbols(grid, kind)
     peak = f.max_abs()
     if abs(f.mean()) > 1e-12 * max(peak, 1e-300):
         raise ValueError("build_stack requires a mean-zero trace; remove the mean first")
@@ -189,12 +208,12 @@ def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
     grad_x = np.empty((m, grid.dims) + grid.shape)
     grad_t = np.empty((m,) + grid.shape)
     for sl, coeff in _semigroup(trace, kind, mesh.nodes):
-        values[sl] = _inverse_rows(coeff)
+        values[sl] = _inverse_rows(coeff, grid)
         work = np.empty_like(coeff)
         targets = [grad_t[sl]] + [grad_x[sl, j] for j in range(grid.dims)]
         for symbol, target in zip(symbols, targets):
             np.multiply(symbol, coeff, out=work)
-            target[...] = _inverse_rows(work)
+            target[...] = _inverse_rows(work, grid)
         # free this chunk's buffers before the next chunk allocates its own
         del coeff, work
 
@@ -211,11 +230,10 @@ def zero_time_gradient_square(stack: ExtensionStack, full: bool = True) -> np.nd
     is what certifies the quadrature truncation below the mesh floor.
     """
     grid = stack.grid
-    symbols = [2j * np.pi / grid.length * grid.derivative_modes[j] for j in range(grid.dims)]
-    if full:
-        symbols.append(-extension_rate(grid, stack.kind))
+    d_t, *d_x = _gradient_symbols(grid, stack.kind)
+    symbols = d_x + [d_t] if full else d_x
     acc = np.zeros(grid.shape)
-    for g in _inverse_rows(np.stack(symbols) * stack.trace.coefficients):
+    for g in _inverse_rows(np.stack(symbols) * _half(stack.trace.coefficients, grid), grid):
         acc += g**2
     return acc
 

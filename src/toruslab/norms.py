@@ -11,14 +11,14 @@ Geometry conventions shared by every functional here:
   - the mean is removed from trace inputs first and recorded on the result.
 
 Ball sums over all centers at once are FFT correlations, which is what makes
-the exhaustive-family oracles and the 3D norms affordable. One forward and
-one inverse transform serve every radius of a family: the ball spectra are
-stacked along a leading radius axis, and ``_box_sup`` is the one place that
-ball-correlates a family's time integrals, scales them and takes the sup.
-Heat snapshots for the Besov sup and the inverse-space norm come from the
-extension sampler ``extensions._semigroup``, which holds the chunk rule and
-e^{-rate t}; its chunks are whole rows, so batching changes no bit of any
-result.
+the exhaustive-family oracles and the 3D norms affordable. One real forward
+and one real inverse transform serve every radius of a family: the half ball
+spectra are stacked along a leading radius axis, and ``_box_sup`` is the one
+place that ball-correlates a family's time integrals, scales them and takes
+the sup. Heat snapshots for the Besov sup and the inverse-space norm come
+from the extension sampler ``extensions._semigroup``, which holds the chunk
+rule and e^{-rate t} on the half spectrum; its chunks are whole rows, so
+batching changes no bit of any result.
 
 ``q_norm``'s pair sum at a center is a diagonal term, the ball's squares
 weighted by the kernel's ball sums, less the cross term <u, w * u> of the
@@ -27,11 +27,13 @@ term is one real transform per center, taken in ``row_chunks`` blocks of
 strided centers; no pair matrix is built, so memory stays at a few chunks
 and grid fields in every dimension.
 
-Every box norm's time integral is one walk, ``_running_sums``, over the
-weighted gradient square per node (Carleson norms), the floor term and one
-heat term per panel (``inverse_space_norm``) or the trapezoid segments of a
-series (``x_space_norm``, which adds the segment clipped at r^2 after it).
-Only sums at box heights are kept and nothing past the tallest box is drawn.
+Every box norm's time integral is one walk, ``_running_sums``, over blocks
+of the weighted gradient square per node (Carleson norms, one block per
+``row_chunks`` chunk), the floor term and one heat term per panel
+(``inverse_space_norm``, one block per chunk) or the trapezoid segments of a
+series (``x_space_norm``, one block per segment, which adds the segment
+clipped at r^2 after them). Each block is prefix-summed in place, only sums
+at box heights are kept and nothing past the tallest box is drawn.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ def _ball_mask(grid: TorusGrid, j: int) -> np.ndarray:
 
 @_ball_cache(maxsize=64)
 def _ball_spectra(grid: TorusGrid, js: tuple[int, ...]) -> np.ndarray:
-    """Conjugate ball spectra stacked along a leading radius axis, one per js[i]."""
-    out = np.stack([np.conj(np.fft.fftn(_ball_mask(grid, j).astype(float))) for j in js])
+    """Conjugate half ball spectra (``rfftn`` layout) stacked along a leading
+    radius axis, one per js[i]."""
+    out = np.stack([np.conj(np.fft.rfftn(_ball_mask(grid, j).astype(float))) for j in js])
     out.setflags(write=False)
     return out
 
@@ -194,13 +197,13 @@ def _ball_correlate(arr: np.ndarray, grid: TorusGrid, js: Sequence[int]) -> np.n
     """out[i](c) = sum over offsets d of ball js[i] of a(c + d), all centers
     at once, where a is arr, or arr[i] when arr stacks one field per radius.
 
-    Shape (len(js), *grid.shape): one forward and one inverse transform for
-    the whole family.
+    Shape (len(js), *grid.shape): one real forward and one real inverse
+    transform for the whole family, on the half spectrum. The inverse's
+    output is a new real array, so no caller keeps a spectrum alive.
     """
     axes = tuple(range(-grid.dims, 0))
-    spectrum = np.fft.fftn(arr, axes=axes) * _ball_spectra(grid, tuple(js))
-    # a copy, so no caller keeps the complex transform alive through a view
-    return np.fft.ifftn(spectrum, axes=axes).real.copy()
+    spectrum = np.fft.rfftn(arr, axes=axes) * _ball_spectra(grid, tuple(js))
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
 
 
 def _sup_over_family(
@@ -246,15 +249,27 @@ def _box_sup(boxes: BoxFamily, eligible: Sequence[tuple[int, float]],
     return _sup_over_family(boxes, per_radius, mean)
 
 
-def _running_sums(terms: Iterable, counts: Sequence[int]) -> list:
+def _running_sums(blocks: Iterable[np.ndarray], counts: Sequence[int]) -> list:
     """The left-to-right sum of the first c terms for each c in counts, 0.0
-    for c = 0: the time integral of every box in one walk. Only the sums at
-    the wanted counts are kept, and no term past max(counts) is drawn."""
-    wanted, kept, acc = set(counts), {0: 0.0}, 0.0
-    for c, term in zip(range(1, max(counts, default=0) + 1), terms):
-        acc = acc + term
-        if c in wanted:
-            kept[c] = acc
+    for c = 0: the time integral of every box in one walk.
+
+    ``blocks`` yields (k, *shape) arrays, k consecutive terms along the
+    leading axis, which the walk owns and overwrites: each row in turn gets
+    the running sum added in place, starting from the carry of the blocks
+    before. Copies of the rows at the wanted counts are kept, and no block
+    past max(counts) is drawn. (``np.cumsum`` along the leading axis gives
+    the same bits, but it runs a strided loop per column, several times
+    slower than one vector add per row on wide rows.)"""
+    wanted, kept, last = set(counts), {0: 0.0}, max(counts, default=0)
+    blocks, stop, carry = iter(blocks), 0, 0.0
+    while stop < last:
+        block = next(blocks)
+        start, stop = stop, stop + len(block)
+        for row in block:
+            carry = np.add(carry, row, out=row)
+        kept.update((c, block[c - start - 1].copy()) for c in wanted if start < c <= stop)
+        carry = carry.copy()
+        del block  # free it before the next one is drawn
     return [kept[c] for c in counts]
 
 
@@ -406,12 +421,18 @@ def _carleson_box_norm(
     mesh = stack.mesh
     # every box is checked against the mesh before any array work
     cuts = [mesh.aligned_cut(r**2 if parabolic_height else r) for r in boxes.radii]
-    node_factor = mesh.weights * mesh.nodes**weight_exp
+    node_factor = (mesh.weights * mesh.nodes**weight_exp).reshape((-1,) + (1,) * grid.dims)
     g0 = zero_time_gradient_square(stack, full=full_grad)
     floor_term = g0 * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp)
+
+    def blocks(gradient_square):
+        # weighted in place: the walk's blocks are rows of its own array
+        for rows in row_chunks(mesh.node_count, grid):
+            yield np.multiply(gradient_square[rows], node_factor[rows],
+                              out=gradient_square[rows])
+
     # unnamed, so the gradient square is freed when the walk returns
-    sums = _running_sums(
-        (g * w for g, w in zip(stack.gradient_square(full=full_grad), node_factor)), cuts)
+    sums = _running_sums(blocks(stack.gradient_square(full=full_grad)), cuts)
     time_integrals = [floor_term + s for s in sums]
     return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), time_integrals,
                     scale_exp, 0.0)
@@ -526,7 +547,7 @@ def besov_norm(f: Field, t_grid: np.ndarray | None = None) -> float:
     t_grid = np.asarray(t_grid, dtype=float)
     best = 0.0
     for sl, coeff in _semigroup(forward_transform(g), "heat", t_grid):
-        u = _inverse_rows(coeff)
+        u = _inverse_rows(coeff, grid)
         del coeff  # free the chunk's coefficients before |u| is taken
         peaks = np.sqrt(t_grid[sl]) * np.abs(u).reshape(u.shape[0], -1).max(axis=1)
         best = max(best, float(np.max(peaks)))
@@ -546,8 +567,9 @@ def inverse_space_norm(
     r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt.
 
     Streams the heat extension in panel-aligned chunks of ``_semigroup``
-    through ``_running_sums``, one term per panel: only the sums at the radius
-    cuts are kept, and no chunk past the largest eligible cut is drawn.
+    through ``_running_sums``, one block per chunk with one term per panel:
+    only the sums at the radius cuts are kept, and no chunk past the largest
+    eligible cut is drawn.
     """
     _check_alpha(alpha)
     grid = _require_grid(f, boxes)
@@ -570,16 +592,16 @@ def inverse_space_norm(
     t = mesh.nodes
     node_factor = mesh.weights * t**alpha
 
-    def terms():
-        yield g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha)
+    def blocks():
+        yield (g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha))[np.newaxis]
         for chunk, coeff in _semigroup(forward_transform(g), "heat", t, unit=per):
-            u = _inverse_rows(coeff)
+            u = _inverse_rows(coeff, grid)
             u_sq, w = u * u, node_factor[chunk]
             # one einsum per panel, in node order, as the quadrature sums it
-            for i in range(0, w.size, per):
-                yield np.einsum("m...,m->...", u_sq[i : i + per], w[i : i + per])
+            yield np.stack([np.einsum("m...,m->...", u_sq[i : i + per], w[i : i + per])
+                            for i in range(0, w.size, per)])
 
-    return _box_sup(boxes, eligible, _running_sums(terms(), counts),
+    return _box_sup(boxes, eligible, _running_sums(blocks(), counts),
                     2 * alpha + grid.dims, mean)
 
 
@@ -661,7 +683,8 @@ def x_space_norm(
     counts = np.searchsorted(times[1:], uppers, "right").tolist()
     first_sq = series.values[0] ** 2
     time_integrals = []
-    for upper, k, total in zip(uppers, counts, _running_sums(segments, counts)):
+    blocks = (segment[np.newaxis] for segment in segments)
+    for upper, k, total in zip(uppers, counts, _running_sums(blocks, counts)):
         if k + 1 < times.size and times[k] < upper:  # the segment that straddles r^2
             t0, t1 = times[k], times[k + 1]
             h0, h1 = (series.values[m] ** 2 * weights[m] for m in (k, k + 1))

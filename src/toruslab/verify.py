@@ -11,6 +11,7 @@ Constant and zero corpus members are skipped, counted, and listed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import threading
@@ -318,16 +319,21 @@ class Workspace:
         return self._refined
 
 
+def _on_pool(calls: list[Callable[[], object]], threads: int) -> list:
+    """Run the calls on one pool of ``threads`` workers; their results in
+    call order."""
+    if not calls:
+        return []
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(call) for call in calls]
+        return [future.result() for future in futures]
+
+
 def _run_tasks(tasks: list[tuple[Workspace, str, str, dict]], threads: int) -> None:
     """Run member tasks on one pool of ``threads`` workers; every task's
     values land in its workspace's table."""
-    if not tasks:
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(ws._task, label, kind, todo)
-                   for ws, label, kind, todo in tasks]
-        for future in futures:
-            future.result()
+    _on_pool([functools.partial(ws._task, label, kind, todo)
+              for ws, label, kind, todo in tasks], threads)
 
 
 def _band_drift(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -551,6 +557,15 @@ def check_scaling(
         norm_id=norm_id, lam=float(lam), alpha=alpha,
         measured=measured, expected=expected, enforced=enforced,
     )
+
+
+def check_scaling_rows(rows: Sequence[tuple[Field, str, float, bool]], boxes: BoxFamily,
+                       threads: int) -> list[ScalingReport]:
+    """``check_scaling`` of each (field, norm id, alpha, enforce) row, on one
+    pool of ``threads`` workers; the reports come back in row order."""
+    return _on_pool([functools.partial(check_scaling, f, norm_id, alpha, boxes,
+                                       enforce=enforce)
+                     for f, norm_id, alpha, enforce in rows], threads)
 
 
 # --- emitters ---

@@ -34,6 +34,7 @@ from toruslab.spectral import (
     inverse_transform,
     poisson_semigroup,
 )
+from transform_oracles import assert_half_close, inverse_rows, nyquist_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -239,6 +240,14 @@ class TestTimeMesh:
         assert "8 panels" in message
         assert "dyadic" not in message
 
+    def test_equal_meshes_share_their_nodes(self):
+        # the nodes are computed once per (top, panels, nodes_per_panel)
+        mesh = TimeMesh(top=0.5)
+        assert TimeMesh(top=0.5).nodes is mesh.nodes
+        assert TimeMesh(top=0.5).weights is mesh.weights
+        assert TimeMesh(top=0.25).nodes is not mesh.nodes
+        assert not mesh.nodes.flags.writeable and not mesh.weights.flags.writeable
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             TimeMesh(top=-1.0)
@@ -365,9 +374,10 @@ class TestBuildStack:
         assert np.max(np.abs(g0 - expected)) <= 1e-10
 
 
-def panel_loop_stack(f: Field, kind: str, mesh: TimeMesh):
+def panel_loop_stack(f: Field, kind: str, mesh: TimeMesh, full: bool = False):
     """Unbatched reference for build_stack: one panel at a time, one
-    transform per panel for values, grad_t and each grad_x[:, j]."""
+    transform per panel for values, grad_t and each grad_x[:, j], on the
+    half spectrum or, with ``full``, on the full one."""
     grid = f.grid
     base = forward_transform(f).coefficients
     if kind == "poisson":
@@ -384,28 +394,31 @@ def panel_loop_stack(f: Field, kind: str, mesh: TimeMesh):
     for sl in (slice(p * n, (p + 1) * n) for p in range(mesh.panels)):
         t = mesh.nodes[sl].reshape((-1,) + (1,) * grid.dims)
         coeff = np.exp(-rate[np.newaxis] * t) * base[np.newaxis]
-        values[sl] = np.fft.ifftn(coeff, axes=axes, norm="forward").real
-        grad_t[sl] = np.fft.ifftn(-rate[np.newaxis] * coeff, axes=axes, norm="forward").real
+        values[sl] = inverse_rows(coeff, axes, full)
+        grad_t[sl] = inverse_rows(-rate[np.newaxis] * coeff, axes, full)
         for j in range(grid.dims):
-            grad_x[sl, j] = np.fft.ifftn(wave[j] * coeff, axes=axes, norm="forward").real
+            grad_x[sl, j] = inverse_rows(wave[j] * coeff, axes, full)
     return values, grad_x, grad_t
 
 
-def symbol_loop_zero_time(stack: ExtensionStack, full: bool) -> np.ndarray:
+def symbol_loop_zero_time(stack: ExtensionStack, full_grad: bool,
+                          full: bool = False) -> np.ndarray:
     """Unbatched reference for zero_time_gradient_square: one transform
-    per symbol, accumulated in the same order."""
+    per symbol, accumulated in the same order, on the half spectrum or,
+    with ``full``, on the full one."""
     grid = stack.grid
     coeff = stack.trace.coefficients
+    axes = tuple(range(grid.dims))
     acc = np.zeros(grid.shape)
     for j in range(grid.dims):
         symbol = 2j * np.pi / grid.length * grid.derivative_modes[j]
-        acc += np.fft.ifftn(symbol * coeff, norm="forward").real ** 2
-    if full:
+        acc += inverse_rows(symbol * coeff, axes, full) ** 2
+    if full_grad:
         if stack.kind == "poisson":
             rate = (TWO_PI / grid.length) * grid.mode_norm
         else:
             rate = (TWO_PI / grid.length) ** 2 * grid.mode_square
-        acc += np.fft.ifftn(-rate * coeff, norm="forward").real ** 2
+        acc += inverse_rows(-rate * coeff, axes, full) ** 2
     return acc
 
 
@@ -435,7 +448,7 @@ class TestBatchedTransforms:
         assert np.array_equal(stack.grad_t, grad_t)
         for full in (True, False):
             assert np.array_equal(zero_time_gradient_square(stack, full=full),
-                                  symbol_loop_zero_time(stack, full))
+                                  symbol_loop_zero_time(stack, full_grad=full))
 
     def test_build_stack_memory_is_chunk_bounded(self):
         grid = TorusGrid(3, 32)
@@ -450,15 +463,38 @@ class TestBatchedTransforms:
             tracemalloc.stop()
         returned = sum(a.nbytes for a in (stack.values, stack.grad_x, stack.grad_t,
                                           stack.trace.coefficients))
-        chunk = 16 * CHUNK_POINTS  # one complex chunk temporary
-        # alive at once: the chunk's coefficients, one symbol product, and a
-        # multi-axis transform's output plus its per-axis intermediate
-        temporaries = 4 * chunk
-        # per-mode symbols: the real rate and one complex wave number per axis
-        symbols = 8 * grid.point_count + 16 * grid.dims * grid.point_count
+        half = (grid.size // 2 + 1) / grid.size  # the half spectrum's share of the modes
+        chunk = 16 * CHUNK_POINTS * half  # one complex half-spectrum chunk
+        # alive at once: the chunk's coefficients, one symbol product, the
+        # two complex per-axis intermediates of a 3-D real inverse transform,
+        # and its real output
+        temporaries = 4 * chunk + 8 * CHUNK_POINTS
+        # half-spectrum symbols: the real rate and one complex wave number per axis
+        symbols = (8 + 16 * grid.dims) * grid.point_count * half
         # one complex field of slack for numpy's ufunc buffers
         slack = 16 * grid.point_count
         assert peak - start < returned + temporaries + symbols + slack
+
+
+class TestHalfSpectrum:
+    """build_stack and the zero-time limit on the half spectrum against the
+    full-spectrum path, to HALF_SPECTRUM_RTOL of each array's peak."""
+
+    @pytest.mark.parametrize("kind", ["poisson", "heat"])
+    @pytest.mark.parametrize("dims,size", [(1, 256), (2, 64), (3, 16)])
+    def test_stack_matches_full_spectrum(self, kind, dims, size):
+        grid = TorusGrid(dims, size)
+        f = nyquist_field(grid, seed=size)
+        mesh = TimeMesh(top=0.5)
+        stack = build_stack(f, kind, mesh)
+        values, grad_x, grad_t = panel_loop_stack(f, kind, mesh, full=True)
+        assert_half_close(stack.values, values)
+        assert_half_close(stack.grad_t, grad_t)
+        for j in range(dims):
+            assert_half_close(stack.grad_x[:, j], grad_x[:, j])
+        for full_grad in (True, False):
+            assert_half_close(zero_time_gradient_square(stack, full=full_grad),
+                              symbol_loop_zero_time(stack, full_grad, full=True))
 
 
 class TestSubordination:

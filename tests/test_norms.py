@@ -64,6 +64,13 @@ from toruslab.spectral import (
     frac_laplacian_power,
     inverse_transform,
 )
+from transform_oracles import (
+    HALF_SPECTRUM_RTOL,
+    assert_half_close,
+    ball_correlate,
+    inverse_rows,
+    nyquist_field,
+)
 
 
 def lower_gamma_integral(w: float, a: float, upper: float) -> float:
@@ -762,26 +769,25 @@ class TestXSpace:
 
 # --- batched transforms against their unbatched loops ---
 
-def radius_loop_correlate(arr: np.ndarray, grid: TorusGrid, j: int) -> np.ndarray:
-    """One radius, one forward and one inverse transform."""
-    return np.fft.ifftn(np.fft.fftn(arr) * _ball_spectra(grid, (j,))[0]).real
-
-
-def t_loop_besov(f: Field, t_grid: np.ndarray) -> float:
-    """besov_norm one t at a time."""
+def t_loop_besov(f: Field, t_grid: np.ndarray, full: bool = False) -> float:
+    """besov_norm one t at a time, on the half spectrum or, with ``full``,
+    on the full one."""
     grid = f.grid
     coeff = forward_transform(f.remove_mean()).coefficients
     rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
+    axes = tuple(range(grid.dims))
     best = 0.0
     for t in t_grid:
-        u = np.fft.ifftn(coeff * np.exp(-rate * float(t)), norm="forward").real
+        u = inverse_rows(coeff * np.exp(-rate * float(t)), axes, full)
         best = max(best, math.sqrt(t) * float(np.max(np.abs(u))))
     return best
 
 
 def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
-                             boxes: BoxFamily, mesh: TimeMesh | None = None) -> NormResult:
-    """inverse_space_norm one panel and one radius at a time."""
+                             boxes: BoxFamily, mesh: TimeMesh | None = None,
+                             full: bool = False) -> NormResult:
+    """inverse_space_norm one panel and one radius at a time, on the half
+    spectrum or, with ``full``, on the full one."""
     grid = f.grid
     mesh = mesh or default_parabolic_mesh(grid)
     g = f.remove_mean()
@@ -798,14 +804,14 @@ def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
     for sl in (slice(p * n, (p + 1) * n) for p in range(mesh.panels)):
         t_chunk = t[sl].reshape((-1,) + (1,) * grid.dims)
         coeff = np.exp(-rate[np.newaxis] * t_chunk) * fhat[np.newaxis]
-        u = np.fft.ifftn(coeff, axes=axes, norm="forward").real
+        u = inverse_rows(coeff, axes, full)
         acc = acc + np.einsum("m...,m->...", u * u, node_factor[sl])
         for j, cut in cuts.items():
             if cut == sl.stop and j not in snapshots:
                 snapshots[j] = acc.copy()
     per_radius = []
     for j, radius in eligible:
-        ball = radius_loop_correlate(snapshots[j], grid, j)
+        ball = ball_correlate(snapshots[j], grid, j, full)
         vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-(2 * alpha + grid.dims))
         per_radius.append((radius, vals_sq))
     return _sup_over_family(boxes, per_radius, f.mean())
@@ -824,8 +830,7 @@ def radius_loop_carleson(stack, boxes: BoxFamily, weight_exp: float, scale_exp: 
     per_radius = []
     for j, radius in zip(boxes.j_values, boxes.radii):
         cut = mesh.aligned_cut(radius**2 if parabolic else radius)
-        ball = radius_loop_correlate(floor_term + (prefix[cut - 1] if cut > 0 else 0.0),
-                                     grid, j)
+        ball = ball_correlate(floor_term + (prefix[cut - 1] if cut > 0 else 0.0), grid, j)
         vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-scale_exp)
         per_radius.append((radius, vals_sq))
     return _sup_over_family(boxes, per_radius, 0.0)
@@ -872,7 +877,7 @@ def radius_loop_x_carleson(series: TimeSeries, alpha: float, horizon: float,
         if not upper < horizon:
             continue
         lead = series.values[0] ** 2 * min(times[0], upper) ** (1.0 + alpha) / (1.0 + alpha)
-        ball = radius_loop_correlate(lead + _clipped_time_integral(times, h, upper), grid, j)
+        ball = ball_correlate(lead + _clipped_time_integral(times, h, upper), grid, j)
         vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-(2 * alpha + grid.dims))
         best_sq = max(best_sq, float(np.max(boxes.center_view(vals_sq))))
     return math.sqrt(best_sq)
@@ -974,8 +979,8 @@ class TestBatchedTransforms:
         # owned arrays: no view keeps the complex transform alive
         assert got.flags.owndata and got_stacked.flags.owndata
         for i, j in enumerate(js):
-            assert np.array_equal(got[i], radius_loop_correlate(f, grid, j))
-            assert np.array_equal(got_stacked[i], radius_loop_correlate(stacked[i], grid, j))
+            assert np.array_equal(got[i], ball_correlate(f, grid, j))
+            assert np.array_equal(got_stacked[i], ball_correlate(stacked[i], grid, j))
 
     def test_ball_correlate_matches_offset_sum(self):
         grid = TorusGrid(2, 8)
@@ -1020,40 +1025,110 @@ class TestBatchedTransforms:
             got = inverse_space_norm(f, alpha, math.inf, boxes, mesh)
             assert got == panel_loop_inverse_space(f, alpha, math.inf, boxes, mesh)
             floor_term = f.remove_mean().samples ** 2 * mesh.floor ** (1 + alpha) / (1 + alpha)
-            ball = radius_loop_correlate(floor_term, grid, 5)
+            ball = ball_correlate(floor_term, grid, 5)
             want = math.sqrt(np.max(boxes.center_view(ball)) * grid.cell_volume
                              * boxes.radii[-1] ** -(2 * alpha + 1))
             assert got.per_box_table[-1][1] == pytest.approx(want, rel=1e-12)
+
+
+class TestHalfSpectrum:
+    """The norms' half-spectrum transforms against the full-spectrum path,
+    to HALF_SPECTRUM_RTOL of each array's peak, on fields with energy on
+    every Nyquist plane."""
+
+    GRIDS = [(1, 256), (2, 64), (3, 16)]
+
+    @pytest.mark.parametrize("dims,size", GRIDS)
+    def test_ball_correlate(self, dims, size):
+        grid = TorusGrid(dims, size)
+        js = BoxFamily.default(grid).j_values
+        f = nyquist_field(grid, seed=size).samples
+        got = _ball_correlate(f, grid, js)
+        for i, j in enumerate(js):
+            assert_half_close(got[i], ball_correlate(f, grid, j, full=True))
+
+    @pytest.mark.parametrize("dims,size", GRIDS)
+    def test_besov(self, dims, size):
+        grid = TorusGrid(dims, size)
+        f = nyquist_field(grid, seed=size)
+        t_grid = np.geomspace(1e-9 * grid.length**2, grid.length**2, 700)
+        want = t_loop_besov(f, t_grid, full=True)
+        assert besov_norm(f) == pytest.approx(want, rel=HALF_SPECTRUM_RTOL)
+
+    @pytest.mark.parametrize("dims,size", GRIDS)
+    def test_inverse_space(self, dims, size):
+        grid = TorusGrid(dims, size)
+        f = nyquist_field(grid, seed=size)
+        boxes = BoxFamily.default(grid)
+        for alpha in (-0.5, 0.25):
+            got = inverse_space_norm(f, alpha, math.inf, boxes)
+            want = panel_loop_inverse_space(f, alpha, math.inf, boxes, full=True)
+            assert got.value == pytest.approx(want.value, rel=HALF_SPECTRUM_RTOL)
+            assert [r for r, _ in got.per_box_table] == [r for r, _ in want.per_box_table]
+            assert [v for _, v in got.per_box_table] == pytest.approx(
+                [v for _, v in want.per_box_table], rel=HALF_SPECTRUM_RTOL)
 
 
 class TestRunningSums:
     """The one walk every box norm sums its time axis with."""
 
     @staticmethod
-    def terms(values, stop):
-        """Yield values, failing if the term at index ``stop`` is asked for."""
-        for i, v in enumerate(values):
-            if i == stop:
-                raise AssertionError(f"term {i} drawn")
-            yield v
+    def blocks(rows, sizes, drawn):
+        """Yield owned blocks of consecutive rows, of the given sizes,
+        recording the first row of each block drawn."""
+        start = 0
+        for size in sizes:
+            drawn.append(start)
+            yield rows[start : start + size].copy()
+            start += size
 
     def test_counts_with_zero_repeats_and_any_order(self):
-        # (1 + 1e16) - 1e16 is 0 left to right and 1 in any other order
-        values = [1.0, 1e16, -1e16, 2.0, 3.0, 4.0]
-        got = _running_sums(self.terms(values, 5), [3, 0, 5, 3, 1])
-        assert got == [0.0, 0.0, 5.0, 0.0, 1.0]
+        # (1 + 1e16) - 1e16 is 0 left to right and 1 in any other order;
+        # the carry 1 meets 1e16 at the head of the second block
+        values = np.array([[1.0], [1e16], [-1e16], [2.0], [3.0], [4.0]])
+        drawn = []
+        got = _running_sums(self.blocks(values, [1, 2, 1, 1, 1], drawn), [3, 0, 5, 3, 1])
+        assert got == [[0.0], 0.0, [5.0], [0.0], [1.0]]
+        assert drawn == [0, 1, 3, 4]  # the block of the sixth term is never drawn
 
     def test_draws_nothing_for_zero_counts(self):
-        assert _running_sums(self.terms([1.0], 0), [0, 0]) == [0.0, 0.0]
-        assert _running_sums(self.terms([1.0], 0), []) == []
+        drawn = []
+        assert _running_sums(self.blocks(np.ones((3, 2)), [1, 2], drawn), [0, 0]) == [0.0, 0.0]
+        assert _running_sums(self.blocks(np.ones((3, 2)), [1, 2], drawn), []) == []
+        assert drawn == []
 
     def test_arrays_match_cumsum_bits(self):
         rows = np.random.default_rng(0).standard_normal((40, 64)) ** 3
         prefix = np.cumsum(rows, axis=0)
-        counts = [33, 7, 1, 12]
-        got = _running_sums(self.terms(rows, 33), counts)
-        for c, s in zip(counts, got):
-            assert np.array_equal(s, prefix[c - 1])
+        loop, acc = {}, 0.0
+        for c, row in enumerate(rows, 1):
+            acc = acc + row
+            loop[c] = acc
+        counts = [33, 7, 0, 1, 12, 33]
+        # one-row blocks, a lone row before full chunks, full chunks, and a
+        # partial last chunk
+        for sizes in ([1] * 40, [1, 16, 16, 7], [16, 16, 8], [40]):
+            drawn = []
+            got = _running_sums(self.blocks(rows, sizes, drawn), counts)
+            for c, total in zip(counts, got):
+                if c:
+                    assert np.array_equal(total, prefix[c - 1])
+                    assert np.array_equal(total, loop[c])
+                else:
+                    assert total == 0.0
+            starts = np.cumsum([0] + sizes[:-1]).tolist()
+            assert drawn == [start for start in starts if start < max(counts)]
+
+    def test_kept_sums_are_copies(self):
+        rows = np.random.default_rng(1).standard_normal((10, 8))
+        blocks = [rows[:4].copy(), rows[4:].copy()]
+        got = _running_sums(iter(blocks), [2, 10, 4])
+        want = np.cumsum(rows, axis=0)[[1, 9, 3]]
+        for block in blocks:
+            block[...] = np.nan
+        del blocks
+        for total, row in zip(got, want):
+            assert total.base is None and np.array_equal(total, row)
 
     def test_carleson_walk_keeps_one_node_array(self):
         # 3-D N=16, 160 nodes: the gradient square is one (nodes, N^3) float
@@ -1104,9 +1179,9 @@ class TestRunningSums:
         rows = []
         real = norms_module._inverse_rows
 
-        def counted(coeff):
+        def counted(coeff, grid):
             rows.append(coeff.shape[0])
-            return real(coeff)
+            return real(coeff, grid)
 
         monkeypatch.setattr(norms_module, "_inverse_rows", counted)
         assert inverse_space_norm(f, 0.25, 0.02, boxes) == want
@@ -1117,15 +1192,15 @@ def test_concurrent_ball_misses_compute_once(monkeypatch):
     # a grid no other test uses, so every thread misses the same (grid, j)
     grid = TorusGrid(dims=1, size=64, length=3.0)
     calls = []
-    real_fftn = np.fft.fftn
+    real_rfftn = np.fft.rfftn
     start = threading.Barrier(4)
 
-    def slow_fftn(*args, **kwargs):
+    def slow_rfftn(*args, **kwargs):
         calls.append(threading.get_ident())
         time.sleep(0.05)  # hold the miss open while the other threads arrive
-        return real_fftn(*args, **kwargs)
+        return real_rfftn(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fftn", slow_fftn)
+    monkeypatch.setattr(np.fft, "rfftn", slow_rfftn)
     results = []
 
     def lookup():

@@ -33,6 +33,7 @@ from toruslab.verify import (
     Workspace,
     check_inclusions,
     check_scaling,
+    check_scaling_rows,
     lattice_rescale,
     prepare,
     run_check,
@@ -144,6 +145,16 @@ class TestCheckScaling:
         _, boxes, mode2, _ = setup
         with pytest.raises(ValueError):
             check_scaling(mode2, "besov", 0.25, boxes)
+
+    def test_rows_on_the_pool_match_one_at_a_time(self, setup) -> None:
+        _, boxes, mode2, bump = setup
+        rows = [(f, norm_id, alpha, alpha > -0.5)
+                for f, alpha in ((bump, -0.5), (mode2, 0.25))
+                for norm_id in ("h", "scaled_h", "inverse")]
+        got = check_scaling_rows(rows, boxes, threads=3)
+        want = [check_scaling(f, norm_id, alpha, boxes, enforce=enforce)
+                for f, norm_id, alpha, enforce in rows]
+        assert got == want
 
     def test_payload_fields(self, setup) -> None:
         _, boxes, mode2, _ = setup

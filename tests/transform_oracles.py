@@ -1,0 +1,61 @@
+"""Reference transforms for the batched-transform oracles.
+
+The library transforms real fields on the Hermitian half spectrum: a row
+of full-layout coefficients keeps the last-axis modes 0..N/2 and goes
+through ``irfftn``; a ball correlation is ``rfftn`` -> multiply ->
+``irfftn``. The loops in the tests take their transforms from here.
+``full=True`` selects instead the full-spectrum path, ``ifftn(...).real``,
+the accuracy reference of the half spectrum.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from toruslab.norms import _ball_mask, _ball_spectra
+from toruslab.spectral import Field, TorusGrid
+
+# The half and the full spectrum agree to roundoff: every array matches to
+# 1e-13 of its own peak.
+HALF_SPECTRUM_RTOL = 1e-13
+
+
+def inverse_rows(coeff: np.ndarray, axes: tuple[int, ...], full: bool = False) -> np.ndarray:
+    """Real inverse transform (forward normalization) of full-layout
+    coefficients over ``axes``, the last axis last."""
+    if full:
+        return np.fft.ifftn(coeff, axes=axes, norm="forward").real
+    shape = tuple(coeff.shape[a] for a in axes)
+    return np.fft.irfftn(coeff[..., : shape[-1] // 2 + 1], s=shape, axes=axes,
+                         norm="forward")
+
+
+def ball_correlate(arr: np.ndarray, grid: TorusGrid, j: int, full: bool = False) -> np.ndarray:
+    """Sums of arr over the ball of radius exponent j around every center,
+    one radius with one forward and one inverse transform."""
+    axes = tuple(range(grid.dims))
+    if full:
+        ball = np.conj(np.fft.fftn(_ball_mask(grid, j).astype(float)))
+        return np.fft.ifftn(np.fft.fftn(arr) * ball).real
+    return np.fft.irfftn(np.fft.rfftn(arr, axes=axes) * _ball_spectra(grid, (j,))[0],
+                         s=grid.shape, axes=axes)
+
+
+def nyquist_field(grid: TorusGrid, seed: int) -> Field:
+    """Mean-zero noise plus, along each axis, a Nyquist wave k_j = N/2 with
+    a random profile over the other axes: energy on every Nyquist plane,
+    the modes the half spectrum stores once."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.shape)
+    for j in range(grid.dims):
+        sign = (-1.0) ** np.arange(grid.size)
+        profile = rng.standard_normal(grid.shape[:j] + (1,) + grid.shape[j + 1 :])
+        vals += 2.0 * sign.reshape((-1,) + (1,) * (grid.dims - 1 - j)) * profile
+    return Field(grid, vals - vals.mean())
+
+
+def assert_half_close(got: np.ndarray, want: np.ndarray) -> None:
+    """got matches want to HALF_SPECTRUM_RTOL of want's peak."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= HALF_SPECTRUM_RTOL * np.max(np.abs(want))
