@@ -48,6 +48,7 @@ from .verify import (
     Workspace,
     check_inclusions,
     check_scaling_rows,
+    default_threads,
     prepare,
     run_check,
     write_reports,
@@ -81,6 +82,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError(f"seed must fit in u64, got {self.seed}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {self.threads}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if self.boxes is not None:
@@ -175,7 +178,9 @@ def _add_common(parser: argparse.ArgumentParser, grid: int, dims: int) -> None:
                         help="box family: radius exponents and center stride")
     parser.add_argument("--seed", type=int, default=0, metavar="U64")
     parser.add_argument("--threads", type=int, default=None, metavar="K",
-                        help="cap worker threads in the evaluation workspace")
+                        help="worker threads for verify's norm evaluations and "
+                             "for each Picard sweep of ns (default: one per "
+                             "core, at most 4)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,12 +387,14 @@ def cmd_ns(config: RunConfig) -> int:
     boxes = config.box_family(grid)
     out = Path(config.out)
     probe = opts["probe"]
+    threads = config.threads or default_threads()
 
     if probe == "smalldata":
         alpha = config.alphas[0] if config.alphas else -0.5
         report = smalldata_probe(
             opts["deltas"], alpha, opts["horizon"], grid, seed=config.seed,
             boxes=boxes, nodes=opts["nodes"], ratio_max=opts["ratio_max"],
+            threads=threads,
         )
         _write_run_config(config, out)
         write_json(report.to_payload(), out / "smalldata.json")
@@ -435,7 +442,8 @@ def cmd_ns(config: RunConfig) -> int:
     nonlinear = not opts.get("linear_only", False)
     if opts["solver"] == "picard":
         trace = mild_solve_picard(
-            a, opts["horizon"], nodes=opts["nodes"], nonlinear=nonlinear
+            a, opts["horizon"], nodes=opts["nodes"], nonlinear=nonlinear,
+            threads=threads,
         )
     else:
         trace = step_ifrk4(

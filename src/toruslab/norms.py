@@ -45,7 +45,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -607,26 +607,45 @@ def inverse_space_norm(
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled space-time function: values[i] at strictly increasing times[i]."""
+    """Sampled space-time function: node i holds the grid samples at times[i],
+    strictly increasing.
+
+    ``values`` is the (len(times), *grid.shape) array of every node, or a
+    sequence whose item i computes node i when it is read, so that a long
+    series need never be held whole (``NSTrace.component_series``).
+    """
 
     grid: TorusGrid
     times: np.ndarray
-    values: np.ndarray  # (len(times), *grid.shape)
+    values: np.ndarray | Sequence[np.ndarray]
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("time series needs at least one time")
         if np.any(times <= 0) or np.any(np.diff(times) <= 0):
             raise ValueError("times must be positive and strictly increasing")
-        if values.shape != (times.size,) + self.grid.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match "
-                f"{(times.size,) + self.grid.shape}"
-            )
+        values = self.values
+        if isinstance(values, Sequence):
+            if len(values) != times.size:
+                raise ValueError(f"{len(values)} nodes for {times.size} times")
+        else:
+            values = np.asarray(values, dtype=float)
+            if values.shape != (times.size,) + self.grid.shape:
+                raise ValueError(
+                    f"values shape {values.shape} does not match "
+                    f"{(times.size,) + self.grid.shape}"
+                )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+
+    def nodes(self) -> Iterator[np.ndarray]:
+        """Each node's grid samples in time order, read one at a time."""
+        for u in self.values:
+            u = np.asarray(u, dtype=float)
+            if u.shape != self.grid.shape:
+                raise ValueError(f"node shape {u.shape} does not match {self.grid.shape}")
+            yield u
 
 
 @dataclass(frozen=True)
@@ -649,11 +668,13 @@ def x_space_norm(
     the stored nodes clipped to [t_0, r^2], with h = u^2 t^a interpolated
     linearly to r^2 on the segment that straddles it.
 
-    The full segments of every box go through ``_running_sums`` in node
-    order, each u^2 t^a computed once and carried to the next segment, and
-    the walk stops at the largest eligible r^2; the segment that straddles
-    r^2 is added after them. Apart from the series itself, only node-sized
-    arrays are alive.
+    The series is read in one pass, node by node in time order, and only as
+    far as the sup and the tallest box need: each node's peak, h = u^2 t^a
+    and the segment that straddles an r^2 come from the same samples. The
+    full segments of every box go through ``_running_sums`` in node order,
+    each h carried to the next segment, and the straddling segment is added
+    after them. Only node-sized arrays are alive, a few per eligible box, so
+    a series that computes its nodes on demand is never held whole.
     """
     _check_alpha(alpha)
     grid = series.grid
@@ -665,34 +686,57 @@ def x_space_norm(
     in_range = int(np.searchsorted(times, horizon))  # the samples below the horizon
     if in_range == 0:
         raise ValueError("time series has no samples below the horizon")
-    # rounding a product by a positive scalar is monotone, so this is the
-    # max of sqrt(t) |u| over every in-range sample
-    peaks = [np.abs(u).max() for u in series.values[:in_range]]
-    sup_part = float(np.max(np.sqrt(times[:in_range]) * peaks))
 
     eligible = [
         (j, radius) for j, radius in zip(boxes.j_values, boxes.radii)
         if radius**2 < horizon
     ]
-    weights = times ** alpha
-    # h = u^2 t^a once per node; pairwise carries it to the next segment
-    h = (u**2 * w for u, w in zip(series.values, weights))
-    segments = ((a + b) * d for (a, b), d in zip(itertools.pairwise(h), np.diff(times) / 2.0))
-    # the full segments below r^2 are those that end at or before it
     uppers = [radius**2 for _, radius in eligible]
+    # the full segments below r^2 are those that end at or before it
     counts = np.searchsorted(times[1:], uppers, "right").tolist()
-    first_sq = series.values[0] ** 2
+    # the segment from node k to k + 1 that straddles a box's r^2
+    straddles = {box: k for box, (upper, k) in enumerate(zip(uppers, counts))
+                 if k + 1 < times.size and times[k] < upper}
+    visits = max([in_range] + [c + 1 for c in counts] + [k + 2 for k in straddles.values()])
+    weights = times ** alpha
+    peaks: list = []
+    first_sq: list = []  # u_0^2, for the leading strip
+    tails: dict = {}  # box -> the straddling segment clipped at r^2
+
+    def h_nodes() -> Iterator[np.ndarray]:
+        """h = u^2 t^a of each node, taking its peak and the straddling
+        segments that end at it on the way."""
+        previous = None
+        for i, u in enumerate(itertools.islice(series.nodes(), visits)):
+            if i < in_range:
+                peaks.append(np.abs(u).max())
+            sq = u**2
+            if i == 0:
+                first_sq.append(sq)
+            h = sq * weights[i]
+            for box, k in straddles.items():
+                if k + 1 == i:
+                    upper, t0 = uppers[box], times[k]
+                    theta = (upper - t0) / (times[i] - t0)
+                    h_up = previous * (1 - theta) + h * theta
+                    tails[box] = (upper - t0) * (previous + h_up) / 2.0
+            yield h
+            previous = h
+
+    h = h_nodes()
+    segments = ((a + b) * d for (a, b), d in zip(itertools.pairwise(h), np.diff(times) / 2.0))
+    sums = _running_sums((segment[np.newaxis] for segment in segments), counts)
+    for _ in h:  # the nodes past the tallest box that the sup or a straddle needs
+        pass
+    # rounding a product by a positive scalar is monotone, so this is the
+    # max of sqrt(t) |u| over every in-range sample
+    sup_part = float(np.max(np.sqrt(times[:in_range]) * peaks))
     time_integrals = []
-    blocks = (segment[np.newaxis] for segment in segments)
-    for upper, k, total in zip(uppers, counts, _running_sums(blocks, counts)):
-        if k + 1 < times.size and times[k] < upper:  # the segment that straddles r^2
-            t0, t1 = times[k], times[k + 1]
-            h0, h1 = (series.values[m] ** 2 * weights[m] for m in (k, k + 1))
-            theta = (upper - t0) / (t1 - t0)
-            h_up = h0 * (1 - theta) + h1 * theta
-            total = total + (upper - t0) * (h0 + h_up) / 2.0
+    for box, (upper, total) in enumerate(zip(uppers, sums)):
+        if box in tails:
+            total = total + tails.pop(box)
         time_integrals.append(
-            first_sq * min(times[0], upper) ** (1.0 + alpha) / (1.0 + alpha) + total)
+            first_sq[0] * min(times[0], upper) ** (1.0 + alpha) / (1.0 + alpha) + total)
     carleson = _box_sup(boxes, eligible, time_integrals, 2 * alpha + grid.dims, 0.0).value
     return XSpaceResult(
         value=sup_part + carleson,

@@ -31,14 +31,30 @@ keeping 2K+1 rows, then fft along x keeping 2K+1 rows.
 VelocityField stays on the grid. The solvers take its coefficients
 through one crop, which refuses data with a relative L2 above
 BLOCK_RTOL outside the block: band-limit the data below N/3. Grid
-samples come back through the one pruned inverse.
+samples come back through the one pruned inverse, one node at a time:
+the X norm of a trace reads each node's samples once, so no series of
+every node on the grid is built.
+
+A Picard sweep evaluates each node's nonlinear term on the old iterate,
+so the terms of one sweep are independent. With ``threads`` > 1 they run
+on a thread pool in chunks of _CHUNK nodes, at most threads + _LOOKAHEAD
+chunks ahead of the scan that adds them up; memory is then the node
+array, each worker's evaluation temporaries and the terms in flight. The
+scan keeps its arithmetic and order, so every trace and probe output is
+the same to the bit for any thread count. The CLI's ``--threads`` sets
+the count; the library default is 1, the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 import warnings
+from collections import deque
+from collections.abc import Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -341,12 +357,24 @@ class NSTrace:
         return 0.5 * vol * self._symbols.power(self.coefficients)
 
     def component_series(self, j: int) -> TimeSeries:
-        """Grid samples of component j at every node, transformed one node
-        at a time so that only one node's transform intermediates are alive."""
-        values = np.empty((self.times.size,) + self.grid.shape)
-        for out, coeff in zip(values, self.coefficients[:, j]):
-            out[...] = self._symbols.to_grid(coeff)
-        return TimeSeries(self.grid, self.times, values)
+        """Grid samples of component j at every node. Reading node i runs its
+        pruned inverse then, so the series is never held whole."""
+        samples = _NodeSamples(self._symbols, self.coefficients[:, j])
+        return TimeSeries(self.grid, self.times, samples)
+
+
+class _NodeSamples(Sequence):
+    """Grid samples of a stack of scalar blocks; item i transforms block i
+    when it is read."""
+
+    def __init__(self, sym: "_Symbols", blocks: np.ndarray):
+        self._sym, self._blocks = sym, blocks
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __getitem__(self, i):
+        return self._sym.to_grid(self._blocks[i])
 
 
 class _Symbols:
@@ -436,29 +464,81 @@ class _Symbols:
         return inner / total if total != 0.0 else 0.0
 
 
-def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray,
-                  b0: np.ndarray, step: np.ndarray, h: float) -> float:
+# nodes per pool task, and the tasks in flight per worker beyond the one
+# each is running: enough to keep the workers busy while the scan adds up
+_CHUNK = 4
+_LOOKAHEAD = 1
+
+
+def _nonlinear_terms(sym: _Symbols, u: np.ndarray, pool: ThreadPoolExecutor | None,
+                     threads: int) -> Iterator[np.ndarray]:
+    """N(u[i]) for each node i in order, each evaluated on the old iterate.
+
+    Without a pool each term is evaluated when it is drawn, before the scan
+    overwrites node i. With one, chunks of _CHUNK nodes run on the pool, in
+    node order and at most threads + _LOOKAHEAD chunks ahead of the scan.
+    The scan overwrites a node only after drawing its term, which waits for
+    the chunk holding it, so every chunk reads old nodes. Closing the
+    generator cancels the chunks not yet started and waits for the running
+    ones.
+    """
+    if pool is None:
+        for node in u:
+            yield sym.nonlinear(node)
+        return
+
+    def evaluate(lo: int) -> list[np.ndarray]:
+        # numpy keeps errstate per thread (a context variable in numpy 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [sym.nonlinear(node) for node in u[lo : lo + _CHUNK]]
+
+    starts = iter(range(0, u.shape[0], _CHUNK))
+    pending = deque(pool.submit(evaluate, lo)
+                    for lo in itertools.islice(starts, threads + _LOOKAHEAD))
+    try:
+        while pending:
+            terms = pending.popleft().result()
+            for lo in itertools.islice(starts, 1):
+                pending.append(pool.submit(evaluate, lo))
+            # hand each term over and drop it, so only the window is alive
+            terms.reverse()
+            while terms:
+                yield terms.pop()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
+
+def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray, b0: np.ndarray,
+                  step: np.ndarray, h: float, terms: Iterator[np.ndarray]) -> float:
     """One Picard sweep over the node array u, in place; b0 is the data's
-    nonlinear term N(a), which no sweep changes.
+    nonlinear term N(a), which no sweep changes, and ``terms`` yields
+    N(u[i]) of the old iterate in node order.
 
     Returns the sup over nodes of the relative L2 update, or inf at the
     first node whose update overflows; that node and the later ones then
     keep their previous iterate.
     """
     prev_b = b0
-    heat_tail = b0  # E_i applied to the s=0 integrand
+    heat_tail = b0.copy()  # E_i applied to the s=0 integrand
     running = np.zeros_like(ahat)  # sum_{j=1}^{i-1} E_{i-j} B_j
-    lin = ahat
+    lin = ahat.copy()
+    new, scratch = np.empty_like(ahat), np.empty_like(ahat)
     worst = 0.0
+    # each line is the one-expression form evaluated in place, operand for
+    # operand: new = lin + h * (0.5 heat_tail + running + 0.5 b_here)
     for i in range(u.shape[0]):
-        lin = step * lin
-        heat_tail = step * heat_tail
+        np.multiply(step, lin, out=lin)
+        np.multiply(step, heat_tail, out=heat_tail)
         if i > 0:
-            running = step * (running + prev_b)
-        b_here = sym.nonlinear(u[i])
-        integral = h * (0.5 * heat_tail + running + 0.5 * b_here)
-        new = lin + integral
-        change = _relative_l2(sym.power(new - u[i]), sym.power(new))
+            np.multiply(step, np.add(running, prev_b, out=running), out=running)
+        b_here = next(terms)
+        np.add(np.multiply(0.5, heat_tail, out=new), running, out=new)
+        np.add(new, np.multiply(0.5, b_here, out=scratch), out=new)
+        np.add(lin, np.multiply(h, new, out=new), out=new)
+        change = _relative_l2(sym.power(np.subtract(new, u[i], out=scratch)),
+                              sym.power(new))
         if not math.isfinite(change):
             return math.inf
         u[i] = new
@@ -474,6 +554,7 @@ def mild_solve_picard(
     max_iter: int = 40,
     tol: float = 1e-10,
     nonlinear: bool = True,
+    threads: int = 1,
 ) -> NSTrace:
     """Fixed-point iteration of the integral equation
     u(t) = e^{t L} a + int_0^t e^{(t-s) L} N(u(s)) ds,
@@ -488,12 +569,17 @@ def mild_solve_picard(
 
     One array holds the nodes and is updated in place: node i's update
     reads the old iterate only at nodes <= i, each before it is
-    overwritten, so this is the same map as a two-array sweep.
+    overwritten, so this is the same map as a two-array sweep. With
+    threads > 1 each sweep's nonlinear terms are evaluated on a pool of
+    that many workers (``_nonlinear_terms``); the scan adds them up in node
+    order as before, so the trace is the same to the bit.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if nodes < 32:
         raise ValueError("quadrature needs at least 32 stored nodes")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     grid = a.grid
     ahat = _block_coefficients(a)
     sym = _Symbols(grid)
@@ -512,15 +598,18 @@ def mild_solve_picard(
     if not nonlinear:
         return NSTrace(grid, times, u, config, residuals=(), converged=True)
 
-    step = sym.propagator(h)
+    # complex once, rather than cast at every product: the same bits
+    step = sym.propagator(h).astype(np.complex128)
     residuals: list[float] = []
     converged = False
     # overflow is expected past the contraction regime: it surfaces as a
     # non-finite residual, which ends the solve as diverged
-    with np.errstate(over="ignore", invalid="ignore"):
+    pooled = ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()
+    with np.errstate(over="ignore", invalid="ignore"), pooled as pool:
         b0 = sym.nonlinear(ahat)
         for _ in range(max_iter):
-            worst = _picard_sweep(sym, u, ahat, b0, step, h)
+            with contextlib.closing(_nonlinear_terms(sym, u, pool, threads)) as terms:
+                worst = _picard_sweep(sym, u, ahat, b0, step, h, terms)
             residuals.append(worst)
             if not math.isfinite(worst):
                 break
@@ -715,6 +804,7 @@ def smalldata_probe(
     boxes: BoxFamily | None = None,
     nodes: int = 128,
     ratio_max: float = 4.0,
+    threads: int = 1,
 ) -> SmallDataReport:
     """Sweep initial-data amplitudes and record contraction behaviour.
 
@@ -723,7 +813,8 @@ def smalldata_probe(
     reports solution_x_norm / delta. The linear-flow ratio (heat
     evolution only) is included as the small-delta limit. A rung whose
     solve diverged reports no X-norm and no ratio: its last iterate is not
-    a solution.
+    a solution. ``threads`` workers evaluate each Picard sweep's nonlinear
+    terms (``mild_solve_picard``); the report does not depend on it.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -746,7 +837,7 @@ def smalldata_probe(
         if delta == 0.0:
             rows.append(SmallDataRow(0.0, True, 0.0, 0.0))
             continue
-        trace = mild_solve_picard(unit.scaled(delta), horizon, nodes=nodes)
+        trace = mild_solve_picard(unit.scaled(delta), horizon, nodes=nodes, threads=threads)
         if not trace.converged:
             rows.append(SmallDataRow(delta, False, None, None))
             continue

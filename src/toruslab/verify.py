@@ -164,6 +164,11 @@ def _op_kind(op: str) -> str:
     return NORMS[op].kind
 
 
+def default_threads() -> int:
+    """Worker threads when none are asked for: one per core, at most 4."""
+    return min(4, os.cpu_count() or 1)
+
+
 class Workspace:
     """Corpus fields and a table of norm values on one grid.
 
@@ -190,7 +195,7 @@ class Workspace:
         self.boxes = boxes if boxes is not None else BoxFamily.default(grid)
         if self.boxes.grid != grid:
             raise ValueError("box family grid does not match workspace grid")
-        self.threads = threads if threads else min(4, os.cpu_count() or 1)
+        self.threads = threads if threads else default_threads()
         self._lock = threading.Lock()
         self._fields: dict[str, Field | None] = {}
         self._values: dict[tuple, float] = {}

@@ -116,6 +116,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="seed"):
             RunConfig(command="corpus", seed=-1)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_refused(self, threads, tmp_path, capsys):
+        with pytest.raises(ValueError, match="--threads must be at least 1"):
+            RunConfig(command="ns", threads=threads)
+        out = tmp_path / "ns"
+        code = main(["ns", "--probe", "smalldata", "--grid", "16", "--nodes", "32",
+                     "--threads", str(threads), "--out", str(out)])
+        assert code == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_box_family(self):
         config = RunConfig(command="norm", grid=64, dims=1, boxes=(2, 4, 2))
         grid = config.torus_grid()

@@ -10,14 +10,21 @@ which gives an exact nonlinear reference.
 
 import json
 import math
+import threading
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from toruslab import ns3d
 from toruslab.fieldio import read_field
 from toruslab.norms import BoxFamily, TimeSeries, x_space_norm, inverse_space_norm
 from toruslab.ns3d import (
+    _CHUNK,
+    _LOOKAHEAD,
     _block_coefficients,
     _Symbols,
     InflationReport,
@@ -233,6 +240,120 @@ class TestKeptBlock:
         assert len(trace.residuals) == 1
         assert trace.coefficients.nbytes == node_array
         assert peak <= node_array + grid_fields + transform + block_temps
+
+
+class TestPooledSweep:
+    """Each sweep's nonlinear terms on a pool: the same trace to the bit."""
+
+    @pytest.fixture(scope="class")
+    def unit16(self, g16) -> VelocityField:
+        shape = random_divergence_free(g16, seed=0)
+        return shape.scaled(1.0 / initial_data_norm(shape, -0.5, 0.1, BoxFamily.default(g16)))
+
+    @pytest.mark.parametrize("delta,converged", [(8.0, True), (32.0, False)])
+    def test_threads_give_the_serial_trace(self, unit16, delta, converged):
+        serial = mild_solve_picard(unit16.scaled(delta), 0.1, nodes=32)
+        assert serial.converged is converged
+        for threads in (2, 3):
+            pooled = mild_solve_picard(unit16.scaled(delta), 0.1, nodes=32, threads=threads)
+            assert pooled.converged is converged
+            assert pooled.residuals == serial.residuals
+            assert np.array_equal(pooled.coefficients, serial.coefficients)
+
+    def test_overflowing_sweep_warns_nothing_and_ends_its_workers(self, unit16):
+        # the rung overflows in the nonlinear terms, which the pool computes
+        serial = mild_solve_picard(unit16.scaled(32.0), 0.1, nodes=32)
+        assert serial.residuals[-1] == math.inf
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pooled = mild_solve_picard(unit16.scaled(32.0), 0.1, nodes=32, threads=2)
+        assert not pooled.converged
+        assert pooled.residuals == serial.residuals
+        assert threading.active_count() == before
+
+    def test_pool_tasks_keep_the_solve_errstate(self):
+        # numpy keeps errstate per thread: a pool task that overflows must
+        # not warn, as the same evaluation in the solve's thread does not
+        class Overflowing:
+            def nonlinear(self, node):
+                return node * 1e308 * 10.0
+
+        u = np.ones((8, 3))
+        with ThreadPoolExecutor(max_workers=2) as pool, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            terms = list(ns3d._nonlinear_terms(Overflowing(), u, pool, 2))
+        assert len(terms) == 8 and np.all(np.isinf(terms))
+
+    def test_closing_the_terms_cancels_and_drains_the_window(self):
+        # the first chunk is instant and the rest slow: the scan stops after
+        # one term, once both workers run a chunk and the fourth is queued
+        started, finished = [], []
+
+        class Slow:
+            def nonlinear(self, node):
+                started.append(node[0])
+                if node[0] >= _CHUNK:
+                    time.sleep(0.2)
+                finished.append(node[0])
+                return node
+
+        u = np.arange(64.0).reshape(64, 1)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            terms = ns3d._nonlinear_terms(Slow(), u, pool, 2)
+            assert next(terms)[0] == 0.0
+            deadline = time.monotonic() + 10.0
+            while not {_CHUNK, 2 * _CHUNK} <= set(started) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            terms.close()
+            # the running chunks are finished and the queued one never starts
+            assert sorted(finished) == sorted(started) == list(range(3 * _CHUNK))
+
+    def test_threads_below_one_refused(self, unit16):
+        with pytest.raises(ValueError, match="threads"):
+            mild_solve_picard(unit16, 0.1, nodes=32, threads=0)
+
+    def test_probe_report_does_not_depend_on_threads(self, g16):
+        deltas = [0.0, 0.5, 32.0]
+        serial = smalldata_probe(deltas, -0.5, 0.1, g16, seed=0, nodes=32)
+        pooled = smalldata_probe(deltas, -0.5, 0.1, g16, seed=0, nodes=32, threads=2)
+        assert [row.converged for row in serial.rows] == [True, True, False]
+        assert pooled.to_payload() == serial.to_payload()
+
+    def test_pooled_sweep_memory_is_window_bounded(self, monkeypatch):
+        # one 128-node sweep at 32^3 on two workers: the node array, each
+        # worker's evaluation temporaries and the terms of the chunks in
+        # flight, never a sweep's worth of terms (the node array again). A
+        # slowed scan lets the workers run as far ahead as the window allows.
+        relative_l2 = ns3d._relative_l2
+
+        def slow_scan(*args):
+            time.sleep(0.01)
+            return relative_l2(*args)
+
+        monkeypatch.setattr(ns3d, "_relative_l2", slow_scan)
+        n, nodes, threads = 32, 128, 2
+        grid = TorusGrid(dims=3, size=n, length=1.0)
+        a = random_divergence_free(grid, seed=0)
+        k = n // 3
+        block = 3 * (2 * k + 1) ** 2 * (k + 1) * 16
+        node_array = nodes * block
+        grid_fields = 4 * n**3 * 8  # u on the grid and one stress product
+        transform = n * n * (n // 2 + 1) * 16 + n * n * (k + 1) * 16  # z, y passes
+        evaluation = grid_fields + transform + 4 * block  # stresses and flux
+        scan = 12 * block  # the data's term, sweep sums and residual squares
+        # the chunks submitted ahead and the one the scan is consuming
+        window = (threads + _LOOKAHEAD + 1) * _CHUNK * block
+        tracemalloc.start()
+        try:
+            trace = mild_solve_picard(a, 0.1, nodes=nodes, max_iter=1, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.residuals) == 1
+        bound = node_array + threads * evaluation + scan + window
+        assert bound < 2 * node_array
+        assert peak <= bound
 
 
 class TestVelocityField:
@@ -623,6 +744,33 @@ class TestDataNorms:
         finally:
             tracemalloc.stop()
         assert peak - start <= series + trapezoid + tail + slack
+
+
+    def test_solution_x_report_holds_no_node_series(self):
+        # 32 nodes at 32^3 against one box: the report streams the nodes, so
+        # its peak is a few grid arrays, below one component's series
+        n, nodes, horizon = 32, 32, 0.1
+        grid = TorusGrid(dims=3, size=n, length=1.0)
+        boxes = BoxFamily(grid, stride=1, j_values=(2,))
+        trace = mild_solve_picard(random_divergence_free(grid, seed=0), horizon,
+                                  nodes=nodes, nonlinear=False)
+        solution_x_report(trace, -0.5, horizon, boxes)  # fill ball and symbol caches
+        field = 8 * n**3
+        # the box's sum, straddle and time integral, u_0^2, and a node's
+        # samples, |u|, u^2, h, previous h, pair sum, segment and carry
+        walk = 3 * field + 9 * field
+        tail = 1 * (1 + 2 + 2 + 2 * 2) * field  # the family tail, as above
+        slack = 2 * field  # numpy's ufunc buffers
+        bound = walk + tail + slack
+        assert bound < nodes * field
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            solution_x_report(trace, -0.5, horizon, boxes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= bound
 
 
 class TestProbes:
