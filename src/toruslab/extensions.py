@@ -2,14 +2,15 @@
 
 A stack holds u(x, t) together with its full space-time gradient at every
 quadrature node, for u either the Poisson or the heat extension of a
-mean-zero trace. The fractional lift applies (-Lap)^(-alpha/2) to the trace
-and rebuilds the stack.
+mean-zero trace. ``gradient_square_rows`` streams the gradient square of an
+extension chunk by chunk without building a stack, for traces such as the
+(-Lap)^(-alpha/2) lifts whose extension is read once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -22,8 +23,6 @@ from .spectral import (
     TorusGrid,
     extension_rate,
     forward_transform,
-    frac_laplacian_power,
-    inverse_transform,
 )
 
 # Cap on the grid points one batched transform covers (2 MB as complex).
@@ -125,18 +124,25 @@ class ExtensionStack:
     values: np.ndarray  # (nodes, *shape)
     grad_x: np.ndarray  # (nodes, dims, *shape)
     grad_t: np.ndarray  # (nodes, *shape)
+    # The Carleson norms' box time integrals, keyed by what they depend on
+    # (weight exponent, full gradient, parabolic height, box family), so
+    # every level of a norm reuses them; they go with the stack.
+    box_integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
         return self.values.shape[0]
 
-    def gradient_square(self, full: bool = True) -> np.ndarray:
-        """|grad_x u|^2 (+ |d_t u|^2 when full) at every node, shape (nodes, *shape)."""
-        out = np.einsum("mj...,mj...->m...", self.grad_x, self.grad_x)
+    def gradient_square(self, full: bool = True, rows: slice = slice(None)) -> np.ndarray:
+        """|grad_x u|^2 (+ |d_t u|^2 when full) at the nodes ``rows`` (every
+        node by default), shape (rows, *shape)."""
+        grad_x = self.grad_x[rows]
+        out = np.einsum("mj...,mj...->m...", grad_x, grad_x)
         if full:
-            # by row chunks, so no second (nodes, *shape) array is made
-            for rows in row_chunks(self.node_count, self.grid):
-                out[rows] += self.grad_t[rows] ** 2
+            # by row chunks, so no second (rows, *shape) array is made
+            grad_t = self.grad_t[rows]
+            for chunk in row_chunks(len(out), self.grid):
+                out[chunk] += grad_t[chunk] ** 2
         return out
 
     def gradient_peaks(self, full: bool = True) -> np.ndarray:
@@ -223,25 +229,53 @@ def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
                           values=values, grad_x=grad_x, grad_t=grad_t)
 
 
-def zero_time_gradient_square(stack: ExtensionStack, full: bool = True) -> np.ndarray:
-    """t -> 0+ limit of |grad u|^2 per grid point, from the trace symbols.
+def gradient_square_rows(trace: SpectralField, kind: str, times: np.ndarray,
+                         full: bool = True) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, |grad_x u|^2 (+ |d_t u|^2 when full) at t = times[rows])
+    per ``_semigroup`` chunk, for u the extension of ``kind`` of the trace.
+
+    The rows are those of ``build_stack(...).gradient_square(full)`` bit for
+    bit (the trace is the stack's: the forward transform of real samples),
+    but u itself is never transformed and no chunk outlives its turn: each
+    yielded array is the caller's to overwrite. Each gradient component is
+    inverse-transformed one axis pass at a time, as ``irfftn`` does, so a
+    pass frees its input: the chunk's coefficients, the square and one
+    pass's input and output are all that is alive at once.
+    """
+    grid = trace.grid
+    d_t, *d_x = _gradient_symbols(grid, kind)
+    symbols = d_x + [d_t] if full else d_x
+    for rows, coeff in _semigroup(trace, kind, times):
+        square = None
+        for symbol in symbols:
+            part = symbol * coeff
+            for axis in range(1, grid.dims):
+                part = np.fft.ifft(part, axis=axis, norm="forward")
+            part = np.fft.irfft(part, n=grid.size, axis=-1, norm="forward")
+            np.square(part, out=part)
+            if square is None:
+                square = part
+            else:
+                square += part
+        del coeff, part  # free this chunk's buffers before the next chunk
+        yield rows, square
+        del square
+
+
+def zero_time_gradient_square(trace: SpectralField, kind: str, full: bool = True) -> np.ndarray:
+    """t -> 0+ limit of |grad u|^2 per grid point for u the extension of
+    ``kind`` of the trace, from the trace symbols.
 
     For band-limited traces the gradient stays bounded down to t = 0, which
     is what certifies the quadrature truncation below the mesh floor.
     """
-    grid = stack.grid
-    d_t, *d_x = _gradient_symbols(grid, stack.kind)
+    grid = trace.grid
+    d_t, *d_x = _gradient_symbols(grid, kind)
     symbols = d_x + [d_t] if full else d_x
     acc = np.zeros(grid.shape)
-    for g in _inverse_rows(np.stack(symbols) * _half(stack.trace.coefficients, grid), grid):
+    for g in _inverse_rows(np.stack(symbols) * _half(trace.coefficients, grid), grid):
         acc += g**2
     return acc
-
-
-def frac_lift_spectral(stack: ExtensionStack, alpha: float) -> ExtensionStack:
-    """Lift any stack by the spectral power (-Lap)^(-alpha/2) of its trace."""
-    lifted = frac_laplacian_power(stack.trace, -alpha)
-    return build_stack(inverse_transform(lifted), stack.kind, stack.mesh)
 
 
 def gradient_bound_ratio(stack: ExtensionStack, alpha: float, h_norm: float) -> float:

@@ -33,7 +33,12 @@ of the weighted gradient square per node (Carleson norms, one block per
 (``inverse_space_norm``, one block per chunk) or the trapezoid segments of a
 series (``x_space_norm``, one block per segment, which adds the segment
 clipped at r^2 after them). Each block is prefix-summed in place, only sums
-at box heights are kept and nothing past the tallest box is drawn.
+at box heights are kept and nothing past the tallest box is drawn. A
+stack's Carleson time integrals do not depend on the scale r^-(2a+n), so
+the stack keeps them per (weight, gradient, height, family) and every
+level of a norm reuses them. The lifted norms (``star``, ``dagger``) read
+their lift once, so they build no stack: ``extensions.gradient_square_rows``
+streams the lift's gradient square into the walk chunk by chunk.
 """
 
 from __future__ import annotations
@@ -56,12 +61,13 @@ from .extensions import (
     _inverse_rows,
     _semigroup,
     build_stack,
-    frac_lift_spectral,
+    gradient_square_rows,
     row_chunks,
     zero_time_gradient_square,
 )
 from .spectral import (
     Field,
+    SpectralField,
     TorusGrid,
     forward_transform,
     frac_laplacian_power,
@@ -269,7 +275,7 @@ def _running_sums(blocks: Iterable[np.ndarray], counts: Sequence[int]) -> list:
             carry = np.add(carry, row, out=row)
         kept.update((c, block[c - start - 1].copy()) for c in wanted if start < c <= stop)
         carry = carry.copy()
-        del block  # free it before the next one is drawn
+        block = row = None  # free it (row is a view of it) before the next one is drawn
     return [kept[c] for c in counts]
 
 
@@ -404,6 +410,41 @@ def check_box_heights(boxes: BoxFamily, kind: str) -> None:
         mesh.aligned_cut(r if kind == "poisson" else r * r)
 
 
+def _box_time_integrals(
+    gradient_rows: Iterable[tuple[slice, np.ndarray]],
+    mesh: TimeMesh,
+    trace: SpectralField,
+    kind: str,
+    boxes: BoxFamily,
+    weight_exp: float,
+    full_grad: bool,
+    parabolic_height: bool,
+) -> list[np.ndarray]:
+    """int_0^h |grad u|^2 t^w dt per grid point for each box height h = r or
+    r^2 of the family, u the extension of ``kind`` of the trace on ``mesh``.
+
+    ``gradient_rows`` yields (rows, |grad u|^2 at those nodes) in node order,
+    arrays the walk owns and weights in place; none is drawn past the
+    tallest box. The below-floor strip is added analytically from the
+    t -> 0 gradient limit.
+    """
+    grid = trace.grid
+    if grid != boxes.grid:
+        raise ValueError("extension and box family live on different grids")
+    # every box is checked against the mesh before any array work
+    cuts = [mesh.aligned_cut(r**2 if parabolic_height else r) for r in boxes.radii]
+    node_factor = (mesh.weights * mesh.nodes**weight_exp).reshape((-1,) + (1,) * grid.dims)
+    g0 = zero_time_gradient_square(trace, kind, full=full_grad)
+    floor_term = g0 * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp)
+
+    def blocks():
+        for rows, square in gradient_rows:
+            yield np.multiply(square, node_factor[rows], out=square)
+            del square  # free it before the next rows are made
+
+    return [floor_term + s for s in _running_sums(blocks(), cuts)]
+
+
 def _carleson_box_norm(
     stack: ExtensionStack,
     boxes: BoxFamily,
@@ -413,29 +454,38 @@ def _carleson_box_norm(
     parabolic_height: bool,
 ) -> NormResult:
     """max over boxes of r^-scale_exp * int_B int_0^h |grad u|^2 t^w dt dx,
-    h = r or r^2. The below-floor strip is added analytically from the
-    t -> 0 gradient limit."""
-    grid = stack.grid
-    if grid != boxes.grid:
-        raise ValueError("stack and box family live on different grids")
-    mesh = stack.mesh
-    # every box is checked against the mesh before any array work
-    cuts = [mesh.aligned_cut(r**2 if parabolic_height else r) for r in boxes.radii]
-    node_factor = (mesh.weights * mesh.nodes**weight_exp).reshape((-1,) + (1,) * grid.dims)
-    g0 = zero_time_gradient_square(stack, full=full_grad)
-    floor_term = g0 * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp)
+    h = r or r^2, on a stack. Its time integrals are walked once per
+    (weight, gradient, height, family) and kept on the stack, so the levels
+    that differ only in scale_exp share them."""
+    key = (weight_exp, full_grad, parabolic_height, boxes)
+    integrals = stack.box_integrals.get(key)
+    if integrals is None:
+        # made per row chunk, so no (nodes, *shape) gradient square is held
+        rows = ((chunk, stack.gradient_square(full_grad, chunk))
+                for chunk in row_chunks(stack.node_count, stack.grid))
+        integrals = stack.box_integrals.setdefault(key, _box_time_integrals(
+            rows, stack.mesh, stack.trace, stack.kind, boxes, weight_exp,
+            full_grad, parabolic_height))
+    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), integrals, scale_exp, 0.0)
 
-    def blocks(gradient_square):
-        # weighted in place: the walk's blocks are rows of its own array
-        for rows in row_chunks(mesh.node_count, grid):
-            yield np.multiply(gradient_square[rows], node_factor[rows],
-                              out=gradient_square[rows])
 
-    # unnamed, so the gradient square is freed when the walk returns
-    sums = _running_sums(blocks(stack.gradient_square(full=full_grad)), cuts)
-    time_integrals = [floor_term + s for s in sums]
-    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), time_integrals,
-                    scale_exp, 0.0)
+def _lifted_box_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily,
+                     mesh: TimeMesh, parabolic_height: bool) -> NormResult:
+    """Full-gradient t dt box norm, scale 2a+n, of the extension of the
+    stack's kind of the (-Lap)^(-a/2) lift of its trace on ``mesh``.
+
+    The lift's extension is read once, so no stack is built: its gradient
+    square is streamed chunk by chunk into the box walk. The lifted trace
+    goes through real samples, as a stack of it would take it. At alpha=0
+    the trace is kept as is: the -0 power would zero its mean mode.
+    """
+    lifted = stack.trace if alpha == 0.0 else frac_laplacian_power(stack.trace, -alpha)
+    trace = forward_transform(inverse_transform(lifted))
+    rows = gradient_square_rows(trace, stack.kind, mesh.nodes)
+    integrals = _box_time_integrals(rows, mesh, trace, stack.kind, boxes, 1.0,
+                                    True, parabolic_height)
+    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), integrals,
+                    2 * alpha + stack.grid.dims, 0.0)
 
 
 def _require_kind(stack: ExtensionStack, kind: str, op: str) -> None:
@@ -467,8 +517,9 @@ def star_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily) -> NormResu
     """h_alpha2_norm of the mode-wise (-Lap)^(-a/2) lift of the stack."""
     _check_alpha(alpha)
     _require_kind(stack, "poisson", "star_norm")
-    lifted = stack if alpha == 0.0 else frac_lift_spectral(stack, alpha)
-    return h_alpha2_norm(lifted, alpha, boxes)
+    if alpha == 0.0:
+        return h_alpha2_norm(stack, alpha, boxes)
+    return _lifted_box_norm(stack, alpha, boxes, stack.mesh, parabolic_height=False)
 
 
 def t_alpha2_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily) -> NormResult:
@@ -504,23 +555,18 @@ def dagger_norm(
     _require_kind(stack, "heat", "dagger_norm")
     if box_height not in ("linear", "parabolic"):
         raise ValueError(f"box_height must be linear or parabolic, got {box_height!r}")
-    grid = stack.grid
     parabolic = box_height == "parabolic"
-    if parabolic and alpha == 0.0:
-        lifted = stack  # the lift is the identity and the mesh is the stack's own
-    else:
-        # at alpha=0 the trace is kept as is: the -0 power would zero its mean mode
-        lifted_hat = stack.trace if alpha == 0.0 else frac_laplacian_power(stack.trace, -alpha)
-        mesh = stack.mesh if parabolic else TimeMesh(
-            top=grid.length / 2.0,
-            panels=stack.mesh.panels,
-            nodes_per_panel=stack.mesh.nodes_per_panel,
+    if parabolic and alpha == 0.0:  # the lift is the identity and the mesh is the stack's own
+        return _carleson_box_norm(
+            stack, boxes, weight_exp=1.0, scale_exp=2 * alpha + stack.grid.dims,
+            full_grad=True, parabolic_height=True,
         )
-        lifted = build_stack(inverse_transform(lifted_hat), "heat", mesh)
-    return _carleson_box_norm(
-        lifted, boxes, weight_exp=1.0, scale_exp=2 * alpha + grid.dims,
-        full_grad=True, parabolic_height=parabolic,
+    mesh = stack.mesh if parabolic else TimeMesh(
+        top=stack.grid.length / 2.0,
+        panels=stack.mesh.panels,
+        nodes_per_panel=stack.mesh.nodes_per_panel,
     )
+    return _lifted_box_norm(stack, alpha, boxes, mesh, parabolic)
 
 
 # --- sup-type norms ---

@@ -838,11 +838,11 @@ def smalldata_probe(
             rows.append(SmallDataRow(0.0, True, 0.0, 0.0))
             continue
         trace = mild_solve_picard(unit.scaled(delta), horizon, nodes=nodes, threads=threads)
-        if not trace.converged:
-            rows.append(SmallDataRow(delta, False, None, None))
-            continue
-        x_val = solution_x_norm(trace, alpha, horizon, boxes)
-        rows.append(SmallDataRow(delta, True, x_val, x_val / delta))
+        converged = trace.converged
+        x_val = solution_x_norm(trace, alpha, horizon, boxes) if converged else None
+        del trace  # free this rung's nodes before the next rung solves
+        rows.append(SmallDataRow(delta, converged, x_val,
+                                 x_val / delta if converged else None))
     return SmallDataReport(
         alpha=alpha, horizon=horizon, ratio_max=ratio_max,
         linear_ratio=linear_ratio, rows=tuple(rows),

@@ -177,10 +177,12 @@ class Workspace:
     one pool task per member and input: the Poisson ops on one Poisson
     stack of the member, the heat ops on one heat stack, and the trace ops
     on the field. A task builds its stack and drops it when it ends, so a
-    worker holds at most one base stack (and a transient fractional lift)
-    and no stack outlives its task. A lookup that misses plans just the
+    worker holds at most one stack, with the box time integrals its levels
+    share, and no stack outlives its task; the fractional lifts stream
+    their extensions and build none. A lookup that misses plans just the
     missing key and runs it the same way. Reports read the table in corpus
-    order, so they are deterministic.
+    order, so they are deterministic. ``threads`` is the pool's worker
+    count, at least 1; None takes ``default_threads()``.
     """
 
     def __init__(
@@ -195,7 +197,9 @@ class Workspace:
         self.boxes = boxes if boxes is not None else BoxFamily.default(grid)
         if self.boxes.grid != grid:
             raise ValueError("box family grid does not match workspace grid")
-        self.threads = threads if threads else default_threads()
+        if threads is not None and threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
+        self.threads = default_threads() if threads is None else threads
         self._lock = threading.Lock()
         self._fields: dict[str, Field | None] = {}
         self._values: dict[tuple, float] = {}

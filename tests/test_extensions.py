@@ -19,8 +19,8 @@ from toruslab.extensions import (
     ExtensionStack,
     TimeMesh,
     build_stack,
-    frac_lift_spectral,
     gradient_bound_ratio,
+    gradient_square_rows,
     row_chunks,
     zero_time_gradient_square,
 )
@@ -34,7 +34,7 @@ from toruslab.spectral import (
     inverse_transform,
     poisson_semigroup,
 )
-from transform_oracles import assert_half_close, inverse_rows, nyquist_field
+from transform_oracles import assert_half_close, inverse_rows, lift_stack, nyquist_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -362,14 +362,14 @@ class TestBuildStack:
         # constant (2 pi)^2.
         grid = TorusGrid(1, 64)
         stack = build_stack(cos_field(grid), "poisson", TimeMesh(top=0.5, panels=4))
-        g0 = zero_time_gradient_square(stack, full=True)
+        g0 = zero_time_gradient_square(stack.trace, stack.kind, full=True)
         assert np.max(np.abs(g0 - TWO_PI**2)) <= 1e-10
 
     def test_zero_time_gradient_heat_spatial(self):
         grid = TorusGrid(1, 64)
         x = grid.coordinates()[0]
         stack = build_stack(cos_field(grid), "heat", TimeMesh(top=0.25, panels=4))
-        g0 = zero_time_gradient_square(stack, full=False)
+        g0 = zero_time_gradient_square(stack.trace, stack.kind, full=False)
         expected = TWO_PI**2 * np.sin(TWO_PI * x) ** 2
         assert np.max(np.abs(g0 - expected)) <= 1e-10
 
@@ -447,8 +447,27 @@ class TestBatchedTransforms:
         assert np.array_equal(stack.grad_x, grad_x)
         assert np.array_equal(stack.grad_t, grad_t)
         for full in (True, False):
-            assert np.array_equal(zero_time_gradient_square(stack, full=full),
-                                  symbol_loop_zero_time(stack, full_grad=full))
+            g0 = zero_time_gradient_square(stack.trace, stack.kind, full=full)
+            assert np.array_equal(g0, symbol_loop_zero_time(stack, full_grad=full))
+
+    @pytest.mark.parametrize("kind", ["poisson", "heat"])
+    @pytest.mark.parametrize("dims,size", [(1, 256), (2, 64), (3, 16)])
+    def test_gradient_square_rows_match_the_stack(self, kind, dims, size):
+        # streamed rows, and a stack's own rows by chunk, equal its whole
+        # gradient square bit for bit
+        grid = TorusGrid(dims, size)
+        f = noise_field(grid, seed=dims)
+        mesh = TimeMesh(top=0.5)
+        stack = build_stack(f, kind, mesh)
+        for full in (True, False):
+            want = stack.gradient_square(full)
+            covered = 0
+            for rows, square in gradient_square_rows(stack.trace, kind, mesh.nodes, full):
+                assert rows.start == covered
+                assert np.array_equal(square, want[rows])
+                assert np.array_equal(stack.gradient_square(full, rows), want[rows])
+                covered = rows.stop
+            assert covered == stack.node_count
 
     def test_build_stack_memory_is_chunk_bounded(self):
         grid = TorusGrid(3, 32)
@@ -493,8 +512,8 @@ class TestHalfSpectrum:
         for j in range(dims):
             assert_half_close(stack.grad_x[:, j], grad_x[:, j])
         for full_grad in (True, False):
-            assert_half_close(zero_time_gradient_square(stack, full=full_grad),
-                              symbol_loop_zero_time(stack, full_grad, full=True))
+            g0 = zero_time_gradient_square(stack.trace, stack.kind, full=full_grad)
+            assert_half_close(g0, symbol_loop_zero_time(stack, full_grad, full=True))
 
 
 class TestSubordination:
@@ -517,7 +536,7 @@ class TestSubordination:
         f = noise_field(grid, seed=5)
         stack = build_stack(f, "poisson", mesh)
         lifted, _ = frac_lift_subordination(stack, 0.999)
-        spectral = frac_lift_spectral(stack, 0.999)
+        spectral = lift_stack(stack, 0.999)
         scale = np.max(np.abs(spectral.values))
         err = np.max(np.abs(lifted.values - spectral.values))
         assert err <= 1e-2 * scale

@@ -25,7 +25,6 @@ from toruslab.extensions import (
     CHUNK_POINTS,
     TimeMesh,
     build_stack,
-    frac_lift_spectral,
     zero_time_gradient_square,
 )
 from toruslab.norms import (
@@ -61,7 +60,6 @@ from toruslab.spectral import (
     Field,
     TorusGrid,
     forward_transform,
-    frac_laplacian_power,
     inverse_transform,
 )
 from transform_oracles import (
@@ -69,6 +67,7 @@ from transform_oracles import (
     assert_half_close,
     ball_correlate,
     inverse_rows,
+    lift_stack,
     nyquist_field,
 )
 
@@ -825,7 +824,7 @@ def radius_loop_carleson(stack, boxes: BoxFamily, weight_exp: float, scale_exp: 
     node_factor = mesh.weights * mesh.nodes**weight_exp
     prefix = np.cumsum(stack.gradient_square(full=full_grad)
                        * node_factor.reshape((-1,) + (1,) * grid.dims), axis=0)
-    floor_term = (zero_time_gradient_square(stack, full=full_grad)
+    floor_term = (zero_time_gradient_square(stack.trace, stack.kind, full=full_grad)
                   * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp))
     per_radius = []
     for j, radius in zip(boxes.j_values, boxes.radii):
@@ -841,11 +840,9 @@ def dagger_lift(stack, alpha: float, parabolic: bool):
     parabolic boxes, else the lifted trace on the mesh of the box height."""
     if parabolic and alpha == 0.0:
         return stack
-    lifted = stack.trace if alpha == 0.0 else frac_laplacian_power(stack.trace, -alpha)
-    mesh = stack.mesh if parabolic else TimeMesh(
+    return lift_stack(stack, alpha, stack.mesh if parabolic else TimeMesh(
         top=stack.grid.length / 2.0, panels=stack.mesh.panels,
-        nodes_per_panel=stack.mesh.nodes_per_panel)
-    return build_stack(inverse_transform(lifted), "heat", mesh)
+        nodes_per_panel=stack.mesh.nodes_per_panel))
 
 
 def _clipped_time_integral(
@@ -912,7 +909,7 @@ class TestBoxTails:
         stack = norm.argument(random_field(grid, seed=size), boxes)
         for alpha in (0.0, -0.5, 0.25):
             if name == "star":
-                measured = stack if alpha == 0.0 else frac_lift_spectral(stack, alpha)
+                measured = stack if alpha == 0.0 else lift_stack(stack, alpha)
             elif name.startswith("dagger"):
                 measured = dagger_lift(stack, alpha, name.endswith("parabolic"))
             else:
@@ -1131,16 +1128,20 @@ class TestRunningSums:
             assert total.base is None and np.array_equal(total, row)
 
     def test_carleson_walk_keeps_one_node_array(self):
-        # 3-D N=16, 160 nodes: the gradient square is one (nodes, N^3) float
-        # array, 5.2 MB. The walk adds node-sized arrays only: the running sum,
+        # 3-D N=16, 160 nodes: the gradient square of every node is one
+        # (nodes, N^3) float array, 5.2 MB, which the walk makes one row
+        # chunk at a time. It adds node-sized arrays only: the running sum,
         # one term, the floor term and the three kept sums, and the box tail
         # works on three-radius stacks. 8 complex grid fields (0.5 MB) bound
         # those; a prefix array, or the weighted product it sums, would add
-        # another 5.2 MB.
+        # another 5.2 MB. The walk runs on a stack that has not kept its time
+        # integrals yet.
         grid = TorusGrid(3, 16)
         boxes = BoxFamily.default(grid)
-        stack = NORMS["scaled_t"].argument(random_field(grid, seed=3), boxes)
-        want = scaled_t_norm(stack, -0.5, boxes)  # fills the ball caches
+        f = random_field(grid, seed=3)
+        stack = NORMS["scaled_t"].argument(f, boxes)
+        # on a second stack, which fills the ball caches
+        want = scaled_t_norm(NORMS["scaled_t"].argument(f, boxes), -0.5, boxes)
         tracemalloc.start()
         try:
             got = scaled_t_norm(stack, -0.5, boxes)
@@ -1152,13 +1153,15 @@ class TestRunningSums:
         assert peak < gradient_square + 8 * grid.point_count * 16
 
     def test_full_gradient_walk_keeps_one_node_array(self):
-        # As above for h: |grad_x u|^2 is one (nodes, N^3) array and d_t u
-        # is squared into it by row chunks, one float chunk (8 * CHUNK_POINTS)
-        # at a time; squaring grad_t whole would add a second node array.
+        # As above for h: d_t u is squared into |grad_x u|^2 by row chunks,
+        # one float chunk (8 * CHUNK_POINTS) at a time; squaring grad_t whole
+        # would add a second node array.
         grid = TorusGrid(3, 16)
         boxes = BoxFamily.default(grid)
-        stack = NORMS["h"].argument(random_field(grid, seed=3), boxes)
-        want = h_alpha2_norm(stack, 0.25, boxes)  # fills the ball caches
+        f = random_field(grid, seed=3)
+        stack = NORMS["h"].argument(f, boxes)
+        # on a second stack, which fills the ball caches
+        want = h_alpha2_norm(NORMS["h"].argument(f, boxes), 0.25, boxes)
         tracemalloc.start()
         try:
             got = h_alpha2_norm(stack, 0.25, boxes)
@@ -1168,6 +1171,51 @@ class TestRunningSums:
         assert got == want
         gradient_square = stack.node_count * grid.point_count * 8
         assert peak < gradient_square + 8 * CHUNK_POINTS + 8 * grid.point_count * 16
+
+    @pytest.mark.parametrize("name", ["star", "dagger_linear"])
+    def test_lifted_norm_builds_no_stack(self, name):
+        # 3-D N=16, 160 nodes: the lift's stack alone would be five
+        # (nodes, N^3) float arrays. Streamed, the lift holds one chunk's
+        # coefficients, its gradient square and one transform pass, under
+        # one (nodes, N^3) float array, 5.2 MB.
+        grid = TorusGrid(3, 16)
+        boxes = BoxFamily.default(grid)
+        norm = NORMS[name]
+        stack = norm.argument(random_field(grid, seed=3), boxes)
+        want = norm.evaluate(stack, 0.25, boxes, math.inf)  # fills the ball caches
+        tracemalloc.start()
+        try:
+            got = norm.evaluate(stack, 0.25, boxes, math.inf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < stack.node_count * grid.point_count * 8
+
+    def test_levels_share_one_walk_per_stack(self, monkeypatch):
+        # h's time integrals do not depend on the level: three levels on one
+        # stack walk once, and give what three fresh stacks give
+        grid = TorusGrid(2, 32)
+        boxes = BoxFamily.default(grid)
+        f = random_field(grid, seed=5)
+        levels = (-0.5, 0.0, 0.25)
+        want = [h_alpha2_norm(NORMS["h"].argument(f, boxes), a, boxes) for a in levels]
+        walks = []
+        real = norms_module._running_sums
+
+        def counted(blocks, counts):
+            walks.append(counts)
+            return real(blocks, counts)
+
+        monkeypatch.setattr(norms_module, "_running_sums", counted)
+        stack = NORMS["h"].argument(f, boxes)
+        assert [h_alpha2_norm(stack, a, boxes) for a in levels] == want
+        assert len(walks) == 1
+        # scaled_h at alpha=0 has h's weight t, so it reads the same integrals
+        assert scaled_h_norm(stack, 0.0, boxes) == want[1]
+        assert len(walks) == 1
+        scaled_h_norm(stack, 0.25, boxes)
+        assert len(walks) == 2
 
     def test_inverse_space_stops_at_the_largest_cut(self, monkeypatch):
         # horizon 0.02 keeps only r = 1/8, whose cut is 128 of the 160 nodes;

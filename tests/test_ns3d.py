@@ -803,6 +803,28 @@ class TestProbes:
         assert row["x_norm"] is None and row["ratio"] is None
         assert report.rows[0].x_norm > 0.0
 
+    def test_ladder_holds_one_rung_at_a_time(self, g16):
+        # 128 nodes at 16^3: a rung's trace is a 4.5 MB node array, more than
+        # the rest of the probe holds at once, so a ladder that kept the last
+        # rung's trace while the next rung solves would peak a node array
+        # higher with a third rung (10.3 MB against 6.1 MB)
+        def probe(deltas):
+            tracemalloc.start()
+            try:
+                report = smalldata_probe(deltas, -0.5, 0.1, g16, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return report.to_payload(), peak
+
+        probe([0.0])  # fills the grid caches
+        two, two_peak = probe([0.0, 1.0])
+        three, three_peak = probe([0.0, 0.5, 1.0])
+        assert three_peak <= two_peak + 8 * g16.point_count  # one grid field
+        # each rung's row is its own, whatever the ladder
+        assert (three["rows"][0], three["rows"][2]) == tuple(two["rows"])
+        assert three["linear_ratio"] == two["linear_ratio"]
+
     def test_smalldata_validation(self, g16):
         with pytest.raises(ValueError, match="nonnegative"):
             smalldata_probe([-0.5], -0.5, 0.1, g16, nodes=32)

@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 
 import toruslab
+import toruslab.extensions as extensions_module
+import toruslab.norms as norms_module
 from toruslab.corpus import CorpusSpec, generate
 from toruslab.norms import NORMS, BoxFamily
 from toruslab.spectral import TorusGrid
@@ -34,6 +36,7 @@ from toruslab.verify import (
     check_inclusions,
     check_scaling,
     check_scaling_rows,
+    default_threads,
     lattice_rescale,
     prepare,
     run_check,
@@ -205,6 +208,15 @@ class TestWorkspace:
         with pytest.raises(ValueError):
             Workspace(small_specs(), grid, boxes=BoxFamily.default(other))
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_refused(self, grid: TorusGrid, threads: int) -> None:
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            Workspace(small_specs(), grid, threads=threads)
+
+    def test_threads_default(self, grid: TorusGrid) -> None:
+        assert Workspace(small_specs(), grid).threads == default_threads()
+        assert Workspace(small_specs(), grid, threads=3).threads == 3
+
 
 class StackCensus:
     """Counts the base stacks a Workspace builds, per (grid size, member,
@@ -255,6 +267,29 @@ class TestPlan:
         assert set(census.built) == {(size, label, kind) for size in (64, 128)
                                      for label in labels for kind in ("poisson", "heat")}
         assert set(census.built.values()) == {1}
+
+    def test_member_tasks_build_one_stack_each(self, grid, monkeypatch) -> None:
+        # every stack op of one member, the lifted star and dagger norms
+        # included, reads the one stack its Poisson or heat task builds
+        built = collections.Counter()
+        real = extensions_module.build_stack
+
+        def counted(f, kind, mesh):
+            built[kind] += 1
+            return real(f, kind, mesh)
+
+        monkeypatch.setattr(extensions_module, "build_stack", counted)
+        monkeypatch.setattr(norms_module, "build_stack", counted)
+        space = Workspace(small_specs(), grid, threads=1)
+        ops = [op for op, norm in NORMS.items() if norm.kind != "trace"]
+        pairs = [(op, level) for op in ops + ["grad_constant", "weight_monotone"]
+                 for level in (-0.25, 0.0, 0.25)]
+        tasks = space._tasks({space.labels[3]: pairs})
+        assert sorted(kind for _, _, kind, _ in tasks) == ["heat", "poisson"]
+        space.run({space.labels[3]: pairs})
+        assert built == {"poisson": 1, "heat": 1}
+        assert all((op, space.labels[3], round(level, 12)) in space._values
+                   for op, level in pairs)
 
     def test_live_base_stacks_bounded_by_threads(self, grid, monkeypatch) -> None:
         census = StackCensus(monkeypatch)

@@ -3,7 +3,8 @@
 The library transforms real fields on the Hermitian half spectrum: a row
 of full-layout coefficients keeps the last-axis modes 0..N/2 and goes
 through ``irfftn``; a ball correlation is ``rfftn`` -> multiply ->
-``irfftn``. The loops in the tests take their transforms from here.
+``irfftn``. The loops in the tests take their transforms from here, and
+the lifted box norms their whole lifted stacks.
 ``full=True`` selects instead the full-spectrum path, ``ifftn(...).real``,
 the accuracy reference of the half spectrum.
 """
@@ -12,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from toruslab.extensions import ExtensionStack, TimeMesh, build_stack
 from toruslab.norms import _ball_mask, _ball_spectra
-from toruslab.spectral import Field, TorusGrid
+from toruslab.spectral import Field, TorusGrid, frac_laplacian_power, inverse_transform
 
 # The half and the full spectrum agree to roundoff: every array matches to
 # 1e-13 of its own peak.
@@ -39,6 +41,15 @@ def ball_correlate(arr: np.ndarray, grid: TorusGrid, j: int, full: bool = False)
         return np.fft.ifftn(np.fft.fftn(arr) * ball).real
     return np.fft.irfftn(np.fft.rfftn(arr, axes=axes) * _ball_spectra(grid, (j,))[0],
                          s=grid.shape, axes=axes)
+
+
+def lift_stack(stack: ExtensionStack, alpha: float,
+               mesh: TimeMesh | None = None) -> ExtensionStack:
+    """The whole stack, on ``mesh`` (the stack's own by default), of the
+    (-Lap)^(-alpha/2) lift of a stack's trace: the reference the streamed
+    lifted box norms match bit for bit. At alpha=0 the trace is kept as is."""
+    lifted = stack.trace if alpha == 0.0 else frac_laplacian_power(stack.trace, -alpha)
+    return build_stack(inverse_transform(lifted), stack.kind, mesh or stack.mesh)
 
 
 def nyquist_field(grid: TorusGrid, seed: int) -> Field:
