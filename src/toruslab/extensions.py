@@ -2,9 +2,9 @@
 
 A stack holds u(x, t) together with its full space-time gradient at every
 quadrature node, for u either the Poisson or the heat extension of a
-mean-zero trace. ``gradient_square_rows`` streams the gradient square of an
-extension chunk by chunk without building a stack, for traces such as the
-(-Lap)^(-alpha/2) lifts whose extension is read once.
+mean-zero trace. ``extension_rows`` and ``gradient_square_rows`` stream u
+and its gradient square chunk by chunk without a stack. Every sample comes
+from one sampler, ``_semigroup``, and one inverse, ``_inverse_rows``.
 """
 
 from __future__ import annotations
@@ -133,22 +133,24 @@ class ExtensionStack:
     def node_count(self) -> int:
         return self.values.shape[0]
 
-    def gradient_square(self, full: bool = True, rows: slice = slice(None)) -> np.ndarray:
-        """|grad_x u|^2 (+ |d_t u|^2 when full) at the nodes ``rows`` (every
-        node by default), shape (rows, *shape)."""
-        grad_x = self.grad_x[rows]
-        out = np.einsum("mj...,mj...->m...", grad_x, grad_x)
-        if full:
-            # by row chunks, so no second (rows, *shape) array is made
-            grad_t = self.grad_t[rows]
-            for chunk in row_chunks(len(out), self.grid):
-                out[chunk] += grad_t[chunk] ** 2
-        return out
+    def gradient_square_rows(self, full: bool = True) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield (rows, |grad_x u|^2 (+ |d_t u|^2 when full) at those nodes)
+        per ``row_chunks`` chunk, so no (nodes, *shape) square is held. Each
+        yielded array is the caller's to overwrite."""
+        for rows in row_chunks(self.node_count, self.grid):
+            grad_x = self.grad_x[rows]
+            square = np.einsum("mj...,mj...->m...", grad_x, grad_x)
+            if full:
+                square += self.grad_t[rows] ** 2
+            yield rows, square
 
     def gradient_peaks(self, full: bool = True) -> np.ndarray:
         """max over grid points of |grad u| at each node, shape (nodes,)."""
+        peaks = np.empty(self.node_count)
+        for rows, square in self.gradient_square_rows(full):
+            peaks[rows] = square.reshape(len(square), -1).max(axis=1)
         # sqrt is monotone, so the sqrt of the max is the max of the sqrt
-        return np.sqrt(self.gradient_square(full).reshape(self.node_count, -1).max(axis=1))
+        return np.sqrt(peaks)
 
 
 def _half(arr: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -182,25 +184,26 @@ def _semigroup(trace: SpectralField, kind: str, times: np.ndarray,
         yield rows, np.exp(neg_rate * t) * coeff
 
 
-def _inverse_rows(coeff: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Real inverse FFT of each row of a (rows, *half shape) stack of half
-    spectra, shape (rows, *grid.shape). It is raw: deep heat damping leaves
-    roundoff-scale rows that the guarded transform would refuse."""
-    return np.fft.irfftn(coeff, s=grid.shape, axes=tuple(range(1, coeff.ndim)),
-                         norm="forward")
+def _inverse_rows(coeff: np.ndarray, grid: TorusGrid,
+                  symbol: np.ndarray | None = None) -> np.ndarray:
+    """Real inverse FFT of each row of ``symbol * coeff`` (of ``coeff`` with
+    no symbol), a (rows, *half shape) stack of half spectra: the passes of
+    ``irfftn`` run one at a time, so each frees its input and the bits are
+    those of ``irfftn``. It is raw: deep heat damping leaves roundoff-scale
+    rows that the guarded transform would refuse."""
+    part = coeff if symbol is None else symbol * coeff
+    for axis in range(1, grid.dims):
+        part = np.fft.ifft(part, axis=axis, norm="forward")
+    return np.fft.irfft(part, n=grid.size, axis=-1, norm="forward")
 
 
 def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
     """Evaluate the extension and its full gradient at every mesh node.
 
-    Node chunks come from ``_semigroup``, the one holder of the chunk rule
-    and of e^{-rate t}: one real inverse transform per chunk for each of
-    ``values``, ``grad_t`` and every ``grad_x[:, j]``, copied into the
-    preallocated output. The symbols are sliced to the half spectrum
-    before they act. Besides the returned arrays and the half-spectrum
-    symbols, the chunk temporaries alive at once are the chunk's half
-    coefficients, one symbol product, and the transform's complex
-    per-axis intermediates and real output.
+    One ``_inverse_rows`` per ``_semigroup`` chunk for each of ``values``,
+    ``grad_t`` and every ``grad_x[:, j]``, copied into the preallocated
+    output. Besides the returned arrays and the symbols, the chunk's
+    coefficients and one transform's passes are alive at once.
     """
     grid = f.grid
     symbols = _gradient_symbols(grid, kind)
@@ -215,13 +218,10 @@ def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
     grad_t = np.empty((m,) + grid.shape)
     for sl, coeff in _semigroup(trace, kind, mesh.nodes):
         values[sl] = _inverse_rows(coeff, grid)
-        work = np.empty_like(coeff)
         targets = [grad_t[sl]] + [grad_x[sl, j] for j in range(grid.dims)]
         for symbol, target in zip(symbols, targets):
-            np.multiply(symbol, coeff, out=work)
-            target[...] = _inverse_rows(work, grid)
-        # free this chunk's buffers before the next chunk allocates its own
-        del coeff, work
+            target[...] = _inverse_rows(coeff, grid, symbol)
+        del coeff  # free this chunk's coefficients before the next chunk's
 
     for arr in (values, grad_x, grad_t):
         arr.flags.writeable = False
@@ -229,18 +229,27 @@ def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
                           values=values, grad_x=grad_x, grad_t=grad_t)
 
 
+def extension_rows(trace: SpectralField, kind: str, times: np.ndarray,
+                   unit: int = 1) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, u at t = times[rows]) per ``_semigroup`` chunk, for u the
+    extension of ``kind`` of the trace: the rows of a stack's ``values``
+    bit for bit, each yielded array the caller's."""
+    for rows, coeff in _semigroup(trace, kind, times, unit):
+        u = _inverse_rows(coeff, trace.grid)
+        del coeff  # free the chunk's coefficients before the caller reads u
+        yield rows, u
+
+
 def gradient_square_rows(trace: SpectralField, kind: str, times: np.ndarray,
                          full: bool = True) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, |grad_x u|^2 (+ |d_t u|^2 when full) at t = times[rows])
     per ``_semigroup`` chunk, for u the extension of ``kind`` of the trace.
 
-    The rows are those of ``build_stack(...).gradient_square(full)`` bit for
-    bit (the trace is the stack's: the forward transform of real samples),
-    but u itself is never transformed and no chunk outlives its turn: each
-    yielded array is the caller's to overwrite. Each gradient component is
-    inverse-transformed one axis pass at a time, as ``irfftn`` does, so a
-    pass frees its input: the chunk's coefficients, the square and one
-    pass's input and output are all that is alive at once.
+    The rows are those of ``build_stack(...).gradient_square_rows(full)`` bit
+    for bit (the trace is the stack's: the forward transform of real
+    samples), but u itself is never transformed and no chunk outlives its
+    turn: each yielded array is the caller's to overwrite. At t = 0,
+    e^{-rate t} is exactly 1: that row is the t -> 0+ limit.
     """
     grid = trace.grid
     d_t, *d_x = _gradient_symbols(grid, kind)
@@ -248,34 +257,16 @@ def gradient_square_rows(trace: SpectralField, kind: str, times: np.ndarray,
     for rows, coeff in _semigroup(trace, kind, times):
         square = None
         for symbol in symbols:
-            part = symbol * coeff
-            for axis in range(1, grid.dims):
-                part = np.fft.ifft(part, axis=axis, norm="forward")
-            part = np.fft.irfft(part, n=grid.size, axis=-1, norm="forward")
+            part = _inverse_rows(coeff, grid, symbol)
             np.square(part, out=part)
             if square is None:
                 square = part
             else:
                 square += part
-        del coeff, part  # free this chunk's buffers before the next chunk
+            del part  # free it before the next transform runs
+        del coeff  # free the chunk's coefficients before the next chunk's
         yield rows, square
         del square
-
-
-def zero_time_gradient_square(trace: SpectralField, kind: str, full: bool = True) -> np.ndarray:
-    """t -> 0+ limit of |grad u|^2 per grid point for u the extension of
-    ``kind`` of the trace, from the trace symbols.
-
-    For band-limited traces the gradient stays bounded down to t = 0, which
-    is what certifies the quadrature truncation below the mesh floor.
-    """
-    grid = trace.grid
-    d_t, *d_x = _gradient_symbols(grid, kind)
-    symbols = d_x + [d_t] if full else d_x
-    acc = np.zeros(grid.shape)
-    for g in _inverse_rows(np.stack(symbols) * _half(trace.coefficients, grid), grid):
-        acc += g**2
-    return acc
 
 
 def gradient_bound_ratio(stack: ExtensionStack, alpha: float, h_norm: float) -> float:

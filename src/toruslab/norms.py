@@ -15,9 +15,8 @@ the exhaustive-family oracles and the 3D norms affordable. One real forward
 and one real inverse transform serve every radius of a family: the half ball
 spectra are stacked along a leading radius axis, and ``_box_sup`` is the one
 place that ball-correlates a family's time integrals, scales them and takes
-the sup. Heat snapshots for the Besov sup and the inverse-space norm come
-from the extension sampler ``extensions._semigroup``, which holds the chunk
-rule and e^{-rate t} on the half spectrum; its chunks are whole rows, so
+the sup. Heat snapshots for the Besov sup and the inverse-space norm are
+the rows of ``extensions.extension_rows``; its chunks are whole rows, so
 batching changes no bit of any result.
 
 ``q_norm``'s pair sum at a center is a diagonal term, the ball's squares
@@ -33,12 +32,14 @@ of the weighted gradient square per node (Carleson norms, one block per
 (``inverse_space_norm``, one block per chunk) or the trapezoid segments of a
 series (``x_space_norm``, one block per segment, which adds the segment
 clipped at r^2 after them). Each block is prefix-summed in place, only sums
-at box heights are kept and nothing past the tallest box is drawn. A
-stack's Carleson time integrals do not depend on the scale r^-(2a+n), so
+at box heights are kept and nothing past the tallest box is drawn. The
+Carleson floor term is the t = 0 row of ``extensions.gradient_square_rows``.
+A stack's Carleson time integrals do not depend on the scale r^-(2a+n), so
 the stack keeps them per (weight, gradient, height, family) and every
 level of a norm reuses them. The lifted norms (``star``, ``dagger``) read
 their lift once, so they build no stack: ``extensions.gradient_square_rows``
-streams the lift's gradient square into the walk chunk by chunk.
+streams the lift's gradient square into the walk chunk by chunk. A zero
+lift on the stack's own mesh is the stack, and reads its kept walk.
 """
 
 from __future__ import annotations
@@ -58,12 +59,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .extensions import (
     ExtensionStack,
     TimeMesh,
-    _inverse_rows,
-    _semigroup,
     build_stack,
+    extension_rows,
     gradient_square_rows,
     row_chunks,
-    zero_time_gradient_square,
 )
 from .spectral import (
     Field,
@@ -426,7 +425,7 @@ def _box_time_integrals(
     ``gradient_rows`` yields (rows, |grad u|^2 at those nodes) in node order,
     arrays the walk owns and weights in place; none is drawn past the
     tallest box. The below-floor strip is added analytically from the
-    t -> 0 gradient limit.
+    gradient square at t = 0.
     """
     grid = trace.grid
     if grid != boxes.grid:
@@ -434,8 +433,8 @@ def _box_time_integrals(
     # every box is checked against the mesh before any array work
     cuts = [mesh.aligned_cut(r**2 if parabolic_height else r) for r in boxes.radii]
     node_factor = (mesh.weights * mesh.nodes**weight_exp).reshape((-1,) + (1,) * grid.dims)
-    g0 = zero_time_gradient_square(trace, kind, full=full_grad)
-    floor_term = g0 * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp)
+    _, g0 = next(gradient_square_rows(trace, kind, np.zeros(1), full_grad))
+    floor_term = g0[0] * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp)
 
     def blocks():
         for rows, square in gradient_rows:
@@ -460,32 +459,36 @@ def _carleson_box_norm(
     key = (weight_exp, full_grad, parabolic_height, boxes)
     integrals = stack.box_integrals.get(key)
     if integrals is None:
-        # made per row chunk, so no (nodes, *shape) gradient square is held
-        rows = ((chunk, stack.gradient_square(full_grad, chunk))
-                for chunk in row_chunks(stack.node_count, stack.grid))
         integrals = stack.box_integrals.setdefault(key, _box_time_integrals(
-            rows, stack.mesh, stack.trace, stack.kind, boxes, weight_exp,
-            full_grad, parabolic_height))
+            stack.gradient_square_rows(full_grad), stack.mesh, stack.trace, stack.kind,
+            boxes, weight_exp, full_grad, parabolic_height))
     return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), integrals, scale_exp, 0.0)
 
 
 def _lifted_box_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily,
-                     mesh: TimeMesh, parabolic_height: bool) -> NormResult:
+                     parabolic_height: bool, mesh: TimeMesh | None = None) -> NormResult:
     """Full-gradient t dt box norm, scale 2a+n, of the extension of the
-    stack's kind of the (-Lap)^(-a/2) lift of its trace on ``mesh``.
+    stack's kind of the (-Lap)^(-a/2) lift of its trace on ``mesh``, the
+    stack's own when None.
 
-    The lift's extension is read once, so no stack is built: its gradient
-    square is streamed chunk by chunk into the box walk. The lifted trace
-    goes through real samples, as a stack of it would take it. At alpha=0
-    the trace is kept as is: the -0 power would zero its mean mode.
+    A zero lift on the stack's own mesh is the stack: it reads the stack's
+    kept walk. Any other lift is read once, so no stack is built: its
+    gradient square is streamed chunk by chunk into the box walk. The
+    lifted trace goes through real samples, as a stack of it would take
+    it. At alpha=0 the trace is kept as is: the -0 power would zero its
+    mean mode.
     """
+    scale_exp = 2 * alpha + stack.grid.dims
+    if mesh is None:
+        if alpha == 0.0:
+            return _carleson_box_norm(stack, boxes, 1.0, scale_exp, True, parabolic_height)
+        mesh = stack.mesh
     lifted = stack.trace if alpha == 0.0 else frac_laplacian_power(stack.trace, -alpha)
     trace = forward_transform(inverse_transform(lifted))
     rows = gradient_square_rows(trace, stack.kind, mesh.nodes)
     integrals = _box_time_integrals(rows, mesh, trace, stack.kind, boxes, 1.0,
                                     True, parabolic_height)
-    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), integrals,
-                    2 * alpha + stack.grid.dims, 0.0)
+    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), integrals, scale_exp, 0.0)
 
 
 def _require_kind(stack: ExtensionStack, kind: str, op: str) -> None:
@@ -517,9 +520,7 @@ def star_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily) -> NormResu
     """h_alpha2_norm of the mode-wise (-Lap)^(-a/2) lift of the stack."""
     _check_alpha(alpha)
     _require_kind(stack, "poisson", "star_norm")
-    if alpha == 0.0:
-        return h_alpha2_norm(stack, alpha, boxes)
-    return _lifted_box_norm(stack, alpha, boxes, stack.mesh, parabolic_height=False)
+    return _lifted_box_norm(stack, alpha, boxes, parabolic_height=False)
 
 
 def t_alpha2_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily) -> NormResult:
@@ -556,17 +557,12 @@ def dagger_norm(
     if box_height not in ("linear", "parabolic"):
         raise ValueError(f"box_height must be linear or parabolic, got {box_height!r}")
     parabolic = box_height == "parabolic"
-    if parabolic and alpha == 0.0:  # the lift is the identity and the mesh is the stack's own
-        return _carleson_box_norm(
-            stack, boxes, weight_exp=1.0, scale_exp=2 * alpha + stack.grid.dims,
-            full_grad=True, parabolic_height=True,
-        )
-    mesh = stack.mesh if parabolic else TimeMesh(
+    mesh = None if parabolic else TimeMesh(
         top=stack.grid.length / 2.0,
         panels=stack.mesh.panels,
         nodes_per_panel=stack.mesh.nodes_per_panel,
     )
-    return _lifted_box_norm(stack, alpha, boxes, mesh, parabolic)
+    return _lifted_box_norm(stack, alpha, boxes, parabolic, mesh)
 
 
 # --- sup-type norms ---
@@ -592,9 +588,7 @@ def besov_norm(f: Field, t_grid: np.ndarray | None = None) -> float:
         t_grid = np.geomspace(1e-9 * scale, scale, 700)
     t_grid = np.asarray(t_grid, dtype=float)
     best = 0.0
-    for sl, coeff in _semigroup(forward_transform(g), "heat", t_grid):
-        u = _inverse_rows(coeff, grid)
-        del coeff  # free the chunk's coefficients before |u| is taken
+    for sl, u in extension_rows(forward_transform(g), "heat", t_grid):
         peaks = np.sqrt(t_grid[sl]) * np.abs(u).reshape(u.shape[0], -1).max(axis=1)
         best = max(best, float(np.max(peaks)))
     return best
@@ -612,7 +606,7 @@ def inverse_space_norm(
     """value^2 = max over boxes with r^2 < horizon of
     r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt.
 
-    Streams the heat extension in panel-aligned chunks of ``_semigroup``
+    Streams the heat extension in panel-aligned chunks of ``extension_rows``
     through ``_running_sums``, one block per chunk with one term per panel:
     only the sums at the radius cuts are kept, and no chunk past the largest
     eligible cut is drawn.
@@ -640,8 +634,7 @@ def inverse_space_norm(
 
     def blocks():
         yield (g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha))[np.newaxis]
-        for chunk, coeff in _semigroup(forward_transform(g), "heat", t, unit=per):
-            u = _inverse_rows(coeff, grid)
+        for chunk, u in extension_rows(forward_transform(g), "heat", t, unit=per):
             u_sq, w = u * u, node_factor[chunk]
             # one einsum per panel, in node order, as the quadrature sums it
             yield np.stack([np.einsum("m...,m->...", u_sq[i : i + per], w[i : i + per])

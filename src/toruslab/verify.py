@@ -216,7 +216,9 @@ class Workspace:
         with self._lock:
             if label in self._fields:
                 return self._fields[label]
-        spec = next(s for s in self.specs if s.label() == label)
+        spec = next((s for s in self.specs if s.label() == label), None)
+        if spec is None:
+            raise ValueError(f"no corpus member is labelled {label!r}")
         raw = generate(spec, self.grid)
         centered = raw.remove_mean()
         scale = max(abs(raw.mean()), 1.0)

@@ -18,11 +18,13 @@ from toruslab.extensions import (
     CHUNK_POINTS,
     ExtensionStack,
     TimeMesh,
+    _inverse_rows,
+    _semigroup,
     build_stack,
+    extension_rows,
     gradient_bound_ratio,
     gradient_square_rows,
     row_chunks,
-    zero_time_gradient_square,
 )
 from toruslab.spectral import (
     Field,
@@ -34,7 +36,14 @@ from toruslab.spectral import (
     inverse_transform,
     poisson_semigroup,
 )
-from transform_oracles import assert_half_close, inverse_rows, lift_stack, nyquist_field
+from transform_oracles import (
+    assert_half_close,
+    inverse_rows,
+    lift_stack,
+    nyquist_field,
+    stack_gradient_square,
+    zero_time_square,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -130,7 +139,7 @@ def modulus_bound_check(
     if not (-1.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (-1, 1), got {alpha}")
     grid = stack.grid
-    grad_mag = np.sqrt(stack.gradient_square(full=True))
+    grad_mag = np.sqrt(stack_gradient_square(stack, full=True))
     per_node = grad_mag.reshape(stack.node_count, -1).max(axis=1)
     t_nodes = stack.mesh.nodes
     const = float(np.max(t_nodes ** (1.0 - alpha) * per_node))
@@ -362,14 +371,14 @@ class TestBuildStack:
         # constant (2 pi)^2.
         grid = TorusGrid(1, 64)
         stack = build_stack(cos_field(grid), "poisson", TimeMesh(top=0.5, panels=4))
-        g0 = zero_time_gradient_square(stack.trace, stack.kind, full=True)
+        g0 = zero_time_square(stack, full=True)
         assert np.max(np.abs(g0 - TWO_PI**2)) <= 1e-10
 
     def test_zero_time_gradient_heat_spatial(self):
         grid = TorusGrid(1, 64)
         x = grid.coordinates()[0]
         stack = build_stack(cos_field(grid), "heat", TimeMesh(top=0.25, panels=4))
-        g0 = zero_time_gradient_square(stack.trace, stack.kind, full=False)
+        g0 = zero_time_square(stack, full=False)
         expected = TWO_PI**2 * np.sin(TWO_PI * x) ** 2
         assert np.max(np.abs(g0 - expected)) <= 1e-10
 
@@ -403,9 +412,10 @@ def panel_loop_stack(f: Field, kind: str, mesh: TimeMesh, full: bool = False):
 
 def symbol_loop_zero_time(stack: ExtensionStack, full_grad: bool,
                           full: bool = False) -> np.ndarray:
-    """Unbatched reference for zero_time_gradient_square: one transform
-    per symbol, accumulated in the same order, on the half spectrum or,
-    with ``full``, on the full one."""
+    """Unbatched reference for the t = 0 row of the streamed gradient
+    square (``zero_time_square``): one transform per symbol, accumulated in
+    the same order, on the half spectrum or, with ``full``, on the full
+    one."""
     grid = stack.grid
     coeff = stack.trace.coefficients
     axes = tuple(range(grid.dims))
@@ -447,27 +457,77 @@ class TestBatchedTransforms:
         assert np.array_equal(stack.grad_x, grad_x)
         assert np.array_equal(stack.grad_t, grad_t)
         for full in (True, False):
-            g0 = zero_time_gradient_square(stack.trace, stack.kind, full=full)
+            g0 = zero_time_square(stack, full=full)
             assert np.array_equal(g0, symbol_loop_zero_time(stack, full_grad=full))
+
+    @pytest.mark.parametrize("kind", ["poisson", "heat"])
+    @pytest.mark.parametrize("dims,size", [(1, 256), (1, 512), (2, 64), (3, 16)])
+    def test_inverse_rows_is_irfftn(self, kind, dims, size):
+        # the axis passes, with and without a symbol, give irfftn's bits
+        grid = TorusGrid(dims, size)
+        trace = forward_transform(noise_field(grid, seed=dims))
+        symbol = 2j * np.pi * grid.derivative_modes[0][..., : size // 2 + 1]
+        axes = tuple(range(1, dims + 1))
+        for _, coeff in _semigroup(trace, kind, TimeMesh(top=0.5).nodes):
+            for sym, want in ((None, coeff), (symbol, symbol * coeff)):
+                assert np.array_equal(
+                    _inverse_rows(coeff, grid, sym),
+                    np.fft.irfftn(want, s=grid.shape, axes=axes, norm="forward"))
+
+    @pytest.mark.parametrize("kind", ["poisson", "heat"])
+    @pytest.mark.parametrize("dims,size", [(1, 256), (2, 64), (3, 16)])
+    def test_extension_rows_match_the_stack(self, kind, dims, size):
+        grid = TorusGrid(dims, size)
+        mesh = TimeMesh(top=0.5)
+        stack = build_stack(noise_field(grid, seed=dims), kind, mesh)
+        covered = 0
+        for rows, u in extension_rows(stack.trace, kind, mesh.nodes):
+            assert rows.start == covered
+            assert np.array_equal(u, stack.values[rows])
+            covered = rows.stop
+        assert covered == stack.node_count
 
     @pytest.mark.parametrize("kind", ["poisson", "heat"])
     @pytest.mark.parametrize("dims,size", [(1, 256), (2, 64), (3, 16)])
     def test_gradient_square_rows_match_the_stack(self, kind, dims, size):
-        # streamed rows, and a stack's own rows by chunk, equal its whole
-        # gradient square bit for bit
+        # streamed rows equal the stack's row stream bit for bit, chunk by
+        # chunk, and the stack's rows equal its whole gradient square
         grid = TorusGrid(dims, size)
         f = noise_field(grid, seed=dims)
         mesh = TimeMesh(top=0.5)
         stack = build_stack(f, kind, mesh)
         for full in (True, False):
-            want = stack.gradient_square(full)
+            want = np.einsum("mj...,mj...->m...", stack.grad_x, stack.grad_x)
+            if full:
+                want += stack.grad_t**2
             covered = 0
-            for rows, square in gradient_square_rows(stack.trace, kind, mesh.nodes, full):
-                assert rows.start == covered
-                assert np.array_equal(square, want[rows])
-                assert np.array_equal(stack.gradient_square(full, rows), want[rows])
+            for (rows, square), (stack_rows, stack_square) in zip(
+                    gradient_square_rows(stack.trace, kind, mesh.nodes, full),
+                    stack.gradient_square_rows(full), strict=True):
+                assert rows == stack_rows and rows.start == covered
+                assert np.array_equal(square, stack_square)
+                assert np.array_equal(stack_square, want[rows])
                 covered = rows.stop
             assert covered == stack.node_count
+            peaks = np.sqrt(want.reshape(stack.node_count, -1).max(axis=1))
+            assert np.array_equal(stack.gradient_peaks(full), peaks)
+
+    def test_gradient_peaks_hold_no_whole_square(self):
+        # 2-D N=128 Poisson: 160 nodes of 16384 points, 8 rows a chunk
+        grid = TorusGrid(2, 128)
+        stack = build_stack(noise_field(grid), "poisson", TimeMesh(top=0.5))
+        stack.gradient_peaks()  # warm up numpy before measuring
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            stack.gradient_peaks()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        whole = stack.values.nbytes  # one (nodes, *shape) float array, 21 MB
+        # alive at once: a chunk's square (1 MB), the d_t square added to
+        # it, and the square the caller still holds from the last chunk
+        assert peak - start < whole / 4
 
     def test_build_stack_memory_is_chunk_bounded(self):
         grid = TorusGrid(3, 32)
@@ -512,7 +572,7 @@ class TestHalfSpectrum:
         for j in range(dims):
             assert_half_close(stack.grad_x[:, j], grad_x[:, j])
         for full_grad in (True, False):
-            g0 = zero_time_gradient_square(stack.trace, stack.kind, full=full_grad)
+            g0 = zero_time_square(stack, full=full_grad)
             assert_half_close(g0, symbol_loop_zero_time(stack, full_grad, full=True))
 
 

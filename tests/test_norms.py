@@ -19,14 +19,10 @@ import pytest
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
+import toruslab.extensions as extensions_module
 import toruslab.norms as norms_module
 from toruslab.corpus import CorpusSpec, generate
-from toruslab.extensions import (
-    CHUNK_POINTS,
-    TimeMesh,
-    build_stack,
-    zero_time_gradient_square,
-)
+from toruslab.extensions import CHUNK_POINTS, TimeMesh, build_stack
 from toruslab.norms import (
     BoxFamily,
     NORMS,
@@ -69,6 +65,8 @@ from transform_oracles import (
     inverse_rows,
     lift_stack,
     nyquist_field,
+    stack_gradient_square,
+    zero_time_square,
 )
 
 
@@ -822,9 +820,9 @@ def radius_loop_carleson(stack, boxes: BoxFamily, weight_exp: float, scale_exp: 
     scale, then the sup over the family."""
     grid, mesh = stack.grid, stack.mesh
     node_factor = mesh.weights * mesh.nodes**weight_exp
-    prefix = np.cumsum(stack.gradient_square(full=full_grad)
+    prefix = np.cumsum(stack_gradient_square(stack, full=full_grad)
                        * node_factor.reshape((-1,) + (1,) * grid.dims), axis=0)
-    floor_term = (zero_time_gradient_square(stack.trace, stack.kind, full=full_grad)
+    floor_term = (zero_time_square(stack, full=full_grad)
                   * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp))
     per_radius = []
     for j, radius in zip(boxes.j_values, boxes.radii):
@@ -1225,13 +1223,13 @@ class TestRunningSums:
         f = random_field(grid, seed=2)
         want = panel_loop_inverse_space(f, 0.25, 0.02, boxes)
         rows = []
-        real = norms_module._inverse_rows
+        real = extensions_module._inverse_rows
 
-        def counted(coeff, grid):
+        def counted(coeff, grid, symbol=None):
             rows.append(coeff.shape[0])
-            return real(coeff, grid)
+            return real(coeff, grid, symbol)
 
-        monkeypatch.setattr(norms_module, "_inverse_rows", counted)
+        monkeypatch.setattr(extensions_module, "_inverse_rows", counted)
         assert inverse_space_norm(f, 0.25, 0.02, boxes) == want
         assert sum(rows) == 128 and default_parabolic_mesh(grid).node_count == 160
 

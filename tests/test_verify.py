@@ -195,6 +195,15 @@ class TestWorkspace:
         with pytest.raises(ValueError):
             ws.norm("sobolev", ws.labels[0], 0.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda ws: ws.field("bogus"),
+        lambda ws: ws.stack("bogus", "heat"),
+        lambda ws: ws.norm("campanato", "bogus", 0.25),
+    ])
+    def test_unknown_label_named(self, ws: Workspace, call) -> None:
+        with pytest.raises(ValueError, match="'bogus'"):
+            call(ws)
+
     def test_refined_geometry(self, ws: Workspace) -> None:
         fine = ws.refined()
         assert fine.grid.size == 2 * ws.grid.size

@@ -3,8 +3,9 @@
 The library transforms real fields on the Hermitian half spectrum: a row
 of full-layout coefficients keeps the last-axis modes 0..N/2 and goes
 through ``irfftn``; a ball correlation is ``rfftn`` -> multiply ->
-``irfftn``. The loops in the tests take their transforms from here, and
-the lifted box norms their whole lifted stacks.
+``irfftn``. The loops in the tests take their transforms from here, the
+lifted box norms their whole lifted stacks, and the box norms' oracles a
+stack's whole gradient square and its t = 0 limit.
 ``full=True`` selects instead the full-spectrum path, ``ifftn(...).real``,
 the accuracy reference of the half spectrum.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from toruslab.extensions import ExtensionStack, TimeMesh, build_stack
+from toruslab.extensions import ExtensionStack, TimeMesh, build_stack, gradient_square_rows
 from toruslab.norms import _ball_mask, _ball_spectra
 from toruslab.spectral import Field, TorusGrid, frac_laplacian_power, inverse_transform
 
@@ -50,6 +51,18 @@ def lift_stack(stack: ExtensionStack, alpha: float,
     lifted box norms match bit for bit. At alpha=0 the trace is kept as is."""
     lifted = stack.trace if alpha == 0.0 else frac_laplacian_power(stack.trace, -alpha)
     return build_stack(inverse_transform(lifted), stack.kind, mesh or stack.mesh)
+
+
+def stack_gradient_square(stack: ExtensionStack, full: bool = True) -> np.ndarray:
+    """A stack's whole (nodes, *shape) gradient square, from its row stream."""
+    return np.concatenate([square for _, square in stack.gradient_square_rows(full)])
+
+
+def zero_time_square(stack: ExtensionStack, full: bool = True) -> np.ndarray:
+    """The t = 0 row of the streamed gradient square of the stack's trace:
+    the t -> 0+ limit the box norms' floor term takes."""
+    _, square = next(gradient_square_rows(stack.trace, stack.kind, np.zeros(1), full))
+    return square[0]
 
 
 def nyquist_field(grid: TorusGrid, seed: int) -> Field:
