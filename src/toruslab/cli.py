@@ -19,7 +19,6 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 from .corpus import (
     CorpusSpec,
@@ -103,15 +102,6 @@ class RunConfig:
     def to_payload(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "RunConfig":
-        data = dict(payload)
-        if data.get("boxes") is not None:
-            data["boxes"] = tuple(data["boxes"])
-        data["alphas"] = tuple(data.get("alphas", ()))
-        data["betas"] = tuple(data.get("betas", ()))
-        return cls(**data)
-
 
 # --- argument plumbing ---
 
@@ -166,13 +156,16 @@ def _parse_boxes(text: str) -> tuple[int, int, int]:
     return (int(parts[0]), int(parts[1]), int(parts[2]))
 
 
-def _add_common(parser: argparse.ArgumentParser, grid: int, dims: int) -> None:
-    parser.add_argument("--grid", type=int, default=grid, metavar="N",
-                        help=f"points per axis (default {grid})")
-    parser.add_argument("--dims", type=int, default=dims, choices=(1, 2, 3),
-                        help=f"torus dimension (default {dims})")
-    parser.add_argument("--length", type=_finite_float, default=1.0,
-                        help="torus side length (default 1.0)")
+def _add_common(parser: argparse.ArgumentParser, grid: int | None, dims: int) -> None:
+    """The options every subcommand takes; the grid options only where the
+    command makes its grid (grid=None: it reads it from an input file)."""
+    if grid is not None:
+        parser.add_argument("--grid", type=int, default=grid, metavar="N",
+                            help=f"points per axis (default {grid})")
+        parser.add_argument("--dims", type=int, default=dims, choices=(1, 2, 3),
+                            help=f"torus dimension (default {dims})")
+        parser.add_argument("--length", type=_finite_float, default=1.0,
+                            help="torus side length (default 1.0)")
     parser.add_argument("--boxes", type=_parse_boxes, default=None,
                         metavar="JMIN:JMAX:STRIDE",
                         help="box family: radius exponents and center stride")
@@ -195,8 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, grid=256, dims=1)
     p.add_argument("--out", required=True, metavar="DIR")
 
-    p = sub.add_parser("norm", help="evaluate one named norm on a stored field")
-    _add_common(p, grid=256, dims=1)
+    p = sub.add_parser("norm", help="evaluate one named norm on a stored field "
+                                     "on the grid its header names")
+    _add_common(p, grid=None, dims=1)
     p.add_argument("--norm", required=True, choices=NORM_NAMES)
     p.add_argument("--input", required=True, metavar="FIELD.BIN")
     p.add_argument("--alpha", type=_finite_float, default=0.0,
@@ -301,6 +295,9 @@ def cmd_corpus(config: RunConfig) -> int:
 def cmd_norm(config: RunConfig) -> int:
     opts = config.options
     f = read_field(opts["input"])
+    # the run's grid is the input's
+    config = dataclasses.replace(config, grid=f.grid.size, dims=f.grid.dims,
+                                 length=f.grid.length)
     alpha = config.alphas[0] if config.alphas else 0.0
     boxes = config.box_family(f.grid)
     spec = NORMS[opts["norm"]]

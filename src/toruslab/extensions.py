@@ -1,18 +1,20 @@
-"""Space-time extension stacks over dyadic Gauss-Legendre time meshes.
+"""Space-time extensions over dyadic Gauss-Legendre time meshes.
 
-A stack holds u(x, t) together with its full space-time gradient at every
-quadrature node, for u either the Poisson or the heat extension of a
-mean-zero trace. ``extension_rows`` and ``gradient_square_rows`` stream u
-and its gradient square chunk by chunk without a stack. Every sample comes
-from one sampler, ``_semigroup``, and one inverse, ``_inverse_rows``.
+u is the Poisson or the heat extension of a mean-zero trace. No node of it
+is stored: ``extension_rows`` and ``gradient_square_rows`` stream u and
+its gradient square chunk by chunk, and an ``Extension`` (the trace on a
+mesh) makes one ``gradient_pass`` over its nodes for every reader of its
+gradient square, keeping the box time integrals and node peaks they read.
+Every sample comes from one sampler, ``_semigroup``, and one inverse,
+``_inverse_rows``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -115,44 +117,6 @@ class TimeMesh:
         return (self.panels - m) * self.nodes_per_panel
 
 
-@dataclass(frozen=True)
-class ExtensionStack:
-    grid: TorusGrid
-    kind: str
-    mesh: TimeMesh
-    trace: SpectralField
-    values: np.ndarray  # (nodes, *shape)
-    grad_x: np.ndarray  # (nodes, dims, *shape)
-    grad_t: np.ndarray  # (nodes, *shape)
-    # The Carleson norms' box time integrals, keyed by what they depend on
-    # (weight exponent, full gradient, parabolic height, box family), so
-    # every level of a norm reuses them; they go with the stack.
-    box_integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def node_count(self) -> int:
-        return self.values.shape[0]
-
-    def gradient_square_rows(self, full: bool = True) -> Iterator[tuple[slice, np.ndarray]]:
-        """Yield (rows, |grad_x u|^2 (+ |d_t u|^2 when full) at those nodes)
-        per ``row_chunks`` chunk, so no (nodes, *shape) square is held. Each
-        yielded array is the caller's to overwrite."""
-        for rows in row_chunks(self.node_count, self.grid):
-            grad_x = self.grad_x[rows]
-            square = np.einsum("mj...,mj...->m...", grad_x, grad_x)
-            if full:
-                square += self.grad_t[rows] ** 2
-            yield rows, square
-
-    def gradient_peaks(self, full: bool = True) -> np.ndarray:
-        """max over grid points of |grad u| at each node, shape (nodes,)."""
-        peaks = np.empty(self.node_count)
-        for rows, square in self.gradient_square_rows(full):
-            peaks[rows] = square.reshape(len(square), -1).max(axis=1)
-        # sqrt is monotone, so the sqrt of the max is the max of the sqrt
-        return np.sqrt(peaks)
-
-
 def _half(arr: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """The Hermitian half of a full-layout spectrum or symbol: the last axis
     keeps its modes 0..N/2, the rest follow by symmetry (``rfftn`` layout)."""
@@ -197,43 +161,10 @@ def _inverse_rows(coeff: np.ndarray, grid: TorusGrid,
     return np.fft.irfft(part, n=grid.size, axis=-1, norm="forward")
 
 
-def build_stack(f: Field, kind: str, mesh: TimeMesh) -> ExtensionStack:
-    """Evaluate the extension and its full gradient at every mesh node.
-
-    One ``_inverse_rows`` per ``_semigroup`` chunk for each of ``values``,
-    ``grad_t`` and every ``grad_x[:, j]``, copied into the preallocated
-    output. Besides the returned arrays and the symbols, the chunk's
-    coefficients and one transform's passes are alive at once.
-    """
-    grid = f.grid
-    symbols = _gradient_symbols(grid, kind)
-    peak = f.max_abs()
-    if abs(f.mean()) > 1e-12 * max(peak, 1e-300):
-        raise ValueError("build_stack requires a mean-zero trace; remove the mean first")
-    trace = forward_transform(f)
-    m = mesh.node_count
-
-    values = np.empty((m,) + grid.shape)
-    grad_x = np.empty((m, grid.dims) + grid.shape)
-    grad_t = np.empty((m,) + grid.shape)
-    for sl, coeff in _semigroup(trace, kind, mesh.nodes):
-        values[sl] = _inverse_rows(coeff, grid)
-        targets = [grad_t[sl]] + [grad_x[sl, j] for j in range(grid.dims)]
-        for symbol, target in zip(symbols, targets):
-            target[...] = _inverse_rows(coeff, grid, symbol)
-        del coeff  # free this chunk's coefficients before the next chunk's
-
-    for arr in (values, grad_x, grad_t):
-        arr.flags.writeable = False
-    return ExtensionStack(grid=grid, kind=kind, mesh=mesh, trace=trace,
-                          values=values, grad_x=grad_x, grad_t=grad_t)
-
-
 def extension_rows(trace: SpectralField, kind: str, times: np.ndarray,
                    unit: int = 1) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, u at t = times[rows]) per ``_semigroup`` chunk, for u the
-    extension of ``kind`` of the trace: the rows of a stack's ``values``
-    bit for bit, each yielded array the caller's."""
+    extension of ``kind`` of the trace, each yielded array the caller's."""
     for rows, coeff in _semigroup(trace, kind, times, unit):
         u = _inverse_rows(coeff, trace.grid)
         del coeff  # free the chunk's coefficients before the caller reads u
@@ -241,39 +172,96 @@ def extension_rows(trace: SpectralField, kind: str, times: np.ndarray,
 
 
 def gradient_square_rows(trace: SpectralField, kind: str, times: np.ndarray,
-                         full: bool = True) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (rows, |grad_x u|^2 (+ |d_t u|^2 when full) at t = times[rows])
-    per ``_semigroup`` chunk, for u the extension of ``kind`` of the trace.
+                         fulls: Collection[bool] = (True,)
+                         ) -> Iterator[tuple[slice, dict[bool, np.ndarray]]]:
+    """Yield (rows, squares) per ``_semigroup`` chunk, for u the extension of
+    ``kind`` of the trace at t = times[rows]: for each gradient in ``fulls``,
+    squares[False] is |grad_x u|^2 and squares[True] is |grad_x u|^2 +
+    |d_t u|^2.
 
-    The rows are those of ``build_stack(...).gradient_square_rows(full)`` bit
-    for bit (the trace is the stack's: the forward transform of real
-    samples), but u itself is never transformed and no chunk outlives its
-    turn: each yielded array is the caller's to overwrite. At t = 0,
-    e^{-rate t} is exactly 1: that row is the t -> 0+ limit.
+    The chunk's |grad_x u|^2 is formed once, its d_x components squared and
+    added in axis order, and the full square from it by adding |d_t u|^2
+    last. u itself is never transformed and no chunk outlives its turn:
+    each yielded array is the caller's. At t = 0, e^{-rate t} is exactly 1:
+    that row is the t -> 0+ limit.
     """
     grid = trace.grid
     d_t, *d_x = _gradient_symbols(grid, kind)
-    symbols = d_x + [d_t] if full else d_x
+
+    def squared(coeff: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        part = _inverse_rows(coeff, grid, symbol)
+        return np.square(part, out=part)
+
     for rows, coeff in _semigroup(trace, kind, times):
-        square = None
-        for symbol in symbols:
-            part = _inverse_rows(coeff, grid, symbol)
-            np.square(part, out=part)
-            if square is None:
-                square = part
-            else:
-                square += part
-            del part  # free it before the next transform runs
-        del coeff  # free the chunk's coefficients before the next chunk's
-        yield rows, square
-        del square
+        square = squared(coeff, d_x[0])
+        for symbol in d_x[1:]:
+            square += squared(coeff, symbol)  # each part is freed before the next is made
+        squares = {False: square} if False in fulls else {}
+        if True in fulls:
+            part = squared(coeff, d_t)
+            # in place when the spatial square is not wanted too
+            squares[True] = np.add(square, part, out=part if squares else square)
+            del part
+        del coeff, square  # free them before the next chunk's
+        yield rows, squares
+        del squares
 
 
-def gradient_bound_ratio(stack: ExtensionStack, alpha: float, h_norm: float) -> float:
+class Extension:
+    """The extension of ``kind`` (Poisson or heat) of a mean-zero trace on a
+    time mesh, held as the trace's spectrum: no node is stored. Its readers
+    need only the gradient square at the nodes, which ``gradient_pass``
+    draws once for all of them, keeping what they read: ``box_integrals``,
+    the Carleson time integrals per (weight exponent, full gradient,
+    parabolic height, box family), and ``peaks``, max |grad u| per node for
+    each gradient (True: space and time, False: space)."""
+
+    def __init__(self, f: Field, kind: str, mesh: TimeMesh) -> None:
+        extension_rate(f.grid, kind)  # refuses an unknown kind
+        if abs(f.mean()) > 1e-12 * max(f.max_abs(), 1e-300):
+            raise ValueError("an extension needs a mean-zero trace; remove the mean first")
+        self.grid, self.kind, self.mesh = f.grid, kind, mesh
+        self.trace = forward_transform(f)
+        self.box_integrals: dict = {}
+        self.peaks: dict[bool, np.ndarray] = {}
+
+    def gradient_pass(self, walks: Sequence = (), peaks: Iterable[bool] = ()
+                      ) -> dict[bool, np.ndarray]:
+        """One pass over the mesh nodes in ``gradient_square_rows`` chunks.
+
+        Each walk reads the square of its gradient ``walk.full`` at its first
+        ``walk.stop`` nodes, chunk by chunk in node order, through
+        ``walk.push(rows, square)``, which leaves the square as it is: the
+        walks of one gradient share it. The node peaks of each gradient in
+        ``peaks`` that are not kept yet are kept. No chunk past the last
+        node a walk or a peak needs is drawn. Returns the t = 0 row of each
+        walk's gradient square, formed once per gradient.
+        """
+        peaks = {full for full in peaks if full not in self.peaks}
+        if not walks and not peaks:
+            return {}
+        fulls = {walk.full for walk in walks}
+        stop = max([walk.stop for walk in walks] + [self.mesh.node_count] * bool(peaks))
+        maxima = {full: np.empty(stop) for full in peaks}
+        for rows, squares in gradient_square_rows(self.trace, self.kind,
+                                                  self.mesh.nodes[:stop], fulls | peaks):
+            for walk in walks:
+                if rows.start < walk.stop:
+                    walk.push(rows, squares[walk.full])
+            for full, peak in maxima.items():
+                peak[rows] = squares[full].reshape(rows.stop - rows.start, -1).max(axis=1)
+            del squares  # free the chunk before the next one is drawn
+        # sqrt is monotone, so the sqrt of the max is the max of the sqrt
+        self.peaks.update((full, np.sqrt(peak)) for full, peak in maxima.items())
+        _, floor = next(gradient_square_rows(self.trace, self.kind, np.zeros(1), fulls))
+        return {full: square[0] for full, square in floor.items()}
+
+
+def gradient_bound_ratio(ext: Extension, alpha: float, h_norm: float) -> float:
     """Empirical constant sup t^(1-alpha) |grad u| / h_norm over all nodes."""
     if not (-1.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (-1, 1), got {alpha}")
     if not (np.isfinite(h_norm) and h_norm > 0):
         raise ValueError("gradient bound ratio needs a positive norm")
-    t = stack.mesh.nodes
-    return float(np.max(t ** (1.0 - alpha) * stack.gradient_peaks())) / h_norm
+    ext.gradient_pass(peaks=(True,))
+    return float(np.max(ext.mesh.nodes ** (1.0 - alpha) * ext.peaks[True])) / h_norm

@@ -26,20 +26,22 @@ term is one real transform per center, taken in ``row_chunks`` blocks of
 strided centers; no pair matrix is built, so memory stays at a few chunks
 and grid fields in every dimension.
 
-Every box norm's time integral is one walk, ``_running_sums``, over blocks
+Every box norm's time integral is one walk, ``_RunningSums``, pushed blocks
 of the weighted gradient square per node (Carleson norms, one block per
 ``row_chunks`` chunk), the floor term and one heat term per panel
 (``inverse_space_norm``, one block per chunk) or the trapezoid segments of a
 series (``x_space_norm``, one block per segment, which adds the segment
 clipped at r^2 after them). Each block is prefix-summed in place, only sums
-at box heights are kept and nothing past the tallest box is drawn. The
-Carleson floor term is the t = 0 row of ``extensions.gradient_square_rows``.
-A stack's Carleson time integrals do not depend on the scale r^-(2a+n), so
-the stack keeps them per (weight, gradient, height, family) and every
-level of a norm reuses them. The lifted norms (``star``, ``dagger``) read
-their lift once, so they build no stack: ``extensions.gradient_square_rows``
-streams the lift's gradient square into the walk chunk by chunk. A zero
-lift on the stack's own mesh is the stack, and reads its kept walk.
+at box heights are kept and nothing past the tallest box is drawn.
+
+A Carleson norm reads its extension's walk of key (weight, gradient,
+height, family), which does not depend on the scale r^-(2a+n). An
+``Extension`` keeps its walks and node peaks, and ``gradient_pass`` fills
+them for many keys in one pass over the gradient square, formed once per
+chunk; a norm whose walk is missing runs the pass for its own key. The
+Carleson floor term is the t = 0 row of that square. The lifted norms
+(``star``, ``dagger``) walk an extension of the lift; a zero lift on the
+extension's own mesh is the extension, and reads its walk.
 """
 
 from __future__ import annotations
@@ -56,17 +58,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .extensions import (
-    ExtensionStack,
-    TimeMesh,
-    build_stack,
-    extension_rows,
-    gradient_square_rows,
-    row_chunks,
-)
+from .extensions import Extension, TimeMesh, extension_rows, row_chunks
 from .spectral import (
     Field,
-    SpectralField,
     TorusGrid,
     forward_transform,
     frac_laplacian_power,
@@ -254,28 +248,45 @@ def _box_sup(boxes: BoxFamily, eligible: Sequence[tuple[int, float]],
     return _sup_over_family(boxes, per_radius, mean)
 
 
-def _running_sums(blocks: Iterable[np.ndarray], counts: Sequence[int]) -> list:
+class _RunningSums:
     """The left-to-right sum of the first c terms for each c in counts, 0.0
     for c = 0: the time integral of every box in one walk.
 
-    ``blocks`` yields (k, *shape) arrays, k consecutive terms along the
-    leading axis, which the walk owns and overwrites: each row in turn gets
-    the running sum added in place, starting from the carry of the blocks
-    before. Copies of the rows at the wanted counts are kept, and no block
-    past max(counts) is drawn. (``np.cumsum`` along the leading axis gives
-    the same bits, but it runs a strided loop per column, several times
-    slower than one vector add per row on wide rows.)"""
-    wanted, kept, last = set(counts), {0: 0.0}, max(counts, default=0)
-    blocks, stop, carry = iter(blocks), 0, 0.0
-    while stop < last:
-        block = next(blocks)
-        start, stop = stop, stop + len(block)
+    ``add`` takes a (k, *shape) block of the next k terms along the leading
+    axis, which the walk owns and overwrites: each row in turn gets the
+    running sum added in place, starting from the carry of the blocks
+    before. Copies of the rows at the wanted counts are kept, and ``sums()``
+    reads them once ``stop`` = max(counts) terms are in. (``np.cumsum``
+    along the leading axis gives the same bits, but it runs a strided loop
+    per column, several times slower than one vector add per row on wide
+    rows.)"""
+
+    def __init__(self, counts: Sequence[int]) -> None:
+        self.counts = list(counts)
+        self.stop = max(self.counts, default=0)
+        self.pushed, self._kept, self._carry = 0, {0: 0.0}, 0.0
+
+    def add(self, block: np.ndarray) -> None:
+        start = self.pushed
+        self.pushed += len(block)
+        carry = self._carry
         for row in block:
             carry = np.add(carry, row, out=row)
-        kept.update((c, block[c - start - 1].copy()) for c in wanted if start < c <= stop)
-        carry = carry.copy()
-        block = row = None  # free it (row is a view of it) before the next one is drawn
-    return [kept[c] for c in counts]
+        self._kept.update((c, block[c - start - 1].copy())
+                          for c in set(self.counts) if start < c <= self.pushed)
+        self._carry = carry.copy()  # not a view: the block goes when push returns
+
+    def sums(self) -> list:
+        return [self._kept[c] for c in self.counts]
+
+
+def _running_sums(blocks: Iterable[np.ndarray], counts: Sequence[int]) -> list:
+    """``_RunningSums`` of ``counts`` over ``blocks``, drawn one at a time:
+    none past max(counts) is drawn."""
+    walk, blocks = _RunningSums(counts), iter(blocks)
+    while walk.pushed < walk.stop:
+        walk.add(next(blocks))
+    return walk.sums()
 
 
 # --- trace-side norms ---
@@ -380,203 +391,174 @@ def _require_grid(f: Field, boxes: BoxFamily) -> TorusGrid:
     return f.grid
 
 
-# --- Carleson-box norms over extension stacks ---
+# --- Carleson-box norms over extensions ---
 
-def default_linear_mesh(grid: TorusGrid) -> TimeMesh:
-    """Mesh for height-r boxes: top L/2 matches the largest dyadic radius."""
-    return TimeMesh(top=grid.length / 2.0)
-
-
-def default_parabolic_mesh(grid: TorusGrid) -> TimeMesh:
-    """Mesh for height-r^2 boxes: top (L/2)^2."""
-    return TimeMesh(top=(grid.length / 2.0) ** 2)
-
-
-def _default_mesh(grid: TorusGrid, kind: str) -> TimeMesh:
-    """The mesh of a stack kind's box height: r for Poisson, r^2 for heat."""
-    return default_linear_mesh(grid) if kind == "poisson" else default_parabolic_mesh(grid)
+def default_mesh(grid: TorusGrid, kind: str) -> TimeMesh:
+    """The mesh of an extension kind's box height, whose top matches the
+    largest dyadic radius: L/2 for Poisson's height r, (L/2)^2 for heat's r^2."""
+    return TimeMesh(top=grid.length / 2.0 if kind == "poisson" else (grid.length / 2.0) ** 2)
 
 
 def check_box_heights(boxes: BoxFamily, kind: str) -> None:
-    """Refuse, before any stack is built, a family with a box height below
-    the floor of the default mesh of a stack ``kind`` (trace norms build
-    none). The heat stack's linear-height dagger norm needs no check of its
-    own: its floor lies below every r whose r^2 fits the heat mesh."""
+    """Refuse, before any extension is made, a family with a box height
+    below the floor of the default mesh of an extension ``kind`` (trace
+    norms take none). The heat extension's linear-height dagger norm needs
+    no check of its own: its floor lies below every r whose r^2 fits the
+    heat mesh."""
     if kind == "trace":
         return
-    mesh = _default_mesh(boxes.grid, kind)
+    mesh = default_mesh(boxes.grid, kind)
     for r in boxes.radii:
         mesh.aligned_cut(r if kind == "poisson" else r * r)
 
 
-def _box_time_integrals(
-    gradient_rows: Iterable[tuple[slice, np.ndarray]],
-    mesh: TimeMesh,
-    trace: SpectralField,
-    kind: str,
-    boxes: BoxFamily,
-    weight_exp: float,
-    full_grad: bool,
-    parabolic_height: bool,
-) -> list[np.ndarray]:
+class _BoxWalk(_RunningSums):
     """int_0^h |grad u|^2 t^w dt per grid point for each box height h = r or
-    r^2 of the family, u the extension of ``kind`` of the trace on ``mesh``.
+    r^2 of a family, u the extension ``ext``, for a walk key (w, full
+    gradient, parabolic height, family).
 
-    ``gradient_rows`` yields (rows, |grad u|^2 at those nodes) in node order,
-    arrays the walk owns and weights in place; none is drawn past the
-    tallest box. The below-floor strip is added analytically from the
-    gradient square at t = 0.
+    As an ``Extension.gradient_pass`` walk it is pushed the gradient square
+    in node order, and weights each chunk into a new block of its running
+    sums. The below-floor strip is added analytically from the t = 0 row.
     """
-    grid = trace.grid
-    if grid != boxes.grid:
-        raise ValueError("extension and box family live on different grids")
-    # every box is checked against the mesh before any array work
-    cuts = [mesh.aligned_cut(r**2 if parabolic_height else r) for r in boxes.radii]
-    node_factor = (mesh.weights * mesh.nodes**weight_exp).reshape((-1,) + (1,) * grid.dims)
-    _, g0 = next(gradient_square_rows(trace, kind, np.zeros(1), full_grad))
-    floor_term = g0[0] * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp)
 
-    def blocks():
-        for rows, square in gradient_rows:
-            yield np.multiply(square, node_factor[rows], out=square)
-            del square  # free it before the next rows are made
+    def __init__(self, ext: Extension, key: tuple) -> None:
+        self.weight_exp, self.full, parabolic_height, boxes = key
+        if boxes.grid != ext.grid:
+            raise ValueError("extension and box family live on different grids")
+        self.mesh = mesh = ext.mesh
+        # every box is checked against the mesh before any array work
+        super().__init__([mesh.aligned_cut(r**2 if parabolic_height else r) for r in boxes.radii])
+        self.node_factor = (mesh.weights * mesh.nodes**self.weight_exp).reshape(
+            (-1,) + (1,) * boxes.grid.dims)
 
-    return [floor_term + s for s in _running_sums(blocks(), cuts)]
+    def push(self, rows: slice, square: np.ndarray) -> None:
+        self.add(square * self.node_factor[rows])
 
-
-def _carleson_box_norm(
-    stack: ExtensionStack,
-    boxes: BoxFamily,
-    weight_exp: float,
-    scale_exp: float,
-    full_grad: bool,
-    parabolic_height: bool,
-) -> NormResult:
-    """max over boxes of r^-scale_exp * int_B int_0^h |grad u|^2 t^w dt dx,
-    h = r or r^2, on a stack. Its time integrals are walked once per
-    (weight, gradient, height, family) and kept on the stack, so the levels
-    that differ only in scale_exp share them."""
-    key = (weight_exp, full_grad, parabolic_height, boxes)
-    integrals = stack.box_integrals.get(key)
-    if integrals is None:
-        integrals = stack.box_integrals.setdefault(key, _box_time_integrals(
-            stack.gradient_square_rows(full_grad), stack.mesh, stack.trace, stack.kind,
-            boxes, weight_exp, full_grad, parabolic_height))
-    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), integrals, scale_exp, 0.0)
+    def integrals(self, floor: np.ndarray) -> list[np.ndarray]:
+        floor_term = floor * self.mesh.floor ** (1.0 + self.weight_exp) / (1.0 + self.weight_exp)
+        return [floor_term + s for s in self.sums()]
 
 
-def _lifted_box_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily,
+def gradient_pass(ext: Extension, keys: Iterable[tuple], peaks: Iterable[bool] = ()) -> None:
+    """Keep on the extension the box time integrals of each Carleson walk key
+    (weight exponent, full gradient, parabolic height, box family) and the
+    node peaks of each gradient in ``peaks``, all from one
+    ``Extension.gradient_pass``. What it keeps already is not walked again."""
+    walks = {key: _BoxWalk(ext, key) for key in keys if key not in ext.box_integrals}
+    floors = ext.gradient_pass(list(walks.values()), peaks)
+    for key, walk in walks.items():
+        ext.box_integrals[key] = walk.integrals(floors[walk.full])
+
+
+def _carleson_box_norm(ext: Extension, boxes: BoxFamily, walk: tuple[float, bool, bool],
+                       alpha: float) -> NormResult:
+    """max over boxes of r^-(2a+n) * int_B int_0^h |grad u|^2 t^w dt dx, h = r
+    or r^2, for walk = (w, full gradient, parabolic height). The time
+    integrals are the extension's, walked by a pass of their own on a miss,
+    so the levels and norms that share a walk share them."""
+    key = walk + (boxes,)
+    gradient_pass(ext, [key])
+    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), ext.box_integrals[key],
+                    2 * alpha + ext.grid.dims, 0.0)
+
+
+def _lifted_box_norm(ext: Extension, alpha: float, boxes: BoxFamily,
                      parabolic_height: bool, mesh: TimeMesh | None = None) -> NormResult:
     """Full-gradient t dt box norm, scale 2a+n, of the extension of the
-    stack's kind of the (-Lap)^(-a/2) lift of its trace on ``mesh``, the
-    stack's own when None.
+    extension's kind of the (-Lap)^(-a/2) lift of its trace on ``mesh``, the
+    extension's own when None.
 
-    A zero lift on the stack's own mesh is the stack: it reads the stack's
-    kept walk. Any other lift is read once, so no stack is built: its
-    gradient square is streamed chunk by chunk into the box walk. The
-    lifted trace goes through real samples, as a stack of it would take
-    it. At alpha=0 the trace is kept as is: the -0 power would zero its
-    mean mode.
+    A zero lift on the extension's own mesh is the extension: it reads the
+    extension's walk. Any other lift is an extension of its own, read by
+    one pass of its one walk. The lifted trace goes through real samples,
+    as every extension takes its trace. At alpha=0 the trace is kept as is:
+    the -0 power would zero its mean mode.
     """
-    scale_exp = 2 * alpha + stack.grid.dims
+    # a lift has the walk of the zero lift on the extension's own mesh
+    walk = NORMS["dagger_parabolic" if parabolic_height else "star"].walk(0.0)
     if mesh is None:
         if alpha == 0.0:
-            return _carleson_box_norm(stack, boxes, 1.0, scale_exp, True, parabolic_height)
-        mesh = stack.mesh
-    lifted = stack.trace if alpha == 0.0 else frac_laplacian_power(stack.trace, -alpha)
-    trace = forward_transform(inverse_transform(lifted))
-    rows = gradient_square_rows(trace, stack.kind, mesh.nodes)
-    integrals = _box_time_integrals(rows, mesh, trace, stack.kind, boxes, 1.0,
-                                    True, parabolic_height)
-    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), integrals, scale_exp, 0.0)
+            return _carleson_box_norm(ext, boxes, walk, alpha)
+        mesh = ext.mesh
+    lifted = ext.trace if alpha == 0.0 else frac_laplacian_power(ext.trace, -alpha)
+    return _carleson_box_norm(Extension(inverse_transform(lifted), ext.kind, mesh),
+                              boxes, walk, alpha)
 
 
-def _require_kind(stack: ExtensionStack, kind: str, op: str) -> None:
-    if stack.kind != kind:
-        raise ValueError(f"{op} requires a {kind} stack, got {stack.kind}")
+def _require_kind(ext: Extension, kind: str, op: str) -> None:
+    if ext.kind != kind:
+        raise ValueError(f"{op} requires a {kind} extension, got {ext.kind}")
 
 
-def h_alpha2_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily) -> NormResult:
+def _walked_box_norm(ext: Extension, alpha: float, boxes: BoxFamily, op: str) -> NormResult:
+    """The box norm of registry entry ``op``, which reads its extension's own
+    walk ``NORMS[op].walk(alpha)``."""
+    _check_alpha(alpha)
+    _require_kind(ext, NORMS[op].kind, op)
+    return _carleson_box_norm(ext, boxes, NORMS[op].walk(alpha), alpha)
+
+
+def h_alpha2_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max r^-(2a+n) int_B int_0^r |grad_{x,t} u|^2 t dt dx."""
-    _check_alpha(alpha)
-    _require_kind(stack, "poisson", "h_alpha2_norm")
-    return _carleson_box_norm(
-        stack, boxes, weight_exp=1.0, scale_exp=2 * alpha + stack.grid.dims,
-        full_grad=True, parabolic_height=False,
-    )
+    return _walked_box_norm(ext, alpha, boxes, "h")
 
 
-def scaled_h_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily) -> NormResult:
+def scaled_h_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """Scaling-invariant variant: weight t^(1+2a) in the box integral."""
+    return _walked_box_norm(ext, alpha, boxes, "scaled_h")
+
+
+def star_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
+    """h_alpha2_norm of the mode-wise (-Lap)^(-a/2) lift of the extension."""
     _check_alpha(alpha)
-    _require_kind(stack, "poisson", "scaled_h_norm")
-    return _carleson_box_norm(
-        stack, boxes, weight_exp=1.0 + 2 * alpha, scale_exp=2 * alpha + stack.grid.dims,
-        full_grad=True, parabolic_height=False,
-    )
+    _require_kind(ext, "poisson", "star_norm")
+    return _lifted_box_norm(ext, alpha, boxes, parabolic_height=False)
 
 
-def star_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily) -> NormResult:
-    """h_alpha2_norm of the mode-wise (-Lap)^(-a/2) lift of the stack."""
-    _check_alpha(alpha)
-    _require_kind(stack, "poisson", "star_norm")
-    return _lifted_box_norm(stack, alpha, boxes, parabolic_height=False)
-
-
-def t_alpha2_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily) -> NormResult:
+def t_alpha2_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max r^-(2a+n) int_B int_0^{r^2} |grad_x u|^2 dt dx."""
-    _check_alpha(alpha)
-    _require_kind(stack, "heat", "t_alpha2_norm")
-    return _carleson_box_norm(
-        stack, boxes, weight_exp=0.0, scale_exp=2 * alpha + stack.grid.dims,
-        full_grad=False, parabolic_height=True,
-    )
+    return _walked_box_norm(ext, alpha, boxes, "t")
 
 
-def scaled_t_norm(stack: ExtensionStack, alpha: float, boxes: BoxFamily) -> NormResult:
+def scaled_t_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """Scaling-invariant variant: weight t^a, parabolic boxes."""
-    _check_alpha(alpha)
-    _require_kind(stack, "heat", "scaled_t_norm")
-    return _carleson_box_norm(
-        stack, boxes, weight_exp=alpha, scale_exp=2 * alpha + stack.grid.dims,
-        full_grad=False, parabolic_height=True,
-    )
+    return _walked_box_norm(ext, alpha, boxes, "scaled_t")
 
 
 def dagger_norm(
-    stack: ExtensionStack, alpha: float, boxes: BoxFamily, box_height: str = "linear"
+    ext: Extension, alpha: float, boxes: BoxFamily, box_height: str = "linear"
 ) -> NormResult:
-    """Full-gradient t dt box norm of the (-Lap)^(-a/2) lift of a heat stack.
+    """Full-gradient t dt box norm of the (-Lap)^(-a/2) lift of a heat
+    extension.
 
     ``box_height`` selects the displayed height-r box ("linear") or the
     parabolic height-r^2 variant that caloric scaling suggests; both are
     legitimate readings and callers compare them.
     """
     _check_alpha(alpha)
-    _require_kind(stack, "heat", "dagger_norm")
+    _require_kind(ext, "heat", "dagger_norm")
     if box_height not in ("linear", "parabolic"):
         raise ValueError(f"box_height must be linear or parabolic, got {box_height!r}")
     parabolic = box_height == "parabolic"
-    mesh = None if parabolic else TimeMesh(
-        top=stack.grid.length / 2.0,
-        panels=stack.mesh.panels,
-        nodes_per_panel=stack.mesh.nodes_per_panel,
-    )
-    return _lifted_box_norm(stack, alpha, boxes, parabolic, mesh)
+    mesh = None if parabolic else dataclasses.replace(ext.mesh, top=ext.grid.length / 2.0)
+    return _lifted_box_norm(ext, alpha, boxes, parabolic, mesh)
 
 
 # --- sup-type norms ---
 
-def bloch_hb_norm(stack: ExtensionStack) -> float:
+def bloch_hb_norm(ext: Extension) -> float:
     """sup over nodes and points of t |grad_{x,t} u|."""
-    _require_kind(stack, "poisson", "bloch_hb_norm")
-    return float(np.max(stack.mesh.nodes * stack.gradient_peaks(full=True)))
+    _require_kind(ext, "poisson", "bloch_hb_norm")
+    ext.gradient_pass(peaks=(True,))
+    return float(np.max(ext.mesh.nodes * ext.peaks[True]))
 
 
-def bloch_cb_norm(stack: ExtensionStack) -> float:
+def bloch_cb_norm(ext: Extension) -> float:
     """sup over nodes and points of sqrt(t) |grad_x u|."""
-    _require_kind(stack, "heat", "bloch_cb_norm")
-    return float(np.max(np.sqrt(stack.mesh.nodes) * stack.gradient_peaks(full=False)))
+    _require_kind(ext, "heat", "bloch_cb_norm")
+    ext.gradient_pass(peaks=(False,))
+    return float(np.max(np.sqrt(ext.mesh.nodes) * ext.peaks[False]))
 
 
 def besov_norm(f: Field, t_grid: np.ndarray | None = None) -> float:
@@ -616,7 +598,7 @@ def inverse_space_norm(
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
     if mesh is None:
-        mesh = default_parabolic_mesh(grid)
+        mesh = default_mesh(grid, "heat")
     mean = f.mean()
     g = f.remove_mean()
 
@@ -793,24 +775,25 @@ class Norm:
     """A registry entry: the input a norm takes and how to evaluate it.
 
     ``kind`` is "trace" for a norm of the field itself, or the extension
-    ("poisson" or "heat") whose stack the norm takes. ``evaluate(x, alpha,
-    boxes, horizon)`` returns a NormResult or a float; arguments a norm does
-    not take are ignored.
+    ("poisson" or "heat") the norm takes. ``evaluate(x, alpha, boxes,
+    horizon)`` returns a NormResult or a float; arguments a norm does not
+    take are ignored. ``walk(alpha)``, the (weight exponent, full gradient,
+    parabolic height) of the box time integrals the norm reads off its
+    extension at level alpha or None, and ``peak``, the gradient whose node
+    peaks it reads, state its reads once, for a plan's ``gradient_pass``.
     """
 
     kind: str
     evaluate: Callable[..., "NormResult | float"]
+    walk: Callable[[float], "tuple[float, bool, bool] | None"] = lambda alpha: None
+    peak: bool | None = None
 
-    @staticmethod
-    def extension(f: Field, kind: str) -> ExtensionStack:
-        """Stack of a mean-zero trace on the default mesh of its box height."""
-        return build_stack(f, kind, _default_mesh(f.grid, kind))
-
-    def argument(self, f: Field, boxes: BoxFamily) -> Field | ExtensionStack:
+    def argument(self, f: Field, boxes: BoxFamily) -> Field | Extension:
         """The input this norm takes on the family ``boxes``: the field, or its
-        stack, built only once every box height is known to fit the mesh."""
+        extension on the default mesh of its box height, made only once
+        every box height is known to fit the mesh."""
         check_box_heights(boxes, self.kind)
-        return f if self.kind == "trace" else self.extension(f, self.kind)
+        return f if self.kind == "trace" else Extension(f, self.kind, default_mesh(f.grid, self.kind))
 
     def value(self, x, alpha: float, boxes: BoxFamily, horizon: float = math.inf) -> float:
         result = self.evaluate(x, alpha, boxes, horizon)
@@ -826,13 +809,20 @@ NORMS: dict[str, Norm] = {
     "frac_campanato": Norm("trace", lambda f, a, boxes, _: frac_campanato_norm(f, a, boxes)),
     "besov": Norm("trace", lambda f, *_: besov_norm(f)),
     "inverse": Norm("trace", lambda f, a, boxes, top: inverse_space_norm(f, a, top, boxes)),
-    "h": Norm("poisson", lambda s, a, boxes, _: h_alpha2_norm(s, a, boxes)),
-    "scaled_h": Norm("poisson", lambda s, a, boxes, _: scaled_h_norm(s, a, boxes)),
-    "star": Norm("poisson", lambda s, a, boxes, _: star_norm(s, a, boxes)),
-    "bloch_hb": Norm("poisson", lambda s, *_: bloch_hb_norm(s)),
-    "t": Norm("heat", lambda s, a, boxes, _: t_alpha2_norm(s, a, boxes)),
-    "scaled_t": Norm("heat", lambda s, a, boxes, _: scaled_t_norm(s, a, boxes)),
-    "dagger_linear": Norm("heat", lambda s, a, boxes, _: dagger_norm(s, a, boxes, "linear")),
-    "dagger_parabolic": Norm("heat", lambda s, a, boxes, _: dagger_norm(s, a, boxes, "parabolic")),
-    "bloch_cb": Norm("heat", lambda s, *_: bloch_cb_norm(s)),
+    "h": Norm("poisson", lambda e, a, boxes, _: h_alpha2_norm(e, a, boxes),
+              walk=lambda a: (1.0, True, False)),
+    "scaled_h": Norm("poisson", lambda e, a, boxes, _: scaled_h_norm(e, a, boxes),
+                     walk=lambda a: (1.0 + 2 * a, True, False)),
+    # a lift reads the extension's own walk only at alpha = 0 on its mesh
+    "star": Norm("poisson", lambda e, a, boxes, _: star_norm(e, a, boxes),
+                 walk=lambda a: (1.0, True, False) if a == 0.0 else None),
+    "bloch_hb": Norm("poisson", lambda e, *_: bloch_hb_norm(e), peak=True),
+    "t": Norm("heat", lambda e, a, boxes, _: t_alpha2_norm(e, a, boxes),
+              walk=lambda a: (0.0, False, True)),
+    "scaled_t": Norm("heat", lambda e, a, boxes, _: scaled_t_norm(e, a, boxes),
+                     walk=lambda a: (a, False, True)),
+    "dagger_linear": Norm("heat", lambda e, a, boxes, _: dagger_norm(e, a, boxes, "linear")),
+    "dagger_parabolic": Norm("heat", lambda e, a, boxes, _: dagger_norm(e, a, boxes, "parabolic"),
+                             walk=lambda a: (1.0, True, True) if a == 0.0 else None),
+    "bloch_cb": Norm("heat", lambda e, *_: bloch_cb_norm(e), peak=False),
 }

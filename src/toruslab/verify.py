@@ -22,9 +22,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .corpus import CorpusSpec, generate
-from .extensions import ExtensionStack, gradient_bound_ratio
+from .extensions import Extension, gradient_bound_ratio
 from .fieldio import write_csv, write_json
-from .norms import NORMS, BoxFamily, Norm, check_box_heights, scaled_h_norm
+from .norms import (NORMS, BoxFamily, check_box_heights, default_mesh, gradient_pass,
+                    scaled_h_norm)
 from .spectral import Field, TorusGrid
 
 DEGENERATE_RTOL = 1e-13
@@ -164,6 +165,17 @@ def _op_kind(op: str) -> str:
     return NORMS[op].kind
 
 
+def _gradient_reads(op: str, alpha: float) -> tuple[list, list]:
+    """The walks (weight exponent, full gradient, parabolic height) and the
+    peak gradients that an extension op reads at level ``alpha``."""
+    if op == "grad_constant":  # and h at its level, planned as an op
+        return [], [True]
+    if op == "weight_monotone":
+        return [NORMS["scaled_h"].walk(a) for a in (-alpha, 0.0, alpha)], []
+    walk, peak = NORMS[op].walk(alpha), NORMS[op].peak
+    return [walk] if walk else [], [] if peak is None else [peak]
+
+
 def default_threads() -> int:
     """Worker threads when none are asked for: one per core, at most 4."""
     return min(4, os.cpu_count() or 1)
@@ -175,12 +187,12 @@ class Workspace:
     The table maps (op, member, level) to a value. It is filled from a plan
     that names each member's (op, level) pairs before any work starts, with
     one pool task per member and input: the Poisson ops on one Poisson
-    stack of the member, the heat ops on one heat stack, and the trace ops
-    on the field. A task builds its stack and drops it when it ends, so a
-    worker holds at most one stack, with the box time integrals its levels
-    share, and no stack outlives its task; the fractional lifts stream
-    their extensions and build none. A lookup that misses plans just the
-    missing key and runs it the same way. Reports read the table in corpus
+    extension of the member, the heat ops on one heat extension, and the
+    trace ops on the field. A task makes one gradient pass over its
+    extension for the walks and node peaks of all its ops, then evaluates
+    them, and drops the extension when it ends; the fractional lifts make
+    a pass of their own. A lookup that misses plans just the missing key
+    and runs it the same way. Reports read the table in corpus
     order, so they are deterministic. ``threads`` is the pool's worker
     count, at least 1; None takes ``default_threads()``.
     """
@@ -233,12 +245,13 @@ class Workspace:
             (usable if self.field(label) is not None else skipped).append(label)
         return tuple(usable), tuple(skipped)
 
-    def stack(self, label: str, kind: str) -> ExtensionStack:
-        """A new stack of the member; the workspace keeps none."""
+    def stack(self, label: str, kind: str) -> Extension:
+        """A new extension of the member on the default mesh of its box
+        height; the workspace keeps none."""
         f = self.field(label)
         if f is None:
             raise ValueError(f"degenerate member {label!r} has no extension")
-        return Norm.extension(f, kind)
+        return Extension(f, kind, default_mesh(self.grid, kind))
 
     # -- the value table --
 
@@ -296,11 +309,15 @@ class Workspace:
         return tasks
 
     def _task(self, label: str, kind: str, todo: dict[tuple[str, float], float]) -> None:
-        """Evaluate one member's ops of one input kind: on the field, or on a
-        stack built here and dropped when the task returns."""
+        """Evaluate one member's ops of one input kind: on the field, or on an
+        extension made here, with one gradient pass for every op."""
         x = self.field(label) if kind == "trace" else self.stack(label, kind)
         if x is None:
             raise ValueError(f"degenerate member {label!r} has no norm values")
+        if kind != "trace":
+            reads = [_gradient_reads(op, alpha) for (op, _), alpha in todo.items()]
+            gradient_pass(x, [walk + (self.boxes,) for walks, _ in reads for walk in walks],
+                          [full for _, peaks in reads for full in peaks])
         for (op, level), alpha in todo.items():
             if op == "one":
                 value = 1.0
@@ -393,7 +410,7 @@ CHECKS = (
     # Poisson Carleson-box norm against the Campanato trace norm
     Check("2.1", "2.1", ("h", 1), ("campanato", 1)),
     # scaling-invariant box norm vs lifted Campanato; harmonic Bloch sup vs
-    # box norm; lifted-stack box norm vs scaling-invariant box norm
+    # box norm; lifted box norm vs scaling-invariant box norm
     Check("3.1i", "3.1", ("scaled_h", 1), ("frac_campanato", 1)),
     Check("3.1ii-bloch", "3.1", ("bloch_hb", 0), ("scaled_h", 1), levels="beta"),
     Check("3.3-star", "3.1", ("star", 1), ("scaled_h", 1)),
@@ -495,13 +512,10 @@ def check_inclusions(ws: Workspace, beta: float, refine: bool = True) -> Inclusi
     )
 
 
-def _weight_monotone_exact(stack: ExtensionStack, beta: float, boxes: BoxFamily) -> bool:
+def _weight_monotone_exact(ext: Extension, beta: float, boxes: BoxFamily) -> bool:
     """Per-radius box values of the scaling-invariant norm must decrease
     as the weight exponent grows: exact inequality."""
-    tables = [
-        scaled_h_norm(stack, a, boxes).per_box_table
-        for a in (-beta, 0.0, beta)
-    ]
+    tables = [scaled_h_norm(ext, a, boxes).per_box_table for a in (-beta, 0.0, beta)]
     for lower, higher in zip(tables[1:], tables):
         for (_, hi_val), (_, lo_val) in zip(higher, lower):
             if lo_val > hi_val * (1 + 1e-12):

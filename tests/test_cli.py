@@ -36,6 +36,16 @@ from toruslab.spectral import Field, TorusGrid
 from toruslab.verify import Workspace
 
 
+def config_from_payload(payload: dict) -> RunConfig:
+    """The RunConfig that a run_config.json payload serializes."""
+    data = dict(payload)
+    if data.get("boxes") is not None:
+        data["boxes"] = tuple(data["boxes"])
+    data["alphas"] = tuple(data.get("alphas", ()))
+    data["betas"] = tuple(data.get("betas", ()))
+    return RunConfig(**data)
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("corpus")
@@ -107,7 +117,7 @@ class TestRunConfig:
             betas=(0.5,), boxes=(1, 4, 2), corpus="m.json", out="d",
             seed=7, threads=2, options={"theorem": "2.1", "no_refine": True},
         )
-        back = RunConfig.from_payload(json.loads(json.dumps(config.to_payload())))
+        back = config_from_payload(json.loads(json.dumps(config.to_payload())))
         assert back == config
 
     def test_seed_bounds(self):
@@ -209,19 +219,17 @@ class TestNormCommand:
     def test_stack_norm_below_mesh_floor_refused_before_any_stack(
             self, tmp_path, capsys, monkeypatch):
         # the j=12 box height r^2 = 2^-24 is under the heat mesh floor 2^-22,
-        # so t refuses the family before a 99 MB heat stack is built
+        # so t refuses the family before any extension chunk is drawn
         import toruslab.extensions
-        import toruslab.norms
 
         def refuse(*args, **kwargs):
-            raise AssertionError("build_stack called")
+            raise AssertionError("a _semigroup chunk was drawn")
 
-        monkeypatch.setattr(toruslab.extensions, "build_stack", refuse)
-        monkeypatch.setattr(toruslab.norms, "build_stack", refuse)
+        monkeypatch.setattr(toruslab.extensions, "_semigroup", refuse)
         grid = TorusGrid(dims=1, size=8192, length=1.0)
         path = tmp_path / "fine.bin"
         write_field(Field(grid, np.cos(2 * np.pi * grid.coordinates()[0])), path)
-        code = main(["norm", "--norm", "t", "--grid", "8192", "--input", str(path)])
+        code = main(["norm", "--norm", "t", "--input", str(path)])
         assert code == 2
         assert "below the mesh floor 2.38419e-07" in capsys.readouterr().err
 
@@ -238,6 +246,26 @@ class TestNormCommand:
         config = json.loads((out / "run_config.json").read_text())
         assert config["command"] == "norm"
         assert config["alphas"] == [-0.5]
+
+    @pytest.mark.parametrize("flag", [["--grid", "128"], ["--dims", "2"], ["--length", "2"]])
+    def test_grid_flags_refused(self, mode_file, flag, capsys):
+        # the grid is the input file's: norm takes no grid options
+        with pytest.raises(SystemExit) as err:
+            main(["norm", "--norm", "h", "--input", str(mode_file)] + flag)
+        assert err.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_out_records_the_header_grid(self, tmp_path, capsys):
+        # a 2-D N=32 field of side 2 is measured, and recorded, on its own grid
+        grid = TorusGrid(dims=2, size=32, length=2.0)
+        path = tmp_path / "field2d.bin"
+        x, y = grid.coordinates()
+        write_field(Field(grid, np.cos(np.pi * x) * np.sin(np.pi * y)), path)
+        out = tmp_path / "norm2d"
+        assert main(["norm", "--norm", "h", "--input", str(path), "--out", str(out)]) == 0
+        config = json.loads((out / "run_config.json").read_text())
+        assert (config["grid"], config["dims"], config["length"]) == (32, 2, 2.0)
+        assert json.loads(capsys.readouterr().out)["result"]["arg_radius"] <= 1.0
 
     def test_horizon_inf_is_the_default(self, mode_file, tmp_path, capsys):
         out = tmp_path / "inf"

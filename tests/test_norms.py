@@ -22,7 +22,7 @@ from scipy.special import gammainc
 import toruslab.extensions as extensions_module
 import toruslab.norms as norms_module
 from toruslab.corpus import CorpusSpec, generate
-from toruslab.extensions import CHUNK_POINTS, TimeMesh, build_stack
+from toruslab.extensions import CHUNK_POINTS, Extension, TimeMesh
 from toruslab.norms import (
     BoxFamily,
     NORMS,
@@ -35,8 +35,7 @@ from toruslab.norms import (
     campanato_norm,
     campanato_pair_norm,
     dagger_norm,
-    default_linear_mesh,
-    default_parabolic_mesh,
+    default_mesh,
     frac_campanato_norm,
     h_alpha2_norm,
     inverse_space_norm,
@@ -62,12 +61,28 @@ from transform_oracles import (
     HALF_SPECTRUM_RTOL,
     assert_half_close,
     ball_correlate,
+    extension_values,
+    gradient_square,
     inverse_rows,
-    lift_stack,
+    lift_extension,
     nyquist_field,
-    stack_gradient_square,
     zero_time_square,
 )
+
+
+def count_passes(monkeypatch) -> list:
+    """The extension of every gradient pass that has work to do, in call
+    order, from here on."""
+    passes, real = [], Extension.gradient_pass
+
+    def counted(ext, walks=(), peaks=()):
+        peaks = list(peaks)
+        if walks or any(full not in ext.peaks for full in peaks):
+            passes.append(ext)
+        return real(ext, walks, peaks)
+
+    monkeypatch.setattr(Extension, "gradient_pass", counted)
+    return passes
 
 
 def lower_gamma_integral(w: float, a: float, upper: float) -> float:
@@ -456,12 +471,8 @@ class TestCarlesonSingleMode:
         self.boxes = BoxFamily(
             grid=self.grid, stride=1, j_values=tuple(range(1, 6))
         )
-        self.poisson = build_stack(
-            self.cosine, "poisson", default_linear_mesh(self.grid)
-        )
-        self.heat = build_stack(
-            self.cosine, "heat", default_parabolic_mesh(self.grid)
-        )
+        self.poisson = Extension(self.cosine, "poisson", default_mesh(self.grid, "poisson"))
+        self.heat = Extension(self.cosine, "heat", default_mesh(self.grid, "heat"))
 
     def poisson_box_oracle(self, alpha: float, weight: float) -> float:
         best = 0.0
@@ -566,9 +577,9 @@ class TestCarlesonSingleMode:
         # t^{1+2a} <= r^{2(a-b)} t^{1+2b} on each height-r box for b < a,
         # so after the r^-(2a+n) scaling every box value is monotone.
         f = random_field(self.grid, seed=31)
-        stack = build_stack(f, "poisson", default_linear_mesh(self.grid))
+        ext = Extension(f, "poisson", default_mesh(self.grid, "poisson"))
         values = [
-            scaled_h_norm(stack, alpha, self.boxes).value
+            scaled_h_norm(ext, alpha, self.boxes).value
             for alpha in (-0.6, -0.2, 0.2, 0.6)
         ]
         for lo, hi in zip(values[1:], values):
@@ -576,10 +587,10 @@ class TestCarlesonSingleMode:
 
     def test_homogeneity_of_box_norms(self):
         f = random_field(self.grid, seed=32)
-        stack1 = build_stack(f, "heat", default_parabolic_mesh(self.grid))
-        stack2 = build_stack(f.scaled(2.5), "heat", default_parabolic_mesh(self.grid))
-        a = t_alpha2_norm(stack1, 0.25, self.boxes)
-        b = t_alpha2_norm(stack2, 0.25, self.boxes)
+        ext1 = Extension(f, "heat", default_mesh(self.grid, "heat"))
+        ext2 = Extension(f.scaled(2.5), "heat", default_mesh(self.grid, "heat"))
+        a = t_alpha2_norm(ext1, 0.25, self.boxes)
+        b = t_alpha2_norm(ext2, 0.25, self.boxes)
         assert b.value == pytest.approx(2.5 * a.value, rel=1e-12)
         assert (b.arg_center, b.arg_radius) == (a.arg_center, a.arg_radius)
 
@@ -593,8 +604,8 @@ class TestSupNorms:
         grid = TorusGrid(dims=1, size=64, length=1.0)
         x = grid.coordinates()[0]
         f = Field(grid, np.cos(2 * np.pi * k * x))
-        stack = build_stack(f, "poisson", default_linear_mesh(grid))
-        assert bloch_hb_norm(stack) == pytest.approx(1.0 / math.e, rel=1e-2)
+        ext = Extension(f, "poisson", default_mesh(grid, "poisson"))
+        assert bloch_hb_norm(ext) == pytest.approx(1.0 / math.e, rel=1e-2)
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_bloch_cb_single_mode(self, k):
@@ -602,8 +613,8 @@ class TestSupNorms:
         grid = TorusGrid(dims=1, size=64, length=1.0)
         x = grid.coordinates()[0]
         f = Field(grid, np.cos(2 * np.pi * k * x))
-        stack = build_stack(f, "heat", default_parabolic_mesh(grid))
-        assert bloch_cb_norm(stack) == pytest.approx(
+        ext = Extension(f, "heat", default_mesh(grid, "heat"))
+        assert bloch_cb_norm(ext) == pytest.approx(
             1.0 / math.sqrt(2 * math.e), rel=1e-2
         )
 
@@ -757,9 +768,9 @@ class TestXSpace:
 
     def test_from_stack(self):
         f = Field(self.grid, self.cos_vals)
-        stack = build_stack(f, "heat", default_parabolic_mesh(self.grid))
-        series = TimeSeries(stack.grid, stack.mesh.nodes, stack.values)
-        assert series.times.size == stack.node_count
+        ext = Extension(f, "heat", default_mesh(self.grid, "heat"))
+        series = TimeSeries(ext.grid, ext.mesh.nodes, extension_values(ext))
+        assert series.times.size == ext.mesh.node_count
         got = x_space_norm(series, 0.0, horizon=1.0, boxes=self.boxes)
         assert got.value > 0
 
@@ -786,7 +797,7 @@ def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
     """inverse_space_norm one panel and one radius at a time, on the half
     spectrum or, with ``full``, on the full one."""
     grid = f.grid
-    mesh = mesh or default_parabolic_mesh(grid)
+    mesh = mesh or default_mesh(grid, "heat")
     g = f.remove_mean()
     fhat = forward_transform(g).coefficients
     rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
@@ -814,15 +825,15 @@ def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
     return _sup_over_family(boxes, per_radius, f.mean())
 
 
-def radius_loop_carleson(stack, boxes: BoxFamily, weight_exp: float, scale_exp: float,
+def radius_loop_carleson(ext, boxes: BoxFamily, weight_exp: float, scale_exp: float,
                          full_grad: bool, parabolic: bool) -> NormResult:
     """Carleson box norm one radius at a time: time integral, ball sum,
     scale, then the sup over the family."""
-    grid, mesh = stack.grid, stack.mesh
+    grid, mesh = ext.grid, ext.mesh
     node_factor = mesh.weights * mesh.nodes**weight_exp
-    prefix = np.cumsum(stack_gradient_square(stack, full=full_grad)
+    prefix = np.cumsum(gradient_square(ext, full=full_grad)
                        * node_factor.reshape((-1,) + (1,) * grid.dims), axis=0)
-    floor_term = (zero_time_square(stack, full=full_grad)
+    floor_term = (zero_time_square(ext, full=full_grad)
                   * mesh.floor ** (1.0 + weight_exp) / (1.0 + weight_exp))
     per_radius = []
     for j, radius in zip(boxes.j_values, boxes.radii):
@@ -833,14 +844,15 @@ def radius_loop_carleson(stack, boxes: BoxFamily, weight_exp: float, scale_exp: 
     return _sup_over_family(boxes, per_radius, 0.0)
 
 
-def dagger_lift(stack, alpha: float, parabolic: bool):
-    """The heat stack dagger_norm measures: the stack itself at alpha=0 on
-    parabolic boxes, else the lifted trace on the mesh of the box height."""
+def dagger_lift(ext, alpha: float, parabolic: bool):
+    """The heat extension dagger_norm measures: the extension itself at
+    alpha=0 on parabolic boxes, else the lifted trace on the mesh of the box
+    height."""
     if parabolic and alpha == 0.0:
-        return stack
-    return lift_stack(stack, alpha, stack.mesh if parabolic else TimeMesh(
-        top=stack.grid.length / 2.0, panels=stack.mesh.panels,
-        nodes_per_panel=stack.mesh.nodes_per_panel))
+        return ext
+    return lift_extension(ext, alpha, ext.mesh if parabolic else TimeMesh(
+        top=ext.grid.length / 2.0, panels=ext.mesh.panels,
+        nodes_per_panel=ext.mesh.nodes_per_panel))
 
 
 def _clipped_time_integral(
@@ -904,27 +916,27 @@ class TestBoxTails:
         grid = TorusGrid(dims, size, length=self.LENGTH)
         boxes = BoxFamily.default(grid, stride=2)
         norm = NORMS[name]
-        stack = norm.argument(random_field(grid, seed=size), boxes)
+        ext = norm.argument(random_field(grid, seed=size), boxes)
         for alpha in (0.0, -0.5, 0.25):
             if name == "star":
-                measured = stack if alpha == 0.0 else lift_stack(stack, alpha)
+                measured = ext if alpha == 0.0 else lift_extension(ext, alpha)
             elif name.startswith("dagger"):
-                measured = dagger_lift(stack, alpha, name.endswith("parabolic"))
+                measured = dagger_lift(ext, alpha, name.endswith("parabolic"))
             else:
-                measured = stack
+                measured = ext
             weight_exp, full_grad, parabolic = CARLESON_SHAPES[name](alpha)
             want = radius_loop_carleson(measured, boxes, weight_exp, 2 * alpha + dims,
                                         full_grad, parabolic)
-            assert norm.evaluate(stack, alpha, boxes, math.inf) == want
+            assert norm.evaluate(ext, alpha, boxes, math.inf) == want
 
     def test_dagger_parabolic_at_alpha0_measures_the_given_stack(self):
-        # a stack rebuilt from the inverse-transformed trace differs from the
-        # given one only by an inverse-forward round trip
+        # an extension remade from the inverse-transformed trace differs from
+        # the given one only by an inverse-forward round trip
         grid = TorusGrid(1, 256)
         boxes = BoxFamily.default(grid)
-        stack = NORMS["t"].argument(random_field(grid, seed=4), boxes)
-        rebuilt = build_stack(inverse_transform(stack.trace), "heat", stack.mesh)
-        got = dagger_norm(stack, 0.0, boxes, "parabolic")
+        ext = NORMS["t"].argument(random_field(grid, seed=4), boxes)
+        rebuilt = Extension(inverse_transform(ext.trace), "heat", ext.mesh)
+        got = dagger_norm(ext, 0.0, boxes, "parabolic")
         want = radius_loop_carleson(rebuilt, boxes, 1.0, 1.0, True, True)
         assert got.value == pytest.approx(want.value, rel=1e-14)
         assert (got.arg_center, got.arg_radius) == (want.arg_center, want.arg_radius)
@@ -1127,48 +1139,74 @@ class TestRunningSums:
 
     def test_carleson_walk_keeps_one_node_array(self):
         # 3-D N=16, 160 nodes: the gradient square of every node is one
-        # (nodes, N^3) float array, 5.2 MB, which the walk makes one row
-        # chunk at a time. It adds node-sized arrays only: the running sum,
-        # one term, the floor term and the three kept sums, and the box tail
-        # works on three-radius stacks. 8 complex grid fields (0.5 MB) bound
-        # those; a prefix array, or the weighted product it sums, would add
-        # another 5.2 MB. The walk runs on a stack that has not kept its time
-        # integrals yet.
+        # (nodes, N^3) float array, 5.2 MB, which the pass makes one row
+        # chunk at a time. The walk adds node-sized arrays only: the running
+        # sum, one term, the floor term and the three kept sums, and the box
+        # tail works on three-radius stacks. 8 complex grid fields (0.5 MB)
+        # bound those; a prefix array, or the weighted product it sums, would
+        # add another 5.2 MB. The walk runs on an extension that has not kept
+        # its time integrals yet.
         grid = TorusGrid(3, 16)
         boxes = BoxFamily.default(grid)
         f = random_field(grid, seed=3)
-        stack = NORMS["scaled_t"].argument(f, boxes)
-        # on a second stack, which fills the ball caches
+        ext = NORMS["scaled_t"].argument(f, boxes)
+        # on a second extension, which fills the ball caches
         want = scaled_t_norm(NORMS["scaled_t"].argument(f, boxes), -0.5, boxes)
         tracemalloc.start()
         try:
-            got = scaled_t_norm(stack, -0.5, boxes)
+            got = scaled_t_norm(ext, -0.5, boxes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert got == want
-        gradient_square = stack.node_count * grid.point_count * 8
+        gradient_square = ext.mesh.node_count * grid.point_count * 8
         assert peak < gradient_square + 8 * grid.point_count * 16
 
     def test_full_gradient_walk_keeps_one_node_array(self):
         # As above for h: d_t u is squared into |grad_x u|^2 by row chunks,
-        # one float chunk (8 * CHUNK_POINTS) at a time; squaring grad_t whole
+        # one float chunk (8 * CHUNK_POINTS) at a time; squaring d_t u whole
         # would add a second node array.
         grid = TorusGrid(3, 16)
         boxes = BoxFamily.default(grid)
         f = random_field(grid, seed=3)
-        stack = NORMS["h"].argument(f, boxes)
-        # on a second stack, which fills the ball caches
+        ext = NORMS["h"].argument(f, boxes)
+        # on a second extension, which fills the ball caches
         want = h_alpha2_norm(NORMS["h"].argument(f, boxes), 0.25, boxes)
         tracemalloc.start()
         try:
-            got = h_alpha2_norm(stack, 0.25, boxes)
+            got = h_alpha2_norm(ext, 0.25, boxes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert got == want
-        gradient_square = stack.node_count * grid.point_count * 8
+        gradient_square = ext.mesh.node_count * grid.point_count * 8
         assert peak < gradient_square + 8 * CHUNK_POINTS + 8 * grid.point_count * 16
+
+    @pytest.mark.parametrize("name", ["h", "t"])
+    def test_base_norm_holds_no_node_array(self, name):
+        # 2-D N=64, 160 nodes of 4096 points, 32 nodes a chunk: an extension
+        # stack of u, d_t u and each d_j u would be four (nodes, N^2) float
+        # arrays, 21 MB. From the field, the norm holds the trace's half
+        # spectrum, a few chunks (the coefficients and one transform's
+        # passes, complex; the squares and the weighted block, real) and the
+        # walk state: the carry, the floor row and term, the kept sums and
+        # the box tail's radius stacks, a few grid fields per radius.
+        grid = TorusGrid(2, 64)
+        boxes = BoxFamily.default(grid)
+        norm = NORMS[name]
+        f = random_field(grid, seed=7)
+        want = norm.evaluate(norm.argument(f, boxes), 0.25, boxes, math.inf)  # fills the ball caches
+        tracemalloc.start()
+        try:
+            got = norm.evaluate(norm.argument(f, boxes), 0.25, boxes, math.inf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        half = (grid.size // 2 + 1) / grid.size  # the half spectrum's share of the modes
+        chunks = 4 * 16 * CHUNK_POINTS * half + 3 * 8 * CHUNK_POINTS
+        walk_state = (4 * len(boxes.radii) + 8) * 16 * grid.point_count
+        assert peak < chunks + walk_state
 
     @pytest.mark.parametrize("name", ["star", "dagger_linear"])
     def test_lifted_norm_builds_no_stack(self, name):
@@ -1179,41 +1217,64 @@ class TestRunningSums:
         grid = TorusGrid(3, 16)
         boxes = BoxFamily.default(grid)
         norm = NORMS[name]
-        stack = norm.argument(random_field(grid, seed=3), boxes)
-        want = norm.evaluate(stack, 0.25, boxes, math.inf)  # fills the ball caches
+        ext = norm.argument(random_field(grid, seed=3), boxes)
+        want = norm.evaluate(ext, 0.25, boxes, math.inf)  # fills the ball caches
         tracemalloc.start()
         try:
-            got = norm.evaluate(stack, 0.25, boxes, math.inf)
+            got = norm.evaluate(ext, 0.25, boxes, math.inf)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert got == want
-        assert peak < stack.node_count * grid.point_count * 8
+        assert peak < ext.mesh.node_count * grid.point_count * 8
 
     def test_levels_share_one_walk_per_stack(self, monkeypatch):
         # h's time integrals do not depend on the level: three levels on one
-        # stack walk once, and give what three fresh stacks give
+        # extension walk once, in one pass, and give what three fresh
+        # extensions give
         grid = TorusGrid(2, 32)
         boxes = BoxFamily.default(grid)
         f = random_field(grid, seed=5)
         levels = (-0.5, 0.0, 0.25)
         want = [h_alpha2_norm(NORMS["h"].argument(f, boxes), a, boxes) for a in levels]
         walks = []
-        real = norms_module._running_sums
 
-        def counted(blocks, counts):
-            walks.append(counts)
-            return real(blocks, counts)
+        class CountedWalk(norms_module._BoxWalk):
+            def __init__(self, mesh, key):
+                walks.append(key)
+                super().__init__(mesh, key)
 
-        monkeypatch.setattr(norms_module, "_running_sums", counted)
-        stack = NORMS["h"].argument(f, boxes)
-        assert [h_alpha2_norm(stack, a, boxes) for a in levels] == want
-        assert len(walks) == 1
+        monkeypatch.setattr(norms_module, "_BoxWalk", CountedWalk)
+        passes = count_passes(monkeypatch)
+        ext = NORMS["h"].argument(f, boxes)
+        assert [h_alpha2_norm(ext, a, boxes) for a in levels] == want
+        assert len(walks) == len(passes) == 1
         # scaled_h at alpha=0 has h's weight t, so it reads the same integrals
-        assert scaled_h_norm(stack, 0.0, boxes) == want[1]
-        assert len(walks) == 1
-        scaled_h_norm(stack, 0.25, boxes)
-        assert len(walks) == 2
+        assert scaled_h_norm(ext, 0.0, boxes) == want[1]
+        assert len(walks) == len(passes) == 1
+        scaled_h_norm(ext, 0.25, boxes)
+        assert len(walks) == len(passes) == 2
+
+    def test_one_pass_serves_many_walks_and_peaks(self, monkeypatch):
+        # a pass for several walks and both peaks gives each what a pass of
+        # its own gives, bit for bit
+        grid = TorusGrid(2, 32)
+        boxes = BoxFamily.default(grid)
+        f = random_field(grid, seed=8)
+        keys = [NORMS[op].walk(a) + (boxes,) for op in ("t", "scaled_t") for a in (-0.5, 0.25)]
+        ext = NORMS["t"].argument(f, boxes)
+        passes = count_passes(monkeypatch)
+        norms_module.gradient_pass(ext, keys + [(1.0, True, True, boxes)], (True, False))
+        assert len(passes) == 1
+        for key in keys + [(1.0, True, True, boxes)]:
+            alone = NORMS["t"].argument(f, boxes)
+            norms_module.gradient_pass(alone, [key])
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(ext.box_integrals[key], alone.box_integrals[key], strict=True))
+        assert bloch_cb_norm(ext) == bloch_cb_norm(NORMS["t"].argument(f, boxes))
+        assert dagger_norm(ext, 0.0, boxes, "parabolic") == dagger_norm(
+            NORMS["t"].argument(f, boxes), 0.0, boxes, "parabolic")
+        assert len(passes) == 1 + len(keys) + 1 + 2
 
     def test_inverse_space_stops_at_the_largest_cut(self, monkeypatch):
         # horizon 0.02 keeps only r = 1/8, whose cut is 128 of the 160 nodes;
@@ -1231,7 +1292,7 @@ class TestRunningSums:
 
         monkeypatch.setattr(extensions_module, "_inverse_rows", counted)
         assert inverse_space_norm(f, 0.25, 0.02, boxes) == want
-        assert sum(rows) == 128 and default_parabolic_mesh(grid).node_count == 160
+        assert sum(rows) == 128 and default_mesh(grid, "heat").node_count == 160
 
 
 def test_concurrent_ball_misses_compute_once(monkeypatch):

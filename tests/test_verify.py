@@ -4,7 +4,8 @@ The norm functions themselves are oracled in test_norms.py, so these tests
 focus on the harness contract: report invariants, determinism, skip
 handling, scaling exponents on fields whose maximizing ball stays interior
 and lattice-resolved, the emitted files, and the evaluation plan: how many
-stacks it builds and how long each lives.
+extensions it makes, how long each lives and how many gradient passes
+they make.
 """
 
 import collections
@@ -22,8 +23,8 @@ import pytest
 
 import toruslab
 import toruslab.extensions as extensions_module
-import toruslab.norms as norms_module
 from toruslab.corpus import CorpusSpec, generate
+from toruslab.extensions import Extension
 from toruslab.norms import NORMS, BoxFamily
 from toruslab.spectral import TorusGrid
 from toruslab.verify import (
@@ -227,26 +228,44 @@ class TestWorkspace:
         assert Workspace(small_specs(), grid, threads=3).threads == 3
 
 
-class StackCensus:
-    """Counts the base stacks a Workspace builds, per (grid size, member,
-    kind), and the most alive at any one time, through weak references."""
+class PassCensus:
+    """Counts the base extensions a Workspace makes, per (grid size, member,
+    kind), and the most alive at any one time, through weak references; and
+    the gradient passes that have work to do: the base passes per (grid
+    size, member, kind), and the lifted passes, on extensions no workspace
+    made (the fractional lifts)."""
 
     def __init__(self, monkeypatch) -> None:
         self.built: collections.Counter = collections.Counter()
-        self.alive = self.peak = 0
+        self.passes: collections.Counter = collections.Counter()
+        self.lifted = self.alive = self.peak = 0
+        self._tags: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
-        build = Workspace.stack
+        build, real_pass = Workspace.stack, Extension.gradient_pass
 
         def stack(ws, label, kind):
             out = build(ws, label, kind)
             with self._lock:
-                self.built[(ws.grid.size, label, kind)] += 1
+                self._tags[out] = (ws.grid.size, label, kind)
+                self.built[self._tags[out]] += 1
                 self.alive += 1
                 self.peak = max(self.peak, self.alive)
             weakref.finalize(out, self._release)
             return out
 
+        def gradient_pass(ext, walks=(), peaks=()):
+            peaks = list(peaks)
+            if walks or any(full not in ext.peaks for full in peaks):
+                with self._lock:
+                    tag = self._tags.get(ext)
+                    if tag is None:
+                        self.lifted += 1
+                    else:
+                        self.passes[tag] += 1
+            return real_pass(ext, walks, peaks)
+
         monkeypatch.setattr(Workspace, "stack", stack)
+        monkeypatch.setattr(Extension, "gradient_pass", gradient_pass)
 
     def _release(self) -> None:
         with self._lock:
@@ -262,10 +281,11 @@ def all_rows(alphas=(-0.25, 0.25), betas=(0.5,)) -> list[tuple[str, float]]:
 
 class TestPlan:
     """prepare() evaluates every report's values member by member: each base
-    stack is built once per grid and lives for one member task."""
+    extension is made once per grid, makes one gradient pass and lives for
+    one member task."""
 
     def test_each_base_stack_built_once_per_grid(self, grid, monkeypatch) -> None:
-        census = StackCensus(monkeypatch)
+        census = PassCensus(monkeypatch)
         space = Workspace(small_specs(), grid, threads=2)
         rows = all_rows()
         prepare(space, rows, betas=(0.5,), refine=True)
@@ -276,19 +296,14 @@ class TestPlan:
         assert set(census.built) == {(size, label, kind) for size in (64, 128)
                                      for label in labels for kind in ("poisson", "heat")}
         assert set(census.built.values()) == {1}
+        assert census.passes == census.built
 
     def test_member_tasks_build_one_stack_each(self, grid, monkeypatch) -> None:
-        # every stack op of one member, the lifted star and dagger norms
-        # included, reads the one stack its Poisson or heat task builds
-        built = collections.Counter()
-        real = extensions_module.build_stack
-
-        def counted(f, kind, mesh):
-            built[kind] += 1
-            return real(f, kind, mesh)
-
-        monkeypatch.setattr(extensions_module, "build_stack", counted)
-        monkeypatch.setattr(norms_module, "build_stack", counted)
+        # every extension op of one member reads the one extension its
+        # Poisson or heat task makes, and all of them are served by its one
+        # gradient pass; each fractional lift (star and dagger_parabolic at
+        # alpha != 0, dagger_linear at every alpha) makes a pass of its own
+        census = PassCensus(monkeypatch)
         space = Workspace(small_specs(), grid, threads=1)
         ops = [op for op, norm in NORMS.items() if norm.kind != "trace"]
         pairs = [(op, level) for op in ops + ["grad_constant", "weight_monotone"]
@@ -296,12 +311,14 @@ class TestPlan:
         tasks = space._tasks({space.labels[3]: pairs})
         assert sorted(kind for _, _, kind, _ in tasks) == ["heat", "poisson"]
         space.run({space.labels[3]: pairs})
-        assert built == {"poisson": 1, "heat": 1}
+        base = {(grid.size, space.labels[3], kind): 1 for kind in ("poisson", "heat")}
+        assert census.built == census.passes == base
+        assert census.lifted == 2 + 3 + 2
         assert all((op, space.labels[3], round(level, 12)) in space._values
                    for op, level in pairs)
 
     def test_live_base_stacks_bounded_by_threads(self, grid, monkeypatch) -> None:
-        census = StackCensus(monkeypatch)
+        census = PassCensus(monkeypatch)
         prepare(Workspace(small_specs(), grid, threads=2), all_rows(),
                 betas=(0.5,), refine=True)
         assert sum(census.built.values()) == 4 * len(small_specs())
@@ -322,11 +339,19 @@ class TestPlan:
     def test_box_below_mesh_floor_refused_before_any_stack(self, monkeypatch) -> None:
         # at N=8192 the j=12 box height r^2 = 2^-24 is under the heat mesh
         # floor 2^-22, while every Poisson height r fits its mesh
-        census = StackCensus(monkeypatch)
+        census = PassCensus(monkeypatch)
+        drawn = []
+        real = extensions_module._semigroup
+
+        def semigroup(*args, **kwargs):
+            drawn.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(extensions_module, "_semigroup", semigroup)
         space = Workspace(small_specs(), TorusGrid(dims=1, size=8192), threads=2)
         with pytest.raises(ValueError, match="below the mesh floor"):
             prepare(space, [("2.1", 0.25), ("4.1i", 0.25)], refine=False)
-        assert not census.built
+        assert not census.built and not census.passes and not drawn
         assert not space._values
 
     def test_unknown_op_refused_before_any_work(self, ws: Workspace) -> None:
@@ -335,27 +360,48 @@ class TestPlan:
         assert ("h", ws.labels[0], 0.1) not in ws._values
 
 
-# A full `verify --theorem all` in a fresh interpreter that counts every
-# build_stack call (base stacks and fractional lifts) and reports its own
-# peak RSS. That is VmHWM, the high-water mark of the interpreter's own
-# address space: ru_maxrss would also hold the RSS its parent had when it
-# forked (a child of a 320 MB process reads 332 MB there, 13.5 MB here).
+# A full `verify --theorem all` in a fresh interpreter that counts the
+# gradient passes with work to do, by the extension they run on: a
+# workspace's base extension of a (grid, member, kind), a single-norm
+# extension (``Norm.argument``, the scaling rows) or a fractional lift
+# (any other). It also reports its own peak RSS. That is VmHWM, the
+# high-water mark of the interpreter's own address space: ru_maxrss would
+# also hold the RSS its parent had when it forked (a child of a 320 MB
+# process reads 332 MB there, 13.5 MB here).
 _FULL_RUN = """
-import json, sys
-from toruslab import extensions, norms
+import collections, json, sys, threading, weakref
 from toruslab.cli import main
-calls = []
-def counted(build):
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
-    return wrapper
-extensions.build_stack = counted(extensions.build_stack)
-norms.build_stack = counted(norms.build_stack)
+from toruslab.extensions import Extension
+from toruslab.norms import Norm
+from toruslab.verify import Workspace
+lock, tags = threading.Lock(), weakref.WeakKeyDictionary()
+made, passes, other = collections.Counter(), collections.Counter(), collections.Counter()
+real_stack, real_argument, real_pass = Workspace.stack, Norm.argument, Extension.gradient_pass
+def stack(ws, label, kind):
+    out = real_stack(ws, label, kind)
+    with lock:
+        tags[out] = f"{ws.grid.size}/{label}/{kind}"
+        made[tags[out]] += 1
+    return out
+def argument(norm, f, boxes):
+    out = real_argument(norm, f, boxes)
+    if norm.kind != "trace":
+        with lock:
+            tags[out] = "single"
+    return out
+def gradient_pass(ext, walks=(), peaks=()):
+    peaks = list(peaks)
+    if walks or any(full not in ext.peaks for full in peaks):
+        with lock:
+            tag = tags.get(ext, "lifted")
+            (other if tag in ("single", "lifted") else passes)[tag] += 1
+    return real_pass(ext, walks, peaks)
+Workspace.stack, Norm.argument, Extension.gradient_pass = stack, argument, gradient_pass
 code = main(["verify", "--theorem", "all", "--out", sys.argv[1]])
 with open("/proc/self/status") as fh:
     hwm = [int(line.split()[1]) for line in fh if line.startswith("VmHWM:")]
-print(json.dumps({"code": code, "builds": len(calls), "peak_kb": hwm[0] if hwm else None}))
+print(json.dumps({"code": code, "made": made, "passes": passes, "other": other,
+                  "peak_kb": hwm[0] if hwm else None}))
 """
 
 
@@ -375,16 +421,23 @@ def full_run(tmp_path_factory) -> dict:
 
 class TestFullRun:
     def test_stack_builds_within_620(self, full_run) -> None:
-        # 20 members x 2 kinds x 2 grids base stacks, the star and dagger
-        # lifts, and the scaling rows' Poisson stacks
+        # each (grid, member, kind) of the run has one base extension, which
+        # makes exactly one gradient pass: 20 members x 2 kinds x 2 grids
         assert full_run["code"] == 0
-        assert full_run["builds"] <= 620
+        assert len(full_run["made"]) == 80
+        assert set(full_run["made"].values()) == {1}
+        assert full_run["passes"] == full_run["made"]
+        # the lifts make one pass each: per member and grid, star at 4
+        # levels, dagger_linear at 5 and dagger_parabolic at 4 (alpha = 0 on
+        # the parabolic mesh reads the base pass); the scaling rows' h and
+        # scaled_h at 5 levels, on the field and its rescale, one pass each
+        assert full_run["other"] == {"lifted": (4 + 5 + 4) * 20 * 2, "single": 2 * 5 * 2}
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="VmHWM is read from /proc")
     def test_peak_rss_guard(self, full_run) -> None:
         # a guard against stacks kept for the whole run (about 166 MB when
-        # every stack was cached); the run itself peaks near 56 MB
+        # every stack was cached); the run itself peaks near 48 MB
         assert full_run["peak_kb"] is not None
         assert full_run["peak_kb"] <= 90 * 1024
 

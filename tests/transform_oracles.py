@@ -4,8 +4,8 @@ The library transforms real fields on the Hermitian half spectrum: a row
 of full-layout coefficients keeps the last-axis modes 0..N/2 and goes
 through ``irfftn``; a ball correlation is ``rfftn`` -> multiply ->
 ``irfftn``. The loops in the tests take their transforms from here, the
-lifted box norms their whole lifted stacks, and the box norms' oracles a
-stack's whole gradient square and its t = 0 limit.
+lifted box norms their lifted extensions, and the box norms' oracles an
+extension's whole gradient square and its t = 0 limit.
 ``full=True`` selects instead the full-spectrum path, ``ifftn(...).real``,
 the accuracy reference of the half spectrum.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from toruslab.extensions import ExtensionStack, TimeMesh, build_stack, gradient_square_rows
+from toruslab.extensions import Extension, TimeMesh, extension_rows, gradient_square_rows
 from toruslab.norms import _ball_mask, _ball_spectra
 from toruslab.spectral import Field, TorusGrid, frac_laplacian_power, inverse_transform
 
@@ -44,25 +44,30 @@ def ball_correlate(arr: np.ndarray, grid: TorusGrid, j: int, full: bool = False)
                          s=grid.shape, axes=axes)
 
 
-def lift_stack(stack: ExtensionStack, alpha: float,
-               mesh: TimeMesh | None = None) -> ExtensionStack:
-    """The whole stack, on ``mesh`` (the stack's own by default), of the
-    (-Lap)^(-alpha/2) lift of a stack's trace: the reference the streamed
-    lifted box norms match bit for bit. At alpha=0 the trace is kept as is."""
-    lifted = stack.trace if alpha == 0.0 else frac_laplacian_power(stack.trace, -alpha)
-    return build_stack(inverse_transform(lifted), stack.kind, mesh or stack.mesh)
+def lift_extension(ext: Extension, alpha: float, mesh: TimeMesh | None = None) -> Extension:
+    """The extension, on ``mesh`` (the extension's own by default), of the
+    (-Lap)^(-alpha/2) lift of an extension's trace: what the lifted box
+    norms measure. At alpha=0 the trace is kept as is."""
+    lifted = ext.trace if alpha == 0.0 else frac_laplacian_power(ext.trace, -alpha)
+    return Extension(inverse_transform(lifted), ext.kind, mesh or ext.mesh)
 
 
-def stack_gradient_square(stack: ExtensionStack, full: bool = True) -> np.ndarray:
-    """A stack's whole (nodes, *shape) gradient square, from its row stream."""
-    return np.concatenate([square for _, square in stack.gradient_square_rows(full)])
+def extension_values(ext: Extension) -> np.ndarray:
+    """u at every node of an extension's mesh, (nodes, *shape), from its rows."""
+    return np.concatenate([u for _, u in extension_rows(ext.trace, ext.kind, ext.mesh.nodes)])
 
 
-def zero_time_square(stack: ExtensionStack, full: bool = True) -> np.ndarray:
-    """The t = 0 row of the streamed gradient square of the stack's trace:
-    the t -> 0+ limit the box norms' floor term takes."""
-    _, square = next(gradient_square_rows(stack.trace, stack.kind, np.zeros(1), full))
-    return square[0]
+def gradient_square(ext: Extension, full: bool = True) -> np.ndarray:
+    """An extension's whole (nodes, *shape) gradient square, from its rows."""
+    return np.concatenate([squares[full] for _, squares in gradient_square_rows(
+        ext.trace, ext.kind, ext.mesh.nodes, (full,))])
+
+
+def zero_time_square(ext: Extension, full: bool = True) -> np.ndarray:
+    """The t = 0 row of an extension's gradient square: the t -> 0+ limit
+    the box norms' floor term takes."""
+    _, squares = next(gradient_square_rows(ext.trace, ext.kind, np.zeros(1), (full,)))
+    return squares[full][0]
 
 
 def nyquist_field(grid: TorusGrid, seed: int) -> Field:
