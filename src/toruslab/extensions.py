@@ -3,8 +3,10 @@
 u is the Poisson or the heat extension of a mean-zero trace. No node of it
 is stored: ``extension_rows`` and ``gradient_square_rows`` stream u and
 its gradient square chunk by chunk, and an ``Extension`` (the trace on a
-mesh) makes one ``gradient_pass`` over its nodes for every reader of its
-gradient square, keeping the box time integrals and node peaks they read.
+mesh) makes one ``gradient_pass`` for every reader of its gradient square,
+keeping the box time integrals and node peaks they read. A pass streams
+once per (lift, mesh) its readers name: a lift is a fractional power of
+the trace, so the lifted box norms read the extension they are given.
 Every sample comes from one sampler, ``_semigroup``, and one inverse,
 ``_inverse_rows``.
 """
@@ -25,6 +27,8 @@ from .spectral import (
     TorusGrid,
     extension_rate,
     forward_transform,
+    frac_laplacian_power,
+    inverse_transform,
 )
 
 # Cap on the grid points one batched transform covers (2 MB as complex).
@@ -212,7 +216,7 @@ class Extension:
     time mesh, held as the trace's spectrum: no node is stored. Its readers
     need only the gradient square at the nodes, which ``gradient_pass``
     draws once for all of them, keeping what they read: ``box_integrals``,
-    the Carleson time integrals per (weight exponent, full gradient,
+    the Carleson time integrals per (lift, weight exponent, full gradient,
     parabolic height, box family), and ``peaks``, max |grad u| per node for
     each gradient (True: space and time, False: space)."""
 
@@ -226,35 +230,49 @@ class Extension:
         self.peaks: dict[bool, np.ndarray] = {}
 
     def gradient_pass(self, walks: Sequence = (), peaks: Iterable[bool] = ()
-                      ) -> dict[bool, np.ndarray]:
-        """One pass over the mesh nodes in ``gradient_square_rows`` chunks.
+                      ) -> dict[tuple, np.ndarray]:
+        """One stream over the nodes of each (lift, mesh) that a walk or a
+        peak reads, in ``gradient_square_rows`` chunks.
 
-        Each walk reads the square of its gradient ``walk.full`` at its first
-        ``walk.stop`` nodes, chunk by chunk in node order, through
+        At lift 0 the stream reads the trace; at a lift a != 0 it reads the
+        (-Lap)^(-a/2) lift of the trace, taken through real samples as the
+        trace itself was. Each walk reads the square of its gradient
+        ``walk.full`` at the first ``walk.stop`` nodes of ``walk.mesh``, at
+        lift ``walk.lift``, chunk by chunk in node order, through
         ``walk.push(rows, square)``, which leaves the square as it is: the
-        walks of one gradient share it. The node peaks of each gradient in
-        ``peaks`` that are not kept yet are kept. No chunk past the last
-        node a walk or a peak needs is drawn. Returns the t = 0 row of each
-        walk's gradient square, formed once per gradient.
+        walks of one stream share it. The node peaks of each gradient in
+        ``peaks`` that are not kept yet are kept, from the stream of the
+        trace on the extension's own mesh. No chunk past the last node a
+        walk or a peak needs is drawn. Returns the t = 0 row of each
+        stream's gradient squares, keyed (lift, mesh, full).
         """
         peaks = {full for full in peaks if full not in self.peaks}
-        if not walks and not peaks:
-            return {}
-        fulls = {walk.full for walk in walks}
-        stop = max([walk.stop for walk in walks] + [self.mesh.node_count] * bool(peaks))
-        maxima = {full: np.empty(stop) for full in peaks}
-        for rows, squares in gradient_square_rows(self.trace, self.kind,
-                                                  self.mesh.nodes[:stop], fulls | peaks):
-            for walk in walks:
-                if rows.start < walk.stop:
-                    walk.push(rows, squares[walk.full])
-            for full, peak in maxima.items():
-                peak[rows] = squares[full].reshape(rows.stop - rows.start, -1).max(axis=1)
-            del squares  # free the chunk before the next one is drawn
-        # sqrt is monotone, so the sqrt of the max is the max of the sqrt
-        self.peaks.update((full, np.sqrt(peak)) for full, peak in maxima.items())
-        _, floor = next(gradient_square_rows(self.trace, self.kind, np.zeros(1), fulls))
-        return {full: square[0] for full, square in floor.items()}
+        streams: dict[tuple, list] = {}
+        for walk in walks:
+            streams.setdefault((walk.lift, walk.mesh), []).append(walk)
+        if peaks:
+            streams.setdefault((0.0, self.mesh), [])
+        floors = {}
+        for (lift, mesh), group in streams.items():
+            trace = self.trace if lift == 0.0 else forward_transform(
+                inverse_transform(frac_laplacian_power(self.trace, -lift)))
+            own = peaks if (lift, mesh) == (0.0, self.mesh) else set()
+            fulls = {walk.full for walk in group}
+            stop = max([walk.stop for walk in group] + [mesh.node_count] * bool(own))
+            maxima = {full: np.empty(stop) for full in own}
+            for rows, squares in gradient_square_rows(trace, self.kind, mesh.nodes[:stop],
+                                                      fulls | own):
+                for walk in group:
+                    if rows.start < walk.stop:
+                        walk.push(rows, squares[walk.full])
+                for full, peak in maxima.items():
+                    peak[rows] = squares[full].reshape(rows.stop - rows.start, -1).max(axis=1)
+                del squares  # free the chunk before the next one is drawn
+            # sqrt is monotone, so the sqrt of the max is the max of the sqrt
+            self.peaks.update((full, np.sqrt(peak)) for full, peak in maxima.items())
+            _, floor = next(gradient_square_rows(trace, self.kind, np.zeros(1), fulls))
+            floors.update(((lift, mesh, full), square[0]) for full, square in floor.items())
+        return floors
 
 
 def gradient_bound_ratio(ext: Extension, alpha: float, h_norm: float) -> float:

@@ -34,14 +34,14 @@ series (``x_space_norm``, one block per segment, which adds the segment
 clipped at r^2 after them). Each block is prefix-summed in place, only sums
 at box heights are kept and nothing past the tallest box is drawn.
 
-A Carleson norm reads its extension's walk of key (weight, gradient,
-height, family), which does not depend on the scale r^-(2a+n). An
-``Extension`` keeps its walks and node peaks, and ``gradient_pass`` fills
-them for many keys in one pass over the gradient square, formed once per
-chunk; a norm whose walk is missing runs the pass for its own key. The
-Carleson floor term is the t = 0 row of that square. The lifted norms
-(``star``, ``dagger``) walk an extension of the lift; a zero lift on the
-extension's own mesh is the extension, and reads its walk.
+Every Carleson norm, the seven box norms alike, reads its extension's walk
+of key (lift, weight, gradient, height, family), which does not depend on
+the scale r^-(2a+n): ``star`` and ``dagger`` walk the (-Lap)^(-a/2) lift of
+the trace at their level a, the others lift 0. An ``Extension`` keeps its
+walks and node peaks, and ``gradient_pass`` fills them for many keys in one
+pass, which streams the gradient square once per lift and mesh, formed
+once per chunk; a norm whose walk is missing runs the pass for its own key.
+The Carleson floor term is the t = 0 row of that square.
 """
 
 from __future__ import annotations
@@ -414,19 +414,25 @@ def check_box_heights(boxes: BoxFamily, kind: str) -> None:
 
 class _BoxWalk(_RunningSums):
     """int_0^h |grad u|^2 t^w dt per grid point for each box height h = r or
-    r^2 of a family, u the extension ``ext``, for a walk key (w, full
-    gradient, parabolic height, family).
+    r^2 of a family, for a walk key (lift a, weight exponent w, full
+    gradient, parabolic height, family), u the extension of the
+    (-Lap)^(-a/2) lift of the trace of ``ext``.
 
+    It walks the mesh of its box height: the extension's own, save that a
+    linear-height box on a heat extension walks the same mesh with top L/2.
     As an ``Extension.gradient_pass`` walk it is pushed the gradient square
     in node order, and weights each chunk into a new block of its running
     sums. The below-floor strip is added analytically from the t = 0 row.
     """
 
     def __init__(self, ext: Extension, key: tuple) -> None:
-        self.weight_exp, self.full, parabolic_height, boxes = key
+        self.lift, self.weight_exp, self.full, parabolic_height, boxes = key
         if boxes.grid != ext.grid:
             raise ValueError("extension and box family live on different grids")
-        self.mesh = mesh = ext.mesh
+        mesh = ext.mesh
+        if ext.kind == "heat" and not parabolic_height:
+            mesh = dataclasses.replace(mesh, top=ext.grid.length / 2.0)
+        self.mesh = mesh
         # every box is checked against the mesh before any array work
         super().__init__([mesh.aligned_cut(r**2 if parabolic_height else r) for r in boxes.radii])
         self.node_factor = (mesh.weights * mesh.nodes**self.weight_exp).reshape(
@@ -442,48 +448,13 @@ class _BoxWalk(_RunningSums):
 
 def gradient_pass(ext: Extension, keys: Iterable[tuple], peaks: Iterable[bool] = ()) -> None:
     """Keep on the extension the box time integrals of each Carleson walk key
-    (weight exponent, full gradient, parabolic height, box family) and the
-    node peaks of each gradient in ``peaks``, all from one
+    (lift, weight exponent, full gradient, parabolic height, box family) and
+    the node peaks of each gradient in ``peaks``, all from one
     ``Extension.gradient_pass``. What it keeps already is not walked again."""
     walks = {key: _BoxWalk(ext, key) for key in keys if key not in ext.box_integrals}
     floors = ext.gradient_pass(list(walks.values()), peaks)
     for key, walk in walks.items():
-        ext.box_integrals[key] = walk.integrals(floors[walk.full])
-
-
-def _carleson_box_norm(ext: Extension, boxes: BoxFamily, walk: tuple[float, bool, bool],
-                       alpha: float) -> NormResult:
-    """max over boxes of r^-(2a+n) * int_B int_0^h |grad u|^2 t^w dt dx, h = r
-    or r^2, for walk = (w, full gradient, parabolic height). The time
-    integrals are the extension's, walked by a pass of their own on a miss,
-    so the levels and norms that share a walk share them."""
-    key = walk + (boxes,)
-    gradient_pass(ext, [key])
-    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), ext.box_integrals[key],
-                    2 * alpha + ext.grid.dims, 0.0)
-
-
-def _lifted_box_norm(ext: Extension, alpha: float, boxes: BoxFamily,
-                     parabolic_height: bool, mesh: TimeMesh | None = None) -> NormResult:
-    """Full-gradient t dt box norm, scale 2a+n, of the extension of the
-    extension's kind of the (-Lap)^(-a/2) lift of its trace on ``mesh``, the
-    extension's own when None.
-
-    A zero lift on the extension's own mesh is the extension: it reads the
-    extension's walk. Any other lift is an extension of its own, read by
-    one pass of its one walk. The lifted trace goes through real samples,
-    as every extension takes its trace. At alpha=0 the trace is kept as is:
-    the -0 power would zero its mean mode.
-    """
-    # a lift has the walk of the zero lift on the extension's own mesh
-    walk = NORMS["dagger_parabolic" if parabolic_height else "star"].walk(0.0)
-    if mesh is None:
-        if alpha == 0.0:
-            return _carleson_box_norm(ext, boxes, walk, alpha)
-        mesh = ext.mesh
-    lifted = ext.trace if alpha == 0.0 else frac_laplacian_power(ext.trace, -alpha)
-    return _carleson_box_norm(Extension(inverse_transform(lifted), ext.kind, mesh),
-                              boxes, walk, alpha)
+        ext.box_integrals[key] = walk.integrals(floors[walk.lift, walk.mesh, walk.full])
 
 
 def _require_kind(ext: Extension, kind: str, op: str) -> None:
@@ -491,39 +462,46 @@ def _require_kind(ext: Extension, kind: str, op: str) -> None:
         raise ValueError(f"{op} requires a {kind} extension, got {ext.kind}")
 
 
-def _walked_box_norm(ext: Extension, alpha: float, boxes: BoxFamily, op: str) -> NormResult:
-    """The box norm of registry entry ``op``, which reads its extension's own
-    walk ``NORMS[op].walk(alpha)``."""
+def _carleson_box_norm(ext: Extension, alpha: float, boxes: BoxFamily, op: str) -> NormResult:
+    """max over boxes of r^-(2a+n) * int_B int_0^h |grad u|^2 t^w dt dx for
+    the walk key ``NORMS[op].walk(alpha)`` of registry entry ``op``.
+
+    The time integrals are the extension's, walked by a pass of their own on
+    a miss, so the levels and norms that share a walk share them. A walk of
+    a lift a != 0 has one reader, this one, so it is dropped once read.
+    """
     _check_alpha(alpha)
     _require_kind(ext, NORMS[op].kind, op)
-    return _carleson_box_norm(ext, boxes, NORMS[op].walk(alpha), alpha)
+    key = NORMS[op].walk(alpha) + (boxes,)
+    gradient_pass(ext, [key])
+    integrals = ext.box_integrals[key] if key[0] == 0.0 else ext.box_integrals.pop(key)
+    return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), integrals,
+                    2 * alpha + ext.grid.dims, 0.0)
 
 
 def h_alpha2_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max r^-(2a+n) int_B int_0^r |grad_{x,t} u|^2 t dt dx."""
-    return _walked_box_norm(ext, alpha, boxes, "h")
+    return _carleson_box_norm(ext, alpha, boxes, "h")
 
 
 def scaled_h_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """Scaling-invariant variant: weight t^(1+2a) in the box integral."""
-    return _walked_box_norm(ext, alpha, boxes, "scaled_h")
+    return _carleson_box_norm(ext, alpha, boxes, "scaled_h")
 
 
 def star_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """h_alpha2_norm of the mode-wise (-Lap)^(-a/2) lift of the extension."""
-    _check_alpha(alpha)
-    _require_kind(ext, "poisson", "star_norm")
-    return _lifted_box_norm(ext, alpha, boxes, parabolic_height=False)
+    return _carleson_box_norm(ext, alpha, boxes, "star")
 
 
 def t_alpha2_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max r^-(2a+n) int_B int_0^{r^2} |grad_x u|^2 dt dx."""
-    return _walked_box_norm(ext, alpha, boxes, "t")
+    return _carleson_box_norm(ext, alpha, boxes, "t")
 
 
 def scaled_t_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """Scaling-invariant variant: weight t^a, parabolic boxes."""
-    return _walked_box_norm(ext, alpha, boxes, "scaled_t")
+    return _carleson_box_norm(ext, alpha, boxes, "scaled_t")
 
 
 def dagger_norm(
@@ -536,13 +514,9 @@ def dagger_norm(
     parabolic height-r^2 variant that caloric scaling suggests; both are
     legitimate readings and callers compare them.
     """
-    _check_alpha(alpha)
-    _require_kind(ext, "heat", "dagger_norm")
     if box_height not in ("linear", "parabolic"):
         raise ValueError(f"box_height must be linear or parabolic, got {box_height!r}")
-    parabolic = box_height == "parabolic"
-    mesh = None if parabolic else dataclasses.replace(ext.mesh, top=ext.grid.length / 2.0)
-    return _lifted_box_norm(ext, alpha, boxes, parabolic, mesh)
+    return _carleson_box_norm(ext, alpha, boxes, f"dagger_{box_height}")
 
 
 # --- sup-type norms ---
@@ -777,15 +751,16 @@ class Norm:
     ``kind`` is "trace" for a norm of the field itself, or the extension
     ("poisson" or "heat") the norm takes. ``evaluate(x, alpha, boxes,
     horizon)`` returns a NormResult or a float; arguments a norm does not
-    take are ignored. ``walk(alpha)``, the (weight exponent, full gradient,
-    parabolic height) of the box time integrals the norm reads off its
-    extension at level alpha or None, and ``peak``, the gradient whose node
-    peaks it reads, state its reads once, for a plan's ``gradient_pass``.
+    take are ignored. ``walk(alpha)``, the (lift, weight exponent, full
+    gradient, parabolic height) of the box time integrals a box norm reads
+    off its extension at level alpha, None for any other norm, and
+    ``peak``, the gradient whose node peaks it reads, state its reads once,
+    for a plan's ``gradient_pass``.
     """
 
     kind: str
     evaluate: Callable[..., "NormResult | float"]
-    walk: Callable[[float], "tuple[float, bool, bool] | None"] = lambda alpha: None
+    walk: Callable[[float], "tuple[float, float, bool, bool] | None"] = lambda alpha: None
     peak: bool | None = None
 
     def argument(self, f: Field, boxes: BoxFamily) -> Field | Extension:
@@ -810,19 +785,19 @@ NORMS: dict[str, Norm] = {
     "besov": Norm("trace", lambda f, *_: besov_norm(f)),
     "inverse": Norm("trace", lambda f, a, boxes, top: inverse_space_norm(f, a, top, boxes)),
     "h": Norm("poisson", lambda e, a, boxes, _: h_alpha2_norm(e, a, boxes),
-              walk=lambda a: (1.0, True, False)),
+              walk=lambda a: (0.0, 1.0, True, False)),
     "scaled_h": Norm("poisson", lambda e, a, boxes, _: scaled_h_norm(e, a, boxes),
-                     walk=lambda a: (1.0 + 2 * a, True, False)),
-    # a lift reads the extension's own walk only at alpha = 0 on its mesh
+                     walk=lambda a: (0.0, 1.0 + 2 * a, True, False)),
     "star": Norm("poisson", lambda e, a, boxes, _: star_norm(e, a, boxes),
-                 walk=lambda a: (1.0, True, False) if a == 0.0 else None),
+                 walk=lambda a: (a, 1.0, True, False)),
     "bloch_hb": Norm("poisson", lambda e, *_: bloch_hb_norm(e), peak=True),
     "t": Norm("heat", lambda e, a, boxes, _: t_alpha2_norm(e, a, boxes),
-              walk=lambda a: (0.0, False, True)),
+              walk=lambda a: (0.0, 0.0, False, True)),
     "scaled_t": Norm("heat", lambda e, a, boxes, _: scaled_t_norm(e, a, boxes),
-                     walk=lambda a: (a, False, True)),
-    "dagger_linear": Norm("heat", lambda e, a, boxes, _: dagger_norm(e, a, boxes, "linear")),
+                     walk=lambda a: (0.0, a, False, True)),
+    "dagger_linear": Norm("heat", lambda e, a, boxes, _: dagger_norm(e, a, boxes, "linear"),
+                          walk=lambda a: (a, 1.0, True, False)),
     "dagger_parabolic": Norm("heat", lambda e, a, boxes, _: dagger_norm(e, a, boxes, "parabolic"),
-                             walk=lambda a: (1.0, True, True) if a == 0.0 else None),
+                             walk=lambda a: (a, 1.0, True, True)),
     "bloch_cb": Norm("heat", lambda e, *_: bloch_cb_norm(e), peak=False),
 }

@@ -24,8 +24,8 @@ import numpy as np
 from .corpus import CorpusSpec, generate
 from .extensions import Extension, gradient_bound_ratio
 from .fieldio import write_csv, write_json
-from .norms import (NORMS, BoxFamily, check_box_heights, default_mesh, gradient_pass,
-                    scaled_h_norm)
+from .norms import (NORMS, BoxFamily, Norm, check_box_heights, default_mesh, gradient_pass,
+                    h_alpha2_norm, scaled_h_norm)
 from .spectral import Field, TorusGrid
 
 DEGENERATE_RTOL = 1e-13
@@ -150,30 +150,27 @@ class InclusionReport:
         }
 
 
-# Ops the value table holds besides the registry norms, with the input each
-# is evaluated on: the unit right side, the empirical gradient constant, and
-# the weight-monotone test of the inclusion chains.
-_TABLE_OPS = {"one": "trace", "grad_constant": "poisson", "weight_monotone": "poisson"}
+# Ops the value table holds besides the registry norms: the unit right
+# side, the empirical gradient constant (with h's walk at its level), and
+# the weight-monotone test of the inclusion chains, which reads the scaled_h
+# walks the inclusion rows plan. They stay out of NORMS, whose names are the
+# `norm` command's choices.
+_TABLE_OPS = {
+    "one": Norm("trace", lambda *_: 1.0),
+    "grad_constant": Norm("poisson", lambda e, a, boxes, _: gradient_bound_ratio(
+        e, a, h_alpha2_norm(e, a, boxes).value), walk=NORMS["h"].walk, peak=True),
+    "weight_monotone": Norm("poisson", lambda e, b, boxes, _: _weight_monotone_exact(e, b, boxes)),
+}
 
 
-def _op_kind(op: str) -> str:
-    """The input an op is evaluated on: "trace", "poisson" or "heat"."""
-    if op in _TABLE_OPS:
-        return _TABLE_OPS[op]
-    if op not in NORMS:
-        raise ValueError(f"unknown norm op {op!r}")
-    return NORMS[op].kind
-
-
-def _gradient_reads(op: str, alpha: float) -> tuple[list, list]:
-    """The walks (weight exponent, full gradient, parabolic height) and the
-    peak gradients that an extension op reads at level ``alpha``."""
-    if op == "grad_constant":  # and h at its level, planned as an op
-        return [], [True]
-    if op == "weight_monotone":
-        return [NORMS["scaled_h"].walk(a) for a in (-alpha, 0.0, alpha)], []
-    walk, peak = NORMS[op].walk(alpha), NORMS[op].peak
-    return [walk] if walk else [], [] if peak is None else [peak]
+def _op(name: str) -> Norm:
+    """The entry of a table op: a side op of ``_TABLE_OPS`` or a norm of
+    ``NORMS``."""
+    if name in _TABLE_OPS:
+        return _TABLE_OPS[name]
+    if name not in NORMS:
+        raise ValueError(f"unknown norm op {name!r}")
+    return NORMS[name]
 
 
 def default_threads() -> int:
@@ -188,13 +185,15 @@ class Workspace:
     that names each member's (op, level) pairs before any work starts, with
     one pool task per member and input: the Poisson ops on one Poisson
     extension of the member, the heat ops on one heat extension, and the
-    trace ops on the field. A task makes one gradient pass over its
-    extension for the walks and node peaks of all its ops, then evaluates
-    them, and drops the extension when it ends; the fractional lifts make
-    a pass of their own. A lookup that misses plans just the missing key
-    and runs it the same way. Reports read the table in corpus
-    order, so they are deterministic. ``threads`` is the pool's worker
-    count, at least 1; None takes ``default_threads()``.
+    trace ops on the field. Every op is a ``Norm`` entry, found by ``_op``.
+    A task makes one gradient pass over its extension for the node peaks
+    and the lift-0 walks of all its ops, then evaluates them, and drops the
+    extension when it ends; a walk of a fractional lift a != 0 (``star``,
+    ``dagger``) has one reader, whose norm walks it when it runs. A lookup
+    that misses plans just the missing key and runs it the same way.
+    Reports read the table in corpus order, so they are deterministic.
+    ``threads`` is the pool's worker count, at least 1; None takes
+    ``default_threads()``.
     """
 
     def __init__(
@@ -293,15 +292,13 @@ class Workspace:
         for label, pairs in plan.items():
             todo: dict[tuple[str, float], float] = {}
             for op, alpha in pairs:
-                kinds.add(_op_kind(op))
-                if op == "grad_constant":  # reads h at its level, so h goes first
-                    todo.setdefault(("h", round(alpha, 12)), alpha)
+                kinds.add(_op(op).kind)
                 todo.setdefault((op, round(alpha, 12)), alpha)
             with self._lock:
                 todo = {key: alpha for key, alpha in todo.items()
                         if (key[0], label, key[1]) not in self._values}
             for kind in ("poisson", "heat", "trace"):
-                part = {key: alpha for key, alpha in todo.items() if _op_kind(key[0]) == kind}
+                part = {key: alpha for key, alpha in todo.items() if _op(key[0]).kind == kind}
                 if part:
                     tasks.append((self, label, kind, part))
         for kind in sorted(kinds):
@@ -310,23 +307,19 @@ class Workspace:
 
     def _task(self, label: str, kind: str, todo: dict[tuple[str, float], float]) -> None:
         """Evaluate one member's ops of one input kind: on the field, or on an
-        extension made here, with one gradient pass for every op."""
+        extension made here, with one gradient pass for the peaks and the
+        lift-0 walks of every op. A lifted walk has one reader, which walks
+        it when it runs, so no more than one is held at a time."""
         x = self.field(label) if kind == "trace" else self.stack(label, kind)
         if x is None:
             raise ValueError(f"degenerate member {label!r} has no norm values")
+        ops = {key: (_op(key[0]), alpha) for key, alpha in todo.items()}
         if kind != "trace":
-            reads = [_gradient_reads(op, alpha) for (op, _), alpha in todo.items()]
-            gradient_pass(x, [walk + (self.boxes,) for walks, _ in reads for walk in walks],
-                          [full for _, peaks in reads for full in peaks])
-        for (op, level), alpha in todo.items():
-            if op == "one":
-                value = 1.0
-            elif op == "grad_constant":
-                value = gradient_bound_ratio(x, alpha, self._values[("h", label, level)])
-            elif op == "weight_monotone":
-                value = _weight_monotone_exact(x, alpha, self.boxes)
-            else:
-                value = NORMS[op].value(x, alpha, self.boxes)
+            walks = [norm.walk(alpha) for norm, alpha in ops.values()]
+            gradient_pass(x, [walk + (self.boxes,) for walk in walks if walk and walk[0] == 0.0],
+                          [norm.peak for norm, _ in ops.values() if norm.peak is not None])
+        for (op, level), (norm, alpha) in ops.items():
+            value = norm.value(x, alpha, self.boxes)
             with self._lock:
                 self._values.setdefault((op, label, level), value)
 

@@ -465,10 +465,11 @@ def symbol_loop_zero_time(ext: Extension, full_grad: bool,
 
 
 class RecordingWalk:
-    """A gradient-pass walk that records the rows it is given."""
+    """A gradient-pass walk of the (lift, mesh) stream that records the rows
+    it is given."""
 
-    def __init__(self, full: bool, stop: int) -> None:
-        self.full, self.stop, self.rows = full, stop, []
+    def __init__(self, full: bool, stop: int, mesh: TimeMesh, lift: float = 0.0) -> None:
+        self.full, self.stop, self.mesh, self.lift, self.rows = full, stop, mesh, lift, []
 
     def push(self, rows: slice, square: np.ndarray) -> None:
         self.rows.append(rows)
@@ -570,14 +571,14 @@ class TestBatchedTransforms:
             return real(coeff, grid, symbol)
 
         monkeypatch.setattr(extensions_module, "_inverse_rows", counted)
-        short, tall = RecordingWalk(False, 5), RecordingWalk(True, 40)
+        short, tall = RecordingWalk(False, 5, ext.mesh), RecordingWalk(True, 40, ext.mesh)
         floors = ext.gradient_pass([short, tall])
         assert short.rows == [slice(0, 32)]
         assert tall.rows == [slice(0, 32), slice(32, 40)]
         # 3 transforms (2 d_x, d_t) per chunk, then 3 for the t = 0 rows
         assert drawn == [32] * 3 + [8] * 3 + [1] * 3
-        assert sorted(floors) == [False, True]
-        for full, floor in floors.items():
+        assert sorted(floors) == [(0.0, ext.mesh, False), (0.0, ext.mesh, True)]
+        for (_, _, full), floor in floors.items():
             assert np.array_equal(floor, zero_time_square(ext, full))
 
     def test_gradient_peaks_hold_no_whole_square(self):

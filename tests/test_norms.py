@@ -9,10 +9,12 @@ Oracle strategy:
     frequency, which pins the weights and the sup search.
 """
 
+import dataclasses
 import math
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,6 +85,21 @@ def count_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(Extension, "gradient_pass", counted)
     return passes
+
+
+def count_streams(monkeypatch) -> list:
+    """(trace, times) of every gradient-square stream over mesh nodes, in
+    call order, from here on; the t = 0 rows a pass also draws are not
+    streams."""
+    streams, real = [], extensions_module.gradient_square_rows
+
+    def counted(trace, kind, times, fulls=(True,)):
+        if times.any():
+            streams.append((trace, times))
+        return real(trace, kind, times, fulls)
+
+    monkeypatch.setattr(extensions_module, "gradient_square_rows", counted)
+    return streams
 
 
 def lower_gamma_integral(w: float, a: float, upper: float) -> float:
@@ -845,14 +862,15 @@ def radius_loop_carleson(ext, boxes: BoxFamily, weight_exp: float, scale_exp: fl
 
 
 def dagger_lift(ext, alpha: float, parabolic: bool):
-    """The heat extension dagger_norm measures: the extension itself at
-    alpha=0 on parabolic boxes, else the lifted trace on the mesh of the box
-    height."""
-    if parabolic and alpha == 0.0:
-        return ext
-    return lift_extension(ext, alpha, ext.mesh if parabolic else TimeMesh(
+    """The heat extension dagger_norm measures, on the mesh of the box
+    height: at alpha=0 the given extension's own trace, with no
+    inverse-forward round trip, else the lifted trace."""
+    mesh = ext.mesh if parabolic else TimeMesh(
         top=ext.grid.length / 2.0, panels=ext.mesh.panels,
-        nodes_per_panel=ext.mesh.nodes_per_panel))
+        nodes_per_panel=ext.mesh.nodes_per_panel)
+    if alpha != 0.0:
+        return lift_extension(ext, alpha, mesh)
+    return SimpleNamespace(grid=ext.grid, kind=ext.kind, mesh=mesh, trace=ext.trace)
 
 
 def _clipped_time_integral(
@@ -1256,17 +1274,25 @@ class TestRunningSums:
         assert len(walks) == len(passes) == 2
 
     def test_one_pass_serves_many_walks_and_peaks(self, monkeypatch):
-        # a pass for several walks and both peaks gives each what a pass of
-        # its own gives, bit for bit
+        # a pass for several walks, a lifted one and a linear-height one among
+        # them, and both peaks streams once per (lift, mesh) and gives each
+        # key what a pass of its own gives, bit for bit
         grid = TorusGrid(2, 32)
         boxes = BoxFamily.default(grid)
         f = random_field(grid, seed=8)
-        keys = [NORMS[op].walk(a) + (boxes,) for op in ("t", "scaled_t") for a in (-0.5, 0.25)]
+        walks = [NORMS[op].walk(a) for op in ("t", "scaled_t") for a in (-0.5, 0.25)]
+        walks += [NORMS["dagger_parabolic"].walk(0.0), NORMS["dagger_parabolic"].walk(0.25),
+                  NORMS["dagger_linear"].walk(0.0)]
+        keys = [walk + (boxes,) for walk in walks]
         ext = NORMS["t"].argument(f, boxes)
-        passes = count_passes(monkeypatch)
-        norms_module.gradient_pass(ext, keys + [(1.0, True, True, boxes)], (True, False))
+        linear = dataclasses.replace(ext.mesh, top=grid.length / 2.0)
+        passes, streams = count_passes(monkeypatch), count_streams(monkeypatch)
+        norms_module.gradient_pass(ext, keys, (True, False))
         assert len(passes) == 1
-        for key in keys + [(1.0, True, True, boxes)]:
+        assert [(trace is ext.trace, times.size, times[-1]) for trace, times in streams] == [
+            (own, mesh.node_count, mesh.nodes[-1])
+            for own, mesh in ((True, ext.mesh), (False, ext.mesh), (True, linear))]
+        for key in keys:
             alone = NORMS["t"].argument(f, boxes)
             norms_module.gradient_pass(alone, [key])
             assert all(np.array_equal(a, b) for a, b in
@@ -1274,7 +1300,25 @@ class TestRunningSums:
         assert bloch_cb_norm(ext) == bloch_cb_norm(NORMS["t"].argument(f, boxes))
         assert dagger_norm(ext, 0.0, boxes, "parabolic") == dagger_norm(
             NORMS["t"].argument(f, boxes), 0.0, boxes, "parabolic")
-        assert len(passes) == 1 + len(keys) + 1 + 2
+        assert len(passes) == 1 + len(keys) + 1 + 1
+        assert len(streams) == 3 + len(keys) + 1 + 1
+
+    @pytest.mark.parametrize("name", ["star", "dagger_linear", "dagger_parabolic"])
+    def test_lift_streams_on_the_given_extension_and_is_not_kept(self, name, monkeypatch):
+        # a lift a != 0 is one stream of a pass of the extension the norm is
+        # given; its walk has no other reader, so it is not kept, while the
+        # zero lift's walk is
+        grid = TorusGrid(1, 64)
+        boxes = BoxFamily.default(grid)
+        norm = NORMS[name]
+        ext = norm.argument(random_field(grid, seed=9), boxes)
+        passes = count_passes(monkeypatch)
+        norm.evaluate(ext, 0.25, boxes, math.inf)
+        assert passes == [ext]
+        assert ext.box_integrals == {}
+        norm.evaluate(ext, 0.0, boxes, math.inf)
+        assert list(ext.box_integrals) == [norm.walk(0.0) + (boxes,)]
+        assert norm.walk(0.0)[0] == 0.0
 
     def test_inverse_space_stops_at_the_largest_cut(self, monkeypatch):
         # horizon 0.02 keeps only r = 1/8, whose cut is 128 of the 160 nodes;

@@ -231,22 +231,28 @@ class TestWorkspace:
 class PassCensus:
     """Counts the base extensions a Workspace makes, per (grid size, member,
     kind), and the most alive at any one time, through weak references; and
-    the gradient passes that have work to do: the base passes per (grid
-    size, member, kind), and the lifted passes, on extensions no workspace
-    made (the fractional lifts)."""
+    the gradient-square streams their passes make, per (grid size, member,
+    kind, lift, mesh): one per walk's (lift, mesh) and, for node peaks not
+    kept yet, one of the trace on the extension's own mesh. ``draws`` counts
+    the streams ``gradient_square_rows`` draws on any extension (not the
+    t = 0 rows), so that the rule above is checked against the streams
+    really drawn."""
 
     def __init__(self, monkeypatch) -> None:
         self.built: collections.Counter = collections.Counter()
-        self.passes: collections.Counter = collections.Counter()
-        self.lifted = self.alive = self.peak = 0
+        self.streams: collections.Counter = collections.Counter()
+        self.draws = self.alive = self.peak = 0
         self._tags: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._meshes: dict = {}
         self._lock = threading.Lock()
         build, real_pass = Workspace.stack, Extension.gradient_pass
+        real_rows = extensions_module.gradient_square_rows
 
         def stack(ws, label, kind):
             out = build(ws, label, kind)
             with self._lock:
                 self._tags[out] = (ws.grid.size, label, kind)
+                self._meshes[self._tags[out]] = out.mesh
                 self.built[self._tags[out]] += 1
                 self.alive += 1
                 self.peak = max(self.peak, self.alive)
@@ -255,21 +261,36 @@ class PassCensus:
 
         def gradient_pass(ext, walks=(), peaks=()):
             peaks = list(peaks)
-            if walks or any(full not in ext.peaks for full in peaks):
-                with self._lock:
-                    tag = self._tags.get(ext)
-                    if tag is None:
-                        self.lifted += 1
-                    else:
-                        self.passes[tag] += 1
+            streams = {(walk.lift, walk.mesh) for walk in walks}
+            if any(full not in ext.peaks for full in peaks):
+                streams.add((0.0, ext.mesh))
+            with self._lock:
+                for stream in streams:
+                    self.streams[self._tags[ext] + stream] += 1
             return real_pass(ext, walks, peaks)
+
+        def gradient_square_rows(trace, kind, times, fulls=(True,)):
+            if times.any():
+                with self._lock:
+                    self.draws += 1
+            return real_rows(trace, kind, times, fulls)
 
         monkeypatch.setattr(Workspace, "stack", stack)
         monkeypatch.setattr(Extension, "gradient_pass", gradient_pass)
+        monkeypatch.setattr(extensions_module, "gradient_square_rows", gradient_square_rows)
 
     def _release(self) -> None:
         with self._lock:
             self.alive -= 1
+
+    def base(self) -> collections.Counter:
+        """The streams of each base extension's own trace on its own mesh."""
+        return collections.Counter({key[:3]: n for key, n in self.streams.items()
+                                    if key[3:] == (0.0, self._meshes[key[:3]])})
+
+    def lifted(self) -> int:
+        """The other streams: a lift, or the linear mesh of a heat extension."""
+        return sum(self.streams.values()) - sum(self.base().values())
 
 
 def all_rows(alphas=(-0.25, 0.25), betas=(0.5,)) -> list[tuple[str, float]]:
@@ -296,13 +317,16 @@ class TestPlan:
         assert set(census.built) == {(size, label, kind) for size in (64, 128)
                                      for label in labels for kind in ("poisson", "heat")}
         assert set(census.built.values()) == {1}
-        assert census.passes == census.built
+        assert census.base() == census.built
+        assert set(census.streams.values()) == {1}
+        assert census.draws == sum(census.streams.values())
 
     def test_member_tasks_build_one_stack_each(self, grid, monkeypatch) -> None:
         # every extension op of one member reads the one extension its
-        # Poisson or heat task makes, and all of them are served by its one
-        # gradient pass; each fractional lift (star and dagger_parabolic at
-        # alpha != 0, dagger_linear at every alpha) makes a pass of its own
+        # Poisson or heat task makes, which streams its own trace on its own
+        # mesh once for all of them; each fractional lift (star and
+        # dagger_parabolic at alpha != 0, dagger_linear at every alpha, on
+        # the linear mesh) is one more stream of it
         census = PassCensus(monkeypatch)
         space = Workspace(small_specs(), grid, threads=1)
         ops = [op for op, norm in NORMS.items() if norm.kind != "trace"]
@@ -312,10 +336,42 @@ class TestPlan:
         assert sorted(kind for _, _, kind, _ in tasks) == ["heat", "poisson"]
         space.run({space.labels[3]: pairs})
         base = {(grid.size, space.labels[3], kind): 1 for kind in ("poisson", "heat")}
-        assert census.built == census.passes == base
-        assert census.lifted == 2 + 3 + 2
+        assert census.built == census.base() == base
+        assert census.lifted() == 2 + 3 + 2
+        assert set(census.streams.values()) == {1}
+        assert census.draws == sum(census.streams.values())
         assert all((op, space.labels[3], round(level, 12)) in space._values
                    for op, level in pairs)
+
+    def test_member_task_plans_and_keeps_only_lift0_walks(self, grid, monkeypatch) -> None:
+        # the task's planned pass walks lift-0 keys only; each lift a != 0
+        # is a pass of one walk when its norm runs, and is not kept, so an
+        # extension ends its task holding lift-0 walks alone
+        made, lifts = [], collections.defaultdict(list)
+        build, real_pass = Workspace.stack, Extension.gradient_pass
+
+        def stack(ws, label, kind):
+            made.append(build(ws, label, kind))
+            return made[-1]
+
+        def gradient_pass(ext, walks=(), peaks=()):
+            if walks:  # a pass with every walk kept draws nothing
+                lifts[ext].append(sorted(walk.lift for walk in walks))
+            return real_pass(ext, walks, peaks)
+
+        monkeypatch.setattr(Workspace, "stack", stack)
+        monkeypatch.setattr(Extension, "gradient_pass", gradient_pass)
+        space = Workspace(small_specs(), grid, threads=1)
+        pairs = [(op, level) for op in ("h", "star", "dagger_linear", "dagger_parabolic")
+                 for level in (-0.25, 0.0, 0.25)]
+        space.run({space.labels[3]: pairs})
+        assert sorted(ext.kind for ext in made) == ["heat", "poisson"]
+        for ext in made:
+            planned, *lifted = lifts[ext]
+            assert set(planned) == {0.0}
+            per_level = 1 if ext.kind == "poisson" else 2  # star; dagger_linear, dagger_parabolic
+            assert sorted(lifted) == [[-0.25]] * per_level + [[0.25]] * per_level
+            assert ext.box_integrals and all(key[0] == 0.0 for key in ext.box_integrals)
 
     def test_live_base_stacks_bounded_by_threads(self, grid, monkeypatch) -> None:
         census = PassCensus(monkeypatch)
@@ -351,7 +407,7 @@ class TestPlan:
         space = Workspace(small_specs(), TorusGrid(dims=1, size=8192), threads=2)
         with pytest.raises(ValueError, match="below the mesh floor"):
             prepare(space, [("2.1", 0.25), ("4.1i", 0.25)], refine=False)
-        assert not census.built and not census.passes and not drawn
+        assert not census.built and not census.streams and not drawn
         assert not space._values
 
     def test_unknown_op_refused_before_any_work(self, ws: Workspace) -> None:
@@ -361,22 +417,28 @@ class TestPlan:
 
 
 # A full `verify --theorem all` in a fresh interpreter that counts the
-# gradient passes with work to do, by the extension they run on: a
-# workspace's base extension of a (grid, member, kind), a single-norm
-# extension (``Norm.argument``, the scaling rows) or a fractional lift
-# (any other). It also reports its own peak RSS. That is VmHWM, the
-# high-water mark of the interpreter's own address space: ru_maxrss would
-# also hold the RSS its parent had when it forked (a child of a 320 MB
-# process reads 332 MB there, 13.5 MB here).
+# gradient-square streams by the extension whose pass draws them: a
+# workspace's base extension of a (grid, member, kind), per (lift, mesh),
+# or a single-norm extension (``Norm.argument``, the scaling rows). A pass
+# streams once per walk's (lift, mesh) and, for node peaks not kept yet,
+# once on the extension's own mesh at lift 0; ``draws`` counts the streams
+# ``gradient_square_rows`` really draws (not the t = 0 rows). It also
+# reports its own peak RSS. That is VmHWM, the high-water mark of the
+# interpreter's own address space: ru_maxrss would also hold the RSS its
+# parent had when it forked (a child of a 320 MB process reads 332 MB
+# there, 13.5 MB here).
 _FULL_RUN = """
 import collections, json, sys, threading, weakref
+import toruslab.extensions as extensions
 from toruslab.cli import main
 from toruslab.extensions import Extension
 from toruslab.norms import Norm
 from toruslab.verify import Workspace
 lock, tags = threading.Lock(), weakref.WeakKeyDictionary()
-made, passes, other = collections.Counter(), collections.Counter(), collections.Counter()
+made, base, streams, other = (collections.Counter() for _ in range(4))
+draws = []
 real_stack, real_argument, real_pass = Workspace.stack, Norm.argument, Extension.gradient_pass
+real_rows = extensions.gradient_square_rows
 def stack(ws, label, kind):
     out = real_stack(ws, label, kind)
     with lock:
@@ -391,16 +453,29 @@ def argument(norm, f, boxes):
     return out
 def gradient_pass(ext, walks=(), peaks=()):
     peaks = list(peaks)
-    if walks or any(full not in ext.peaks for full in peaks):
-        with lock:
-            tag = tags.get(ext, "lifted")
-            (other if tag in ("single", "lifted") else passes)[tag] += 1
+    drawn = {(walk.lift, walk.mesh) for walk in walks}
+    if any(full not in ext.peaks for full in peaks):
+        drawn.add((0.0, ext.mesh))
+    with lock:
+        tag = tags.get(ext, "untagged")
+        for lift, mesh in drawn:
+            if tag in ("single", "untagged"):
+                other[tag] += 1
+            else:
+                streams[f"{tag}/{lift!r}/{mesh.top!r}"] += 1
+                base[tag] += (lift, mesh) == (0.0, ext.mesh)
     return real_pass(ext, walks, peaks)
+def gradient_square_rows(trace, kind, times, fulls=(True,)):
+    if times.any():
+        draws.append(1)
+    return real_rows(trace, kind, times, fulls)
 Workspace.stack, Norm.argument, Extension.gradient_pass = stack, argument, gradient_pass
+extensions.gradient_square_rows = gradient_square_rows
 code = main(["verify", "--theorem", "all", "--out", sys.argv[1]])
 with open("/proc/self/status") as fh:
     hwm = [int(line.split()[1]) for line in fh if line.startswith("VmHWM:")]
-print(json.dumps({"code": code, "made": made, "passes": passes, "other": other,
+print(json.dumps({"code": code, "made": made, "base": base, "streams": streams,
+                  "other": other, "draws": len(draws),
                   "peak_kb": hwm[0] if hwm else None}))
 """
 
@@ -422,16 +497,22 @@ def full_run(tmp_path_factory) -> dict:
 class TestFullRun:
     def test_stack_builds_within_620(self, full_run) -> None:
         # each (grid, member, kind) of the run has one base extension, which
-        # makes exactly one gradient pass: 20 members x 2 kinds x 2 grids
+        # streams its own trace on its own mesh exactly once: 20 members x
+        # 2 kinds x 2 grids
         assert full_run["code"] == 0
         assert len(full_run["made"]) == 80
         assert set(full_run["made"].values()) == {1}
-        assert full_run["passes"] == full_run["made"]
-        # the lifts make one pass each: per member and grid, star at 4
-        # levels, dagger_linear at 5 and dagger_parabolic at 4 (alpha = 0 on
-        # the parabolic mesh reads the base pass); the scaling rows' h and
-        # scaled_h at 5 levels, on the field and its rescale, one pass each
-        assert full_run["other"] == {"lifted": (4 + 5 + 4) * 20 * 2, "single": 2 * 5 * 2}
+        assert full_run["base"] == full_run["made"]
+        # every (grid, member, kind, lift, mesh) is streamed once. Besides
+        # the base streams, per member and grid: star at 4 levels,
+        # dagger_linear at 5 (alpha = 0 on the linear mesh) and
+        # dagger_parabolic at 4 (alpha = 0 on the parabolic mesh is the base
+        # stream); the scaling rows' h and scaled_h at 5 levels, on the
+        # field and its rescale, one stream each
+        assert set(full_run["streams"].values()) == {1}
+        assert len(full_run["streams"]) == 80 + (4 + 5 + 4) * 20 * 2
+        assert full_run["other"] == {"single": 2 * 5 * 2}
+        assert full_run["draws"] == 80 + 520 + 20
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="VmHWM is read from /proc")
