@@ -4,11 +4,11 @@ u is the Poisson or the heat extension of a mean-zero trace. No node of it
 is stored: ``extension_rows`` and ``gradient_square_rows`` stream u and
 its gradient square chunk by chunk, and an ``Extension`` (the trace on a
 mesh) makes one ``gradient_pass`` for every reader of its gradient square,
-keeping the box time integrals and node peaks they read. A pass streams
-once per (lift, mesh) its readers name: a lift is a fractional power of
-the trace, so the lifted box norms read the extension they are given.
-Every sample comes from one sampler, ``_semigroup``, and one inverse,
-``_inverse_rows``.
+keeping the box time integrals and node peaks they read. A pass draws one
+stream per lift its readers name, over the union of the meshes they read:
+a lift is a fractional power of the trace, so the lifted box norms read
+the extension they are given. Every sample comes from one sampler,
+``_semigroup``, and one inverse, ``_inverse_rows``.
 """
 
 from __future__ import annotations
@@ -231,48 +231,80 @@ class Extension:
 
     def gradient_pass(self, walks: Sequence = (), peaks: Iterable[bool] = ()
                       ) -> dict[tuple, np.ndarray]:
-        """One stream over the nodes of each (lift, mesh) that a walk or a
-        peak reads, in ``gradient_square_rows`` chunks.
+        """One ``gradient_square_rows`` stream per lift that a walk or a peak
+        reads, over the union of the meshes its readers read.
 
         At lift 0 the stream reads the trace; at a lift a != 0 it reads the
         (-Lap)^(-a/2) lift of the trace, taken through real samples as the
         trace itself was. Each walk reads the square of its gradient
         ``walk.full`` at the first ``walk.stop`` nodes of ``walk.mesh``, at
-        lift ``walk.lift``, chunk by chunk in node order, through
-        ``walk.push(rows, square)``, which leaves the square as it is: the
-        walks of one stream share it. The node peaks of each gradient in
-        ``peaks`` that are not kept yet are kept, from the stream of the
-        trace on the extension's own mesh. No chunk past the last node a
-        walk or a peak needs is drawn. Returns the t = 0 row of each
-        stream's gradient squares, keyed (lift, mesh, full).
+        lift ``walk.lift``; the node peaks of each gradient in ``peaks``
+        that are not kept yet are kept, from the lift-0 stream, at every
+        node of the extension's own mesh. A stream's times are the nodes
+        each mesh needs, merged by value, so that a node two meshes share is
+        one row, and t = 0 as row 0 when a walk reads it: e^{-rate t} is
+        exactly 1 there, so the row is the t -> 0+ limit. No chunk past the
+        last node a walk or a peak needs is drawn.
+
+        Chunk by chunk, each walk whose stop the chunk starts before is
+        pushed all its mesh's rows in it, in node order, through
+        ``walk.push(nodes, square)``: ``nodes`` slices its mesh's nodes and
+        ``square`` holds their rows, a view of the chunk where they are
+        contiguous in it, as when one mesh is a run of the union. push
+        leaves the square as it is: the walks of one stream share it.
+        Returns the t = 0 row of each stream's gradient squares that a walk
+        reads, keyed (lift, full).
         """
         peaks = {full for full in peaks if full not in self.peaks}
-        streams: dict[tuple, list] = {}
+        streams: dict[float, list] = {}
         for walk in walks:
-            streams.setdefault((walk.lift, walk.mesh), []).append(walk)
+            streams.setdefault(walk.lift, []).append(walk)
         if peaks:
-            streams.setdefault((0.0, self.mesh), [])
+            streams.setdefault(0.0, [])
         floors = {}
-        for (lift, mesh), group in streams.items():
+        for lift, group in streams.items():
             trace = self.trace if lift == 0.0 else forward_transform(
                 inverse_transform(frac_laplacian_power(self.trace, -lift)))
-            own = peaks if (lift, mesh) == (0.0, self.mesh) else set()
+            own = peaks if lift == 0.0 else set()
+            stops = {self.mesh: self.mesh.node_count} if own else {}
+            for walk in group:
+                stops[walk.mesh] = max(stops.get(walk.mesh, 0), walk.stop)
+            times = np.sort(np.concatenate(
+                [np.zeros(1 if group else 0)] + [mesh.nodes[:stop] for mesh, stop in stops.items()]))
+            # equal nodes merge into one row (np.unique would import numpy.ma)
+            times = times[np.concatenate(([True], times[1:] != times[:-1]))]
+            # the row of each needed node of each mesh, ascending
+            where = {mesh: np.searchsorted(times, mesh.nodes[:stop]) for mesh, stop in stops.items()}
             fulls = {walk.full for walk in group}
-            stop = max([walk.stop for walk in group] + [mesh.node_count] * bool(own))
-            maxima = {full: np.empty(stop) for full in own}
-            for rows, squares in gradient_square_rows(trace, self.kind, mesh.nodes[:stop],
-                                                      fulls | own):
+            maxima = {full: np.empty(self.mesh.node_count) for full in own}
+            for rows, squares in gradient_square_rows(trace, self.kind, times, fulls | own):
+                if rows.start == 0 and group:
+                    floors.update(((lift, full), squares[full][0].copy()) for full in fulls)
+                cuts = {mesh: _cut(pos, rows) for mesh, pos in where.items()}
                 for walk in group:
-                    if rows.start < walk.stop:
-                        walk.push(rows, squares[walk.full])
+                    nodes, chunk_rows = cuts[walk.mesh]
+                    if nodes.start < min(nodes.stop, walk.stop):
+                        walk.push(nodes, squares[walk.full][chunk_rows])
                 for full, peak in maxima.items():
-                    peak[rows] = squares[full].reshape(rows.stop - rows.start, -1).max(axis=1)
+                    nodes, chunk_rows = cuts[self.mesh]
+                    if nodes.stop > nodes.start:
+                        peak[nodes] = squares[full][chunk_rows].reshape(
+                            nodes.stop - nodes.start, -1).max(axis=1)
                 del squares  # free the chunk before the next one is drawn
             # sqrt is monotone, so the sqrt of the max is the max of the sqrt
             self.peaks.update((full, np.sqrt(peak)) for full, peak in maxima.items())
-            _, floor = next(gradient_square_rows(trace, self.kind, np.zeros(1), fulls))
-            floors.update(((lift, mesh, full), square[0]) for full, square in floor.items())
         return floors
+
+
+def _cut(pos: np.ndarray, rows: slice) -> tuple[slice, slice | np.ndarray]:
+    """The mesh nodes at stream rows ``pos`` (ascending) that fall in the
+    chunk ``rows``, as a slice of the mesh's nodes, and their rows in the
+    chunk: a slice where they are contiguous, else an index array."""
+    lo, hi = np.searchsorted(pos, (rows.start, rows.stop)).tolist()
+    at = pos[lo:hi] - rows.start
+    if hi > lo and at[-1] - at[0] == hi - lo - 1:
+        at = slice(int(at[0]), int(at[-1]) + 1)
+    return slice(lo, hi), at
 
 
 def gradient_bound_ratio(ext: Extension, alpha: float, h_norm: float) -> float:

@@ -39,9 +39,10 @@ of key (lift, weight, gradient, height, family), which does not depend on
 the scale r^-(2a+n): ``star`` and ``dagger`` walk the (-Lap)^(-a/2) lift of
 the trace at their level a, the others lift 0. An ``Extension`` keeps its
 walks and node peaks, and ``gradient_pass`` fills them for many keys in one
-pass, which streams the gradient square once per lift and mesh, formed
-once per chunk; a norm whose walk is missing runs the pass for its own key.
-The Carleson floor term is the t = 0 row of that square.
+pass, which streams the gradient square once per lift, over the union of
+the meshes its walks read, formed once per chunk; a norm whose walk is
+missing runs the pass for its own key. The Carleson floor term is the t = 0
+row of that square, row 0 of the same stream.
 """
 
 from __future__ import annotations
@@ -421,8 +422,9 @@ class _BoxWalk(_RunningSums):
     It walks the mesh of its box height: the extension's own, save that a
     linear-height box on a heat extension walks the same mesh with top L/2.
     As an ``Extension.gradient_pass`` walk it is pushed the gradient square
-    in node order, and weights each chunk into a new block of its running
-    sums. The below-floor strip is added analytically from the t = 0 row.
+    at its mesh's nodes in node order, and weights each chunk's rows into a
+    new block of its running sums. The below-floor strip is added
+    analytically from the t = 0 row.
     """
 
     def __init__(self, ext: Extension, key: tuple) -> None:
@@ -454,7 +456,7 @@ def gradient_pass(ext: Extension, keys: Iterable[tuple], peaks: Iterable[bool] =
     walks = {key: _BoxWalk(ext, key) for key in keys if key not in ext.box_integrals}
     floors = ext.gradient_pass(list(walks.values()), peaks)
     for key, walk in walks.items():
-        ext.box_integrals[key] = walk.integrals(floors[walk.lift, walk.mesh, walk.full])
+        ext.box_integrals[key] = walk.integrals(floors[walk.lift, walk.full])
 
 
 def _require_kind(ext: Extension, kind: str, op: str) -> None:

@@ -25,7 +25,7 @@ from .corpus import CorpusSpec, generate
 from .extensions import Extension, gradient_bound_ratio
 from .fieldio import write_csv, write_json
 from .norms import (NORMS, BoxFamily, Norm, check_box_heights, default_mesh, gradient_pass,
-                    h_alpha2_norm, scaled_h_norm)
+                    scaled_h_norm)
 from .spectral import Field, TorusGrid
 
 DEGENERATE_RTOL = 1e-13
@@ -151,14 +151,15 @@ class InclusionReport:
 
 
 # Ops the value table holds besides the registry norms: the unit right
-# side, the empirical gradient constant (with h's walk at its level), and
-# the weight-monotone test of the inclusion chains, which reads the scaled_h
-# walks the inclusion rows plan. They stay out of NORMS, whose names are the
-# `norm` command's choices.
+# side, the empirical gradient constant, whose last argument is the value
+# of h at its level (a task reads it from the table, which its plan fills
+# first), and the weight-monotone test of the inclusion chains, which reads
+# the scaled_h walks the inclusion rows plan. They stay out of NORMS, whose
+# names are the `norm` command's choices.
 _TABLE_OPS = {
     "one": Norm("trace", lambda *_: 1.0),
-    "grad_constant": Norm("poisson", lambda e, a, boxes, _: gradient_bound_ratio(
-        e, a, h_alpha2_norm(e, a, boxes).value), walk=NORMS["h"].walk, peak=True),
+    "grad_constant": Norm("poisson", lambda e, a, _, h: gradient_bound_ratio(e, a, h),
+                          peak=True),
     "weight_monotone": Norm("poisson", lambda e, b, boxes, _: _weight_monotone_exact(e, b, boxes)),
 }
 
@@ -187,10 +188,12 @@ class Workspace:
     extension of the member, the heat ops on one heat extension, and the
     trace ops on the field. Every op is a ``Norm`` entry, found by ``_op``.
     A task makes one gradient pass over its extension for the node peaks
-    and the lift-0 walks of all its ops, then evaluates them, and drops the
-    extension when it ends; a walk of a fractional lift a != 0 (``star``,
-    ``dagger``) has one reader, whose norm walks it when it runs. A lookup
-    that misses plans just the missing key and runs it the same way.
+    and the lift-0 walks of all its ops, one stream over the union of the
+    meshes they read, then evaluates them, and drops the extension when it
+    ends; the walks of a fractional lift a != 0 (``star``, or both
+    ``dagger`` heights at one level) are read once, and one more pass
+    streams them together just before the first is read. A lookup that
+    misses plans just the missing key and runs it the same way.
     Reports read the table in corpus order, so they are deterministic.
     ``threads`` is the pool's worker count, at least 1; None takes
     ``default_threads()``.
@@ -293,6 +296,8 @@ class Workspace:
             todo: dict[tuple[str, float], float] = {}
             for op, alpha in pairs:
                 kinds.add(_op(op).kind)
+                if op == "grad_constant":  # it reads h at its level
+                    todo.setdefault(("h", round(alpha, 12)), alpha)
                 todo.setdefault((op, round(alpha, 12)), alpha)
             with self._lock:
                 todo = {key: alpha for key, alpha in todo.items()
@@ -308,18 +313,29 @@ class Workspace:
     def _task(self, label: str, kind: str, todo: dict[tuple[str, float], float]) -> None:
         """Evaluate one member's ops of one input kind: on the field, or on an
         extension made here, with one gradient pass for the peaks and the
-        lift-0 walks of every op. A lifted walk has one reader, which walks
-        it when it runs, so no more than one is held at a time."""
+        lift-0 walks of every op. The walks of a lift a != 0 (``star``, or
+        ``dagger_linear`` and ``dagger_parabolic`` at one level) are read
+        once, so they are walked together, by one stream over the union of
+        their meshes, just before the first of them is read, and each is
+        dropped once read: no more than one lift is held at a time."""
         x = self.field(label) if kind == "trace" else self.stack(label, kind)
         if x is None:
             raise ValueError(f"degenerate member {label!r} has no norm values")
         ops = {key: (_op(key[0]), alpha) for key, alpha in todo.items()}
+        lifts: dict[float, list] = {}  # lift -> the walk keys of the ops
         if kind != "trace":
-            walks = [norm.walk(alpha) for norm, alpha in ops.values()]
-            gradient_pass(x, [walk + (self.boxes,) for walk in walks if walk and walk[0] == 0.0],
+            for walk in (norm.walk(alpha) for norm, alpha in ops.values()):
+                if walk:
+                    lifts.setdefault(walk[0], []).append(walk + (self.boxes,))
+            gradient_pass(x, lifts.pop(0.0, []),
                           [norm.peak for norm, _ in ops.values() if norm.peak is not None])
         for (op, level), (norm, alpha) in ops.items():
-            value = norm.value(x, alpha, self.boxes)
+            walk = norm.walk(alpha)
+            if walk and walk[0] in lifts:
+                gradient_pass(x, lifts.pop(walk[0]))
+            with self._lock:  # grad_constant divides by h at its level, evaluated before it
+                last = self._values[("h", label, level)] if op == "grad_constant" else math.inf
+            value = norm.value(x, alpha, self.boxes, last)
             with self._lock:
                 self._values.setdefault((op, label, level), value)
 

@@ -465,14 +465,21 @@ def symbol_loop_zero_time(ext: Extension, full_grad: bool,
 
 
 class RecordingWalk:
-    """A gradient-pass walk of the (lift, mesh) stream that records the rows
-    it is given."""
+    """A gradient-pass walk of a mesh at a lift that records the node rows
+    it is given, copies of their squares (the chunk is the pass's) and
+    whether each square was a view."""
 
     def __init__(self, full: bool, stop: int, mesh: TimeMesh, lift: float = 0.0) -> None:
-        self.full, self.stop, self.mesh, self.lift, self.rows = full, stop, mesh, lift, []
+        self.full, self.stop, self.mesh, self.lift = full, stop, mesh, lift
+        self.rows, self.squares, self.views = [], [], []
 
     def push(self, rows: slice, square: np.ndarray) -> None:
         self.rows.append(rows)
+        self.squares.append(square.copy())
+        self.views.append(square.base is not None)
+
+    def square(self) -> np.ndarray:
+        return np.concatenate(self.squares)
 
 
 class TestBatchedTransforms:
@@ -558,9 +565,10 @@ class TestBatchedTransforms:
             assert np.array_equal(ext.peaks[full], peaks)
 
     def test_pass_serves_each_walk_up_to_its_stop(self, monkeypatch):
-        # 2-D N=64 chunks hold 32 nodes: walks that need 5 and 40 nodes get
-        # the first one and two chunks, no third chunk is drawn, and each
-        # walk's t = 0 row is returned
+        # 2-D N=64 chunks hold 32 rows, the first of them the t = 0 row:
+        # walks that need 5 and 40 nodes get all their rows of the first one
+        # and two chunks, as views of the chunk, no third chunk is drawn and
+        # no t = 0 row is drawn apart
         grid = TorusGrid(2, 64)
         ext = Extension(noise_field(grid, seed=6), "heat", TimeMesh(top=0.25))
         drawn = []
@@ -573,12 +581,16 @@ class TestBatchedTransforms:
         monkeypatch.setattr(extensions_module, "_inverse_rows", counted)
         short, tall = RecordingWalk(False, 5, ext.mesh), RecordingWalk(True, 40, ext.mesh)
         floors = ext.gradient_pass([short, tall])
-        assert short.rows == [slice(0, 32)]
-        assert tall.rows == [slice(0, 32), slice(32, 40)]
-        # 3 transforms (2 d_x, d_t) per chunk, then 3 for the t = 0 rows
-        assert drawn == [32] * 3 + [8] * 3 + [1] * 3
-        assert sorted(floors) == [(0.0, ext.mesh, False), (0.0, ext.mesh, True)]
-        for (_, _, full), floor in floors.items():
+        assert short.rows == [slice(0, 31)]
+        assert tall.rows == [slice(0, 31), slice(31, 40)]
+        assert all(short.views + tall.views)
+        # 3 transforms (2 d_x, d_t) per chunk
+        assert drawn == [32] * 3 + [9] * 3
+        for walk in (short, tall):
+            want = gradient_square(ext, walk.full)
+            assert np.array_equal(walk.square(), want[: walk.rows[-1].stop])
+        assert sorted(floors) == [(0.0, False), (0.0, True)]
+        for (_, full), floor in floors.items():
             assert np.array_equal(floor, zero_time_square(ext, full))
 
     def test_gradient_peaks_hold_no_whole_square(self):

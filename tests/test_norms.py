@@ -88,14 +88,12 @@ def count_passes(monkeypatch) -> list:
 
 
 def count_streams(monkeypatch) -> list:
-    """(trace, times) of every gradient-square stream over mesh nodes, in
-    call order, from here on; the t = 0 rows a pass also draws are not
-    streams."""
+    """(trace, times) of every gradient-square stream, in call order, from
+    here on."""
     streams, real = [], extensions_module.gradient_square_rows
 
     def counted(trace, kind, times, fulls=(True,)):
-        if times.any():
-            streams.append((trace, times))
+        streams.append((trace, times))
         return real(trace, kind, times, fulls)
 
     monkeypatch.setattr(extensions_module, "gradient_square_rows", counted)
@@ -1275,8 +1273,10 @@ class TestRunningSums:
 
     def test_one_pass_serves_many_walks_and_peaks(self, monkeypatch):
         # a pass for several walks, a lifted one and a linear-height one among
-        # them, and both peaks streams once per (lift, mesh) and gives each
-        # key what a pass of its own gives, bit for bit
+        # them, and both peaks streams once per lift, over t = 0 and the
+        # union of the meshes it reads (the heat mesh's top 1/4 and the
+        # linear mesh's 1/2 share 19 of their 20 panels), and gives each key
+        # what a pass of its own gives, bit for bit
         grid = TorusGrid(2, 32)
         boxes = BoxFamily.default(grid)
         f = random_field(grid, seed=8)
@@ -1289,9 +1289,10 @@ class TestRunningSums:
         passes, streams = count_passes(monkeypatch), count_streams(monkeypatch)
         norms_module.gradient_pass(ext, keys, (True, False))
         assert len(passes) == 1
-        assert [(trace is ext.trace, times.size, times[-1]) for trace, times in streams] == [
-            (own, mesh.node_count, mesh.nodes[-1])
-            for own, mesh in ((True, ext.mesh), (False, ext.mesh), (True, linear))]
+        assert [(trace is ext.trace, times.size, times[0], times[-1])
+                for trace, times in streams] == [
+            (True, 1 + 168, 0.0, linear.nodes[-1]), (False, 1 + 160, 0.0, ext.mesh.nodes[-1])]
+        assert np.array_equal(streams[0][1], np.unique(np.r_[0.0, ext.mesh.nodes, linear.nodes]))
         for key in keys:
             alone = NORMS["t"].argument(f, boxes)
             norms_module.gradient_pass(alone, [key])
@@ -1301,7 +1302,55 @@ class TestRunningSums:
         assert dagger_norm(ext, 0.0, boxes, "parabolic") == dagger_norm(
             NORMS["t"].argument(f, boxes), 0.0, boxes, "parabolic")
         assert len(passes) == 1 + len(keys) + 1 + 1
-        assert len(streams) == 3 + len(keys) + 1 + 1
+        assert len(streams) == 2 + len(keys) + 1 + 1
+
+    @pytest.mark.parametrize("length,union", [(1.0, 168), (2.0, 160), (3.0, 320)])
+    @pytest.mark.parametrize("dims,size", [(1, 256), (2, 64)])
+    def test_union_stream_matches_one_pass_per_mesh(self, dims, size, length, union,
+                                                    monkeypatch):
+        # both dagger heights at one level, on one heat extension, are one
+        # stream over t = 0 and the union of the linear mesh (top L/2) and
+        # the parabolic one (top (L/2)^2): they share 19 panels at L = 1, are
+        # equal at L = 2 and share no node at L = 3, where their nodes
+        # interleave. On 2-D N=64 the union spans several 32-row chunks.
+        # Each norm is the one a pass of its own gives, bit for bit.
+        grid = TorusGrid(dims, size, length)
+        boxes = BoxFamily.default(grid)
+        f = random_field(grid, seed=4)
+        heights = ("linear", "parabolic")
+        for alpha in (0.25, 0.0):
+            alone = []
+            for height in heights:
+                ext = NORMS["t"].argument(f, boxes)
+                alone.append(dagger_norm(ext, alpha, boxes, height))
+            ext = NORMS["t"].argument(f, boxes)
+            streams = count_streams(monkeypatch)
+            norms_module.gradient_pass(
+                ext, [NORMS[f"dagger_{height}"].walk(alpha) + (boxes,) for height in heights])
+            assert [times.size for _, times in streams] == [1 + union]
+            together = [dagger_norm(ext, alpha, boxes, height) for height in heights]
+            assert len(streams) == 1
+            for got, want in zip(together, alone, strict=True):
+                assert (got.value, got.per_box_table, got.arg_center) == (
+                    want.value, want.per_box_table, want.arg_center)
+            monkeypatch.undo()
+
+    def test_peaks_only_pass_draws_no_zero_time_row(self, monkeypatch):
+        # bloch_cb reads node peaks alone: the pass's stream starts at the
+        # first node, and no 1-row transform of t = 0 follows it
+        grid = TorusGrid(2, 64)
+        ext = NORMS["bloch_cb"].argument(random_field(grid, seed=2), BoxFamily.default(grid))
+        drawn = []
+        real = extensions_module._inverse_rows
+
+        def counted(coeff, grid, symbol=None):
+            drawn.append(coeff.shape[0])
+            return real(coeff, grid, symbol)
+
+        monkeypatch.setattr(extensions_module, "_inverse_rows", counted)
+        bloch_cb_norm(ext)
+        # 2 d_x transforms per 32-node chunk of the 160 nodes
+        assert drawn == [32] * 10
 
     @pytest.mark.parametrize("name", ["star", "dagger_linear", "dagger_parabolic"])
     def test_lift_streams_on_the_given_extension_and_is_not_kept(self, name, monkeypatch):

@@ -23,8 +23,9 @@ import pytest
 
 import toruslab
 import toruslab.extensions as extensions_module
+import toruslab.norms as norms_module
 from toruslab.corpus import CorpusSpec, generate
-from toruslab.extensions import Extension
+from toruslab.extensions import Extension, gradient_bound_ratio
 from toruslab.norms import NORMS, BoxFamily
 from toruslab.spectral import TorusGrid
 from toruslab.verify import (
@@ -232,18 +233,17 @@ class PassCensus:
     """Counts the base extensions a Workspace makes, per (grid size, member,
     kind), and the most alive at any one time, through weak references; and
     the gradient-square streams their passes make, per (grid size, member,
-    kind, lift, mesh): one per walk's (lift, mesh) and, for node peaks not
-    kept yet, one of the trace on the extension's own mesh. ``draws`` counts
-    the streams ``gradient_square_rows`` draws on any extension (not the
-    t = 0 rows), so that the rule above is checked against the streams
-    really drawn."""
+    kind, lift): one per walk's lift and, for node peaks not kept yet, one
+    of the trace at lift 0. ``draws`` counts the streams
+    ``gradient_square_rows`` draws on any extension, a t = 0 row drawn apart
+    included, so that the rule above is checked against the streams really
+    drawn."""
 
     def __init__(self, monkeypatch) -> None:
         self.built: collections.Counter = collections.Counter()
         self.streams: collections.Counter = collections.Counter()
         self.draws = self.alive = self.peak = 0
         self._tags: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self._meshes: dict = {}
         self._lock = threading.Lock()
         build, real_pass = Workspace.stack, Extension.gradient_pass
         real_rows = extensions_module.gradient_square_rows
@@ -252,7 +252,6 @@ class PassCensus:
             out = build(ws, label, kind)
             with self._lock:
                 self._tags[out] = (ws.grid.size, label, kind)
-                self._meshes[self._tags[out]] = out.mesh
                 self.built[self._tags[out]] += 1
                 self.alive += 1
                 self.peak = max(self.peak, self.alive)
@@ -261,18 +260,17 @@ class PassCensus:
 
         def gradient_pass(ext, walks=(), peaks=()):
             peaks = list(peaks)
-            streams = {(walk.lift, walk.mesh) for walk in walks}
+            lifts = {walk.lift for walk in walks}
             if any(full not in ext.peaks for full in peaks):
-                streams.add((0.0, ext.mesh))
+                lifts.add(0.0)
             with self._lock:
-                for stream in streams:
-                    self.streams[self._tags[ext] + stream] += 1
+                for lift in lifts:
+                    self.streams[self._tags[ext] + (lift,)] += 1
             return real_pass(ext, walks, peaks)
 
         def gradient_square_rows(trace, kind, times, fulls=(True,)):
-            if times.any():
-                with self._lock:
-                    self.draws += 1
+            with self._lock:
+                self.draws += 1
             return real_rows(trace, kind, times, fulls)
 
         monkeypatch.setattr(Workspace, "stack", stack)
@@ -284,12 +282,12 @@ class PassCensus:
             self.alive -= 1
 
     def base(self) -> collections.Counter:
-        """The streams of each base extension's own trace on its own mesh."""
+        """The streams of each base extension's own trace."""
         return collections.Counter({key[:3]: n for key, n in self.streams.items()
-                                    if key[3:] == (0.0, self._meshes[key[:3]])})
+                                    if key[3] == 0.0})
 
     def lifted(self) -> int:
-        """The other streams: a lift, or the linear mesh of a heat extension."""
+        """The other streams: a fractional lift of the trace."""
         return sum(self.streams.values()) - sum(self.base().values())
 
 
@@ -323,10 +321,10 @@ class TestPlan:
 
     def test_member_tasks_build_one_stack_each(self, grid, monkeypatch) -> None:
         # every extension op of one member reads the one extension its
-        # Poisson or heat task makes, which streams its own trace on its own
-        # mesh once for all of them; each fractional lift (star and
-        # dagger_parabolic at alpha != 0, dagger_linear at every alpha, on
-        # the linear mesh) is one more stream of it
+        # Poisson or heat task makes, which streams its own trace once for
+        # all of them, the heat extension's linear mesh included; each
+        # fractional lift (star, or dagger_linear and dagger_parabolic
+        # together, at alpha != 0) is one more stream of it
         census = PassCensus(monkeypatch)
         space = Workspace(small_specs(), grid, threads=1)
         ops = [op for op, norm in NORMS.items() if norm.kind != "trace"]
@@ -337,7 +335,7 @@ class TestPlan:
         space.run({space.labels[3]: pairs})
         base = {(grid.size, space.labels[3], kind): 1 for kind in ("poisson", "heat")}
         assert census.built == census.base() == base
-        assert census.lifted() == 2 + 3 + 2
+        assert census.lifted() == 2 + 2
         assert set(census.streams.values()) == {1}
         assert census.draws == sum(census.streams.values())
         assert all((op, space.labels[3], round(level, 12)) in space._values
@@ -345,7 +343,8 @@ class TestPlan:
 
     def test_member_task_plans_and_keeps_only_lift0_walks(self, grid, monkeypatch) -> None:
         # the task's planned pass walks lift-0 keys only; each lift a != 0
-        # is a pass of one walk when its norm runs, and is not kept, so an
+        # is one pass when its first norm runs, of its walks at that level
+        # (star; dagger_linear and dagger_parabolic), and is not kept, so an
         # extension ends its task holding lift-0 walks alone
         made, lifts = [], collections.defaultdict(list)
         build, real_pass = Workspace.stack, Extension.gradient_pass
@@ -370,8 +369,34 @@ class TestPlan:
             planned, *lifted = lifts[ext]
             assert set(planned) == {0.0}
             per_level = 1 if ext.kind == "poisson" else 2  # star; dagger_linear, dagger_parabolic
-            assert sorted(lifted) == [[-0.25]] * per_level + [[0.25]] * per_level
+            assert sorted(lifted) == [[-0.25] * per_level, [0.25] * per_level]
             assert ext.box_integrals and all(key[0] == 0.0 for key in ext.box_integrals)
+
+    def test_grad_constant_reads_h_from_the_table(self, grid, monkeypatch) -> None:
+        # grad_constant divides its node-peak sup by h at its level: the
+        # task forms h's box sup once per level, for both ops, and plans h
+        # when only grad_constant is asked for
+        calls = []
+        real = norms_module.h_alpha2_norm
+
+        def counted(ext, alpha, boxes):
+            calls.append(alpha)
+            return real(ext, alpha, boxes)
+
+        monkeypatch.setattr(norms_module, "h_alpha2_norm", counted)
+        levels = (-0.25, 0.0, 0.25)
+        space = Workspace(small_specs(), grid, threads=1)
+        label = space.labels[3]
+        space.run({label: [(op, a) for op in ("grad_constant", "h") for a in levels]})
+        assert sorted(calls) == sorted(levels)
+        alone = Workspace(small_specs(), grid, threads=1)
+        alone.run({label: [("grad_constant", a) for a in levels]})
+        assert len(calls) == 2 * len(levels)
+        for a in levels:
+            ext = space.stack(label, "poisson")
+            want = gradient_bound_ratio(ext, a, real(ext, a, space.boxes).value)
+            assert space.norm("grad_constant", label, a) == want
+            assert alone.norm("grad_constant", label, a) == want
 
     def test_live_base_stacks_bounded_by_threads(self, grid, monkeypatch) -> None:
         census = PassCensus(monkeypatch)
@@ -418,11 +443,11 @@ class TestPlan:
 
 # A full `verify --theorem all` in a fresh interpreter that counts the
 # gradient-square streams by the extension whose pass draws them: a
-# workspace's base extension of a (grid, member, kind), per (lift, mesh),
-# or a single-norm extension (``Norm.argument``, the scaling rows). A pass
-# streams once per walk's (lift, mesh) and, for node peaks not kept yet,
-# once on the extension's own mesh at lift 0; ``draws`` counts the streams
-# ``gradient_square_rows`` really draws (not the t = 0 rows). It also
+# workspace's base extension of a (grid, member, kind), per lift, or a
+# single-norm extension (``Norm.argument``, the scaling rows). A pass
+# streams once per walk's lift and, for node peaks not kept yet, once at
+# lift 0; ``draws`` counts the calls of ``gradient_square_rows``, so a t = 0
+# row drawn apart would show there. It also
 # reports its own peak RSS. That is VmHWM, the high-water mark of the
 # interpreter's own address space: ru_maxrss would also hold the RSS its
 # parent had when it forked (a child of a 320 MB process reads 332 MB
@@ -431,7 +456,7 @@ _FULL_RUN = """
 import collections, json, sys, threading, weakref
 import toruslab.extensions as extensions
 from toruslab.cli import main
-from toruslab.extensions import Extension
+from toruslab.extensions import Extension, gradient_bound_ratio
 from toruslab.norms import Norm
 from toruslab.verify import Workspace
 lock, tags = threading.Lock(), weakref.WeakKeyDictionary()
@@ -453,21 +478,20 @@ def argument(norm, f, boxes):
     return out
 def gradient_pass(ext, walks=(), peaks=()):
     peaks = list(peaks)
-    drawn = {(walk.lift, walk.mesh) for walk in walks}
+    drawn = {walk.lift for walk in walks}
     if any(full not in ext.peaks for full in peaks):
-        drawn.add((0.0, ext.mesh))
+        drawn.add(0.0)
     with lock:
         tag = tags.get(ext, "untagged")
-        for lift, mesh in drawn:
+        for lift in drawn:
             if tag in ("single", "untagged"):
                 other[tag] += 1
             else:
-                streams[f"{tag}/{lift!r}/{mesh.top!r}"] += 1
-                base[tag] += (lift, mesh) == (0.0, ext.mesh)
+                streams[f"{tag}/{lift!r}"] += 1
+                base[tag] += lift == 0.0
     return real_pass(ext, walks, peaks)
 def gradient_square_rows(trace, kind, times, fulls=(True,)):
-    if times.any():
-        draws.append(1)
+    draws.append(1)
     return real_rows(trace, kind, times, fulls)
 Workspace.stack, Norm.argument, Extension.gradient_pass = stack, argument, gradient_pass
 extensions.gradient_square_rows = gradient_square_rows
@@ -497,22 +521,22 @@ def full_run(tmp_path_factory) -> dict:
 class TestFullRun:
     def test_stack_builds_within_620(self, full_run) -> None:
         # each (grid, member, kind) of the run has one base extension, which
-        # streams its own trace on its own mesh exactly once: 20 members x
-        # 2 kinds x 2 grids
+        # streams its own trace exactly once, over the union of its meshes:
+        # 20 members x 2 kinds x 2 grids
         assert full_run["code"] == 0
         assert len(full_run["made"]) == 80
         assert set(full_run["made"].values()) == {1}
         assert full_run["base"] == full_run["made"]
-        # every (grid, member, kind, lift, mesh) is streamed once. Besides
-        # the base streams, per member and grid: star at 4 levels,
-        # dagger_linear at 5 (alpha = 0 on the linear mesh) and
-        # dagger_parabolic at 4 (alpha = 0 on the parabolic mesh is the base
-        # stream); the scaling rows' h and scaled_h at 5 levels, on the
-        # field and its rescale, one stream each
+        # every (grid, member, kind, lift) is streamed once. Besides the base
+        # streams, per member and grid: star at 4 levels and the
+        # dagger_linear and dagger_parabolic pair at 4 (alpha = 0 is in the
+        # base stream); the scaling rows' h and scaled_h at 5 levels, on the
+        # field and its rescale, one stream each. No t = 0 row is drawn
+        # apart: 420 draws, where one stream per (lift, mesh) drew 620
         assert set(full_run["streams"].values()) == {1}
-        assert len(full_run["streams"]) == 80 + (4 + 5 + 4) * 20 * 2
+        assert len(full_run["streams"]) == 80 + (4 + 4) * 20 * 2
         assert full_run["other"] == {"single": 2 * 5 * 2}
-        assert full_run["draws"] == 80 + 520 + 20
+        assert full_run["draws"] == 80 + 320 + 20
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="VmHWM is read from /proc")
