@@ -8,12 +8,15 @@ keeping the box time integrals and node peaks they read. A pass draws one
 stream per lift its readers name, over the union of the meshes they read:
 a lift is a fractional power of the trace, so the lifted box norms read
 the extension they are given. Every sample comes from one sampler,
-``_semigroup``, and one inverse, ``_inverse_rows``.
+``_semigroup``, and one inverse, ``_inverse_rows``; a stream that fits one
+chunk reads its decay table e^{-rate t} from a cache keyed by (grid, kind,
+times), which the streams of every lift and member share.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterable, Iterator, Sequence
@@ -104,6 +107,9 @@ class TimeMesh:
     def weights(self) -> np.ndarray:
         return self._nodes_weights()[1]
 
+    # keyed by (mesh, upper); a refused cut raises again on every call, since
+    # lru_cache keeps no exception
+    @lru_cache(maxsize=64)
     def aligned_cut(self, upper: float) -> int:
         """Node count covering (floor, upper] for upper = top*2^-m exactly."""
         if not (0 < upper <= self.top * (1 + 1e-12)):
@@ -135,6 +141,21 @@ def _gradient_symbols(grid: TorusGrid, kind: str) -> list[np.ndarray]:
                       for j in range(grid.dims)]
 
 
+# Streams in one chunk share one decay table per (grid, kind, times), and
+# pool threads share the tables: the lock computes each table once.
+_DECAY_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=16)
+def _decay_table(grid: TorusGrid, kind: str, times: bytes) -> np.ndarray:
+    """e^{-rate t} on the half spectrum at each of ``times`` (float64 bytes),
+    one row per time."""
+    t = np.frombuffer(times).reshape((-1,) + (1,) * grid.dims)
+    table = np.exp(-_half(extension_rate(grid, kind), grid) * t)
+    table.setflags(write=False)
+    return table
+
+
 def _semigroup(trace: SpectralField, kind: str, times: np.ndarray,
                unit: int = 1) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, e^{-rate t} f_hat at t = times[rows]) per ``row_chunks`` chunk.
@@ -143,11 +164,23 @@ def _semigroup(trace: SpectralField, kind: str, times: np.ndarray,
     Every trace is real, so the coefficients are the Hermitian half
     spectrum (``_half``) that ``_inverse_rows`` takes. It yields
     coefficients, not transforms, so no chunk outlives its turn.
+
+    A stream in one chunk, as every 1-D stream of a mesh is, takes its
+    decay table e^{-rate t} from ``_decay_table``, so the streams of every
+    trace, lift and member that share (grid, kind, times) form it once; no
+    cached table is larger than one chunk. A longer stream forms each
+    chunk's table as it goes.
     """
     grid = trace.grid
     neg_rate = -_half(extension_rate(grid, kind), grid)  # refuses an unknown kind
     coeff = _half(trace.coefficients, grid)
-    for rows in row_chunks(times.size, grid, unit):
+    chunks = list(row_chunks(times.size, grid, unit))
+    if len(chunks) == 1:
+        with _DECAY_LOCK:
+            table = _decay_table(grid, kind, np.asarray(times, dtype=float).tobytes())
+        yield chunks[0], table * coeff
+        return
+    for rows in chunks:
         t = times[rows].reshape((-1,) + (1,) * grid.dims)
         yield rows, np.exp(neg_rate * t) * coeff
 
@@ -173,6 +206,7 @@ def extension_rows(trace: SpectralField, kind: str, times: np.ndarray,
         u = _inverse_rows(coeff, trace.grid)
         del coeff  # free the chunk's coefficients before the caller reads u
         yield rows, u
+        del u  # and u before the next chunk is drawn, once the caller drops it
 
 
 def gradient_square_rows(trace: SpectralField, kind: str, times: np.ndarray,
@@ -192,8 +226,13 @@ def gradient_square_rows(trace: SpectralField, kind: str, times: np.ndarray,
     grid = trace.grid
     d_t, *d_x = _gradient_symbols(grid, kind)
 
+    last = d_t if True in fulls else d_x[-1]
+
     def squared(coeff: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-        part = _inverse_rows(coeff, grid, symbol)
+        # the chunk's last product overwrites its coefficients: nothing reads
+        # them after it
+        part = (_inverse_rows(np.multiply(symbol, coeff, out=coeff), grid) if symbol is last
+                else _inverse_rows(coeff, grid, symbol))
         return np.square(part, out=part)
 
     for rows, coeff in _semigroup(trace, kind, times):

@@ -43,6 +43,15 @@ pass, which streams the gradient square once per lift, over the union of
 the meshes its walks read, formed once per chunk; a norm whose walk is
 missing runs the pass for its own key. The Carleson floor term is the t = 0
 row of that square, row 0 of the same stream.
+
+The trace norms with work no level changes, ``campanato`` (and
+``campanato_pair``), ``q`` and ``inverse``, are computed the same way: a
+``Trace`` (the field) keeps their results, and ``trace_pass`` fills them for
+many (op, level) pairs with one sweep per op, which forms the level-free
+part once (the ball sums s1 and s2, each block's q windows and their power
+spectrum, each chunk's heat square u^2) and finishes every level from it.
+A norm called alone runs the pass for its own level; the level-free arrays
+live only as long as the sweep.
 """
 
 from __future__ import annotations
@@ -292,38 +301,83 @@ def _running_sums(blocks: Iterable[np.ndarray], counts: Sequence[int]) -> list:
 
 # --- trace-side norms ---
 
-def campanato_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
+class Trace:
+    """A field as the trace norms read it, and what its ``trace_pass`` keeps:
+    ``results``, the NormResult per (op, level, box family, horizon, mesh)
+    of each registry norm with a ``sweep``. A verify member task makes one
+    and drops it when it ends, as it does an ``Extension``."""
+
+    def __init__(self, f: Field) -> None:
+        self.field = f
+        self.results: dict[tuple, NormResult] = {}
+
+
+def trace_pass(trace: Trace, pairs: Iterable[tuple[str, float]], boxes: BoxFamily,
+               horizon: float = math.inf, mesh: TimeMesh | None = None) -> None:
+    """Keep on the trace the result of each (op, level) in ``pairs``, ops of
+    the registry with a ``sweep``: one sweep per op over all of its levels,
+    so that what no level changes is computed once. What it keeps already is
+    not swept again."""
+    levels: dict[str, dict[float, None]] = {}
+    for op, alpha in pairs:
+        if (op, alpha, boxes, horizon, mesh) not in trace.results:
+            levels.setdefault(op, {})[alpha] = None
+    for op, alphas in levels.items():
+        results = NORMS[op].sweep(trace.field, list(alphas), boxes, horizon, mesh)
+        trace.results.update(((op, alpha, boxes, horizon, mesh), result)
+                             for alpha, result in zip(alphas, results))
+
+
+def _swept(x: Field | Trace, op: str, alpha: float, boxes: BoxFamily,
+           horizon: float = math.inf, mesh: TimeMesh | None = None) -> NormResult:
+    """Registry norm ``op`` at level alpha, read off the trace pass of x: a
+    ``Trace`` whose pass kept it, or else a pass of this level alone."""
+    trace = x if isinstance(x, Trace) else Trace(x)
+    trace_pass(trace, [(op, alpha)], boxes, horizon, mesh)
+    return trace.results[(op, alpha, boxes, horizon, mesh)]
+
+
+def campanato_norm(f: Field | Trace, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max over boxes of r^-(n+2a) * integral_B |f - f_B|^2."""
-    return _campanato_family(f, alpha, boxes, pair=False)
+    return _swept(f, "campanato", alpha, boxes)
 
 
-def campanato_pair_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
+def campanato_pair_norm(f: Field | Trace, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max over boxes of r^-2(a+n) * double integral |f(y)-f(z)|^2."""
-    return _campanato_family(f, alpha, boxes, pair=True)
+    return _swept(f, "campanato_pair", alpha, boxes)
 
 
-def _campanato_family(f: Field, alpha: float, boxes: BoxFamily, pair: bool) -> NormResult:
-    """Both Campanato forms from the ball sums s1 = sum g, s2 = sum g^2."""
-    _check_alpha(alpha)
+def _campanato_levels(f: Field, alphas: Sequence[float], boxes: BoxFamily,
+                      pair: bool) -> list[NormResult]:
+    """Both Campanato forms at each level from the ball sums s1 = sum g,
+    s2 = sum g^2, which no level changes: only the scale r^-(n+2a) or
+    r^-2(a+n) and the sup are formed per level."""
+    for alpha in alphas:
+        _check_alpha(alpha)
     grid = _require_grid(f, boxes)
     mean = f.mean()
     g = f.remove_mean().samples
     cellvol = grid.cell_volume
     s1_all = _ball_correlate(g, grid, boxes.j_values)
     s2_all = _ball_correlate(g * g, grid, boxes.j_values)
-    per_radius = []
-    for j, radius, s1, s2 in zip(boxes.j_values, boxes.radii, s1_all, s2_all):
-        count = _ball_count(grid, j)
-        if pair:
-            pairs = np.maximum(2.0 * (count * s2 - s1 * s1), 0.0) * cellvol**2
-            per_radius.append((radius, radius ** (-2 * (alpha + grid.dims)) * pairs))
-        else:
-            integral = np.maximum(s2 - s1 * s1 / count, 0.0) * cellvol
-            per_radius.append((radius, radius ** -(grid.dims + 2 * alpha) * integral))
-    return _sup_over_family(boxes, per_radius, mean)
+    counts = [_ball_count(grid, j) for j in boxes.j_values]
+    if pair:
+        parts = [np.maximum(2.0 * (count * s2 - s1 * s1), 0.0) * cellvol**2
+                 for count, s1, s2 in zip(counts, s1_all, s2_all)]
+    else:
+        parts = [np.maximum(s2 - s1 * s1 / count, 0.0) * cellvol
+                 for count, s1, s2 in zip(counts, s1_all, s2_all)]
+    del s1_all, s2_all
+    results = []
+    for alpha in alphas:
+        scale = -2 * (alpha + grid.dims) if pair else -(grid.dims + 2 * alpha)
+        results.append(_sup_over_family(
+            boxes, [(radius, radius ** scale * part) for radius, part in zip(boxes.radii, parts)],
+            mean))
+    return results
 
 
-def q_norm(f: Field, beta: float, boxes: BoxFamily) -> NormResult:
+def q_norm(f: Field | Trace, beta: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max over boxes of
     r^(2b-n) * double sum_{x != y in B} |f(x)-f(y)|^2 |x-y|^-(n+2b).
 
@@ -334,42 +388,59 @@ def q_norm(f: Field, beta: float, boxes: BoxFamily) -> NormResult:
     exactly, and by Parseval the cross term is sum_k |U_c(k)|^2 W(k) / N^n:
     one real transform per center, in ``row_chunks`` blocks of centers.
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    return _swept(f, "q", beta, boxes)
+
+
+def _q_levels(f: Field, betas: Sequence[float], boxes: BoxFamily) -> list[NormResult]:
+    """``q_norm`` at each level: per radius and block of centers, the masked
+    windows u and their power spectrum, which no level changes, are formed
+    once, and each level adds its two products with its kernel w."""
+    for beta in betas:
+        if not (0.0 < beta < 1.0):
+            raise ValueError(f"beta must lie in (0, 1), got {beta}")
     grid = _require_grid(f, boxes)
     mean = f.mean()
     g = f.remove_mean().samples
     axes = tuple(range(1, grid.dims + 1))
-    with np.errstate(divide="ignore"):
-        w = _torus_dist_sq(grid) ** (-(grid.dims + 2 * beta) / 2.0)
-    w.flat[0] = 0.0
-    # rfftn keeps half the last axis: every column but the zero and Nyquist
-    # ones stands for itself and its mirror
-    w_hat = np.fft.rfftn(w).real / grid.point_count
-    w_hat[..., 1 : (grid.size + 1) // 2] *= 2.0
+    kernels = []  # per level: w's weighted half spectrum, and w * 1_B per radius
+    for beta in betas:
+        with np.errstate(divide="ignore"):
+            w = _torus_dist_sq(grid) ** (-(grid.dims + 2 * beta) / 2.0)
+        w.flat[0] = 0.0
+        # rfftn keeps half the last axis: every column but the zero and Nyquist
+        # ones stands for itself and its mirror
+        w_hat = np.fft.rfftn(w).real / grid.point_count
+        w_hat[..., 1 : (grid.size + 1) // 2] *= 2.0
+        # each ball is symmetric, so its correlation with w is w * 1_B
+        kernels.append((w_hat.reshape(-1), _ball_correlate(w, grid, boxes.j_values)))
     view_shape = boxes.center_view(g).shape
     centers = np.indices(view_shape).reshape(grid.dims, -1) * boxes.stride
     # u_c is the window of the wrapped field that starts at c
     windows = sliding_window_view(np.pad(g, (0, grid.size - 1), mode="wrap"), grid.shape)
     cellvol = grid.cell_volume
-    per_radius = []
-    # each ball is symmetric, so its correlation with w is w * 1_B
-    for j, radius, w_ball in zip(boxes.j_values, boxes.radii,
-                                 _ball_correlate(w, grid, boxes.j_values)):
+    totals = np.empty((len(betas), len(boxes.j_values), centers.shape[1]))
+    for i, j in enumerate(boxes.j_values):
         mask = _ball_mask(grid, j)
-        rho = (w_ball * mask).reshape(-1)
-        total = np.empty(centers.shape[1])
-        for rows in row_chunks(total.size, grid):
+        rhos = [(w_balls[i] * mask).reshape(-1) for _, w_balls in kernels]
+        for rows in row_chunks(centers.shape[1], grid):
             u = windows[tuple(centers[:, rows])] * mask  # one u_c per center of the block
             spectrum = np.fft.rfftn(u, axes=axes)
             power = (spectrum.real**2 + spectrum.imag**2).reshape(u.shape[0], -1)
-            u = u.reshape(u.shape[0], -1)
-            total[rows] = (u * u) @ rho - power @ w_hat.reshape(-1)
-        vals_sq = np.zeros(grid.shape)
-        boxes.center_view(vals_sq)[...] = (np.maximum(2.0 * total, 0.0).reshape(view_shape)
-                                           * cellvol**2 * radius ** (2 * beta - grid.dims))
-        per_radius.append((radius, vals_sq))
-    return _sup_over_family(boxes, per_radius, mean)
+            del spectrum
+            u_sq = np.multiply(u, u, out=u).reshape(u.shape[0], -1)
+            for level, ((w_hat, _), rho) in enumerate(zip(kernels, rhos)):
+                totals[level, i, rows] = u_sq @ rho - power @ w_hat
+            del u, u_sq, power
+    results = []
+    for beta, total in zip(betas, totals):
+        per_radius = []
+        for radius, sums in zip(boxes.radii, total):
+            vals_sq = np.zeros(grid.shape)
+            boxes.center_view(vals_sq)[...] = (np.maximum(2.0 * sums, 0.0).reshape(view_shape)
+                                               * cellvol**2 * radius ** (2 * beta - grid.dims))
+            per_radius.append((radius, vals_sq))
+        results.append(_sup_over_family(boxes, per_radius, mean))
+    return results
 
 
 def frac_campanato_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
@@ -547,29 +618,38 @@ def besov_norm(f: Field, t_grid: np.ndarray | None = None) -> float:
     t_grid = np.asarray(t_grid, dtype=float)
     best = 0.0
     for sl, u in extension_rows(forward_transform(g), "heat", t_grid):
-        peaks = np.sqrt(t_grid[sl]) * np.abs(u).reshape(u.shape[0], -1).max(axis=1)
+        # the chunk is ours: take |u| in place, and free it before the next is drawn
+        peaks = np.sqrt(t_grid[sl]) * np.abs(u, out=u).reshape(u.shape[0], -1).max(axis=1)
         best = max(best, float(np.max(peaks)))
+        del u
     return best
 
 
 # --- inverse-space and X norms ---
 
 def inverse_space_norm(
-    f: Field,
+    f: Field | Trace,
     alpha: float,
     horizon: float,
     boxes: BoxFamily,
     mesh: TimeMesh | None = None,
 ) -> NormResult:
     """value^2 = max over boxes with r^2 < horizon of
-    r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt.
+    r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt."""
+    return _swept(f, "inverse", alpha, boxes, horizon, mesh)
 
-    Streams the heat extension in panel-aligned chunks of ``extension_rows``
-    through ``_running_sums``, one block per chunk with one term per panel:
-    only the sums at the radius cuts are kept, and no chunk past the largest
+
+def _inverse_levels(f: Field, alphas: Sequence[float], horizon: float, boxes: BoxFamily,
+                    mesh: TimeMesh | None) -> list[NormResult]:
+    """``inverse_space_norm`` at each level from one stream of the heat
+    extension, in panel-aligned chunks of ``extension_rows``: each chunk's
+    u^2 is formed once and pushed into one ``_RunningSums`` per level, one
+    block with one term per panel, after the level's floor term. Only the
+    sums at the radius cuts are kept, and no chunk past the largest
     eligible cut is drawn.
     """
-    _check_alpha(alpha)
+    for alpha in alphas:
+        _check_alpha(alpha)
     grid = _require_grid(f, boxes)
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -582,24 +662,31 @@ def inverse_space_norm(
         (j, r) for j, r in zip(boxes.j_values, boxes.radii) if r * r < horizon
     ]
     if not eligible:
-        return NormResult(value=0.0, arg_center=None, arg_radius=None, mean_removed=mean)
+        return [NormResult(value=0.0, arg_center=None, arg_radius=None, mean_removed=mean)
+                for _ in alphas]
     per = mesh.nodes_per_panel
     # the floor term, then one term per panel: a box whose height is the
     # mesh floor takes the floor term alone
     counts = [1 + mesh.aligned_cut(r * r) // per for _, r in eligible]
     t = mesh.nodes
-    node_factor = mesh.weights * t**alpha
-
-    def blocks():
-        yield (g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha))[np.newaxis]
+    walks = [_RunningSums(counts) for _ in alphas]
+    node_factors = [mesh.weights * t**alpha for alpha in alphas]
+    for walk, alpha in zip(walks, alphas):
+        walk.add((g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha))[np.newaxis])
+    if walks[0].pushed < walks[0].stop:
         for chunk, u in extension_rows(forward_transform(g), "heat", t, unit=per):
-            u_sq, w = u * u, node_factor[chunk]
-            # one einsum per panel, in node order, as the quadrature sums it
-            yield np.stack([np.einsum("m...,m->...", u_sq[i : i + per], w[i : i + per])
-                            for i in range(0, w.size, per)])
-
-    return _box_sup(boxes, eligible, _running_sums(blocks(), counts),
-                    2 * alpha + grid.dims, mean)
+            u_sq = np.multiply(u, u, out=u)  # the chunk is ours to overwrite
+            for walk, node_factor in zip(walks, node_factors):
+                w = node_factor[chunk]
+                # one einsum per panel, in node order, as the quadrature sums it
+                walk.add(np.stack([np.einsum("m...,m->...", u_sq[i : i + per], w[i : i + per])
+                                   for i in range(0, w.size, per)]))
+            del u, u_sq  # free the chunk before the next one is drawn, or the box sups run
+            if walks[0].pushed >= walks[0].stop:
+                break
+    # each walk is dropped once read, its carry with it, before its box sup
+    return [_box_sup(boxes, eligible, walks.pop(0).sums(), 2 * alpha + grid.dims, mean)
+            for alpha in alphas]
 
 
 @dataclass(frozen=True)
@@ -757,20 +844,25 @@ class Norm:
     gradient, parabolic height) of the box time integrals a box norm reads
     off its extension at level alpha, None for any other norm, and
     ``peak``, the gradient whose node peaks it reads, state its reads once,
-    for a plan's ``gradient_pass``.
+    for a plan's ``gradient_pass``. ``sweep(f, levels, boxes, horizon,
+    mesh)``, for a trace norm with work no level changes, gives its results
+    at every level from one pass over the field, for a plan's
+    ``trace_pass``.
     """
 
     kind: str
     evaluate: Callable[..., "NormResult | float"]
     walk: Callable[[float], "tuple[float, float, bool, bool] | None"] = lambda alpha: None
     peak: bool | None = None
+    sweep: Callable[..., list[NormResult]] | None = None
 
-    def argument(self, f: Field, boxes: BoxFamily) -> Field | Extension:
-        """The input this norm takes on the family ``boxes``: the field, or its
-        extension on the default mesh of its box height, made only once
-        every box height is known to fit the mesh."""
+    def argument(self, f: Field, boxes: BoxFamily) -> Trace | Extension:
+        """The input this norm takes on the family ``boxes``: the field as a
+        ``Trace``, or its extension on the default mesh of its box height,
+        made only once every box height is known to fit the mesh."""
         check_box_heights(boxes, self.kind)
-        return f if self.kind == "trace" else Extension(f, self.kind, default_mesh(f.grid, self.kind))
+        return Trace(f) if self.kind == "trace" else Extension(
+            f, self.kind, default_mesh(f.grid, self.kind))
 
     def value(self, x, alpha: float, boxes: BoxFamily, horizon: float = math.inf) -> float:
         result = self.evaluate(x, alpha, boxes, horizon)
@@ -780,12 +872,19 @@ class Norm:
 # Name -> Norm. Each evaluation looks its function up by module-level name
 # when it runs, so a wrapper installed on this module sees every call.
 NORMS: dict[str, Norm] = {
-    "campanato": Norm("trace", lambda f, a, boxes, _: campanato_norm(f, a, boxes)),
-    "campanato_pair": Norm("trace", lambda f, a, boxes, _: campanato_pair_norm(f, a, boxes)),
-    "q": Norm("trace", lambda f, a, boxes, _: q_norm(f, a, boxes)),
-    "frac_campanato": Norm("trace", lambda f, a, boxes, _: frac_campanato_norm(f, a, boxes)),
-    "besov": Norm("trace", lambda f, *_: besov_norm(f)),
-    "inverse": Norm("trace", lambda f, a, boxes, top: inverse_space_norm(f, a, top, boxes)),
+    "campanato": Norm("trace", lambda t, a, boxes, _: campanato_norm(t, a, boxes),
+                      sweep=lambda f, levels, boxes, *_: _campanato_levels(f, levels, boxes,
+                                                                           pair=False)),
+    "campanato_pair": Norm("trace", lambda t, a, boxes, _: campanato_pair_norm(t, a, boxes),
+                           sweep=lambda f, levels, boxes, *_: _campanato_levels(
+                               f, levels, boxes, pair=True)),
+    "q": Norm("trace", lambda t, a, boxes, _: q_norm(t, a, boxes),
+              sweep=lambda f, levels, boxes, *_: _q_levels(f, levels, boxes)),
+    "frac_campanato": Norm("trace", lambda t, a, boxes, _: frac_campanato_norm(t.field, a, boxes)),
+    "besov": Norm("trace", lambda t, *_: besov_norm(t.field)),
+    "inverse": Norm("trace", lambda t, a, boxes, top: inverse_space_norm(t, a, top, boxes),
+                    sweep=lambda f, levels, boxes, top, mesh: _inverse_levels(
+                        f, levels, top, boxes, mesh)),
     "h": Norm("poisson", lambda e, a, boxes, _: h_alpha2_norm(e, a, boxes),
               walk=lambda a: (0.0, 1.0, True, False)),
     "scaled_h": Norm("poisson", lambda e, a, boxes, _: scaled_h_norm(e, a, boxes),

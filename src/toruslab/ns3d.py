@@ -411,7 +411,8 @@ class _Symbols:
     def power(self, coeff: np.ndarray) -> float:
         """sum |c_k|^2 over the full spectrum of a (3, ...) block
         (Parseval: the mean of |u|^2 over the grid)."""
-        sq = coeff.real**2 + coeff.imag**2
+        sq = np.square(coeff.real)
+        sq += np.square(coeff.imag)  # in place: one scratch array beside the square
         return float((sq @ self.weight).sum())
 
     @_node_by_node

@@ -24,8 +24,8 @@ import numpy as np
 from .corpus import CorpusSpec, generate
 from .extensions import Extension, gradient_bound_ratio
 from .fieldio import write_csv, write_json
-from .norms import (NORMS, BoxFamily, Norm, check_box_heights, default_mesh, gradient_pass,
-                    scaled_h_norm)
+from .norms import (NORMS, BoxFamily, Norm, Trace, check_box_heights, default_mesh,
+                    gradient_pass, scaled_h_norm, trace_pass)
 from .spectral import Field, TorusGrid
 
 DEGENERATE_RTOL = 1e-13
@@ -187,10 +187,13 @@ class Workspace:
     one pool task per member and input: the Poisson ops on one Poisson
     extension of the member, the heat ops on one heat extension, and the
     trace ops on the field. Every op is a ``Norm`` entry, found by ``_op``.
-    A task makes one gradient pass over its extension for the node peaks
-    and the lift-0 walks of all its ops, one stream over the union of the
-    meshes they read, then evaluates them, and drops the extension when it
-    ends; the walks of a fractional lift a != 0 (``star``, or both
+    A trace task makes one trace pass over the field for every level of its
+    ops with a sweep (``campanato``, ``q``, ``inverse``), each op's
+    level-free work done once, and drops what it keeps when it ends. An
+    extension task makes one gradient pass over its extension for the node
+    peaks and the lift-0 walks of all its ops, one stream over the union of
+    the meshes they read, then evaluates them, and drops the extension when
+    it ends; the walks of a fractional lift a != 0 (``star``, or both
     ``dagger`` heights at one level) are read once, and one more pass
     streams them together just before the first is read. A lookup that
     misses plans just the missing key and runs it the same way.
@@ -311,7 +314,8 @@ class Workspace:
         return tasks
 
     def _task(self, label: str, kind: str, todo: dict[tuple[str, float], float]) -> None:
-        """Evaluate one member's ops of one input kind: on the field, or on an
+        """Evaluate one member's ops of one input kind: on the field, with
+        one trace pass for the levels of every op with a sweep, or on an
         extension made here, with one gradient pass for the peaks and the
         lift-0 walks of every op. The walks of a lift a != 0 (``star``, or
         ``dagger_linear`` and ``dagger_parabolic`` at one level) are read
@@ -323,7 +327,11 @@ class Workspace:
             raise ValueError(f"degenerate member {label!r} has no norm values")
         ops = {key: (_op(key[0]), alpha) for key, alpha in todo.items()}
         lifts: dict[float, list] = {}  # lift -> the walk keys of the ops
-        if kind != "trace":
+        if kind == "trace":
+            x = Trace(x)
+            trace_pass(x, [(op, alpha) for (op, _), (norm, alpha) in ops.items() if norm.sweep],
+                       self.boxes)
+        else:
             for walk in (norm.walk(alpha) for norm, alpha in ops.values()):
                 if walk:
                     lifts.setdefault(walk[0], []).append(walk + (self.boxes,))

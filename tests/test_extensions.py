@@ -252,6 +252,22 @@ class TestTimeMesh:
         assert "8 panels" in message
         assert "dyadic" not in message
 
+    def test_cut_is_kept_per_mesh_and_height_and_refused_every_time(self):
+        # an equal mesh hits the kept cut; a refused cut is kept nowhere, so
+        # it raises on every call
+        info = TimeMesh.aligned_cut.cache_info
+        mesh = TimeMesh(top=0.75, panels=9, nodes_per_panel=3)  # no other test's mesh
+        before = info()
+        assert mesh.aligned_cut(0.375) == 24
+        assert TimeMesh(top=0.75, panels=9, nodes_per_panel=3).aligned_cut(0.375) == 24
+        assert (info().misses, info().hits) == (before.misses + 1, before.hits + 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a dyadic fraction"):
+                mesh.aligned_cut(0.3)
+            with pytest.raises(ValueError, match="below the mesh floor"):
+                mesh.aligned_cut(0.75 * 2.0**-11)
+        assert (info().misses, info().hits) == (before.misses + 5, before.hits + 1)
+
     def test_equal_meshes_share_their_nodes(self):
         # the nodes are computed once per (top, panels, nodes_per_panel)
         mesh = TimeMesh(top=0.5)
@@ -493,6 +509,33 @@ class TestBatchedTransforms:
             slice(0, 8), slice(8, 16), slice(16, 24)
         ]
         assert [c.stop - c.start for c in row_chunks(160, TorusGrid(2, 64), unit=8)] == [32] * 5
+
+    @pytest.mark.parametrize("dims,size,chunks", [(1, 64, 1), (2, 64, 5)])
+    def test_one_chunk_streams_share_one_decay_table(self, dims, size, chunks):
+        # the streams of two traces on equal times: in one chunk they read
+        # one decay table, formed once and no larger than the chunk, and
+        # over several chunks each forms its own; both give e^{-rate t} f_hat
+        # formed afresh, bit for bit
+        grid = TorusGrid(dims, size, length=1.25)  # no other test's grid
+        times = TimeMesh(top=0.5).nodes
+        traces = [forward_transform(noise_field(grid, seed)) for seed in (1, 2, 1)]
+        info = extensions_module._decay_table.cache_info
+        before = info()
+        half = grid.size // 2 + 1
+        rate = extension_rate(grid, "heat")[..., :half]
+        for trace in traces:
+            streamed = list(_semigroup(trace, "heat", times))
+            assert len(streamed) == chunks
+            for rows, coeff in streamed:
+                t = times[rows].reshape((-1,) + (1,) * dims)
+                want = np.exp(-rate * t) * trace.coefficients[..., :half]
+                assert np.array_equal(coeff, want)
+        fits = chunks == 1
+        assert (info().misses, info().hits) == (before.misses + fits, before.hits + 2 * fits)
+        if fits:
+            table = extensions_module._decay_table(grid, "heat", times.tobytes())
+            assert not table.flags.writeable
+            assert table.shape[0] * grid.point_count <= CHUNK_POINTS
 
     @pytest.mark.parametrize("kind", ["poisson", "heat"])
     @pytest.mark.parametrize("dims,size", [(1, 256), (2, 64)])

@@ -30,6 +30,7 @@ from toruslab.norms import (
     NORMS,
     NormResult,
     TimeSeries,
+    Trace,
     XSpaceResult,
     besov_norm,
     bloch_cb_norm,
@@ -45,6 +46,7 @@ from toruslab.norms import (
     scaled_h_norm,
     scaled_t_norm,
     star_norm,
+    trace_pass,
     t_alpha2_norm,
     x_space_norm,
     _ball_correlate,
@@ -916,6 +918,61 @@ CARLESON_SHAPES = {
     "dagger_linear": lambda a: (1.0, True, False),
     "dagger_parabolic": lambda a: (1.0, True, True),
 }
+
+
+class TestTracePass:
+    """One trace pass serves every level of the swept trace norms."""
+
+    LEVELS = {"campanato": (-0.5, 0.0, 0.25), "campanato_pair": (-0.25, 0.5),
+              "q": (0.25, 0.5, 0.75), "inverse": (-0.5, 0.0, 0.25)}
+
+    @staticmethod
+    def lone(op: str, f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
+        if op == "inverse":
+            return inverse_space_norm(f, alpha, math.inf, boxes)
+        return {"campanato": campanato_norm, "campanato_pair": campanato_pair_norm,
+                "q": q_norm}[op](f, alpha, boxes)
+
+    @pytest.mark.parametrize("dims,size", [(1, 64), (2, 32)])
+    def test_levels_of_one_pass_equal_lone_calls(self, dims, size, monkeypatch):
+        # the levels share the ball sums, the q windows' spectra and the
+        # heat stream, and each gives the result its own call gives, bit
+        # for bit; a kept level is not swept again
+        grid = TorusGrid(dims, size, length=2 * math.pi)
+        boxes = BoxFamily.default(grid, stride=2)
+        f = random_field(grid, seed=size)
+        pairs = [(op, a) for op, levels in self.LEVELS.items() for a in levels]
+        sweeps = []
+        for name in ("_campanato_levels", "_q_levels", "_inverse_levels"):
+            real = getattr(norms_module, name)
+
+            def counted(f, levels, *args, _real=real, _name=name, **kwargs):
+                sweeps.append((_name, tuple(levels)))
+                return _real(f, levels, *args, **kwargs)
+
+            monkeypatch.setattr(norms_module, name, counted)
+        trace = Trace(f)
+        trace_pass(trace, pairs + pairs[:2], boxes)
+        assert sorted(sweeps) == sorted([
+            ("_campanato_levels", self.LEVELS["campanato"]),
+            ("_campanato_levels", self.LEVELS["campanato_pair"]),
+            ("_q_levels", self.LEVELS["q"]), ("_inverse_levels", self.LEVELS["inverse"])])
+        assert all(isinstance(r, NormResult) for r in trace.results.values())
+        for op, alpha in pairs:
+            want = self.lone(op, f, alpha, boxes)
+            assert NORMS[op].evaluate(trace, alpha, boxes, math.inf) == want
+        assert len(sweeps) == 4 + len(pairs)  # the lone calls, one level each
+
+    def test_levels_are_checked_before_any_work(self, monkeypatch):
+        grid = TorusGrid(1, 64)
+        boxes = BoxFamily.default(grid)
+        calls = []
+        for name in ("_ball_correlate", "extension_rows"):
+            monkeypatch.setattr(norms_module, name, lambda *a, **k: calls.append(a))
+        for op, bad in (("campanato", 1.0), ("q", 0.0), ("inverse", -1.0)):
+            with pytest.raises(ValueError, match="must lie in"):
+                trace_pass(Trace(random_field(grid, seed=1)), [(op, 0.5), (op, bad)], boxes)
+        assert not calls
 
 
 class TestBoxTails:

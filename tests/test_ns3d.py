@@ -163,6 +163,20 @@ class TestHalfSpectrumOracles:
         got = np.stack([c.samples for c in final_velocity(trace).components])
         assert np.max(np.abs(got - final)) <= 1e-13 * np.max(np.abs(final))
 
+    def test_power_matches_the_sum_of_squares_bit_for_bit(self, g16):
+        # the in-place square sum against re^2 + im^2 formed whole, on one
+        # (3, ...) block and on a (nodes, 3, ...) stack of them
+        sym = _Symbols(g16)
+        shape = _block_coefficients(random_divergence_free(g16, seed=1)).shape
+        rng = np.random.default_rng(5)
+        for stack in ((), (4,)):
+            coeff = (rng.standard_normal(stack + shape)
+                     + 1j * rng.standard_normal(stack + shape))
+            want = [float(((c.real**2 + c.imag**2) @ sym.weight).sum())
+                    for c in coeff.reshape((-1,) + shape)]
+            got = sym.power(coeff)
+            assert np.array_equal(np.reshape(got, -1), want)
+
     def test_shell_fraction_matches_full_spectrum(self, g16):
         # interacting shear waves push energy into the outermost kept shell
         trace = step_ifrk4(shear_modes(g16, 4, seed=2), 0.01, steps=20, store=4)

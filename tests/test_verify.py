@@ -24,9 +24,10 @@ import pytest
 import toruslab
 import toruslab.extensions as extensions_module
 import toruslab.norms as norms_module
+import toruslab.verify as verify_module
 from toruslab.corpus import CorpusSpec, generate
-from toruslab.extensions import Extension, gradient_bound_ratio
-from toruslab.norms import NORMS, BoxFamily
+from toruslab.extensions import Extension, gradient_bound_ratio, row_chunks
+from toruslab.norms import NORMS, BoxFamily, campanato_norm, inverse_space_norm, q_norm
 from toruslab.spectral import TorusGrid
 from toruslab.verify import (
     CHECKS,
@@ -291,6 +292,73 @@ class PassCensus:
         return sum(self.streams.values()) - sum(self.base().values())
 
 
+class TraceCensus:
+    """Counts the work of the trace passes of workspace members, per
+    (sweep, grid size, member): the sweeps of each swept trace norm, and
+    inside them the Campanato ball sums, the q window transforms and the
+    inverse-space heat streams; the ``Trace`` arguments still alive; and
+    every ``_semigroup`` stream by (grid, kind, times) and whether it fits
+    one chunk, against the decay tables formed."""
+
+    SWEEPS = {"_campanato_levels": "campanato", "_q_levels": "q",
+              "_inverse_levels": "inverse"}
+
+    def __init__(self, monkeypatch, workspaces) -> None:
+        self.members = {id(ws.field(label)): (ws.grid.size, label)
+                        for ws in workspaces for label in ws.split_members()[0]}
+        self.sweeps: collections.Counter = collections.Counter()
+        self.work: collections.Counter = collections.Counter()
+        self.streams: list[tuple] = []
+        self.traces: list = []
+        self._now = threading.local()
+        for name, op in self.SWEEPS.items():
+            monkeypatch.setattr(norms_module, name, self._sweep(getattr(norms_module, name), op))
+        self._count(monkeypatch, norms_module, "_ball_correlate", "campanato",
+                    lambda arr, grid, js: True)
+        self._count(monkeypatch, norms_module, "extension_rows", "inverse", lambda *a, **k: True)
+        self._count(monkeypatch, np.fft, "rfftn", "q",
+                    lambda arr, *a, **k: np.ndim(arr) == 2)  # the 1-D windows of a block
+        real_semigroup, real_trace = extensions_module._semigroup, verify_module.Trace
+
+        def semigroup(trace, kind, times, unit=1):
+            fits = len(list(row_chunks(times.size, trace.grid, unit))) == 1
+            self.streams.append((trace.grid, kind, times.tobytes(), fits))
+            return real_semigroup(trace, kind, times, unit)
+
+        def trace(f):
+            out = real_trace(f)
+            self.traces.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(extensions_module, "_semigroup", semigroup)
+        monkeypatch.setattr(verify_module, "Trace", trace)
+        extensions_module._decay_table.cache_clear()
+
+    def _sweep(self, real, op):
+        def sweep(f, *args, **kwargs):
+            self._now.tag = (op,) + self.members.get(id(f), ("other",))
+            self.sweeps[self._now.tag] += 1
+            try:
+                return real(f, *args, **kwargs)
+            finally:
+                self._now.tag = None
+        return sweep
+
+    def _count(self, monkeypatch, owner, name, op, counts) -> None:
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            tag = getattr(self._now, "tag", None)
+            if tag and tag[0] == op and counts(*args, **kwargs):
+                self.work[tag] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    def alive(self) -> int:
+        return sum(ref() is not None for ref in self.traces)
+
+
 def all_rows(alphas=(-0.25, 0.25), betas=(0.5,)) -> list[tuple[str, float]]:
     """(check name, level) for every sweep of the table, as the CLI runs them."""
     sweeps = {c.name: c.levels for c in CHECKS if c.group != "inclusions"}
@@ -397,6 +465,40 @@ class TestPlan:
             want = gradient_bound_ratio(ext, a, real(ext, a, space.boxes).value)
             assert space.norm("grad_constant", label, a) == want
             assert alone.norm("grad_constant", label, a) == want
+
+    def test_trace_tasks_do_level_free_work_once(self, grid, monkeypatch) -> None:
+        # per (grid, member): one Campanato sweep of 3 levels on one pair of
+        # ball sums, one q sweep of 2 levels with one window transform per
+        # radius and chunk of centers, one inverse sweep of 2 levels on one
+        # heat stream; no Trace outlives its task, and a lone norm call
+        # gives the task's value bit for bit. Each distinct (grid, kind,
+        # times) of the streams that fit one chunk forms one decay table.
+        space = Workspace(small_specs(), grid, threads=1)
+        workspaces = (space, space.refined())
+        census = TraceCensus(monkeypatch, workspaces)
+        prepare(space, all_rows(alphas=(-0.25, 0.0, 0.25)), betas=(0.5,), refine=True)
+        levels = {"campanato": (-0.25, 0.0, 0.25), "q": (0.25, 0.5), "inverse": (0.0, 0.25)}
+        for ws in workspaces:
+            centers = len(ws.boxes.center_view(np.empty(ws.grid.shape)))
+            chunks = len(list(row_chunks(centers, ws.grid)))
+            work = {"campanato": 2, "q": len(ws.boxes.j_values) * chunks, "inverse": 1}
+            for label in ws.split_members()[0]:
+                for op, want in work.items():
+                    tag = (op, ws.grid.size, label)
+                    assert census.sweeps[tag] == 1 and census.work[tag] == want
+                f = ws.field(label)
+                for a in levels["campanato"]:
+                    assert ws.norm("campanato", label, a) == campanato_norm(f, a, ws.boxes).value
+                for b in levels["q"]:
+                    assert ws.norm("q", label, b) == q_norm(f, b, ws.boxes).value
+                for a in levels["inverse"]:
+                    assert (ws.norm("inverse", label, a)
+                            == inverse_space_norm(f, a, math.inf, ws.boxes).value)
+        assert census.traces and census.alive() == 0
+        fitting = [stream[:3] for stream in census.streams if stream[3]]
+        assert len(set(fitting)) < len(fitting)
+        info = extensions_module._decay_table.cache_info()
+        assert (info.misses, info.hits) == (len(set(fitting)), len(fitting) - len(set(fitting)))
 
     def test_live_base_stacks_bounded_by_threads(self, grid, monkeypatch) -> None:
         census = PassCensus(monkeypatch)
