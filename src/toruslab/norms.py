@@ -122,8 +122,9 @@ class BoxFamily:
         return tuple(self.grid.length * 2.0 ** (-j) for j in self.j_values)
 
     def center_view(self, values: np.ndarray) -> np.ndarray:
+        """The strided centers of a grid array, or of each one in a stack."""
         sl = (slice(None, None, self.stride),) * self.grid.dims
-        return values[sl]
+        return values[(Ellipsis,) + sl]
 
     def center_index(self, flat_argmax: int, view_shape: tuple[int, ...]) -> tuple[int, ...]:
         sub = np.unravel_index(flat_argmax, view_shape)
@@ -217,16 +218,16 @@ def _ball_correlate(arr: np.ndarray, grid: TorusGrid, js: Sequence[int]) -> np.n
 
 def _sup_over_family(
     boxes: BoxFamily,
-    per_radius_values: list[tuple[float, np.ndarray]],
+    views: list[tuple[float, np.ndarray]],
     mean_removed: float,
 ) -> NormResult:
-    """Max of sqrt(value^2 arrays) over strided centers and radii.
+    """Max of sqrt(value^2) over radii and the strided centers, given one
+    (radius, values^2 on ``boxes.center_view``) pair per radius.
 
     The box reported is the first center in lattice order, then the first
     radius, among those whose value lies within 1e-12 relative of the max,
     so symmetric centers that tie up to roundoff are not told apart by it.
     """
-    views = [(radius, boxes.center_view(vals_sq)) for radius, vals_sq in per_radius_values]
     peaks = [float(view.max()) for _, view in views]
     table = tuple((radius, math.sqrt(max(peak, 0.0))) for (radius, _), peak in zip(views, peaks))
     if not views:
@@ -251,7 +252,8 @@ def _box_sup(boxes: BoxFamily, eligible: Sequence[tuple[int, float]],
     """Sup over centers and eligible (j, r) of r^-scale_exp * cellvol times the
     ball sum of integrals[i], the time integral of the box eligible[i]."""
     js = [j for j, _ in eligible]
-    balls = _ball_correlate(np.stack(integrals), boxes.grid, js) if js else ()
+    # only the strided centers are read: clip and scale those alone
+    balls = boxes.center_view(_ball_correlate(np.stack(integrals), boxes.grid, js)) if js else ()
     cellvol = boxes.grid.cell_volume
     per_radius = [(radius, np.maximum(ball, 0.0) * cellvol * radius ** (-scale_exp))
                   for (_, radius), ball in zip(eligible, balls)]
@@ -358,8 +360,9 @@ def _campanato_levels(f: Field, alphas: Sequence[float], boxes: BoxFamily,
     mean = f.mean()
     g = f.remove_mean().samples
     cellvol = grid.cell_volume
-    s1_all = _ball_correlate(g, grid, boxes.j_values)
-    s2_all = _ball_correlate(g * g, grid, boxes.j_values)
+    # only the strided centers are read
+    s1_all = boxes.center_view(_ball_correlate(g, grid, boxes.j_values))
+    s2_all = boxes.center_view(_ball_correlate(g * g, grid, boxes.j_values))
     counts = [_ball_count(grid, j) for j in boxes.j_values]
     if pair:
         parts = [np.maximum(2.0 * (count * s2 - s1 * s1), 0.0) * cellvol**2
@@ -435,10 +438,8 @@ def _q_levels(f: Field, betas: Sequence[float], boxes: BoxFamily) -> list[NormRe
     for beta, total in zip(betas, totals):
         per_radius = []
         for radius, sums in zip(boxes.radii, total):
-            vals_sq = np.zeros(grid.shape)
-            boxes.center_view(vals_sq)[...] = (np.maximum(2.0 * sums, 0.0).reshape(view_shape)
-                                               * cellvol**2 * radius ** (2 * beta - grid.dims))
-            per_radius.append((radius, vals_sq))
+            per_radius.append((radius, np.maximum(2.0 * sums, 0.0).reshape(view_shape)
+                               * cellvol**2 * radius ** (2 * beta - grid.dims)))
         results.append(_sup_over_family(boxes, per_radius, mean))
     return results
 

@@ -22,11 +22,26 @@ the k_z = 0 plane once and every other plane twice. The block holds
 One nonlinear evaluation forms the stress products u_j u_b on the N^3
 grid, which zero-pads the block (the 3/2 rule), so the kept modes are
 alias-free (Canuto, Hussaini, Quarteroni and Zang, *Spectral Methods*).
-Its transforms are pruned to the block. Each of the 3 inverses runs ifft
-along x on the (2K+1)(K+1) nonzero lines, ifft along y on N(K+1) lines,
-then irfft along z. Each of the 6 forwards, one per independent entry of
-the symmetric stress, runs rfft along z keeping K+1 planes, fft along y
-keeping 2K+1 rows, then fft along x keeping 2K+1 rows.
+Its transforms are pruned to the block and written as products with
+small DFT matrices built once per grid (the dense form of the DFT, ibid.
+Sec. 2.1): at these N a line is a few dozen points, where a matrix
+product costs less than an FFT call. Each of the 3 inverses maps 2K+1
+modes to N points along x on the (2K+1)(K+1) nonzero lines, then along y
+on N(K+1) lines, then K+1 modes to N real samples along z, the Hermitian
+weights 1, 2, 2, ... folded into that matrix. Each of the 6 forwards, one
+per independent entry of the symmetric stress, runs the same passes back:
+N real samples to K+1 modes along z, then N points to 2K+1 modes along x
+and along y. A contiguous transpose brings each contracted axis last, and
+a complex pass is one real float64 matmul on the interleaved view of the
+complex values.
+
+The matmuls are fed by slab, one gemm per index of the leading axes, so
+each gemm is a few hundred thousand multiply-adds through 64^3. OpenBLAS
+runs a gemm on one thread below about 10^6 of them; above it, it wakes
+helper threads whose spinning doubles the CPU time while the Picard pool
+keeps the cores busy. One slab stays below it through 64^3 (at 128^3 it
+does not). The slabs do not depend on the leading shape either, so a
+stack of blocks transforms to the same bits as each block alone.
 
 VelocityField stays on the grid. The solvers take its coefficients
 through one crop, which refuses data with a relative L2 above
@@ -68,26 +83,29 @@ BLOCK_RTOL = 1e-12
 _ENERGY_SLACK = 1e-9
 
 
-def _along(axis: int, part: slice) -> tuple:
-    """Index taking `part` of the negative axis `axis`, all of the others."""
-    return (Ellipsis, part) + (slice(None),) * (-axis - 1)
+def _interleaved(m: np.ndarray) -> np.ndarray:
+    """The real (2a, 2b) matrix that multiplies a row of complex values,
+    viewed as 2a interleaved float64, as the complex (a, b) matrix m
+    does: [[Re m, Im m], [-Im m, Re m]] with rows and columns interleaved."""
+    a, b = m.shape
+    out = np.empty((a, 2, b, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = m.real
+    out[:, 0, :, 1] = m.imag
+    out[:, 1, :, 0] = -m.imag
+    return out.reshape(2 * a, 2 * b)
 
 
-def _spread(block: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """Zero-pad an FFT-ordered axis [0..K, -K..-1] to the n-point layout."""
-    k = block.shape[axis] // 2
-    shape = list(block.shape)
-    shape[axis] = n
-    out = np.zeros(shape, dtype=block.dtype)
-    out[_along(axis, slice(0, k + 1))] = block[_along(axis, slice(0, k + 1))]
-    out[_along(axis, slice(n - k, n))] = block[_along(axis, slice(k + 1, None))]
-    return out
+def _cycled(values: np.ndarray) -> np.ndarray:
+    """A contiguous copy with the third-last axis moved last:
+    (..., A, B, C) -> (..., B, C, A)."""
+    lead = values.ndim - 3
+    return np.ascontiguousarray(values.transpose(*range(lead), lead + 1, lead + 2, lead))
 
 
-def _keep(full: np.ndarray, axis: int, k: int) -> np.ndarray:
-    """The FFT-ordered modes [0..K, -K..-1] of one axis of a full layout."""
-    return np.concatenate((full[_along(axis, slice(0, k + 1))],
-                           full[_along(axis, slice(-k, None))]), axis=axis)
+def _line_pass(lines: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Complex rows along the last axis times an _interleaved matrix. The
+    matmul runs one gemm per slab of the leading axes."""
+    return np.matmul(lines.view(np.float64), matrix).view(np.complex128)
 
 
 def _max_divergence(kd, coeff: np.ndarray) -> float:
@@ -185,7 +203,7 @@ def _block_coefficients(a: VelocityField) -> np.ndarray:
     The one way into the solvers, which drop every other mode: data whose
     relative L2 outside the block is above BLOCK_RTOL is refused.
     """
-    sym = _Symbols(a.grid)
+    sym = _symbols(a.grid)
     n, k = a.grid.size, sym.cut
     rest = a.coefficients()
     block = np.empty((3,) + sym.shape, dtype=np.complex128)
@@ -347,9 +365,9 @@ class NSTrace:
                     raise ValueError("kinetic energy increased along the trace")
                 previous = e
 
-    @functools.cached_property
+    @property
     def _symbols(self) -> "_Symbols":
-        return _Symbols(self.grid)
+        return _symbols(self.grid)
 
     def energies(self) -> np.ndarray:
         """Kinetic energy per node, by Parseval from the coefficients."""
@@ -378,10 +396,10 @@ class _NodeSamples(Sequence):
 
 
 class _Symbols:
-    """Per-grid spectral machinery on the kept block (module docstring)."""
+    """Per-grid spectral machinery on the kept block (module docstring).
+    Its tables are read-only; ``_symbols`` shares one per grid."""
 
     def __init__(self, grid: TorusGrid):
-        self.grid = grid
         # N is a power of two, so |k| < N/3 is |k| <= floor(N/3)
         self.cut = k = grid.size // 3
         self.shape = (2 * k + 1, 2 * k + 1, k + 1)
@@ -390,13 +408,29 @@ class _Symbols:
         # derivative symbols are the modes themselves
         self.kd = np.stack(np.meshgrid(side, side, np.arange(k + 1.0), indexing="ij"))
         ksq = np.sum(self.kd**2, axis=0)
-        self.safe_ksq = np.where(ksq > 0.0, ksq, 1.0)
         self.heat_rate = (2.0 * np.pi / grid.length) ** 2 * ksq
-        # -i k: sign and derivative of the flux in one symbol
-        self.minus_ik = (-2j * np.pi / grid.length) * self.kd
+        # the real symbols of the flux, repeated for the real and imaginary
+        # float of each mode, and the factor -2 pi i / L that they leave out
+        self._kd_pairs = np.repeat(self.kd, 2, axis=-1)
+        self._ksq_pairs = np.repeat(np.where(ksq > 0.0, ksq, 1.0), 2, axis=-1)
+        self._flux_factor = -2j * np.pi / grid.length
         # multiplicity of each stored k_z plane in the full spectrum
         self.weight = np.full(k + 1, 2.0)
         self.weight[0] = 1.0
+        n = grid.size
+        # e^{2 pi i k x / N} per mode and grid point, the phase reduced mod N
+        points = np.arange(n)
+        side_exp = np.exp((2j * np.pi / n) * np.mod(np.outer(side, points), n))
+        z_exp = side_exp[: k + 1]
+        self._expand = _interleaved(side_exp)
+        self._reduce = _interleaved(side_exp.conj().T / n)
+        # the z pass keeps the real part of the weighted half-spectrum sum
+        # and takes real samples in: every other column, every other row
+        self._z_expand = np.ascontiguousarray(_interleaved(self.weight[:, None] * z_exp)[:, 0::2])
+        self._z_reduce = np.ascontiguousarray(_interleaved(z_exp.conj().T / n)[0::2])
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
 
     def propagator(self, dt: float) -> np.ndarray:
         return np.exp(-self.heat_rate * dt)
@@ -422,37 +456,42 @@ class _Symbols:
 
     def to_grid(self, coeff: np.ndarray) -> np.ndarray:
         """Grid samples (..., N, N, N) of block coefficients: the pruned
-        inverse, transforming only the lines the block reaches."""
-        n = self.grid.size
-        lines = np.fft.ifft(_spread(coeff, -3, n), axis=-3, norm="forward")
-        lines = np.fft.ifft(_spread(lines, -2, n), axis=-2, norm="forward")
-        return np.fft.irfft(lines, n=n, axis=-1, norm="forward")
+        inverse as three matrix passes (module docstring)."""
+        lines = _line_pass(_cycled(coeff), self._expand)  # (..., y, z, X)
+        lines = _line_pass(_cycled(lines), self._expand)  # (..., z, X, Y)
+        return np.matmul(_cycled(lines).view(np.float64), self._z_expand)
 
     def from_grid(self, samples: np.ndarray) -> np.ndarray:
         """Block coefficients of grid samples (..., N, N, N): the pruned
-        forward, transforming only the lines that reach the block."""
-        k = self.cut
-        planes = np.fft.rfft(samples, axis=-1, norm="forward")[..., : k + 1]
-        rows = _keep(np.fft.fft(planes, axis=-2, norm="forward"), -2, k)
-        return _keep(np.fft.fft(rows, axis=-3, norm="forward"), -3, k)
+        forward as three matrix passes (module docstring)."""
+        planes = np.matmul(samples, self._z_reduce).view(np.complex128)  # (..., X, Y, z)
+        rows = _line_pass(_cycled(planes), self._reduce)  # (..., Y, z, x)
+        rows = _line_pass(_cycled(rows), self._reduce)  # (..., z, x, y)
+        return _cycled(rows)
 
     def nonlinear(self, vhat: np.ndarray) -> np.ndarray:
         """-P div(u (x) u) on the block, evaluated pseudospectrally."""
-        # one transform per component beats a batched call at these sizes
+        # one component at a time: a batched call would hold every
+        # component's transform intermediates at once
         u = [self.to_grid(c) for c in vhat]
         stress = {}
         for j in range(3):
             for b in range(j, 3):
                 # u_j u_b is symmetric: six transforms give all nine entries
                 stress[j, b] = stress[b, j] = self.from_grid(u[j] * u[b])
-        ik = self.minus_ik
+        # sum_b k_b S_jb and its projection have real symbols: they run on
+        # the float64 views, and -2 pi i / L multiplies the result once
+        kd = self._kd_pairs
         flux = np.empty_like(vhat)
+        div = flux.view(np.float64)
         for j in range(3):
-            flux[j] = ik[0] * stress[j, 0] + ik[1] * stress[j, 1] + ik[2] * stress[j, 2]
-        kd = self.kd
-        scale = (kd[0] * flux[0] + kd[1] * flux[1] + kd[2] * flux[2]) / self.safe_ksq
+            np.multiply(kd[0], stress[j, 0].view(np.float64), out=div[j])
+            div[j] += kd[1] * stress[j, 1].view(np.float64)
+            div[j] += kd[2] * stress[j, 2].view(np.float64)
+        scale = (kd[0] * div[0] + kd[1] * div[1] + kd[2] * div[2]) / self._ksq_pairs
         for j in range(3):
-            flux[j] -= kd[j] * scale
+            div[j] -= kd[j] * scale
+        flux *= self._flux_factor
         return flux
 
     @_node_by_node
@@ -463,6 +502,12 @@ class _Symbols:
         total = self.power(vhat)
         inner = self.power(np.where(shell, vhat, 0.0))
         return inner / total if total != 0.0 else 0.0
+
+
+@functools.lru_cache(maxsize=4)
+def _symbols(grid: TorusGrid) -> _Symbols:
+    """The one shared _Symbols of a grid."""
+    return _Symbols(grid)
 
 
 # nodes per pool task, and the tasks in flight per worker beyond the one
@@ -583,7 +628,7 @@ def mild_solve_picard(
         raise ValueError(f"threads must be at least 1, got {threads}")
     grid = a.grid
     ahat = _block_coefficients(a)
-    sym = _Symbols(grid)
+    sym = _symbols(grid)
     h = horizon / nodes
     times = h * np.arange(1, nodes + 1)
     # u[i] is node i + 1; it starts as the heat flow e^{t L} a
@@ -652,7 +697,7 @@ def step_ifrk4(
         raise ValueError("store count must divide the step count")
     stride = steps // store
     vhat = _block_coefficients(a)
-    sym = _Symbols(grid)
+    sym = _symbols(grid)
     dt = horizon / steps
     cfl = a.max_abs() * dt / grid.spacing
     if cfl > 0.5:
@@ -909,7 +954,7 @@ def inflation_probe(
     skew = step_ifrk4(data, horizon, steps)
     heat = step_ifrk4(data, horizon, steps, nonlinear=False)
 
-    shell = float(np.max(_Symbols(grid).shell_energy_fraction(skew.coefficients)))
+    shell = float(np.max(_symbols(grid).shell_energy_fraction(skew.coefficients)))
     resolved = shell <= 1e-6
     if not resolved:
         warnings.warn(

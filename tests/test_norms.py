@@ -455,6 +455,16 @@ class TestBoxFamily:
         assert fam.j_values == tuple(range(1, 8))
         assert fam.radii[0] == pytest.approx(0.5)
 
+    def test_center_view_of_a_stack_views_each_grid_array(self):
+        grid = TorusGrid(dims=2, size=16, length=1.0)
+        fam = BoxFamily(grid=grid, stride=4, j_values=(1, 2))
+        stack = np.arange(3 * 16 * 16, dtype=float).reshape(3, 16, 16)
+        view = fam.center_view(stack)
+        assert view.shape == (3, 4, 4)
+        for one, arr in zip(view, stack):
+            assert np.array_equal(one, fam.center_view(arr))
+            assert np.array_equal(one, arr[::4, ::4])
+
     def test_rejects_uncovered_stride(self):
         grid = TorusGrid(dims=1, size=64, length=1.0)
         with pytest.raises(ValueError):
@@ -838,7 +848,7 @@ def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
     for j, radius in eligible:
         ball = ball_correlate(snapshots[j], grid, j, full)
         vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-(2 * alpha + grid.dims))
-        per_radius.append((radius, vals_sq))
+        per_radius.append((radius, boxes.center_view(vals_sq)))
     return _sup_over_family(boxes, per_radius, f.mean())
 
 
@@ -857,7 +867,7 @@ def radius_loop_carleson(ext, boxes: BoxFamily, weight_exp: float, scale_exp: fl
         cut = mesh.aligned_cut(radius**2 if parabolic else radius)
         ball = ball_correlate(floor_term + (prefix[cut - 1] if cut > 0 else 0.0), grid, j)
         vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-scale_exp)
-        per_radius.append((radius, vals_sq))
+        per_radius.append((radius, boxes.center_view(vals_sq)))
     return _sup_over_family(boxes, per_radius, 0.0)
 
 

@@ -192,6 +192,70 @@ class TestHalfSpectrumOracles:
             assert fraction == pytest.approx(want, rel=1e-12)
 
 
+class TestMatrixTransforms:
+    """The block's matrix passes against numpy's FFTs of the padded block."""
+
+    @staticmethod
+    def padded(grid: TorusGrid, block: np.ndarray) -> np.ndarray:
+        """The rfftn half spectrum (..., N, N, N/2+1) that is zero off the block."""
+        n, k = grid.size, grid.size // 3
+        rows = np.r_[0 : k + 1, n - k : n]
+        half = np.zeros(block.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
+        half[..., rows[:, None], rows, : k + 1] = block
+        return half
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_to_grid_matches_irfftn(self, n):
+        grid = TorusGrid(dims=3, size=n, length=1.0)
+        sym = ns3d._symbols(grid)
+        rng = np.random.default_rng(n)
+        coeff = rng.standard_normal((3,) + sym.shape) + 1j * rng.standard_normal((3,) + sym.shape)
+        want = np.fft.irfftn(self.padded(grid, coeff), s=grid.shape, axes=(-3, -2, -1),
+                             norm="forward")
+        got = sym.to_grid(coeff)
+        assert got.shape == (3,) + grid.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_from_grid_matches_rfftn(self, n):
+        grid = TorusGrid(dims=3, size=n, length=1.0)
+        sym = ns3d._symbols(grid)
+        samples = np.random.default_rng(n).standard_normal((3,) + grid.shape)
+        want = crop(grid, np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward"))
+        got = sym.from_grid(samples)
+        assert got.shape == (3,) + sym.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_a_stack_transforms_to_each_nodes_bits(self, g16):
+        sym = ns3d._symbols(g16)
+        rng = np.random.default_rng(2)
+        shape = (5, 3) + sym.shape
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        samples = sym.to_grid(stack)
+        assert np.array_equal(samples, np.stack([sym.to_grid(node) for node in stack]))
+        assert np.array_equal(sym.from_grid(samples),
+                              np.stack([sym.from_grid(node) for node in samples]))
+
+    def test_the_solver_path_calls_no_fft(self, g16, rand16, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.fft called on the solver path")
+
+        ahat = _block_coefficients(rand16)
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        sym = ns3d._symbols(g16)
+        sym.from_grid(sym.to_grid(sym.nonlinear(ahat)))
+
+    def test_one_read_only_table_set_per_grid(self, g16):
+        sym = ns3d._symbols(g16)
+        assert ns3d._symbols(TorusGrid(dims=3, size=16, length=1.0)) is sym
+        assert ns3d._symbols(TorusGrid(dims=3, size=16, length=2.0)) is not sym
+        with pytest.raises(ValueError, match="read-only"):
+            sym.kd[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sym.weight[0] = 2.0
+
+
 class TestKeptBlock:
     """The solvers hold only the 2/3 block; data outside it is refused."""
 
