@@ -47,7 +47,6 @@ from .verify import (
     Workspace,
     check_inclusions,
     check_scaling_rows,
-    default_threads,
     prepare,
     run_check,
     write_reports,
@@ -171,9 +170,9 @@ def _add_common(parser: argparse.ArgumentParser, grid: int | None, dims: int) ->
                         help="box family: radius exponents and center stride")
     parser.add_argument("--seed", type=int, default=0, metavar="U64")
     parser.add_argument("--threads", type=int, default=None, metavar="K",
-                        help="worker threads for verify's norm evaluations and "
-                             "for each Picard sweep of ns (default: one per "
-                             "core, at most 4)")
+                        help="worker threads for verify's norm evaluations "
+                             "(default: one per core, at most 4); no effect "
+                             "on the other commands, ns among them")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,14 +383,12 @@ def cmd_ns(config: RunConfig) -> int:
     boxes = config.box_family(grid)
     out = Path(config.out)
     probe = opts["probe"]
-    threads = config.threads or default_threads()
 
     if probe == "smalldata":
         alpha = config.alphas[0] if config.alphas else -0.5
         report = smalldata_probe(
             opts["deltas"], alpha, opts["horizon"], grid, seed=config.seed,
             boxes=boxes, nodes=opts["nodes"], ratio_max=opts["ratio_max"],
-            threads=threads,
         )
         _write_run_config(config, out)
         write_json(report.to_payload(), out / "smalldata.json")
@@ -440,7 +437,6 @@ def cmd_ns(config: RunConfig) -> int:
     if opts["solver"] == "picard":
         trace = mild_solve_picard(
             a, opts["horizon"], nodes=opts["nodes"], nonlinear=nonlinear,
-            threads=threads,
         )
     else:
         trace = step_ifrk4(

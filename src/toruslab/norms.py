@@ -17,7 +17,8 @@ spectra are stacked along a leading radius axis, and ``_box_sup`` is the one
 place that ball-correlates a family's time integrals, scales them and takes
 the sup. Heat snapshots for the Besov sup and the inverse-space norm are
 the rows of ``extensions.extension_rows``; its chunks are whole rows, so
-batching changes no bit of any result.
+batching changes no bit of any result. A ``Trace`` may bring its own
+inverse-space heat rows (``Trace.heat_rows``), which the same walk reads.
 
 ``q_norm``'s pair sum at a center is a diagonal term, the ball's squares
 weighted by the kernel's ball sums, less the cross term <u, w * u> of the
@@ -303,15 +304,33 @@ def _running_sums(blocks: Iterable[np.ndarray], counts: Sequence[int]) -> list:
 
 # --- trace-side norms ---
 
+# heat_rows(times, unit) of a Trace
+HeatRows = Callable[[np.ndarray, int], Iterable[tuple[slice, np.ndarray]]]
+
+
 class Trace:
     """A field as the trace norms read it, and what its ``trace_pass`` keeps:
     ``results``, the NormResult per (op, level, box family, horizon, mesh)
     of each registry norm with a ``sweep``. A verify member task makes one
-    and drops it when it ends, as it does an ``Extension``."""
+    and drops it when it ends, as it does an ``Extension``.
 
-    def __init__(self, f: Field) -> None:
+    ``heat_rows(times, unit)`` yields (rows, e^{t Lap} of the mean-free
+    field at t = times[rows]) in chunks of whole groups of ``unit`` rows,
+    each array the caller's: by default the rows of the heat extension
+    (``extension_rows``); a caller that holds the field's coefficients in
+    another form passes its own, as the flow solver's data norm does."""
+
+    def __init__(self, f: Field, heat_rows: HeatRows | None = None) -> None:
         self.field = f
+        self.heat_rows = heat_rows or functools.partial(_heat_extension_rows, f)
         self.results: dict[tuple, NormResult] = {}
+
+
+def _heat_extension_rows(f: Field, times: np.ndarray,
+                         unit: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """A ``Trace``'s default heat rows: ``extension_rows`` of the mean-free
+    field."""
+    return extension_rows(forward_transform(f.remove_mean()), "heat", times, unit=unit)
 
 
 def trace_pass(trace: Trace, pairs: Iterable[tuple[str, float]], boxes: BoxFamily,
@@ -325,7 +344,7 @@ def trace_pass(trace: Trace, pairs: Iterable[tuple[str, float]], boxes: BoxFamil
         if (op, alpha, boxes, horizon, mesh) not in trace.results:
             levels.setdefault(op, {})[alpha] = None
     for op, alphas in levels.items():
-        results = NORMS[op].sweep(trace.field, list(alphas), boxes, horizon, mesh)
+        results = NORMS[op].sweep(trace, list(alphas), boxes, horizon, mesh)
         trace.results.update(((op, alpha, boxes, horizon, mesh), result)
                              for alpha, result in zip(alphas, results))
 
@@ -641,13 +660,13 @@ def inverse_space_norm(
 
 
 def _inverse_levels(f: Field, alphas: Sequence[float], horizon: float, boxes: BoxFamily,
-                    mesh: TimeMesh | None) -> list[NormResult]:
+                    mesh: TimeMesh | None, heat_rows: HeatRows) -> list[NormResult]:
     """``inverse_space_norm`` at each level from one stream of the heat
-    extension, in panel-aligned chunks of ``extension_rows``: each chunk's
-    u^2 is formed once and pushed into one ``_RunningSums`` per level, one
-    block with one term per panel, after the level's floor term. Only the
-    sums at the radius cuts are kept, and no chunk past the largest
-    eligible cut is drawn.
+    extension, in panel-aligned chunks of the trace's ``heat_rows``: each
+    chunk's u^2 is formed once and pushed into one ``_RunningSums`` per
+    level, one block with one term per panel, after the level's floor term.
+    Only the sums at the radius cuts are kept, and no chunk past the
+    largest eligible cut is drawn.
     """
     for alpha in alphas:
         _check_alpha(alpha)
@@ -675,7 +694,7 @@ def _inverse_levels(f: Field, alphas: Sequence[float], horizon: float, boxes: Bo
     for walk, alpha in zip(walks, alphas):
         walk.add((g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha))[np.newaxis])
     if walks[0].pushed < walks[0].stop:
-        for chunk, u in extension_rows(forward_transform(g), "heat", t, unit=per):
+        for chunk, u in heat_rows(t, per):
             u_sq = np.multiply(u, u, out=u)  # the chunk is ours to overwrite
             for walk, node_factor in zip(walks, node_factors):
                 w = node_factor[chunk]
@@ -845,9 +864,9 @@ class Norm:
     gradient, parabolic height) of the box time integrals a box norm reads
     off its extension at level alpha, None for any other norm, and
     ``peak``, the gradient whose node peaks it reads, state its reads once,
-    for a plan's ``gradient_pass``. ``sweep(f, levels, boxes, horizon,
+    for a plan's ``gradient_pass``. ``sweep(trace, levels, boxes, horizon,
     mesh)``, for a trace norm with work no level changes, gives its results
-    at every level from one pass over the field, for a plan's
+    at every level from one pass over the ``Trace``'s field, for a plan's
     ``trace_pass``.
     """
 
@@ -874,18 +893,18 @@ class Norm:
 # when it runs, so a wrapper installed on this module sees every call.
 NORMS: dict[str, Norm] = {
     "campanato": Norm("trace", lambda t, a, boxes, _: campanato_norm(t, a, boxes),
-                      sweep=lambda f, levels, boxes, *_: _campanato_levels(f, levels, boxes,
-                                                                           pair=False)),
+                      sweep=lambda t, levels, boxes, *_: _campanato_levels(
+                          t.field, levels, boxes, pair=False)),
     "campanato_pair": Norm("trace", lambda t, a, boxes, _: campanato_pair_norm(t, a, boxes),
-                           sweep=lambda f, levels, boxes, *_: _campanato_levels(
-                               f, levels, boxes, pair=True)),
+                           sweep=lambda t, levels, boxes, *_: _campanato_levels(
+                               t.field, levels, boxes, pair=True)),
     "q": Norm("trace", lambda t, a, boxes, _: q_norm(t, a, boxes),
-              sweep=lambda f, levels, boxes, *_: _q_levels(f, levels, boxes)),
+              sweep=lambda t, levels, boxes, *_: _q_levels(t.field, levels, boxes)),
     "frac_campanato": Norm("trace", lambda t, a, boxes, _: frac_campanato_norm(t.field, a, boxes)),
     "besov": Norm("trace", lambda t, *_: besov_norm(t.field)),
     "inverse": Norm("trace", lambda t, a, boxes, top: inverse_space_norm(t, a, top, boxes),
-                    sweep=lambda f, levels, boxes, top, mesh: _inverse_levels(
-                        f, levels, top, boxes, mesh)),
+                    sweep=lambda t, levels, boxes, top, mesh: _inverse_levels(
+                        t.field, levels, top, boxes, mesh, t.heat_rows)),
     "h": Norm("poisson", lambda e, a, boxes, _: h_alpha2_norm(e, a, boxes),
               walk=lambda a: (0.0, 1.0, True, False)),
     "scaled_h": Norm("poisson", lambda e, a, boxes, _: scaled_h_norm(e, a, boxes),

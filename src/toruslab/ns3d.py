@@ -22,60 +22,64 @@ the k_z = 0 plane once and every other plane twice. The block holds
 One nonlinear evaluation forms the stress products u_j u_b on the N^3
 grid, which zero-pads the block (the 3/2 rule), so the kept modes are
 alias-free (Canuto, Hussaini, Quarteroni and Zang, *Spectral Methods*).
-Its transforms are pruned to the block and written as products with
-small DFT matrices built once per grid (the dense form of the DFT, ibid.
-Sec. 2.1): at these N a line is a few dozen points, where a matrix
-product costs less than an FFT call. Each of the 3 inverses maps 2K+1
-modes to N points along x on the (2K+1)(K+1) nonzero lines, then along y
-on N(K+1) lines, then K+1 modes to N real samples along z, the Hermitian
-weights 1, 2, 2, ... folded into that matrix. Each of the 6 forwards, one
-per independent entry of the symmetric stress, runs the same passes back:
-N real samples to K+1 modes along z, then N points to 2K+1 modes along x
-and along y. A contiguous transpose brings each contracted axis last, and
-a complex pass is one real float64 matmul on the interleaved view of the
-complex values.
+The isotropic part of the stress has a pure-gradient divergence, which the
+Leray projection removes, so the stress less u_2^2 I gives the same term
+from 5 entries: u_0^2 - u_2^2, u_1^2 - u_2^2, u_0 u_1, u_0 u_2 and u_1 u_2
+(Basdevant, J. Comput. Phys. 50 (1983) 209-214). Its transforms are
+pruned to the block and written as products with small DFT matrices
+built once per grid (the dense form of the DFT, Canuto et al. Sec. 2.1):
+at these N a line is a few dozen points, where a matrix product costs
+less than an FFT call. Each of the 3 inverses maps 2K+1 modes to N points
+along x on the (2K+1)(K+1) nonzero lines, then along y on N(K+1) lines,
+then K+1 modes to N real samples along z, the Hermitian weights 1, 2, 2,
+... folded into that matrix. Each of the 5 forwards, one per stress
+entry, runs the same passes back: N real samples to K+1 modes along z,
+then N points to 2K+1 modes along x and along y. A contiguous transpose
+brings each contracted axis last, and a complex pass is one real float64
+matmul on the interleaved view of the complex values.
 
 The matmuls are fed by slab, one gemm per index of the leading axes, so
 each gemm is a few hundred thousand multiply-adds through 64^3. OpenBLAS
 runs a gemm on one thread below about 10^6 of them; above it, it wakes
-helper threads whose spinning doubles the CPU time while the Picard pool
-keeps the cores busy. One slab stays below it through 64^3 (at 128^3 it
-does not). The slabs do not depend on the leading shape either, so a
-stack of blocks transforms to the same bits as each block alone.
+helper threads whose spinning can double the CPU time. One slab stays
+below it through 64^3 (at 128^3 it does not). The slabs do not depend on
+the leading shape either, so a stack of blocks transforms to the same bits
+as each block alone.
 
 VelocityField stays on the grid. The solvers take its coefficients
 through one crop, which refuses data with a relative L2 above
 BLOCK_RTOL outside the block: band-limit the data below N/3. Grid
 samples come back through the one pruned inverse, one node at a time:
 the X norm of a trace reads each node's samples once, so no series of
-every node on the grid is built.
+every node on the grid is built. The data norm reads its heat rows off
+the block the same way, one panel of nodes at a time.
 
-A Picard sweep evaluates each node's nonlinear term on the old iterate,
-so the terms of one sweep are independent. With ``threads`` > 1 they run
-on a thread pool in chunks of _CHUNK nodes, at most threads + _LOOKAHEAD
-chunks ahead of the scan that adds them up; memory is then the node
-array, each worker's evaluation temporaries and the terms in flight. The
-scan keeps its arithmetic and order, so every trace and probe output is
-the same to the bit for any thread count. The CLI's ``--threads`` sets
-the count; the library default is 1, the calling thread.
+A Picard sweep runs on the calling thread: it evaluates each node's
+nonlinear term on the old iterate just before the scan overwrites that
+node. The terms of one sweep are independent, but evaluating them on a
+thread pool does not pay: on two cores it cut the wall time of a 32^3
+solve by about a tenth and cost more CPU than it saved.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import itertools
 import math
 import warnings
-from collections import deque
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .corpus import CorpusSpec, generate
-from .norms import BoxFamily, TimeSeries, XSpaceResult, inverse_space_norm, x_space_norm
+from .norms import (
+    BoxFamily,
+    TimeSeries,
+    Trace,
+    XSpaceResult,
+    inverse_space_norm,
+    x_space_norm,
+)
 from .spectral import Field, TorusGrid, forward_transform
 
 DIVERGENCE_RTOL = 1e-8
@@ -469,25 +473,38 @@ class _Symbols:
         rows = _line_pass(_cycled(rows), self._reduce)  # (..., z, x, y)
         return _cycled(rows)
 
+    def heat_rows(self, coeff: np.ndarray, times: np.ndarray,
+                  unit: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield (rows, grid samples of e^{-rate t} coeff at t = times[rows])
+        for a scalar block, ``unit`` rows at a time, each array the caller's:
+        the heat rows of a ``norms.Trace`` from the block."""
+        for lo in range(0, times.size, unit):
+            rows = slice(lo, min(lo + unit, times.size))
+            decay = np.multiply.outer(-times[rows], self.heat_rate)
+            yield rows, self.to_grid(np.exp(decay, out=decay) * coeff)
+
     def nonlinear(self, vhat: np.ndarray) -> np.ndarray:
-        """-P div(u (x) u) on the block, evaluated pseudospectrally."""
+        """-P div(u (x) u) on the block, evaluated pseudospectrally from the
+        five entries of the stress less u_2^2 I (module docstring)."""
         # one component at a time: a batched call would hold every
         # component's transform intermediates at once
-        u = [self.to_grid(c) for c in vhat]
-        stress = {}
-        for j in range(3):
-            for b in range(j, 3):
-                # u_j u_b is symmetric: six transforms give all nine entries
-                stress[j, b] = stress[b, j] = self.from_grid(u[j] * u[b])
+        u0, u1, u2 = (self.to_grid(c) for c in vhat)
+        s01, s02, s12 = (self.from_grid(x * y) for x, y in ((u0, u1), (u0, u2), (u1, u2)))
+        # the diagonal entries in place: no product above reads u again
+        w = np.square(u2, out=u2)
+        s00 = self.from_grid(np.subtract(np.square(u0, out=u0), w, out=u0))
+        s11 = self.from_grid(np.subtract(np.square(u1, out=u1), w, out=u1))
+        del u0, u1, u2, w
         # sum_b k_b S_jb and its projection have real symbols: they run on
         # the float64 views, and -2 pi i / L multiplies the result once
         kd = self._kd_pairs
+        s00, s11, s01, s02, s12 = (s.view(np.float64) for s in (s00, s11, s01, s02, s12))
         flux = np.empty_like(vhat)
         div = flux.view(np.float64)
-        for j in range(3):
-            np.multiply(kd[0], stress[j, 0].view(np.float64), out=div[j])
-            div[j] += kd[1] * stress[j, 1].view(np.float64)
-            div[j] += kd[2] * stress[j, 2].view(np.float64)
+        for j, row in enumerate(((s00, s01, s02), (s01, s11, s12), (s02, s12))):
+            np.multiply(kd[0], row[0], out=div[j])
+            for b in range(1, len(row)):
+                div[j] += kd[b] * row[b]
         scale = (kd[0] * div[0] + kd[1] * div[1] + kd[2] * div[2]) / self._ksq_pairs
         for j in range(3):
             div[j] -= kd[j] * scale
@@ -510,57 +527,11 @@ def _symbols(grid: TorusGrid) -> _Symbols:
     return _Symbols(grid)
 
 
-# nodes per pool task, and the tasks in flight per worker beyond the one
-# each is running: enough to keep the workers busy while the scan adds up
-_CHUNK = 4
-_LOOKAHEAD = 1
-
-
-def _nonlinear_terms(sym: _Symbols, u: np.ndarray, pool: ThreadPoolExecutor | None,
-                     threads: int) -> Iterator[np.ndarray]:
-    """N(u[i]) for each node i in order, each evaluated on the old iterate.
-
-    Without a pool each term is evaluated when it is drawn, before the scan
-    overwrites node i. With one, chunks of _CHUNK nodes run on the pool, in
-    node order and at most threads + _LOOKAHEAD chunks ahead of the scan.
-    The scan overwrites a node only after drawing its term, which waits for
-    the chunk holding it, so every chunk reads old nodes. Closing the
-    generator cancels the chunks not yet started and waits for the running
-    ones.
-    """
-    if pool is None:
-        for node in u:
-            yield sym.nonlinear(node)
-        return
-
-    def evaluate(lo: int) -> list[np.ndarray]:
-        # numpy keeps errstate per thread (a context variable in numpy 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return [sym.nonlinear(node) for node in u[lo : lo + _CHUNK]]
-
-    starts = iter(range(0, u.shape[0], _CHUNK))
-    pending = deque(pool.submit(evaluate, lo)
-                    for lo in itertools.islice(starts, threads + _LOOKAHEAD))
-    try:
-        while pending:
-            terms = pending.popleft().result()
-            for lo in itertools.islice(starts, 1):
-                pending.append(pool.submit(evaluate, lo))
-            # hand each term over and drop it, so only the window is alive
-            terms.reverse()
-            while terms:
-                yield terms.pop()
-    finally:
-        for future in pending:
-            future.cancel()
-        wait(pending)
-
-
 def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray, b0: np.ndarray,
-                  step: np.ndarray, h: float, terms: Iterator[np.ndarray]) -> float:
+                  step: np.ndarray, h: float) -> float:
     """One Picard sweep over the node array u, in place; b0 is the data's
-    nonlinear term N(a), which no sweep changes, and ``terms`` yields
-    N(u[i]) of the old iterate in node order.
+    nonlinear term N(a), which no sweep changes. N(u[i]) is evaluated on
+    the old iterate, before node i is overwritten.
 
     Returns the sup over nodes of the relative L2 update, or inf at the
     first node whose update overflows; that node and the later ones then
@@ -579,7 +550,7 @@ def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray, b0: np.ndarray
         np.multiply(step, heat_tail, out=heat_tail)
         if i > 0:
             np.multiply(step, np.add(running, prev_b, out=running), out=running)
-        b_here = next(terms)
+        b_here = sym.nonlinear(u[i])
         np.add(np.multiply(0.5, heat_tail, out=new), running, out=new)
         np.add(new, np.multiply(0.5, b_here, out=scratch), out=new)
         np.add(lin, np.multiply(h, new, out=new), out=new)
@@ -600,7 +571,6 @@ def mild_solve_picard(
     max_iter: int = 40,
     tol: float = 1e-10,
     nonlinear: bool = True,
-    threads: int = 1,
 ) -> NSTrace:
     """Fixed-point iteration of the integral equation
     u(t) = e^{t L} a + int_0^t e^{(t-s) L} N(u(s)) ds,
@@ -615,17 +585,12 @@ def mild_solve_picard(
 
     One array holds the nodes and is updated in place: node i's update
     reads the old iterate only at nodes <= i, each before it is
-    overwritten, so this is the same map as a two-array sweep. With
-    threads > 1 each sweep's nonlinear terms are evaluated on a pool of
-    that many workers (``_nonlinear_terms``); the scan adds them up in node
-    order as before, so the trace is the same to the bit.
+    overwritten, so this is the same map as a two-array sweep.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if nodes < 32:
         raise ValueError("quadrature needs at least 32 stored nodes")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     grid = a.grid
     ahat = _block_coefficients(a)
     sym = _symbols(grid)
@@ -650,12 +615,10 @@ def mild_solve_picard(
     converged = False
     # overflow is expected past the contraction regime: it surfaces as a
     # non-finite residual, which ends the solve as diverged
-    pooled = ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()
-    with np.errstate(over="ignore", invalid="ignore"), pooled as pool:
+    with np.errstate(over="ignore", invalid="ignore"):
         b0 = sym.nonlinear(ahat)
         for _ in range(max_iter):
-            with contextlib.closing(_nonlinear_terms(sym, u, pool, threads)) as terms:
-                worst = _picard_sweep(sym, u, ahat, b0, step, h, terms)
+            worst = _picard_sweep(sym, u, ahat, b0, step, h)
             residuals.append(worst)
             if not math.isfinite(worst):
                 break
@@ -775,10 +738,20 @@ def export_trace(trace: NSTrace, directory) -> "Path":
 def initial_data_norm(
     a: VelocityField, alpha: float, horizon: float, boxes: BoxFamily
 ) -> float:
-    """Componentwise sum of the inverse-space data norms."""
+    """Componentwise sum of the inverse-space data norms.
+
+    Each component's heat rows come from its kept-block coefficients, mean
+    mode zeroed, through the pruned inverse (``_Symbols.heat_rows``); the
+    walk and the box sup are ``inverse_space_norm``'s. Data outside the
+    block is refused (ValueError), as the solvers refuse it.
+    """
+    sym = _symbols(a.grid)
+    block = _block_coefficients(a)
+    block[:, 0, 0, 0] = 0.0
     return sum(
-        inverse_space_norm(c, alpha, horizon, boxes).value
-        for c in a.components
+        inverse_space_norm(Trace(c, functools.partial(sym.heat_rows, b)),
+                           alpha, horizon, boxes).value
+        for c, b in zip(a.components, block)
     )
 
 
@@ -850,7 +823,6 @@ def smalldata_probe(
     boxes: BoxFamily | None = None,
     nodes: int = 128,
     ratio_max: float = 4.0,
-    threads: int = 1,
 ) -> SmallDataReport:
     """Sweep initial-data amplitudes and record contraction behaviour.
 
@@ -859,8 +831,7 @@ def smalldata_probe(
     reports solution_x_norm / delta. The linear-flow ratio (heat
     evolution only) is included as the small-delta limit. A rung whose
     solve diverged reports no X-norm and no ratio: its last iterate is not
-    a solution. ``threads`` workers evaluate each Picard sweep's nonlinear
-    terms (``mild_solve_picard``); the report does not depend on it.
+    a solution. Each solve runs on the calling thread.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -883,7 +854,7 @@ def smalldata_probe(
         if delta == 0.0:
             rows.append(SmallDataRow(0.0, True, 0.0, 0.0))
             continue
-        trace = mild_solve_picard(unit.scaled(delta), horizon, nodes=nodes, threads=threads)
+        trace = mild_solve_picard(unit.scaled(delta), horizon, nodes=nodes)
         converged = trace.converged
         x_val = solution_x_norm(trace, alpha, horizon, boxes) if converged else None
         del trace  # free this rung's nodes before the next rung solves

@@ -464,6 +464,25 @@ class TestNsCommand:
         energies = manifest["energies"]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
+    def test_threads_accepted_and_recorded_without_effect(self, tmp_path, capsys):
+        # the flow solvers run on the calling thread: ns takes --threads,
+        # records it, and its help says so
+        with pytest.raises(SystemExit):
+            main(["ns", "--help"])
+        assert "no effect on the other commands, ns among them" in " ".join(
+            capsys.readouterr().out.split())
+        runs = {}
+        for threads in (None, 3):
+            out = tmp_path / f"threads{threads}"
+            argv = ["ns", "--probe", "run", "--grid", "16", "--data", "taylor-green",
+                    "--amplitude", "0.05", "--horizon", "0.05", "--nodes", "32",
+                    "--out", str(out)]
+            assert main(argv + (["--threads", str(threads)] if threads else [])) == 0
+            config = json.loads((out / "run_config.json").read_text())
+            assert config["threads"] == threads
+            runs[threads] = [f.read_bytes() for f in sorted((out / "trace").glob("node_*.bin"))]
+        assert runs[None] == runs[3]
+
     def test_diverged_run_exports_null_residual(self, tmp_path):
         out = tmp_path / "div"
         code = main([

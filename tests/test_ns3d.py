@@ -10,11 +10,8 @@ which gives an exact nonlinear reference.
 
 import json
 import math
-import threading
-import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,8 +20,6 @@ from toruslab import ns3d
 from toruslab.fieldio import read_field
 from toruslab.norms import BoxFamily, TimeSeries, x_space_norm, inverse_space_norm
 from toruslab.ns3d import (
-    _CHUNK,
-    _LOOKAHEAD,
     _block_coefficients,
     _Symbols,
     InflationReport,
@@ -141,6 +136,24 @@ def full_picard(a: VelocityField, horizon: float, nodes: int):
     return residuals, np.stack([np.fft.ifftn(c, norm="forward").real for c in current[-1]])
 
 
+def six_entry_nonlinear(sym: _Symbols, vhat: np.ndarray, isotropic: float = 0.0) -> np.ndarray:
+    """Reference -P div(S) on the block from all six entries of the
+    symmetric stress S = u (x) u + isotropic |u|^2 I, each its own forward
+    transform, with the projection on complex values."""
+    u = [sym.to_grid(c) for c in vhat]
+    extra = isotropic * (u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
+    stress = {}
+    for j in range(3):
+        for b in range(j, 3):
+            entry = u[j] * u[b] + (extra if j == b else 0.0)
+            stress[j, b] = stress[b, j] = sym.from_grid(entry)
+    kd = sym.kd
+    ksq = np.sum(kd**2, axis=0)
+    flux = np.stack([sum(kd[b] * stress[j, b] for b in range(3)) for j in range(3)])
+    k_dot = sum(kd[j] * flux[j] for j in range(3)) / np.where(ksq > 0.0, ksq, 1.0)
+    return (flux - kd * k_dot) * sym._flux_factor
+
+
 class TestHalfSpectrumOracles:
     """The block kernel against full-spectrum reference formulas."""
 
@@ -190,6 +203,51 @@ class TestHalfSpectrumOracles:
             want = np.sum(power[:, shell]) / np.sum(power)
             assert want > 1e-12
             assert fraction == pytest.approx(want, rel=1e-12)
+
+
+class TestTracelessStress:
+    """The evaluation from five stress entries, the stress less u_2^2 I,
+    against the six-entry form: the isotropic part is a gradient, which
+    the projection removes."""
+
+    @staticmethod
+    def block_data(n: int, seed: int) -> tuple[_Symbols, np.ndarray]:
+        # the top band of the block, so that the 2/3 cut acts on the products
+        grid = TorusGrid(dims=3, size=n, length=1.0)
+        v = random_divergence_free(grid, seed=seed, max_freq=n // 3)
+        return ns3d._symbols(grid), _block_coefficients(v)
+
+    def test_one_evaluation_makes_3_inverses_and_5_forwards(self, g16, rand16, monkeypatch):
+        sym = _Symbols(g16)
+        calls = {"to_grid": 0, "from_grid": 0}
+        for name in calls:
+            real = getattr(sym, name)
+
+            def counted(x, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(x)
+
+            monkeypatch.setattr(sym, name, counted)
+        sym.nonlinear(_block_coefficients(rand16))
+        assert calls == {"to_grid": 3, "from_grid": 5}
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_matches_the_six_entry_stress(self, n):
+        sym, vhat = self.block_data(n, seed=n)
+        want = six_entry_nonlinear(sym, vhat)
+        got = sym.nonlinear(vhat)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("c", [1.0, -0.5, 1.0 / 3.0])
+    def test_an_isotropic_stress_moves_the_term_by_roundoff(self, c):
+        sym, vhat = self.block_data(32, seed=1)
+        want = six_entry_nonlinear(sym, vhat)
+        moved = six_entry_nonlinear(sym, vhat, isotropic=c)
+        assert np.max(np.abs(moved - want)) <= 1e-13 * np.max(np.abs(want))
+        # unprojected, the isotropic part's divergence is of the term's size
+        u = sym.to_grid(vhat)
+        gradient = sym.kd * sym.from_grid(c * np.sum(u**2, axis=0)) * sym._flux_factor
+        assert np.max(np.abs(gradient)) >= 0.1 * np.max(np.abs(want))
 
 
 class TestMatrixTransforms:
@@ -318,120 +376,6 @@ class TestKeptBlock:
         assert len(trace.residuals) == 1
         assert trace.coefficients.nbytes == node_array
         assert peak <= node_array + grid_fields + transform + block_temps
-
-
-class TestPooledSweep:
-    """Each sweep's nonlinear terms on a pool: the same trace to the bit."""
-
-    @pytest.fixture(scope="class")
-    def unit16(self, g16) -> VelocityField:
-        shape = random_divergence_free(g16, seed=0)
-        return shape.scaled(1.0 / initial_data_norm(shape, -0.5, 0.1, BoxFamily.default(g16)))
-
-    @pytest.mark.parametrize("delta,converged", [(8.0, True), (32.0, False)])
-    def test_threads_give_the_serial_trace(self, unit16, delta, converged):
-        serial = mild_solve_picard(unit16.scaled(delta), 0.1, nodes=32)
-        assert serial.converged is converged
-        for threads in (2, 3):
-            pooled = mild_solve_picard(unit16.scaled(delta), 0.1, nodes=32, threads=threads)
-            assert pooled.converged is converged
-            assert pooled.residuals == serial.residuals
-            assert np.array_equal(pooled.coefficients, serial.coefficients)
-
-    def test_overflowing_sweep_warns_nothing_and_ends_its_workers(self, unit16):
-        # the rung overflows in the nonlinear terms, which the pool computes
-        serial = mild_solve_picard(unit16.scaled(32.0), 0.1, nodes=32)
-        assert serial.residuals[-1] == math.inf
-        before = threading.active_count()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pooled = mild_solve_picard(unit16.scaled(32.0), 0.1, nodes=32, threads=2)
-        assert not pooled.converged
-        assert pooled.residuals == serial.residuals
-        assert threading.active_count() == before
-
-    def test_pool_tasks_keep_the_solve_errstate(self):
-        # numpy keeps errstate per thread: a pool task that overflows must
-        # not warn, as the same evaluation in the solve's thread does not
-        class Overflowing:
-            def nonlinear(self, node):
-                return node * 1e308 * 10.0
-
-        u = np.ones((8, 3))
-        with ThreadPoolExecutor(max_workers=2) as pool, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            terms = list(ns3d._nonlinear_terms(Overflowing(), u, pool, 2))
-        assert len(terms) == 8 and np.all(np.isinf(terms))
-
-    def test_closing_the_terms_cancels_and_drains_the_window(self):
-        # the first chunk is instant and the rest slow: the scan stops after
-        # one term, once both workers run a chunk and the fourth is queued
-        started, finished = [], []
-
-        class Slow:
-            def nonlinear(self, node):
-                started.append(node[0])
-                if node[0] >= _CHUNK:
-                    time.sleep(0.2)
-                finished.append(node[0])
-                return node
-
-        u = np.arange(64.0).reshape(64, 1)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            terms = ns3d._nonlinear_terms(Slow(), u, pool, 2)
-            assert next(terms)[0] == 0.0
-            deadline = time.monotonic() + 10.0
-            while not {_CHUNK, 2 * _CHUNK} <= set(started) and time.monotonic() < deadline:
-                time.sleep(0.001)
-            terms.close()
-            # the running chunks are finished and the queued one never starts
-            assert sorted(finished) == sorted(started) == list(range(3 * _CHUNK))
-
-    def test_threads_below_one_refused(self, unit16):
-        with pytest.raises(ValueError, match="threads"):
-            mild_solve_picard(unit16, 0.1, nodes=32, threads=0)
-
-    def test_probe_report_does_not_depend_on_threads(self, g16):
-        deltas = [0.0, 0.5, 32.0]
-        serial = smalldata_probe(deltas, -0.5, 0.1, g16, seed=0, nodes=32)
-        pooled = smalldata_probe(deltas, -0.5, 0.1, g16, seed=0, nodes=32, threads=2)
-        assert [row.converged for row in serial.rows] == [True, True, False]
-        assert pooled.to_payload() == serial.to_payload()
-
-    def test_pooled_sweep_memory_is_window_bounded(self, monkeypatch):
-        # one 128-node sweep at 32^3 on two workers: the node array, each
-        # worker's evaluation temporaries and the terms of the chunks in
-        # flight, never a sweep's worth of terms (the node array again). A
-        # slowed scan lets the workers run as far ahead as the window allows.
-        relative_l2 = ns3d._relative_l2
-
-        def slow_scan(*args):
-            time.sleep(0.01)
-            return relative_l2(*args)
-
-        monkeypatch.setattr(ns3d, "_relative_l2", slow_scan)
-        n, nodes, threads = 32, 128, 2
-        grid = TorusGrid(dims=3, size=n, length=1.0)
-        a = random_divergence_free(grid, seed=0)
-        k = n // 3
-        block = 3 * (2 * k + 1) ** 2 * (k + 1) * 16
-        node_array = nodes * block
-        grid_fields = 4 * n**3 * 8  # u on the grid and one stress product
-        transform = n * n * (n // 2 + 1) * 16 + n * n * (k + 1) * 16  # z, y passes
-        evaluation = grid_fields + transform + 4 * block  # stresses and flux
-        scan = 12 * block  # the data's term, sweep sums and residual squares
-        # the chunks submitted ahead and the one the scan is consuming
-        window = (threads + _LOOKAHEAD + 1) * _CHUNK * block
-        tracemalloc.start()
-        try:
-            trace = mild_solve_picard(a, 0.1, nodes=nodes, max_iter=1, threads=threads)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(trace.residuals) == 1
-        bound = node_array + threads * evaluation + scan + window
-        assert bound < 2 * node_array
-        assert peak <= bound
 
 
 class TestVelocityField:
@@ -712,7 +656,9 @@ class TestSolvers:
         unit = shape.scaled(
             1.0 / initial_data_norm(shape, -0.5, 0.1, BoxFamily.default(grid))
         )
-        trace = mild_solve_picard(unit.scaled(64.0), 0.1, nodes=32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported, not warned
+            trace = mild_solve_picard(unit.scaled(64.0), 0.1, nodes=32)
         assert not trace.converged
         assert trace.residuals[-1] == math.inf
         assert all(math.isfinite(r) for r in trace.residuals[:-1])
@@ -769,6 +715,55 @@ class TestDataNorms:
             base = initial_data_norm(v, alpha, 0.1, boxes)
             moved = initial_data_norm(rescaled, alpha, 0.1, boxes)
             assert abs(moved / base - 1.0) <= 0.02
+
+    @staticmethod
+    def generic_data_norm(a: VelocityField, alpha: float, horizon: float,
+                          boxes: BoxFamily) -> float:
+        """The data norm through each component's heat extension rows."""
+        return sum(inverse_space_norm(c, alpha, horizon, boxes).value for c in a.components)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("data", ["seed0", "seed1", "seed7", "shear"])
+    def test_block_rows_give_the_generic_norm(self, n, data):
+        grid = TorusGrid(dims=3, size=n, length=1.0)
+        boxes = BoxFamily.default(grid)
+        if data == "shear":
+            a = shear_modes(grid, 3, seed=5)
+        else:
+            a = random_divergence_free(grid, seed=int(data[4:]))
+        for alpha in (-0.5, 0.25):
+            want = self.generic_data_norm(a, alpha, 0.1, boxes)
+            assert want > 0.0
+            assert initial_data_norm(a, alpha, 0.1, boxes) == pytest.approx(want, rel=1e-12)
+
+    def test_out_of_block_data_refused(self, g16, boxes16):
+        wide = random_divergence_free(g16, seed=3, max_freq=6)  # past floor(16/3) = 5
+        with pytest.raises(ValueError, match=r"relative L2 \S+ outside the kept 2/3 block"):
+            initial_data_norm(wide, -0.5, 0.1, boxes16)
+
+    def test_heat_rows_make_no_fft_call(self, g16, rand16, monkeypatch):
+        # the block's rows, drawn with numpy's FFTs refused, against the
+        # heat extension's rows of the mean-free component
+        from toruslab.extensions import extension_rows
+        from toruslab.spectral import forward_transform
+
+        sym = ns3d._symbols(g16)
+        block = _block_coefficients(rand16)[0]
+        block[0, 0, 0] = 0.0
+        times = np.geomspace(1e-5, 0.1, 24)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.fft called for the heat rows")
+
+        with monkeypatch.context() as patched:
+            for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+                patched.setattr(np.fft, name, refuse)
+            got = list(sym.heat_rows(block, times, 8))
+        assert [rows for rows, _ in got] == [slice(0, 8), slice(8, 16), slice(16, 24)]
+        want = np.concatenate([u for _, u in extension_rows(
+            forward_transform(rand16.components[0].remove_mean()), "heat", times)])
+        rows = np.concatenate([u for _, u in got])
+        assert np.max(np.abs(rows - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_heat_solution_norm_matches_analytic(self, g16, boxes16):
         v = shear_y(g16)
