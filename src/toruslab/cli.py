@@ -46,7 +46,7 @@ from .verify import (
     VerifyConfig,
     Workspace,
     check_inclusions,
-    check_scaling_rows,
+    check_scaling,
     prepare,
     run_check,
     write_reports,
@@ -329,7 +329,7 @@ def _scaling_field(alpha: float, grid: TorusGrid, seed: int):
     return generate(spec, grid)
 
 
-def _verify_reports(config: RunConfig, ws: Workspace, boxes: BoxFamily) -> list:
+def _verify_reports(config: RunConfig, ws: Workspace) -> list:
     theorem = config.options["theorem"]
     levels = {"alpha": config.alphas or DEFAULT_ALPHAS,
               "beta": config.betas or DEFAULT_BETAS}
@@ -343,27 +343,27 @@ def _verify_reports(config: RunConfig, ws: Workspace, boxes: BoxFamily) -> list:
               if c.group != "inclusions" and want(c.group)}
     rows = [(name, x) for name, over in sweeps.items() for x in levels[over]]
     betas = levels["beta"] if want("inclusions") else ()
-    # every value the reports read, member by member, before any report
-    prepare(ws, rows, betas, refine=refine)
-    reports: list = [run_check(ws, name, x, refine=refine) for name, x in rows]
-    reports += [check_inclusions(ws, b, refine=refine) for b in betas]
+    scaling = []
     if want("scaling"):
         fields = {a: _scaling_field(a, ws.grid, config.seed) for a in levels["alpha"]}
-        # at the -1/2 endpoint no periodic band-limited field can exhibit
-        # the trace exponent, so the row is report-only
-        reports += check_scaling_rows(
-            [(fields[a], norm_id, a, a > -0.5) for a in levels["alpha"]
-             for norm_id in SCALING_NORMS], boxes, ws.threads)
+        scaling = [(fields[a], norm_id, a) for a in levels["alpha"] for norm_id in SCALING_NORMS]
+    # every value the reports read, member by member, before any report
+    prepare(ws, rows, betas, refine=refine, scaling=scaling)
+    reports: list = [run_check(ws, name, x, refine=refine) for name, x in rows]
+    reports += [check_inclusions(ws, b, refine=refine) for b in betas]
+    # at the -1/2 endpoint no periodic band-limited field can exhibit the
+    # trace exponent, so the row is report-only
+    reports += [check_scaling(ws, f, norm_id, a, enforce=a > -0.5)
+                for f, norm_id, a in scaling]
     return reports
 
 
 def cmd_verify(config: RunConfig) -> int:
     grid = config.torus_grid()
-    boxes = config.box_family(grid)
     specs = (specs_from_manifest(config.corpus) if config.corpus
              else default_corpus_specs(config.seed))
-    ws = Workspace(specs, grid, boxes=boxes, threads=config.threads)
-    reports = _verify_reports(config, ws, boxes)
+    ws = Workspace(specs, grid, boxes=config.box_family(grid), threads=config.threads)
+    reports = _verify_reports(config, ws)
     out = Path(config.out)
     _write_run_config(config, out)
     thresholds = VerifyConfig(

@@ -11,7 +11,7 @@ Constant and zero corpus members are skipped, counted, and listed.
 from __future__ import annotations
 
 import dataclasses
-import functools
+import hashlib
 import math
 import os
 import threading
@@ -198,6 +198,9 @@ class Workspace:
     streams them together just before the first is read. A lookup that
     misses plans just the missing key and runs it the same way.
     Reports read the table in corpus order, so they are deterministic.
+    A field outside the corpus, such as a scaling field, that ``add_field``
+    names is planned and run as a corpus member is, but it is not in
+    ``specs``, so ``labels``, ``split_members`` and the reports never see it.
     ``threads`` is the pool's worker count, at least 1; None takes
     ``default_threads()``.
     """
@@ -249,6 +252,17 @@ class Workspace:
         for label in self.labels:
             (usable if self.field(label) is not None else skipped).append(label)
         return tuple(usable), tuple(skipped)
+
+    def add_field(self, f: Field) -> str:
+        """The label of ``f``, a field on the workspace grid, as a member of
+        the table: a digest of its samples, so that equal fields are one
+        member, and without the parentheses of a ``CorpusSpec.label()``."""
+        if f.grid != self.grid:
+            raise ValueError("field grid does not match workspace grid")
+        label = "field:" + hashlib.sha256(f.samples.tobytes()).hexdigest()[:16]
+        with self._lock:
+            self._fields.setdefault(label, f)
+        return label
 
     def stack(self, label: str, kind: str) -> Extension:
         """A new extension of the member on the default mesh of its box
@@ -350,35 +364,19 @@ class Workspace:
     def refined(self) -> "Workspace":
         """Same corpus on the 2N grid; same physical boxes (stride doubled)."""
         if self._refined is None:
-            grid2 = TorusGrid(
-                dims=self.grid.dims, size=2 * self.grid.size,
-                length=self.grid.length,
-            )
-            boxes2 = BoxFamily(
-                grid=grid2, stride=2 * self.boxes.stride,
-                j_values=self.boxes.j_values,
-            )
-            self._refined = Workspace(
-                self.specs, grid2, boxes2, threads=self.threads
-            )
+            grid2 = dataclasses.replace(self.grid, size=2 * self.grid.size)
+            boxes2 = dataclasses.replace(self.boxes, grid=grid2, stride=2 * self.boxes.stride)
+            self._refined = Workspace(self.specs, grid2, boxes2, threads=self.threads)
         return self._refined
-
-
-def _on_pool(calls: list[Callable[[], object]], threads: int) -> list:
-    """Run the calls on one pool of ``threads`` workers; their results in
-    call order."""
-    if not calls:
-        return []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(call) for call in calls]
-        return [future.result() for future in futures]
 
 
 def _run_tasks(tasks: list[tuple[Workspace, str, str, dict]], threads: int) -> None:
     """Run member tasks on one pool of ``threads`` workers; every task's
     values land in its workspace's table."""
-    _on_pool([functools.partial(ws._task, label, kind, todo)
-              for ws, label, kind, todo in tasks], threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for future in [pool.submit(ws._task, label, kind, todo)
+                       for ws, label, kind, todo in tasks]:
+            future.result()
 
 
 def _band_drift(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -476,12 +474,15 @@ def _row(name: str, level: float) -> Check:
 
 
 def prepare(ws: Workspace, rows: Iterable[tuple[str, float]],
-            betas: Sequence[float] = (), refine: bool = True) -> None:
+            betas: Sequence[float] = (), refine: bool = True,
+            scaling: Iterable[tuple[Field, str, float]] = ()) -> None:
     """Evaluate every value the reports of ``rows``, (check name, level)
-    pairs, and the inclusion chains at ``betas`` read, member by member, on
-    ``ws`` and, with ``refine``, on its refinement. Every row, op and box
-    height of both grids is checked before any work starts, and one pool
-    runs the member tasks of both grids."""
+    pairs, the inclusion chains at ``betas`` and the ``scaling`` rows,
+    (field, norm id, level) as ``check_scaling`` reads them at lam = 2,
+    read, member by member, on ``ws`` and, with ``refine``, on its
+    refinement; a scaling field is a member of ``ws`` alone. Every row, op
+    and box height of both grids is checked before any work starts, and
+    one pool runs the member tasks of both grids."""
     rows = list(rows) + [(c.theorem, b) for b in betas
                          for c in CHECKS if c.group == "inclusions"]
     pairs = [pair for name, level in rows for pair in _row(name, level).pair(level)]
@@ -489,6 +490,9 @@ def prepare(ws: Workspace, rows: Iterable[tuple[str, float]],
     plan = {label: pairs for label in usable}
     if usable:  # the weight-monotone test reads the first usable member
         plan[usable[0]] = pairs + [("weight_monotone", b) for b in betas]
+    for f, norm_id, alpha in scaling:
+        for label in _scaling_members(ws, f, norm_id):
+            plan.setdefault(label, []).append((norm_id, alpha))
     tasks = ws._tasks(plan)
     if refine:
         fine = ws.refined()
@@ -554,60 +558,54 @@ def lattice_rescale(f: Field, lam: int) -> Field:
 SCALING_NORMS = ("campanato", "frac_campanato", "scaled_h", "inverse", "h")
 
 
+def _scaling_members(ws: Workspace, f: Field, norm_id: str, lam: int = 2) -> tuple[str, str]:
+    """The members of ``ws`` whose ``norm_id`` values give the exponent of f:
+    the mean-free g = f - mean(f) and its rescale g(lam .). The
+    inverse-space norm is invariant under lam*g(lam .), so for it the
+    rescale carries the amplitude factor."""
+    if norm_id not in SCALING_NORMS:
+        raise ValueError(f"unknown scaling norm id {norm_id!r}")
+    g = f.remove_mean()
+    g_lam = lattice_rescale(g, lam)
+    if norm_id == "inverse":
+        g_lam = g_lam.scaled(float(lam))
+    return ws.add_field(g), ws.add_field(g_lam)
+
+
 def check_scaling(
-    f: Field, norm_id: str, alpha: float, boxes: BoxFamily, lam: int = 2,
+    ws: Workspace, f: Field, norm_id: str, alpha: float, lam: int = 2,
     enforce: bool = True,
 ) -> ScalingReport:
     """Measured exponent log_lam(norm(f_lam)/norm(f)) for the lattice
-    rescale f_lam = f(lam .), against the documented expectation.
+    rescale f_lam = f(lam .) of a field on the grid of ``ws``, against the
+    documented expectation. Both values are read from the table of ``ws``
+    (see ``_scaling_members``), where ``prepare`` evaluates them on its
+    pool; a miss is evaluated here.
 
-    The inverse-space norm is invariant under lam*f(lam .), so its rescale
-    carries the amplitude factor. The plain Carleson box norm is reported
-    against both candidate exponents without a pass threshold: the two
-    scaling conventions in circulation disagree (see README notes).
-    ``enforce=False`` records the measurement without a pass threshold,
-    for exponents no periodic band-limited field can exhibit.
+    The plain Carleson box norm is reported against both candidate
+    exponents without a pass threshold: the two scaling conventions in
+    circulation disagree (see README notes). ``enforce=False`` records the
+    measurement without a pass threshold, for exponents no periodic
+    band-limited field can exhibit.
     """
-    if norm_id not in SCALING_NORMS:
-        raise ValueError(f"unknown scaling norm id {norm_id!r}")
-    spec = NORMS[norm_id]
-    g = f.remove_mean()
-    g_lam = lattice_rescale(g, lam)
-
-    def value(h: Field) -> float:
-        return spec.value(spec.argument(h, boxes), alpha, boxes)
-
-    if norm_id == "inverse":
-        g_lam = g_lam.scaled(float(lam))
-
+    members = _scaling_members(ws, f, norm_id, lam)
     if lam == 1:
         measured = 0.0
     else:
-        measured = math.log(value(g_lam) / value(g)) / math.log(lam)
+        base, rescaled = (ws.norm(norm_id, label, alpha) for label in members)
+        measured = math.log(rescaled / base) / math.log(lam)
 
     if norm_id == "campanato":
         expected = (("trace-rescale", alpha),)
-        enforced = enforce
     elif norm_id == "h":
         expected = (("trace-exponent", alpha),
                     ("halfspace-exponent", 2 * (alpha - 1.0)))
-        enforced = False
     else:
         expected = (("invariant", 0.0),)
-        enforced = enforce
     return ScalingReport(
         norm_id=norm_id, lam=float(lam), alpha=alpha,
-        measured=measured, expected=expected, enforced=enforced,
+        measured=measured, expected=expected, enforced=enforce and norm_id != "h",
     )
-
-
-def check_scaling_rows(rows: Sequence[tuple[Field, str, float, bool]], boxes: BoxFamily,
-                       threads: int) -> list[ScalingReport]:
-    """``check_scaling`` of each (field, norm id, alpha, enforce) row, on one
-    pool of ``threads`` workers; the reports come back in row order."""
-    return _on_pool([functools.partial(check_scaling, f, norm_id, alpha, boxes,
-                                       enforce=enforce)
-                     for f, norm_id, alpha, enforce in rows], threads)
 
 
 # --- emitters ---

@@ -50,6 +50,7 @@ from toruslab.verify import (
     VerifyConfig,
     Workspace,
     check_scaling,
+    prepare,
     run_check,
 )
 
@@ -291,25 +292,25 @@ def test_criterion_03_scaling_laws():
     start = time.perf_counter()
     bad: list = []
     grid = TorusGrid(dims=1, size=256, length=1.0)
-    boxes = BoxFamily.default(grid)
+    ws = Workspace((), grid)
+    rows = [(_scaling_field(a, grid, seed=0), norm_id, a)
+            for a in ALPHAS for norm_id in SCALING_NORMS]
+    prepare(ws, [], scaling=rows, refine=False)
     enforced_rows = 0
     h_example = None
-    for a in ALPHAS:
-        f = _scaling_field(a, grid, seed=0)
-        for norm_id in SCALING_NORMS:
-            # the -1/2 endpoint exponent is unreachable for periodic
-            # band-limited fields, so that row is recorded, not scored
-            rep = check_scaling(f, norm_id, a, boxes, lam=2,
-                                enforce=a > -0.5)
-            if rep.enforced:
-                enforced_rows += 1
-            if not rep.passes():
-                bad.append(
-                    f"{norm_id} a={a}: measured {rep.measured:.3f}"
-                    f" expected {dict(rep.expected)}"
-                )
-            if norm_id == "h" and a == 0.25:
-                h_example = rep
+    for f, norm_id, a in rows:
+        # the -1/2 endpoint exponent is unreachable for periodic
+        # band-limited fields, so that row is recorded, not scored
+        rep = check_scaling(ws, f, norm_id, a, lam=2, enforce=a > -0.5)
+        if rep.enforced:
+            enforced_rows += 1
+        if not rep.passes():
+            bad.append(
+                f"{norm_id} a={a}: measured {rep.measured:.3f}"
+                f" expected {dict(rep.expected)}"
+            )
+        if norm_id == "h" and a == 0.25:
+            h_example = rep
     dual = ", ".join(f"{name} {want:+.2f}" for name, want in h_example.expected)
     _conclude(
         3, 60.0, start, bad,

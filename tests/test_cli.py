@@ -395,6 +395,16 @@ class TestVerifyCommand:
         )
         assert abs(invariant["measured_exponent"]) <= 0.05
 
+    def test_scaling_rows_pass_at_n128(self, tmp_path):
+        # a bump width fixed in cells (10.24/N, 0.08 here) would fail three
+        # alpha = -0.25 rows on this grid, which pass with the fixed width
+        out = tmp_path / "vscale128"
+        code = main([
+            "verify", "--theorem", "scaling", "--grid", "128", "--no-refine",
+            "--out", str(out),
+        ])
+        assert code == 0
+
     def test_corpus_manifest_flag(self, corpus_dir, tmp_path):
         out = tmp_path / "vman"
         code = main([

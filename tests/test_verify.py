@@ -25,6 +25,7 @@ import toruslab
 import toruslab.extensions as extensions_module
 import toruslab.norms as norms_module
 import toruslab.verify as verify_module
+from toruslab.cli import DEFAULT_ALPHAS, _scaling_field
 from toruslab.corpus import CorpusSpec, generate
 from toruslab.extensions import Extension, gradient_bound_ratio, row_chunks
 from toruslab.norms import NORMS, BoxFamily, campanato_norm, inverse_space_norm, q_norm
@@ -33,12 +34,12 @@ from toruslab.verify import (
     CHECKS,
     EquivalenceReport,
     MemberRatio,
+    SCALING_NORMS,
     ScalingReport,
     VerifyConfig,
     Workspace,
     check_inclusions,
     check_scaling,
-    check_scaling_rows,
     default_threads,
     lattice_rescale,
     prepare,
@@ -105,10 +106,10 @@ class TestLatticeRescale:
 @pytest.fixture(scope="module")
 def setup():
     grid = TorusGrid(dims=1, size=256, length=1.0)
-    boxes = BoxFamily.default(grid)
+    space = Workspace((), grid, threads=2)
     mode2 = generate(CorpusSpec.make("single_mode", seed=0, k=2), grid)
     bump = generate(CorpusSpec.make("bump", seed=0, width=0.04), grid)
-    return grid, boxes, mode2, bump
+    return space, mode2, bump
 
 
 class TestCheckScaling:
@@ -120,21 +121,21 @@ class TestCheckScaling:
                                          "scaled_h", "inverse"])
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.25, 0.5])
     def test_exponent_matrix(self, setup, norm_id: str, alpha: float) -> None:
-        _, boxes, mode2, bump = setup
+        space, mode2, bump = setup
         f = bump if alpha < 0 else mode2
-        report = check_scaling(f, norm_id, alpha, boxes)
+        report = check_scaling(space, f, norm_id, alpha)
         assert report.passes()
         want = alpha if norm_id == "campanato" else 0.0
         assert abs(report.measured - want) <= report.tolerance
 
     def test_lam_one_measures_zero(self, setup) -> None:
-        _, boxes, mode2, _ = setup
-        report = check_scaling(mode2, "campanato", 0.25, boxes, lam=1)
+        space, mode2, _ = setup
+        report = check_scaling(space, mode2, "campanato", 0.25, lam=1)
         assert report.measured == 0.0
 
     def test_h_norm_dual_reported_without_threshold(self, setup) -> None:
-        _, boxes, mode2, _ = setup
-        report = check_scaling(mode2, "h", 0.25, boxes)
+        space, mode2, _ = setup
+        report = check_scaling(space, mode2, "h", 0.25)
         assert not report.enforced
         assert report.passes()
         expected = dict(report.expected)
@@ -142,29 +143,63 @@ class TestCheckScaling:
                             "halfspace-exponent": 2 * (0.25 - 1.0)}
 
     def test_measured_exponent_amplitude_invariant(self, setup) -> None:
-        _, boxes, mode2, _ = setup
-        a = check_scaling(mode2, "campanato", 0.25, boxes).measured
-        b = check_scaling(mode2.scaled(7.0), "campanato", 0.25, boxes).measured
+        space, mode2, _ = setup
+        a = check_scaling(space, mode2, "campanato", 0.25).measured
+        b = check_scaling(space, mode2.scaled(7.0), "campanato", 0.25).measured
         assert abs(a - b) < 1e-12
 
     def test_unknown_norm_rejected(self, setup) -> None:
-        _, boxes, mode2, _ = setup
+        space, mode2, _ = setup
         with pytest.raises(ValueError):
-            check_scaling(mode2, "besov", 0.25, boxes)
+            check_scaling(space, mode2, "besov", 0.25)
 
-    def test_rows_on_the_pool_match_one_at_a_time(self, setup) -> None:
-        _, boxes, mode2, bump = setup
-        rows = [(f, norm_id, alpha, alpha > -0.5)
-                for f, alpha in ((bump, -0.5), (mode2, 0.25))
-                for norm_id in ("h", "scaled_h", "inverse")]
-        got = check_scaling_rows(rows, boxes, threads=3)
-        want = [check_scaling(f, norm_id, alpha, boxes, enforce=enforce)
-                for f, norm_id, alpha, enforce in rows]
+    def test_field_off_the_workspace_grid_rejected(self, setup) -> None:
+        space, _, _ = setup
+        other = generate(CorpusSpec.make("single_mode", seed=0, k=2),
+                         TorusGrid(dims=1, size=128, length=1.0))
+        with pytest.raises(ValueError, match="grid"):
+            check_scaling(space, other, "campanato", 0.25)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_planned_rows_match_one_norm_at_a_time(self, seed: int) -> None:
+        # the 25 default rows of `verify --theorem scaling`, planned as
+        # members of one workspace, against each value computed on its own
+        # argument, as the rows were before they joined the plan
+        grid = TorusGrid(dims=1, size=256, length=1.0)
+        space = Workspace((), grid, threads=2)
+        rows = [(_scaling_field(a, grid, seed), norm_id, a)
+                for a in DEFAULT_ALPHAS for norm_id in SCALING_NORMS]
+        prepare(space, [], scaling=rows, refine=False)
+        # bump, mode and their rescales; the inverse rescales add two more
+        assert len(space._fields) == 6
+        planned = dict(space._values)
+        got = [check_scaling(space, f, norm_id, a).measured for f, norm_id, a in rows]
+        assert space._values == planned  # every read was a table hit
+
+        def value(h, norm_id, a):
+            norm = NORMS[norm_id]
+            return norm.value(norm.argument(h, space.boxes), a, space.boxes)
+
+        want = []
+        for f, norm_id, a in rows:
+            g = f.remove_mean()
+            g_lam = lattice_rescale(g, 2)
+            if norm_id == "inverse":
+                g_lam = g_lam.scaled(2.0)
+            want.append(math.log(value(g_lam, norm_id, a) / value(g, norm_id, a)) / math.log(2))
         assert got == want
 
+    def test_scaling_members_stay_out_of_the_corpus(self, grid: TorusGrid) -> None:
+        space = Workspace(small_specs(), grid, threads=1)
+        mode2 = generate(CorpusSpec.make("single_mode", seed=0, k=2), grid)
+        check_scaling(space, mode2, "scaled_h", 0.25)
+        assert space.labels == tuple(spec.label() for spec in small_specs())
+        assert space.split_members() == (space.labels, ())
+        assert len(set(space._fields) - set(space.labels)) == 2
+
     def test_payload_fields(self, setup) -> None:
-        _, boxes, mode2, _ = setup
-        payload = check_scaling(mode2, "scaled_h", 0.5, boxes).to_payload()
+        space, mode2, _ = setup
+        payload = check_scaling(space, mode2, "scaled_h", 0.5).to_payload()
         assert payload["norm"] == "scaled_h"
         assert payload["lambda"] == 2.0
         assert payload["expected"] == {"invariant": 0.0}
@@ -546,7 +581,8 @@ class TestPlan:
 # A full `verify --theorem all` in a fresh interpreter that counts the
 # gradient-square streams by the extension whose pass draws them: a
 # workspace's base extension of a (grid, member, kind), per lift, or a
-# single-norm extension (``Norm.argument``, the scaling rows). A pass
+# single-norm extension (``Norm.argument``, which a verify run no longer
+# makes: its scaling fields are workspace members too). A pass
 # streams once per walk's lift and, for node peaks not kept yet, once at
 # lift 0; ``draws`` counts the calls of ``gradient_square_rows``, so a t = 0
 # row drawn apart would show there. It also
@@ -624,21 +660,24 @@ class TestFullRun:
     def test_stack_builds_within_620(self, full_run) -> None:
         # each (grid, member, kind) of the run has one base extension, which
         # streams its own trace exactly once, over the union of its meshes:
-        # 20 members x 2 kinds x 2 grids
+        # 20 members x 2 kinds x 2 grids, and the Poisson extensions of the
+        # scaling members that h and scaled_h read: the bump, which serves
+        # both alpha < 0, the mode, which serves the three alpha >= 0, and
+        # the rescale of each
         assert full_run["code"] == 0
-        assert len(full_run["made"]) == 80
+        assert len(full_run["made"]) == 80 + 4
         assert set(full_run["made"].values()) == {1}
         assert full_run["base"] == full_run["made"]
         # every (grid, member, kind, lift) is streamed once. Besides the base
         # streams, per member and grid: star at 4 levels and the
         # dagger_linear and dagger_parabolic pair at 4 (alpha = 0 is in the
-        # base stream); the scaling rows' h and scaled_h at 5 levels, on the
-        # field and its rescale, one stream each. No t = 0 row is drawn
-        # apart: 420 draws, where one stream per (lift, mesh) drew 620
+        # base stream). No single-norm extension is made, and no t = 0 row
+        # is drawn apart: 404 draws, where one stream per (lift, mesh) drew
+        # 620 and one argument per scaling row and field 420
         assert set(full_run["streams"].values()) == {1}
-        assert len(full_run["streams"]) == 80 + (4 + 4) * 20 * 2
-        assert full_run["other"] == {"single": 2 * 5 * 2}
-        assert full_run["draws"] == 80 + 320 + 20
+        assert len(full_run["streams"]) == 80 + (4 + 4) * 20 * 2 + 4
+        assert full_run["other"] == {}
+        assert full_run["draws"] == 80 + 320 + 4
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="VmHWM is read from /proc")
@@ -809,7 +848,7 @@ def reports(ws: Workspace):
     return [
         run_check(ws, "2.1", 0.25, refine=False),
         check_inclusions(ws, 0.5, refine=False),
-        check_scaling(mode, "scaled_h", 0.25, ws.boxes),
+        check_scaling(ws, mode, "scaled_h", 0.25),
     ]
 
 
