@@ -32,8 +32,12 @@ of the weighted gradient square per node (Carleson norms, one block per
 ``row_chunks`` chunk), the floor term and one heat term per panel
 (``inverse_space_norm``, one block per chunk) or the trapezoid segments of a
 series (``x_space_norm``, one block per segment, which adds the segment
-clipped at r^2 after them). Each block is prefix-summed in place, only sums
-at box heights are kept and nothing past the tallest box is drawn.
+clipped at r^2 after them). Each block is summed with one ``np.add.reduce``
+per run of rows up to the next box height, left to right from the carry of
+the blocks before; only sums at box heights are kept and nothing past the
+tallest box is drawn. Every family's ball sums, scales and sup are whole
+(radius, *centers) stacks: ``_sup_over_family`` takes one max and one
+first-True argmax per radius row.
 
 Every Carleson norm, the seven box norms alike, reads its extension's walk
 of key (lift, weight, gradient, height, family), which does not depend on
@@ -217,32 +221,32 @@ def _ball_correlate(arr: np.ndarray, grid: TorusGrid, js: Sequence[int]) -> np.n
     return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
 
 
-def _sup_over_family(
-    boxes: BoxFamily,
-    views: list[tuple[float, np.ndarray]],
-    mean_removed: float,
-) -> NormResult:
-    """Max of sqrt(value^2) over radii and the strided centers, given one
-    (radius, values^2 on ``boxes.center_view``) pair per radius.
+def _radius_column(radii: Sequence[float], exponent: float, dims: int) -> np.ndarray:
+    """r ** exponent per radius, with Python's power as on scalars, shaped to
+    scale a (radius, *center view) stack."""
+    return np.array([r ** exponent for r in radii]).reshape((-1,) + (1,) * dims)
+
+
+def _sup_over_family(boxes: BoxFamily, radii: Sequence[float], values: np.ndarray,
+                     mean_removed: float) -> NormResult:
+    """Max of sqrt(value^2) over radii and the strided centers, given the
+    (radius, *center view) stack of values^2, one row per radius.
 
     The box reported is the first center in lattice order, then the first
     radius, among those whose value lies within 1e-12 relative of the max,
     so symmetric centers that tie up to roundoff are not told apart by it.
     """
-    peaks = [float(view.max()) for _, view in views]
-    table = tuple((radius, math.sqrt(max(peak, 0.0))) for (radius, _), peak in zip(views, peaks))
-    if not views:
-        return NormResult(value=0.0, arg_center=None, arg_radius=None,
-                          mean_removed=mean_removed)
+    peaks = values.max(axis=tuple(range(1, values.ndim))).tolist()
+    table = tuple((radius, math.sqrt(max(peak, 0.0))) for radius, peak in zip(radii, peaks))
     best_sq = max(peaks)
     near = max(best_sq, 0.0) * (1.0 - 1e-12) ** 2
-    # argmax of a boolean view is its first True in lattice order
-    flat, i = min((int(np.argmax(view >= near)), i)
-                  for i, (_, view) in enumerate(views) if peaks[i] >= near)
+    # argmax of a boolean row is its first True in lattice order
+    flats = (values >= near).reshape(len(radii), -1).argmax(axis=1).tolist()
+    flat, i = min((flats[i], i) for i, peak in enumerate(peaks) if peak >= near)
     return NormResult(
         value=math.sqrt(max(best_sq, 0.0)),
-        arg_center=boxes.center_index(flat, views[i][1].shape),
-        arg_radius=views[i][0],
+        arg_center=boxes.center_index(flat, values.shape[1:]),
+        arg_radius=radii[i],
         mean_removed=mean_removed,
         per_box_table=table,
     )
@@ -251,28 +255,31 @@ def _sup_over_family(
 def _box_sup(boxes: BoxFamily, eligible: Sequence[tuple[int, float]],
              integrals: Sequence[np.ndarray], scale_exp: float, mean: float) -> NormResult:
     """Sup over centers and eligible (j, r) of r^-scale_exp * cellvol times the
-    ball sum of integrals[i], the time integral of the box eligible[i]."""
-    js = [j for j, _ in eligible]
+    ball sum of integrals[i], the time integral of the box eligible[i]; 0.0
+    with no box when none is eligible."""
+    if not eligible:
+        return NormResult(value=0.0, arg_center=None, arg_radius=None, mean_removed=mean)
+    js, radii = zip(*eligible)
     # only the strided centers are read: clip and scale those alone
-    balls = boxes.center_view(_ball_correlate(np.stack(integrals), boxes.grid, js)) if js else ()
-    cellvol = boxes.grid.cell_volume
-    per_radius = [(radius, np.maximum(ball, 0.0) * cellvol * radius ** (-scale_exp))
-                  for (_, radius), ball in zip(eligible, balls)]
-    return _sup_over_family(boxes, per_radius, mean)
+    balls = boxes.center_view(_ball_correlate(np.stack(integrals), boxes.grid, js))
+    return _sup_over_family(boxes, radii, np.maximum(balls, 0.0) * boxes.grid.cell_volume
+                            * _radius_column(radii, -scale_exp, boxes.grid.dims), mean)
 
 
 class _RunningSums:
     """The left-to-right sum of the first c terms for each c in counts, 0.0
     for c = 0: the time integral of every box in one walk.
 
-    ``add`` takes a (k, *shape) block of the next k terms along the leading
-    axis, which the walk owns and overwrites: each row in turn gets the
-    running sum added in place, starting from the carry of the blocks
-    before. Copies of the rows at the wanted counts are kept, and ``sums()``
-    reads them once ``stop`` = max(counts) terms are in. (``np.cumsum``
-    along the leading axis gives the same bits, but it runs a strided loop
-    per column, several times slower than one vector add per row on wide
-    rows.)"""
+    ``add`` takes a (k, *shape) block of the next k >= 1 terms along the
+    leading axis, which the walk owns and overwrites. The block is cut into
+    runs that end at the wanted counts inside it and at its end; each run's
+    first row gets the carry of the terms before added in place, and the
+    run is summed with one ``np.add.reduce`` along the leading axis, whose
+    result, a new array, is carried on and kept at a wanted count. numpy
+    reduces the leading axis of a C-ordered block row by row, left to
+    right, when a row has more than one element, as every grid-shaped term
+    here does (one-element rows would be summed pairwise). ``sums()`` reads
+    the kept sums once ``stop`` = max(counts) terms are in."""
 
     def __init__(self, counts: Sequence[int]) -> None:
         self.counts = list(counts)
@@ -280,14 +287,14 @@ class _RunningSums:
         self.pushed, self._kept, self._carry = 0, {0: 0.0}, 0.0
 
     def add(self, block: np.ndarray) -> None:
-        start = self.pushed
+        start, lo = self.pushed, 0
         self.pushed += len(block)
-        carry = self._carry
-        for row in block:
-            carry = np.add(carry, row, out=row)
-        self._kept.update((c, block[c - start - 1].copy())
-                          for c in set(self.counts) if start < c <= self.pushed)
-        self._carry = carry.copy()  # not a view: the block goes when push returns
+        for end in sorted({c for c in self.counts if start < c < self.pushed} | {self.pushed}):
+            np.add(self._carry, block[lo], out=block[lo])
+            self._carry = np.add.reduce(block[lo : end - start], axis=0)
+            if end in self.counts:
+                self._kept[end] = self._carry
+            lo = end - start
 
     def sums(self) -> list:
         return [self._kept[c] for c in self.counts]
@@ -382,21 +389,17 @@ def _campanato_levels(f: Field, alphas: Sequence[float], boxes: BoxFamily,
     # only the strided centers are read
     s1_all = boxes.center_view(_ball_correlate(g, grid, boxes.j_values))
     s2_all = boxes.center_view(_ball_correlate(g * g, grid, boxes.j_values))
-    counts = [_ball_count(grid, j) for j in boxes.j_values]
+    counts = np.array([_ball_count(grid, j) for j in boxes.j_values], dtype=float).reshape(
+        (-1,) + (1,) * grid.dims)
     if pair:
-        parts = [np.maximum(2.0 * (count * s2 - s1 * s1), 0.0) * cellvol**2
-                 for count, s1, s2 in zip(counts, s1_all, s2_all)]
+        parts = np.maximum(2.0 * (counts * s2_all - s1_all * s1_all), 0.0) * cellvol**2
     else:
-        parts = [np.maximum(s2 - s1 * s1 / count, 0.0) * cellvol
-                 for count, s1, s2 in zip(counts, s1_all, s2_all)]
+        parts = np.maximum(s2_all - s1_all * s1_all / counts, 0.0) * cellvol
     del s1_all, s2_all
-    results = []
-    for alpha in alphas:
-        scale = -2 * (alpha + grid.dims) if pair else -(grid.dims + 2 * alpha)
-        results.append(_sup_over_family(
-            boxes, [(radius, radius ** scale * part) for radius, part in zip(boxes.radii, parts)],
-            mean))
-    return results
+    exponents = [-2 * (alpha + grid.dims) if pair else -(grid.dims + 2 * alpha) for alpha in alphas]
+    return [_sup_over_family(boxes, boxes.radii,
+                             parts * _radius_column(boxes.radii, e, grid.dims), mean)
+            for e in exponents]
 
 
 def q_norm(f: Field | Trace, beta: float, boxes: BoxFamily) -> NormResult:
@@ -453,14 +456,9 @@ def _q_levels(f: Field, betas: Sequence[float], boxes: BoxFamily) -> list[NormRe
             for level, ((w_hat, _), rho) in enumerate(zip(kernels, rhos)):
                 totals[level, i, rows] = u_sq @ rho - power @ w_hat
             del u, u_sq, power
-    results = []
-    for beta, total in zip(betas, totals):
-        per_radius = []
-        for radius, sums in zip(boxes.radii, total):
-            per_radius.append((radius, np.maximum(2.0 * sums, 0.0).reshape(view_shape)
-                               * cellvol**2 * radius ** (2 * beta - grid.dims)))
-        results.append(_sup_over_family(boxes, per_radius, mean))
-    return results
+    parts = np.maximum(2.0 * totals, 0.0).reshape(totals.shape[:2] + view_shape) * cellvol**2
+    return [_sup_over_family(boxes, boxes.radii, part * _radius_column(
+        boxes.radii, 2 * beta - grid.dims, grid.dims), mean) for beta, part in zip(betas, parts)]
 
 
 def frac_campanato_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
@@ -681,9 +679,6 @@ def _inverse_levels(f: Field, alphas: Sequence[float], horizon: float, boxes: Bo
     eligible = [
         (j, r) for j, r in zip(boxes.j_values, boxes.radii) if r * r < horizon
     ]
-    if not eligible:
-        return [NormResult(value=0.0, arg_center=None, arg_radius=None, mean_removed=mean)
-                for _ in alphas]
     per = mesh.nodes_per_panel
     # the floor term, then one term per panel: a box whose height is the
     # mesh floor takes the floor term alone
@@ -695,12 +690,11 @@ def _inverse_levels(f: Field, alphas: Sequence[float], horizon: float, boxes: Bo
         walk.add((g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha))[np.newaxis])
     if walks[0].pushed < walks[0].stop:
         for chunk, u in heat_rows(t, per):
-            u_sq = np.multiply(u, u, out=u)  # the chunk is ours to overwrite
+            # the chunk is ours to overwrite; one row of panels per panel
+            u_sq = np.multiply(u, u, out=u).reshape((-1, per) + grid.shape)
             for walk, node_factor in zip(walks, node_factors):
-                w = node_factor[chunk]
-                # one einsum per panel, in node order, as the quadrature sums it
-                walk.add(np.stack([np.einsum("m...,m->...", u_sq[i : i + per], w[i : i + per])
-                                   for i in range(0, w.size, per)]))
+                # each panel's sum in node order, as the quadrature sums it
+                walk.add(np.einsum("pm...,pm->p...", u_sq, node_factor[chunk].reshape(-1, per)))
             del u, u_sq  # free the chunk before the next one is drawn, or the box sups run
             if walks[0].pushed >= walks[0].stop:
                 break

@@ -40,11 +40,15 @@ matmul on the interleaved view of the complex values.
 
 The matmuls are fed by slab, one gemm per index of the leading axes, so
 each gemm is a few hundred thousand multiply-adds through 64^3. OpenBLAS
-runs a gemm on one thread below about 10^6 of them; above it, it wakes
-helper threads whose spinning can double the CPU time. One slab stays
-below it through 64^3 (at 128^3 it does not). The slabs do not depend on
-the leading shape either, so a stack of blocks transforms to the same bits
-as each block alone.
+runs a gemm on one thread below a threshold of its CPU kernel; above it,
+it wakes helper threads whose spinning can double the CPU time. Where the
+threshold is about 10^6, one slab stays below it through 64^3 (at 128^3
+it does not). The Haswell kernel, which DYNAMIC_ARCH picks on AVX2 CPUs,
+threads from 2^19 = 524,288, below the 64^3 inverse y-pass slab of
+64 x 86 x 128 = 704,512: there one 64^3 evaluation takes about twice the
+CPU time of its wall time. The slabs do not depend on the leading shape
+either, so a stack of blocks transforms to the same bits as each block
+alone.
 
 VelocityField stays on the grid. The solvers take its coefficients
 through one crop, which refuses data with a relative L2 above

@@ -486,7 +486,8 @@ def prepare(ws: Workspace, rows: Iterable[tuple[str, float]],
     rows = list(rows) + [(c.theorem, b) for b in betas
                          for c in CHECKS if c.group == "inclusions"]
     pairs = [pair for name, level in rows for pair in _row(name, level).pair(level)]
-    usable, _ = ws.split_members()
+    # scaling rows alone read no corpus member: none is generated for them
+    usable = ws.split_members()[0] if rows else ()
     plan = {label: pairs for label in usable}
     if usable:  # the weight-monotone test reads the first usable member
         plan[usable[0]] = pairs + [("weight_monotone", b) for b in betas]
@@ -494,7 +495,7 @@ def prepare(ws: Workspace, rows: Iterable[tuple[str, float]],
         for label in _scaling_members(ws, f, norm_id):
             plan.setdefault(label, []).append((norm_id, alpha))
     tasks = ws._tasks(plan)
-    if refine:
+    if refine and rows:
         fine = ws.refined()
         # the larger grid's tasks first, so the pool's tail is a short task
         tasks = fine._tasks({label: pairs for label in fine.split_members()[0]}) + tasks

@@ -52,6 +52,7 @@ from toruslab.norms import (
     _ball_correlate,
     _ball_mask,
     _ball_spectra,
+    _RunningSums,
     _running_sums,
     _sup_over_family,
 )
@@ -314,6 +315,23 @@ class TestSupTies:
             got = q_norm(Field(grid, samples), 0.25, boxes)
             assert (got.arg_center, got.arg_radius) == want
             assert got.value == pytest.approx(math.sqrt(best), rel=1e-12)
+
+    def test_exact_tie_in_a_crafted_stack(self):
+        # the max 4.0 at two radii of center (5, 30) and at one radius each
+        # of the later centers (5, 31) and (6, 2); an earlier center and
+        # radius sit just outside the 1e-12 tie window
+        grid = TorusGrid(dims=2, size=64)
+        boxes = BoxFamily.default(grid)
+        values = np.zeros((len(boxes.radii),) + boxes.center_view(np.zeros(grid.shape)).shape)
+        for radius_i, center in [(2, (5, 30)), (1, (5, 30)), (0, (6, 2)), (3, (5, 31))]:
+            values[(radius_i,) + center] = 4.0
+        values[0, 0, 5] = 4.0 * (1 - 1e-9)
+        got = _sup_over_family(boxes, boxes.radii, values, 0.5)
+        assert got.value == 2.0 and got.mean_removed == 0.5
+        assert got.arg_center == (5 * boxes.stride, 30 * boxes.stride)
+        assert got.arg_radius == boxes.radii[1]
+        assert got.per_box_table == tuple(
+            (radius, math.sqrt(float(row.max()))) for radius, row in zip(boxes.radii, values))
 
 
 # --- structural properties of the trace norms ---
@@ -849,7 +867,8 @@ def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
         ball = ball_correlate(snapshots[j], grid, j, full)
         vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-(2 * alpha + grid.dims))
         per_radius.append((radius, boxes.center_view(vals_sq)))
-    return _sup_over_family(boxes, per_radius, f.mean())
+    return _sup_over_family(boxes, [r for r, _ in per_radius],
+                            np.stack([v for _, v in per_radius]), f.mean())
 
 
 def radius_loop_carleson(ext, boxes: BoxFamily, weight_exp: float, scale_exp: float,
@@ -868,7 +887,8 @@ def radius_loop_carleson(ext, boxes: BoxFamily, weight_exp: float, scale_exp: fl
         ball = ball_correlate(floor_term + (prefix[cut - 1] if cut > 0 else 0.0), grid, j)
         vals_sq = np.maximum(ball, 0.0) * grid.cell_volume * radius ** (-scale_exp)
         per_radius.append((radius, boxes.center_view(vals_sq)))
-    return _sup_over_family(boxes, per_radius, 0.0)
+    return _sup_over_family(boxes, [r for r, _ in per_radius],
+                            np.stack([v for _, v in per_radius]), 0.0)
 
 
 def dagger_lift(ext, alpha: float, parabolic: bool):
@@ -1208,6 +1228,31 @@ class TestRunningSums:
                     assert total == 0.0
             starts = np.cumsum([0] + sizes[:-1]).tolist()
             assert drawn == [start for start in starts if start < max(counts)]
+
+    def test_runs_sum_left_to_right_not_pairwise(self):
+        # columns of 1e16, 1, -1e16, 1, ... (each column shifted by a row):
+        # a pairwise sum of 16 such terms differs from the left-to-right one
+        pattern = np.array([1e16, 1.0, -1e16, 1.0])
+        rows = np.stack([np.roll(pattern, -k)[np.arange(48) % 4] for k in range(3)], axis=1)
+        loop, acc = {0: 0.0}, 0.0
+        for c, row in enumerate(rows, 1):
+            acc = acc + row
+            loop[c] = acc
+
+        def pairwise(terms):
+            half = len(terms) // 2
+            return terms[0] if half == 0 else pairwise(terms[:half]) + pairwise(terms[half:])
+
+        assert [pairwise(rows[:16, k].tolist()) for k in range(3)] != loop[16].tolist()
+        # wanted counts inside blocks and on their ends, across three blocks
+        counts = [5, 16, 21, 32, 0, 43, 48, 16]
+        walk = _RunningSums(counts)
+        for start in (0, 16, 32):
+            block = rows[start : start + 16].copy()
+            walk.add(block)
+            block[...] = np.nan  # the walk kept no view of it
+        for c, total in zip(counts, walk.sums()):
+            assert np.array_equal(total, loop[c])
 
     def test_kept_sums_are_copies(self):
         rows = np.random.default_rng(1).standard_normal((10, 8))

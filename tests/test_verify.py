@@ -26,7 +26,7 @@ import toruslab.extensions as extensions_module
 import toruslab.norms as norms_module
 import toruslab.verify as verify_module
 from toruslab.cli import DEFAULT_ALPHAS, _scaling_field
-from toruslab.corpus import CorpusSpec, generate
+from toruslab.corpus import CorpusSpec, default_corpus_specs, generate
 from toruslab.extensions import Extension, gradient_bound_ratio, row_chunks
 from toruslab.norms import NORMS, BoxFamily, campanato_norm, inverse_space_norm, q_norm
 from toruslab.spectral import TorusGrid
@@ -188,6 +188,21 @@ class TestCheckScaling:
                 g_lam = g_lam.scaled(2.0)
             want.append(math.log(value(g_lam, norm_id, a) / value(g, norm_id, a)) / math.log(2))
         assert got == want
+
+    def test_scaling_rows_alone_generate_no_corpus_member(self) -> None:
+        # `verify --theorem scaling` at 1-D N=128: its rows read only the
+        # scaling fields, so no corpus member is generated on either grid
+        grid = TorusGrid(dims=1, size=128, length=1.0)
+        space = Workspace(default_corpus_specs(0), grid, threads=1)
+        rows = [(_scaling_field(a, grid, 0), norm_id, a)
+                for a in DEFAULT_ALPHAS for norm_id in SCALING_NORMS]
+        prepare(space, [], scaling=rows)
+        assert space._fields and not set(space._fields) & set(space.labels)
+        assert space._refined is None
+        planned = dict(space._values)
+        for row in rows:
+            check_scaling(space, *row)
+        assert space._values == planned  # every read was a table hit
 
     def test_scaling_members_stay_out_of_the_corpus(self, grid: TorusGrid) -> None:
         space = Workspace(small_specs(), grid, threads=1)
