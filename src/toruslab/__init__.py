@@ -7,11 +7,8 @@ from toruslab.spectral import (
     TorusGrid,
     forward_transform,
     frac_laplacian_power,
-    heat_semigroup,
     inverse_transform,
     leray_project,
-    poisson_semigroup,
-    riesz_transform,
 )
 
 __version__ = "0.1.0"
@@ -22,10 +19,7 @@ __all__ = [
     "TorusGrid",
     "forward_transform",
     "frac_laplacian_power",
-    "heat_semigroup",
     "inverse_transform",
     "leray_project",
-    "poisson_semigroup",
-    "riesz_transform",
     "__version__",
 ]

@@ -169,10 +169,6 @@ def _add_common(parser: argparse.ArgumentParser, grid: int | None, dims: int) ->
                         metavar="JMIN:JMAX:STRIDE",
                         help="box family: radius exponents and center stride")
     parser.add_argument("--seed", type=int, default=0, metavar="U64")
-    parser.add_argument("--threads", type=int, default=None, metavar="K",
-                        help="worker threads for verify's norm evaluations "
-                             "(default: one per core, at most 4); no effect "
-                             "on the other commands, ns among them")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,6 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift-max", type=_finite_float, default=0.25)
     p.add_argument("--no-refine", action="store_true",
                    help="skip the doubled-grid drift measurement")
+    p.add_argument("--threads", type=int, default=None, metavar="K",
+                   help="worker threads for the norm evaluations "
+                        "(default: one per core, at most 4)")
     p.add_argument("--out", default="toruslab-reports", metavar="DIR")
 
     p = sub.add_parser("ns", help="3D solver probes and trace export")

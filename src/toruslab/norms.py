@@ -109,18 +109,11 @@ class BoxFamily:
             raise ValueError("stride too coarse: grid points escape every box")
 
     @classmethod
-    def default(
-        cls,
-        grid: TorusGrid,
-        stride: int | None = None,
-        j_min: int = 1,
-        j_max: int | None = None,
-    ) -> "BoxFamily":
-        if stride is None:
-            stride = max(1, grid.size // 32)
-        if j_max is None:
-            j_max = int(math.log2(grid.size)) - 1
-        return cls(grid=grid, stride=stride, j_values=tuple(range(j_min, j_max + 1)))
+    def default(cls, grid: TorusGrid) -> "BoxFamily":
+        """Centers every N/32 points (every point for N < 64) and every
+        dyadic radius, L/2 down to L*2^-(log2 N - 1)."""
+        return cls(grid=grid, stride=max(1, grid.size // 32),
+                   j_values=tuple(range(1, int(math.log2(grid.size)))))
 
     @property
     def radii(self) -> tuple[float, ...]:
@@ -317,9 +310,9 @@ HeatRows = Callable[[np.ndarray, int], Iterable[tuple[slice, np.ndarray]]]
 
 class Trace:
     """A field as the trace norms read it, and what its ``trace_pass`` keeps:
-    ``results``, the NormResult per (op, level, box family, horizon, mesh)
-    of each registry norm with a ``sweep``. A verify member task makes one
-    and drops it when it ends, as it does an ``Extension``.
+    ``results``, the NormResult per (op, level, box family, horizon) of each
+    registry norm with a ``sweep``. A verify member task makes one and
+    drops it when it ends, as it does an ``Extension``.
 
     ``heat_rows(times, unit)`` yields (rows, e^{t Lap} of the mean-free
     field at t = times[rows]) in chunks of whole groups of ``unit`` rows,
@@ -341,28 +334,28 @@ def _heat_extension_rows(f: Field, times: np.ndarray,
 
 
 def trace_pass(trace: Trace, pairs: Iterable[tuple[str, float]], boxes: BoxFamily,
-               horizon: float = math.inf, mesh: TimeMesh | None = None) -> None:
+               horizon: float = math.inf) -> None:
     """Keep on the trace the result of each (op, level) in ``pairs``, ops of
     the registry with a ``sweep``: one sweep per op over all of its levels,
     so that what no level changes is computed once. What it keeps already is
     not swept again."""
     levels: dict[str, dict[float, None]] = {}
     for op, alpha in pairs:
-        if (op, alpha, boxes, horizon, mesh) not in trace.results:
+        if (op, alpha, boxes, horizon) not in trace.results:
             levels.setdefault(op, {})[alpha] = None
     for op, alphas in levels.items():
-        results = NORMS[op].sweep(trace, list(alphas), boxes, horizon, mesh)
-        trace.results.update(((op, alpha, boxes, horizon, mesh), result)
+        results = NORMS[op].sweep(trace, list(alphas), boxes, horizon)
+        trace.results.update(((op, alpha, boxes, horizon), result)
                              for alpha, result in zip(alphas, results))
 
 
 def _swept(x: Field | Trace, op: str, alpha: float, boxes: BoxFamily,
-           horizon: float = math.inf, mesh: TimeMesh | None = None) -> NormResult:
+           horizon: float = math.inf) -> NormResult:
     """Registry norm ``op`` at level alpha, read off the trace pass of x: a
     ``Trace`` whose pass kept it, or else a pass of this level alone."""
     trace = x if isinstance(x, Trace) else Trace(x)
-    trace_pass(trace, [(op, alpha)], boxes, horizon, mesh)
-    return trace.results[(op, alpha, boxes, horizon, mesh)]
+    trace_pass(trace, [(op, alpha)], boxes, horizon)
+    return trace.results[(op, alpha, boxes, horizon)]
 
 
 def campanato_norm(f: Field | Trace, alpha: float, boxes: BoxFamily) -> NormResult:
@@ -626,16 +619,13 @@ def bloch_cb_norm(ext: Extension) -> float:
     return float(np.max(np.sqrt(ext.mesh.nodes) * ext.peaks[False]))
 
 
-def besov_norm(f: Field, t_grid: np.ndarray | None = None) -> float:
-    """sup over x, t of sqrt(t) |e^{t Lap} f(x)| on a log-uniform t grid."""
-    grid = f.grid
-    g = f.remove_mean()
-    if t_grid is None:
-        scale = grid.length**2
-        t_grid = np.geomspace(1e-9 * scale, scale, 700)
-    t_grid = np.asarray(t_grid, dtype=float)
+def besov_norm(f: Field) -> float:
+    """sup over x, t of sqrt(t) |e^{t Lap} f(x)| on 700 log-uniform times
+    from 1e-9 L^2 to L^2."""
+    scale = f.grid.length**2
+    t_grid = np.geomspace(1e-9 * scale, scale, 700)
     best = 0.0
-    for sl, u in extension_rows(forward_transform(g), "heat", t_grid):
+    for sl, u in extension_rows(forward_transform(f.remove_mean()), "heat", t_grid):
         # the chunk is ours: take |u| in place, and free it before the next is drawn
         peaks = np.sqrt(t_grid[sl]) * np.abs(u, out=u).reshape(u.shape[0], -1).max(axis=1)
         best = max(best, float(np.max(peaks)))
@@ -645,24 +635,21 @@ def besov_norm(f: Field, t_grid: np.ndarray | None = None) -> float:
 
 # --- inverse-space and X norms ---
 
-def inverse_space_norm(
-    f: Field | Trace,
-    alpha: float,
-    horizon: float,
-    boxes: BoxFamily,
-    mesh: TimeMesh | None = None,
-) -> NormResult:
+def inverse_space_norm(f: Field | Trace, alpha: float, horizon: float,
+                       boxes: BoxFamily) -> NormResult:
     """value^2 = max over boxes with r^2 < horizon of
-    r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt."""
-    return _swept(f, "inverse", alpha, boxes, horizon, mesh)
+    r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt, the time
+    integral on the default heat mesh."""
+    return _swept(f, "inverse", alpha, boxes, horizon)
 
 
 def _inverse_levels(f: Field, alphas: Sequence[float], horizon: float, boxes: BoxFamily,
-                    mesh: TimeMesh | None, heat_rows: HeatRows) -> list[NormResult]:
+                    heat_rows: HeatRows) -> list[NormResult]:
     """``inverse_space_norm`` at each level from one stream of the heat
-    extension, in panel-aligned chunks of the trace's ``heat_rows``: each
-    chunk's u^2 is formed once and pushed into one ``_RunningSums`` per
-    level, one block with one term per panel, after the level's floor term.
+    extension on its default mesh, in panel-aligned chunks of the trace's
+    ``heat_rows``: each chunk's u^2 is formed once and pushed into one
+    ``_RunningSums`` per level, one block with one term per panel, after
+    the level's floor term.
     Only the sums at the radius cuts are kept, and no chunk past the
     largest eligible cut is drawn.
     """
@@ -671,8 +658,7 @@ def _inverse_levels(f: Field, alphas: Sequence[float], horizon: float, boxes: Bo
     grid = _require_grid(f, boxes)
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if mesh is None:
-        mesh = default_mesh(grid, "heat")
+    mesh = default_mesh(grid, "heat")
     mean = f.mean()
     g = f.remove_mean()
 
@@ -858,9 +844,9 @@ class Norm:
     gradient, parabolic height) of the box time integrals a box norm reads
     off its extension at level alpha, None for any other norm, and
     ``peak``, the gradient whose node peaks it reads, state its reads once,
-    for a plan's ``gradient_pass``. ``sweep(trace, levels, boxes, horizon,
-    mesh)``, for a trace norm with work no level changes, gives its results
-    at every level from one pass over the ``Trace``'s field, for a plan's
+    for a plan's ``gradient_pass``. ``sweep(trace, levels, boxes, horizon)``,
+    for a trace norm with work no level changes, gives its results at every
+    level from one pass over the ``Trace``'s field, for a plan's
     ``trace_pass``.
     """
 
@@ -897,8 +883,8 @@ NORMS: dict[str, Norm] = {
     "frac_campanato": Norm("trace", lambda t, a, boxes, _: frac_campanato_norm(t.field, a, boxes)),
     "besov": Norm("trace", lambda t, *_: besov_norm(t.field)),
     "inverse": Norm("trace", lambda t, a, boxes, top: inverse_space_norm(t, a, top, boxes),
-                    sweep=lambda t, levels, boxes, top, mesh: _inverse_levels(
-                        t.field, levels, top, boxes, mesh, t.heat_rows)),
+                    sweep=lambda t, levels, boxes, top: _inverse_levels(
+                        t.field, levels, top, boxes, t.heat_rows)),
     "h": Norm("poisson", lambda e, a, boxes, _: h_alpha2_norm(e, a, boxes),
               walk=lambda a: (0.0, 1.0, True, False)),
     "scaled_h": Norm("poisson", lambda e, a, boxes, _: scaled_h_norm(e, a, boxes),

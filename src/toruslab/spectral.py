@@ -9,8 +9,8 @@ square root of the (negative) Laplacian at mode k is 2 pi |k| / L.  Grid
 sizes are powers of two so that the lattice maps onto itself exactly under
 dyadic rescaling.
 
-Operators that invert the Laplacian (negative fractional powers, Riesz
-transforms) annihilate the zero mode: the norms downstream are seminorms
+Operators that invert the Laplacian (negative fractional powers)
+annihilate the zero mode: the norms downstream are seminorms
 that vanish on constants, so fields are handled modulo their mean.
 """
 
@@ -28,10 +28,7 @@ __all__ = [
     "SpectralField",
     "forward_transform",
     "inverse_transform",
-    "poisson_semigroup",
-    "heat_semigroup",
     "frac_laplacian_power",
-    "riesz_transform",
     "leray_project",
     "extension_rate",
 ]
@@ -221,8 +218,9 @@ def forward_transform(f: Field) -> SpectralField:
     return SpectralField(f.grid, np.fft.fftn(f.samples, norm="forward"))
 
 
-def inverse_transform(fhat: SpectralField, mean_zero: bool | None = None) -> Field:
-    """Samples of a coefficient array; rejects non-negligible imaginary part."""
+def inverse_transform(fhat: SpectralField) -> Field:
+    """Samples of a coefficient array, flagged mean-zero when its zero mode
+    is; rejects non-negligible imaginary part."""
     complex_samples = np.fft.ifftn(fhat.coefficients, norm="forward")
     real = np.ascontiguousarray(complex_samples.real)
     peak = float(np.max(np.abs(real)))
@@ -232,13 +230,7 @@ def inverse_transform(fhat: SpectralField, mean_zero: bool | None = None) -> Fie
             f"inverse transform produced imaginary residue {imag_peak:.3e} (peak {peak:.3e}); "
             "coefficients are not Hermitian-symmetric"
         )
-    if mean_zero is None:
-        mean_zero = fhat.is_mean_zero()
-    return Field(fhat.grid, real, mean_zero=mean_zero)
-
-
-def _apply_symbol(fhat: SpectralField, symbol: np.ndarray) -> SpectralField:
-    return SpectralField(fhat.grid, fhat.coefficients * symbol)
+    return Field(fhat.grid, real, mean_zero=fhat.is_mean_zero())
 
 
 def extension_rate(grid: TorusGrid, kind: str) -> np.ndarray:
@@ -252,20 +244,6 @@ def extension_rate(grid: TorusGrid, kind: str) -> np.ndarray:
     if kind == "heat":
         return (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
     raise ValueError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
-
-
-def poisson_semigroup(fhat: SpectralField, t: float) -> SpectralField:
-    """Multiplier exp(-2 pi |k| t / L), the harmonic-extension semigroup."""
-    if t < 0:
-        raise ValueError(f"poisson semigroup requires t >= 0, got {t}")
-    return _apply_symbol(fhat, np.exp(-extension_rate(fhat.grid, "poisson") * t))
-
-
-def heat_semigroup(fhat: SpectralField, t: float) -> SpectralField:
-    """Multiplier exp(-4 pi^2 |k|^2 t / L^2), the caloric-extension semigroup."""
-    if t < 0:
-        raise ValueError(f"heat semigroup requires t >= 0, got {t}")
-    return _apply_symbol(fhat, np.exp(-extension_rate(fhat.grid, "heat") * t))
 
 
 def frac_laplacian_power(fhat: SpectralField, s: float) -> SpectralField:
@@ -284,19 +262,7 @@ def frac_laplacian_power(fhat: SpectralField, s: float) -> SpectralField:
     with np.errstate(divide="ignore"):
         symbol = np.where(base > 0.0, base, 1.0) ** s
     symbol[grid.origin] = 0.0
-    return _apply_symbol(fhat, symbol)
-
-
-def riesz_transform(fhat: SpectralField, axis: int) -> SpectralField:
-    """Riesz transform along ``axis``: symbol i k_j / |k|, zero mode -> 0."""
-    grid = fhat.grid
-    if not 0 <= axis < grid.dims:
-        raise ValueError(f"axis {axis} out of range for dims {grid.dims}")
-    norm = grid.mode_norm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        symbol = 1j * grid.derivative_modes[axis] / np.where(norm > 0.0, norm, 1.0)
-    symbol[grid.origin] = 0.0
-    return _apply_symbol(fhat, symbol)
+    return SpectralField(grid, fhat.coefficients * symbol)
 
 
 def leray_project(components: Sequence[SpectralField]) -> tuple[SpectralField, ...]:

@@ -30,6 +30,11 @@ from .spectral import Field, TorusGrid
 
 DEGENERATE_RTOL = 1e-13
 
+# The scaling rows measure log_lam of norm(f(lam .)) / norm(f) at this
+# lam, and an enforced row passes within this distance of an expectation.
+SCALING_LAMBDA = 2
+SCALING_TOLERANCE = 0.05
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -100,12 +105,10 @@ class EquivalenceReport:
 @dataclass(frozen=True)
 class ScalingReport:
     norm_id: str
-    lam: float
     alpha: float
     measured: float
     expected: tuple[tuple[str, float], ...]
     enforced: bool = True
-    tolerance: float = 0.05
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.measured):
@@ -115,19 +118,19 @@ class ScalingReport:
         if not self.enforced:
             return True
         return any(
-            abs(self.measured - want) <= self.tolerance
+            abs(self.measured - want) <= SCALING_TOLERANCE
             for _, want in self.expected
         )
 
     def to_payload(self) -> dict:
         return {
             "norm": self.norm_id,
-            "lambda": self.lam,
+            "lambda": float(SCALING_LAMBDA),
             "alpha": self.alpha,
             "measured_exponent": self.measured,
             "expected": {name: want for name, want in self.expected},
             "enforced": self.enforced,
-            "tolerance": self.tolerance,
+            "tolerance": SCALING_TOLERANCE,
         }
 
 
@@ -473,18 +476,39 @@ def _row(name: str, level: float) -> Check:
     return fits[0]
 
 
+def _check_report_names(rows: Sequence[tuple[str, float]], betas: Sequence[float],
+                        scaling: Sequence[tuple[Field, str, float]]) -> None:
+    """Refuse, naming the levels, reports of ``prepare``'s arguments that
+    would share a file name: the reports of one row at levels that agree
+    to two decimals."""
+    named = ([(_report_name(f"{_row(row, x).theorem}_a", x), x) for row, x in rows]
+             + [(_report_name("inclusions_b", b), b) for b in betas]
+             + [(_report_name(f"scaling_{norm_id}_a", a), a) for _, norm_id, a in scaling])
+    shared: dict[str, list[float]] = {}
+    for name, level in named:
+        shared.setdefault(name, []).append(level)
+    clashes = sorted({tuple(sorted(levels)) for levels in shared.values() if len(levels) > 1})
+    if clashes:
+        raise ValueError(
+            "reports would overwrite each other: levels "
+            + "; ".join(", ".join(repr(x) for x in clash) for clash in clashes)
+            + " are equal to two decimals, the precision of report file names")
+
+
 def prepare(ws: Workspace, rows: Iterable[tuple[str, float]],
             betas: Sequence[float] = (), refine: bool = True,
             scaling: Iterable[tuple[Field, str, float]] = ()) -> None:
     """Evaluate every value the reports of ``rows``, (check name, level)
     pairs, the inclusion chains at ``betas`` and the ``scaling`` rows,
-    (field, norm id, level) as ``check_scaling`` reads them at lam = 2,
-    read, member by member, on ``ws`` and, with ``refine``, on its
-    refinement; a scaling field is a member of ``ws`` alone. Every row, op
-    and box height of both grids is checked before any work starts, and
-    one pool runs the member tasks of both grids."""
-    rows = list(rows) + [(c.theorem, b) for b in betas
-                         for c in CHECKS if c.group == "inclusions"]
+    (field, norm id, level) as ``check_scaling`` reads them, read, member
+    by member, on ``ws`` and, with ``refine``, on its refinement; a scaling
+    field is a member of ``ws`` alone. Every row, op and box height of both
+    grids is checked before any work starts, and so is every report's file
+    name: no two reports may share one. One pool runs the member tasks of
+    both grids."""
+    rows, scaling = list(rows), list(scaling)
+    _check_report_names(rows, betas, scaling)
+    rows += [(c.theorem, b) for b in betas for c in CHECKS if c.group == "inclusions"]
     pairs = [pair for name, level in rows for pair in _row(name, level).pair(level)]
     # scaling rows alone read no corpus member: none is generated for them
     usable = ws.split_members()[0] if rows else ()
@@ -559,27 +583,26 @@ def lattice_rescale(f: Field, lam: int) -> Field:
 SCALING_NORMS = ("campanato", "frac_campanato", "scaled_h", "inverse", "h")
 
 
-def _scaling_members(ws: Workspace, f: Field, norm_id: str, lam: int = 2) -> tuple[str, str]:
+def _scaling_members(ws: Workspace, f: Field, norm_id: str) -> tuple[str, str]:
     """The members of ``ws`` whose ``norm_id`` values give the exponent of f:
-    the mean-free g = f - mean(f) and its rescale g(lam .). The
-    inverse-space norm is invariant under lam*g(lam .), so for it the
-    rescale carries the amplitude factor."""
+    the mean-free g = f - mean(f) and its rescale g(lam .), lam =
+    SCALING_LAMBDA. The inverse-space norm is invariant under lam*g(lam .),
+    so for it the rescale carries the amplitude factor."""
     if norm_id not in SCALING_NORMS:
         raise ValueError(f"unknown scaling norm id {norm_id!r}")
     g = f.remove_mean()
-    g_lam = lattice_rescale(g, lam)
+    g_lam = lattice_rescale(g, SCALING_LAMBDA)
     if norm_id == "inverse":
-        g_lam = g_lam.scaled(float(lam))
+        g_lam = g_lam.scaled(float(SCALING_LAMBDA))
     return ws.add_field(g), ws.add_field(g_lam)
 
 
 def check_scaling(
-    ws: Workspace, f: Field, norm_id: str, alpha: float, lam: int = 2,
-    enforce: bool = True,
+    ws: Workspace, f: Field, norm_id: str, alpha: float, enforce: bool = True,
 ) -> ScalingReport:
     """Measured exponent log_lam(norm(f_lam)/norm(f)) for the lattice
-    rescale f_lam = f(lam .) of a field on the grid of ``ws``, against the
-    documented expectation. Both values are read from the table of ``ws``
+    rescale f_lam = f(lam .), lam = SCALING_LAMBDA, of a field on the grid
+    of ``ws``, against the documented expectation. Both values are read from the table of ``ws``
     (see ``_scaling_members``), where ``prepare`` evaluates them on its
     pool; a miss is evaluated here.
 
@@ -589,12 +612,9 @@ def check_scaling(
     measurement without a pass threshold, for exponents no periodic
     band-limited field can exhibit.
     """
-    members = _scaling_members(ws, f, norm_id, lam)
-    if lam == 1:
-        measured = 0.0
-    else:
-        base, rescaled = (ws.norm(norm_id, label, alpha) for label in members)
-        measured = math.log(rescaled / base) / math.log(lam)
+    members = _scaling_members(ws, f, norm_id)
+    base, rescaled = (ws.norm(norm_id, label, alpha) for label in members)
+    measured = math.log(rescaled / base) / math.log(SCALING_LAMBDA)
 
     if norm_id == "campanato":
         expected = (("trace-rescale", alpha),)
@@ -604,12 +624,20 @@ def check_scaling(
     else:
         expected = (("invariant", 0.0),)
     return ScalingReport(
-        norm_id=norm_id, lam=float(lam), alpha=alpha,
-        measured=measured, expected=expected, enforced=enforce and norm_id != "h",
+        norm_id=norm_id, alpha=alpha, measured=measured, expected=expected,
+        enforced=enforce and norm_id != "h",
     )
 
 
 # --- emitters ---
+
+def _report_name(prefix: str, level: float) -> str:
+    """The file stem of a report, its ``prefix`` (row and level letter) and
+    ``level`` written to two decimals: levels that agree to two decimals
+    share it."""
+    name = f"report_{prefix}{level:+.2f}"
+    return name.replace(".", "_").replace("+", "p").replace("-", "m")
+
 
 def write_reports(
     reports: list, directory: str, config: VerifyConfig | None = None
@@ -621,19 +649,19 @@ def write_reports(
     all_ok = True
     for report in reports:
         if isinstance(report, EquivalenceReport):
-            name = f"report_{report.theorem}_a{report.alpha:+.2f}"
+            name = _report_name(f"{report.theorem}_a", report.alpha)
             ok = report.passes(config)
             rows.append([report.theorem, report.alpha, report.spread,
                          "" if report.drift is None else report.drift, ok])
         elif isinstance(report, InclusionReport):
-            name = f"report_inclusions_b{report.beta:+.2f}"
+            name = _report_name("inclusions_b", report.beta)
             ok = report.passes(config)
             for link in report.links:
                 rows.append([link.theorem, link.alpha, link.spread,
                              "" if link.drift is None else link.drift,
                              link.passes(config)])
         elif isinstance(report, ScalingReport):
-            name = f"report_scaling_{report.norm_id}_a{report.alpha:+.2f}"
+            name = _report_name(f"scaling_{report.norm_id}_a", report.alpha)
             ok = report.passes()
             rows.append([f"scaling-{report.norm_id}", report.alpha,
                          "", report.measured, ok])
@@ -642,8 +670,7 @@ def write_reports(
         payload = report.to_payload()
         payload["passed"] = ok
         all_ok = all_ok and ok
-        safe = name.replace(".", "_").replace("+", "p").replace("-", "m")
-        write_json(payload, os.path.join(directory, safe + ".json"))
+        write_json(payload, os.path.join(directory, name + ".json"))
     write_csv(
         os.path.join(directory, "summary.csv"),
         ["check", "alpha", "spread", "drift_or_exponent", "passed"],

@@ -39,11 +39,8 @@ from toruslab.spectral import (
     TorusGrid,
     forward_transform,
     frac_laplacian_power,
-    heat_semigroup,
     inverse_transform,
     leray_project,
-    poisson_semigroup,
-    riesz_transform,
 )
 from toruslab.verify import (
     SCALING_NORMS,
@@ -55,6 +52,7 @@ from toruslab.verify import (
 )
 
 from flow_oracles import scaling_defect, trace_difference, velocity
+from transform_oracles import heat_semigroup, poisson_semigroup, riesz_transform
 
 ALPHAS = (-0.5, -0.25, 0.0, 0.25, 0.5)
 BETAS = (0.25, 0.5, 0.75)
@@ -301,7 +299,7 @@ def test_criterion_03_scaling_laws():
     for f, norm_id, a in rows:
         # the -1/2 endpoint exponent is unreachable for periodic
         # band-limited fields, so that row is recorded, not scored
-        rep = check_scaling(ws, f, norm_id, a, lam=2, enforce=a > -0.5)
+        rep = check_scaling(ws, f, norm_id, a, enforce=a > -0.5)
         if rep.enforced:
             enforced_rows += 1
         if not rep.passes():

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import toruslab
+import toruslab.verify as verify_module
 from toruslab.cli import (
     RunConfig,
     _fuse_negative_values,
@@ -99,6 +100,21 @@ class TestArgPlumbing:
         with pytest.raises(ValueError):
             _parse_boxes("1:4")
 
+    def test_threads_refused_outside_verify(self, mode_file, tmp_path, capsys):
+        # only verify runs a pool; the other commands take no --threads
+        for argv in (["corpus"], ["norm", "--norm", "campanato", "--input", str(mode_file)],
+                     ["ns", "--probe", "smalldata"]):
+            out = tmp_path / argv[0]
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--threads", "2", "--out", str(out)])
+            assert err.value.code == 2
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+            assert not out.exists()
+        out = tmp_path / "verify"
+        assert main(["verify", "--theorem", "4.2", "--alpha", "0.5", "--no-refine",
+                     "--threads", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "run_config.json").read_text())["threads"] == 1
+
     def test_bad_choices_exit_2(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--theorem", "9.9", "--out", "/tmp/x"])
@@ -129,9 +145,9 @@ class TestRunConfig:
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_refused(self, threads, tmp_path, capsys):
         with pytest.raises(ValueError, match="--threads must be at least 1"):
-            RunConfig(command="ns", threads=threads)
-        out = tmp_path / "ns"
-        code = main(["ns", "--probe", "smalldata", "--grid", "16", "--nodes", "32",
+            RunConfig(command="verify", threads=threads)
+        out = tmp_path / "verify"
+        code = main(["verify", "--theorem", "2.1", "--no-refine",
                      "--threads", str(threads), "--out", str(out)])
         assert code == 2
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
@@ -405,6 +421,29 @@ class TestVerifyCommand:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("argv,levels", [
+        (["--theorem", "2.1", "--alpha", "0.251,0.254", "--grid", "128", "--no-refine"],
+         "0.251, 0.254"),
+        (["--theorem", "2.1", "--alpha", "0.25,0.25"], "0.25, 0.25"),
+        (["--theorem", "inclusions", "--beta", "0.5,0.501"], "0.5, 0.501"),
+        (["--theorem", "scaling", "--alpha=-0.251,-0.254"], "-0.254, -0.251"),
+    ], ids=["alpha", "repeated", "beta", "scaling"])
+    def test_levels_sharing_a_report_file_refused(self, argv, levels, tmp_path,
+                                                  capsys, monkeypatch):
+        # report files name the level to two decimals: levels equal to two
+        # decimals would overwrite each other's reports, so the run is
+        # refused before any member is generated or evaluated
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluated before the levels were checked")
+
+        monkeypatch.setattr(verify_module, "generate", no_work)
+        monkeypatch.setattr(verify_module, "_run_tasks", no_work)
+        out = tmp_path / "vclash"
+        assert main(["verify"] + argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "reports would overwrite each other" in err and f"levels {levels} " in err
+        assert not out.exists()
+
     def test_corpus_manifest_flag(self, corpus_dir, tmp_path):
         out = tmp_path / "vman"
         code = main([
@@ -473,25 +512,6 @@ class TestNsCommand:
         assert first.grid.dims == 3 and first.grid.size == 16
         energies = manifest["energies"]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
-
-    def test_threads_accepted_and_recorded_without_effect(self, tmp_path, capsys):
-        # the flow solvers run on the calling thread: ns takes --threads,
-        # records it, and its help says so
-        with pytest.raises(SystemExit):
-            main(["ns", "--help"])
-        assert "no effect on the other commands, ns among them" in " ".join(
-            capsys.readouterr().out.split())
-        runs = {}
-        for threads in (None, 3):
-            out = tmp_path / f"threads{threads}"
-            argv = ["ns", "--probe", "run", "--grid", "16", "--data", "taylor-green",
-                    "--amplitude", "0.05", "--horizon", "0.05", "--nodes", "32",
-                    "--out", str(out)]
-            assert main(argv + (["--threads", str(threads)] if threads else [])) == 0
-            config = json.loads((out / "run_config.json").read_text())
-            assert config["threads"] == threads
-            runs[threads] = [f.read_bytes() for f in sorted((out / "trace").glob("node_*.bin"))]
-        assert runs[None] == runs[3]
 
     def test_diverged_run_exports_null_residual(self, tmp_path):
         out = tmp_path / "div"

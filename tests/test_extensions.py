@@ -33,17 +33,17 @@ from toruslab.spectral import (
     TorusGrid,
     extension_rate,
     forward_transform,
-    heat_semigroup,
     inverse_transform,
-    poisson_semigroup,
 )
 from transform_oracles import (
     assert_half_close,
     extension_values,
     gradient_square,
+    heat_semigroup,
     inverse_rows,
     lift_extension,
     nyquist_field,
+    poisson_semigroup,
     zero_time_square,
 )
 

@@ -268,7 +268,7 @@ class TestBruteForce:
     def test_q_matches_direct_sum_strided(self, dims, size):
         grid = TorusGrid(dims=dims, size=size, length=1.0)
         f = random_field(grid, seed=18)
-        boxes = BoxFamily.default(grid, stride=2)
+        boxes = dataclasses.replace(BoxFamily.default(grid), stride=2)
         got = q_norm(f, 0.25, boxes)
         want = self.brute_q(f, 0.25, boxes)
         assert got.value == pytest.approx(want, rel=1e-10)
@@ -680,9 +680,8 @@ class TestSupNorms:
     def test_besov_homogeneous(self):
         grid = TorusGrid(dims=1, size=32, length=1.0)
         f = random_field(grid, seed=41)
-        t_grid = np.geomspace(1e-6, 1.0, 120)
-        a = besov_norm(f, t_grid)
-        b = besov_norm(Field(grid, 3.0 * f.samples), t_grid)
+        a = besov_norm(f)
+        b = besov_norm(Field(grid, 3.0 * f.samples))
         assert b == pytest.approx(3.0 * a, rel=1e-12)
 
 
@@ -837,12 +836,11 @@ def t_loop_besov(f: Field, t_grid: np.ndarray, full: bool = False) -> float:
 
 
 def panel_loop_inverse_space(f: Field, alpha: float, horizon: float,
-                             boxes: BoxFamily, mesh: TimeMesh | None = None,
-                             full: bool = False) -> NormResult:
+                             boxes: BoxFamily, full: bool = False) -> NormResult:
     """inverse_space_norm one panel and one radius at a time, on the half
     spectrum or, with ``full``, on the full one."""
     grid = f.grid
-    mesh = mesh or default_mesh(grid, "heat")
+    mesh = default_mesh(grid, "heat")
     g = f.remove_mean()
     fhat = forward_transform(g).coefficients
     rate = (2.0 * np.pi / grid.length) ** 2 * grid.mode_square
@@ -969,7 +967,7 @@ class TestTracePass:
         # heat stream, and each gives the result its own call gives, bit
         # for bit; a kept level is not swept again
         grid = TorusGrid(dims, size, length=2 * math.pi)
-        boxes = BoxFamily.default(grid, stride=2)
+        boxes = dataclasses.replace(BoxFamily.default(grid), stride=2)
         f = random_field(grid, seed=size)
         pairs = [(op, a) for op, levels in self.LEVELS.items() for a in levels]
         sweeps = []
@@ -1017,7 +1015,7 @@ class TestBoxTails:
     @pytest.mark.parametrize("name", sorted(CARLESON_SHAPES))
     def test_carleson_family_matches_radius_loop(self, dims, size, name):
         grid = TorusGrid(dims, size, length=self.LENGTH)
-        boxes = BoxFamily.default(grid, stride=2)
+        boxes = dataclasses.replace(BoxFamily.default(grid), stride=2)
         norm = NORMS[name]
         ext = norm.argument(random_field(grid, seed=size), boxes)
         for alpha in (0.0, -0.5, 0.25):
@@ -1047,7 +1045,7 @@ class TestBoxTails:
     @pytest.mark.parametrize("dims,size", GRIDS)
     def test_x_space_carleson_matches_radius_loop(self, dims, size):
         grid = TorusGrid(dims, size, length=self.LENGTH)
-        boxes = BoxFamily.default(grid, stride=2)
+        boxes = dataclasses.replace(BoxFamily.default(grid), stride=2)
         rng = np.random.default_rng(dims)
         times = np.geomspace(1e-3, 5.0, 40)
         values = rng.standard_normal((times.size,) + grid.shape)
@@ -1125,17 +1123,18 @@ class TestBatchedTransforms:
             assert got == want
 
     def test_inverse_space_box_on_the_mesh_floor(self):
-        # 8 panels under top 1/4 put the floor at 2^-10, the j=5 box height
-        grid = TorusGrid(1, 64)
-        mesh = TimeMesh(0.25, panels=8)
+        # the default heat mesh, 20 panels under top 1/4, has its floor at
+        # 2^-22, the height of the j=11 box at N=4096
+        grid = TorusGrid(1, 4096)
+        mesh = default_mesh(grid, "heat")
         boxes = BoxFamily.default(grid)
-        assert mesh.aligned_cut(boxes.radii[-1] ** 2) == 0
+        assert boxes.j_values[-1] == 11 and mesh.aligned_cut(boxes.radii[-1] ** 2) == 0
         f = random_field(grid, seed=5)
         for alpha in (-0.5, 0.25):
-            got = inverse_space_norm(f, alpha, math.inf, boxes, mesh)
-            assert got == panel_loop_inverse_space(f, alpha, math.inf, boxes, mesh)
+            got = inverse_space_norm(f, alpha, math.inf, boxes)
+            assert got == panel_loop_inverse_space(f, alpha, math.inf, boxes)
             floor_term = f.remove_mean().samples ** 2 * mesh.floor ** (1 + alpha) / (1 + alpha)
-            ball = ball_correlate(floor_term, grid, 5)
+            ball = ball_correlate(floor_term, grid, 11)
             want = math.sqrt(np.max(boxes.center_view(ball)) * grid.cell_volume
                              * boxes.radii[-1] ** -(2 * alpha + 1))
             assert got.per_box_table[-1][1] == pytest.approx(want, rel=1e-12)

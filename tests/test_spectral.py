@@ -18,12 +18,11 @@ from toruslab.spectral import (
     extension_rate,
     forward_transform,
     frac_laplacian_power,
-    heat_semigroup,
     inverse_transform,
     leray_project,
-    poisson_semigroup,
-    riesz_transform,
 )
+
+from transform_oracles import heat_semigroup, poisson_semigroup, riesz_transform
 
 TWO_PI = 2.0 * np.pi
 

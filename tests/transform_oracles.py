@@ -5,7 +5,9 @@ of full-layout coefficients keeps the last-axis modes 0..N/2 and goes
 through ``irfftn``; a ball correlation is ``rfftn`` -> multiply ->
 ``irfftn``. The loops in the tests take their transforms from here, the
 lifted box norms their lifted extensions, and the box norms' oracles an
-extension's whole gradient square and its t = 0 limit.
+extension's whole gradient square and its t = 0 limit. The semigroup and
+Riesz multipliers, which no library code applies to a whole spectrum, are
+the mode-wise references of the extensions and of criterion 01.
 ``full=True`` selects instead the full-spectrum path, ``ifftn(...).real``,
 the accuracy reference of the half spectrum.
 """
@@ -16,11 +18,46 @@ import numpy as np
 
 from toruslab.extensions import Extension, TimeMesh, extension_rows, gradient_square_rows
 from toruslab.norms import _ball_mask, _ball_spectra
-from toruslab.spectral import Field, TorusGrid, frac_laplacian_power, inverse_transform
+from toruslab.spectral import (
+    Field,
+    SpectralField,
+    TorusGrid,
+    extension_rate,
+    frac_laplacian_power,
+    inverse_transform,
+)
 
 # The half and the full spectrum agree to roundoff: every array matches to
 # 1e-13 of its own peak.
 HALF_SPECTRUM_RTOL = 1e-13
+
+
+def poisson_semigroup(fhat: SpectralField, t: float) -> SpectralField:
+    """Multiplier exp(-2 pi |k| t / L), the harmonic-extension semigroup."""
+    if t < 0:
+        raise ValueError(f"poisson semigroup requires t >= 0, got {t}")
+    return SpectralField(fhat.grid, fhat.coefficients
+                         * np.exp(-extension_rate(fhat.grid, "poisson") * t))
+
+
+def heat_semigroup(fhat: SpectralField, t: float) -> SpectralField:
+    """Multiplier exp(-4 pi^2 |k|^2 t / L^2), the caloric-extension semigroup."""
+    if t < 0:
+        raise ValueError(f"heat semigroup requires t >= 0, got {t}")
+    return SpectralField(fhat.grid, fhat.coefficients
+                         * np.exp(-extension_rate(fhat.grid, "heat") * t))
+
+
+def riesz_transform(fhat: SpectralField, axis: int) -> SpectralField:
+    """Riesz transform along ``axis``: symbol i k_j / |k|, zero mode -> 0."""
+    grid = fhat.grid
+    if not 0 <= axis < grid.dims:
+        raise ValueError(f"axis {axis} out of range for dims {grid.dims}")
+    norm = grid.mode_norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        symbol = 1j * grid.derivative_modes[axis] / np.where(norm > 0.0, norm, 1.0)
+    symbol[grid.origin] = 0.0
+    return SpectralField(grid, fhat.coefficients * symbol)
 
 
 def inverse_rows(coeff: np.ndarray, axes: tuple[int, ...], full: bool = False) -> np.ndarray:
