@@ -155,9 +155,11 @@ def _parse_boxes(text: str) -> tuple[int, int, int]:
     return (int(parts[0]), int(parts[1]), int(parts[2]))
 
 
-def _add_common(parser: argparse.ArgumentParser, grid: int | None, dims: int) -> None:
-    """The options every subcommand takes; the grid options only where the
-    command makes its grid (grid=None: it reads it from an input file)."""
+def _add_common(parser: argparse.ArgumentParser, grid: int | None, dims: int,
+                boxes: bool, seed: bool) -> None:
+    """The options a subcommand shares with others: the grid options where
+    it makes its grid (grid=None: it reads it from an input file), the box
+    family where it measures box norms and the seed where it draws."""
     if grid is not None:
         parser.add_argument("--grid", type=int, default=grid, metavar="N",
                             help=f"points per axis (default {grid})")
@@ -165,10 +167,12 @@ def _add_common(parser: argparse.ArgumentParser, grid: int | None, dims: int) ->
                             help=f"torus dimension (default {dims})")
         parser.add_argument("--length", type=_finite_float, default=1.0,
                             help="torus side length (default 1.0)")
-    parser.add_argument("--boxes", type=_parse_boxes, default=None,
-                        metavar="JMIN:JMAX:STRIDE",
-                        help="box family: radius exponents and center stride")
-    parser.add_argument("--seed", type=int, default=0, metavar="U64")
+    if boxes:
+        parser.add_argument("--boxes", type=_parse_boxes, default=None,
+                            metavar="JMIN:JMAX:STRIDE",
+                            help="box family: radius exponents and center stride")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, metavar="U64")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,12 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("corpus", help="write the seeded function battery")
-    _add_common(p, grid=256, dims=1)
+    _add_common(p, grid=256, dims=1, boxes=False, seed=True)
     p.add_argument("--out", required=True, metavar="DIR")
 
     p = sub.add_parser("norm", help="evaluate one named norm on a stored field "
                                      "on the grid its header names")
-    _add_common(p, grid=None, dims=1)
+    _add_common(p, grid=None, dims=1, boxes=True, seed=False)
     p.add_argument("--norm", required=True, choices=NORM_NAMES)
     p.add_argument("--input", required=True, metavar="FIELD.BIN")
     p.add_argument("--alpha", type=_finite_float, default=0.0,
@@ -196,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write norm.json and the run config here")
 
     p = sub.add_parser("verify", help="run equivalence checks and emit reports")
-    _add_common(p, grid=256, dims=1)
+    _add_common(p, grid=256, dims=1, boxes=True, seed=True)
     p.add_argument("--theorem", default="all", choices=THEOREMS,
                    help="which check family to run (default all)")
     p.add_argument("--alpha", type=_parse_floats, default=None,
@@ -217,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="toruslab-reports", metavar="DIR")
 
     p = sub.add_parser("ns", help="3D solver probes and trace export")
-    _add_common(p, grid=32, dims=3)
+    _add_common(p, grid=32, dims=3, boxes=True, seed=True)
     p.add_argument("--probe", required=True,
                    choices=("smalldata", "inflation", "run"))
     p.add_argument("--alpha", type=_finite_float, default=None,
@@ -300,8 +304,8 @@ def cmd_norm(config: RunConfig) -> int:
     boxes = config.box_family(f.grid)
     spec = NORMS[opts["norm"]]
     horizon = opts.get("horizon")
-    result = spec.evaluate(spec.argument(f, boxes), alpha, boxes,
-                           math.inf if horizon is None else horizon)
+    result = spec.result(spec.argument(f, boxes), alpha, boxes,
+                         math.inf if horizon is None else horizon)
     payload = {
         "norm": opts["norm"],
         "alpha": alpha,

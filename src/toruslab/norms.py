@@ -17,8 +17,8 @@ spectra are stacked along a leading radius axis, and ``_box_sup`` is the one
 place that ball-correlates a family's time integrals, scales them and takes
 the sup. Heat snapshots for the Besov sup and the inverse-space norm are
 the rows of ``extensions.extension_rows``; its chunks are whole rows, so
-batching changes no bit of any result. A ``Trace`` may bring its own
-inverse-space heat rows (``Trace.heat_rows``), which the same walk reads.
+batching changes no bit of any result. A caller of ``inverse_space_norm``
+may bring its own heat rows (``heat_rows``), which the same walk reads.
 
 ``q_norm``'s pair sum at a center is a diagonal term, the ball's squares
 weighted by the kernel's ball sums, less the cross term <u, w * u> of the
@@ -50,13 +50,14 @@ missing runs the pass for its own key. The Carleson floor term is the t = 0
 row of that square, row 0 of the same stream.
 
 The trace norms with work no level changes, ``campanato`` (and
-``campanato_pair``), ``q`` and ``inverse``, are computed the same way: a
-``Trace`` (the field) keeps their results, and ``trace_pass`` fills them for
-many (op, level) pairs with one sweep per op, which forms the level-free
-part once (the ball sums s1 and s2, each block's q windows and their power
-spectrum, each chunk's heat square u^2) and finishes every level from it.
-A norm called alone runs the pass for its own level; the level-free arrays
-live only as long as the sweep.
+``campanato_pair``), ``q`` and ``inverse``, each sweep their levels at once:
+the level-free part (the ball sums s1 and s2, each block's q windows and
+their power spectrum, each chunk's heat square u^2) is formed once, lives
+only as long as the sweep, and every level is finished from it.
+``trace_pass`` returns a field's results for many (op, level) pairs, one
+sweep per op; a norm called alone sweeps its one level. A ``NORMS`` entry
+evaluates its norm itself: a box norm by its walk, a swept norm by its
+sweep, and the others by their own ``evaluate``.
 """
 
 from __future__ import annotations
@@ -304,68 +305,30 @@ def _running_sums(blocks: Iterable[np.ndarray], counts: Sequence[int]) -> list:
 
 # --- trace-side norms ---
 
-# heat_rows(times, unit) of a Trace
+# heat_rows(times, unit) of inverse_space_norm
 HeatRows = Callable[[np.ndarray, int], Iterable[tuple[slice, np.ndarray]]]
 
 
-class Trace:
-    """A field as the trace norms read it, and what its ``trace_pass`` keeps:
-    ``results``, the NormResult per (op, level, box family, horizon) of each
-    registry norm with a ``sweep``. A verify member task makes one and
-    drops it when it ends, as it does an ``Extension``.
-
-    ``heat_rows(times, unit)`` yields (rows, e^{t Lap} of the mean-free
-    field at t = times[rows]) in chunks of whole groups of ``unit`` rows,
-    each array the caller's: by default the rows of the heat extension
-    (``extension_rows``); a caller that holds the field's coefficients in
-    another form passes its own, as the flow solver's data norm does."""
-
-    def __init__(self, f: Field, heat_rows: HeatRows | None = None) -> None:
-        self.field = f
-        self.heat_rows = heat_rows or functools.partial(_heat_extension_rows, f)
-        self.results: dict[tuple, NormResult] = {}
-
-
-def _heat_extension_rows(f: Field, times: np.ndarray,
-                         unit: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """A ``Trace``'s default heat rows: ``extension_rows`` of the mean-free
-    field."""
-    return extension_rows(forward_transform(f.remove_mean()), "heat", times, unit=unit)
-
-
-def trace_pass(trace: Trace, pairs: Iterable[tuple[str, float]], boxes: BoxFamily,
-               horizon: float = math.inf) -> None:
-    """Keep on the trace the result of each (op, level) in ``pairs``, ops of
-    the registry with a ``sweep``: one sweep per op over all of its levels,
-    so that what no level changes is computed once. What it keeps already is
-    not swept again."""
+def trace_pass(f: Field, pairs: Iterable[tuple[str, float]],
+               boxes: BoxFamily) -> dict[tuple[str, float], NormResult]:
+    """The result of each (op, level) in ``pairs``, ops of the registry with
+    a ``sweep``: one sweep per op over all of its levels, so that what no
+    level changes is computed once."""
     levels: dict[str, dict[float, None]] = {}
     for op, alpha in pairs:
-        if (op, alpha, boxes, horizon) not in trace.results:
-            levels.setdefault(op, {})[alpha] = None
-    for op, alphas in levels.items():
-        results = NORMS[op].sweep(trace, list(alphas), boxes, horizon)
-        trace.results.update(((op, alpha, boxes, horizon), result)
-                             for alpha, result in zip(alphas, results))
+        levels.setdefault(op, {})[alpha] = None
+    return {(op, alpha): result for op, alphas in levels.items()
+            for alpha, result in zip(alphas, NORMS[op].sweep(f, list(alphas), boxes, math.inf))}
 
 
-def _swept(x: Field | Trace, op: str, alpha: float, boxes: BoxFamily,
-           horizon: float = math.inf) -> NormResult:
-    """Registry norm ``op`` at level alpha, read off the trace pass of x: a
-    ``Trace`` whose pass kept it, or else a pass of this level alone."""
-    trace = x if isinstance(x, Trace) else Trace(x)
-    trace_pass(trace, [(op, alpha)], boxes, horizon)
-    return trace.results[(op, alpha, boxes, horizon)]
-
-
-def campanato_norm(f: Field | Trace, alpha: float, boxes: BoxFamily) -> NormResult:
+def campanato_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max over boxes of r^-(n+2a) * integral_B |f - f_B|^2."""
-    return _swept(f, "campanato", alpha, boxes)
+    return _campanato_levels(f, [alpha], boxes, pair=False)[0]
 
 
-def campanato_pair_norm(f: Field | Trace, alpha: float, boxes: BoxFamily) -> NormResult:
+def campanato_pair_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max over boxes of r^-2(a+n) * double integral |f(y)-f(z)|^2."""
-    return _swept(f, "campanato_pair", alpha, boxes)
+    return _campanato_levels(f, [alpha], boxes, pair=True)[0]
 
 
 def _campanato_levels(f: Field, alphas: Sequence[float], boxes: BoxFamily,
@@ -395,7 +358,7 @@ def _campanato_levels(f: Field, alphas: Sequence[float], boxes: BoxFamily,
             for e in exponents]
 
 
-def q_norm(f: Field | Trace, beta: float, boxes: BoxFamily) -> NormResult:
+def q_norm(f: Field, beta: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max over boxes of
     r^(2b-n) * double sum_{x != y in B} |f(x)-f(y)|^2 |x-y|^-(n+2b).
 
@@ -406,7 +369,7 @@ def q_norm(f: Field | Trace, beta: float, boxes: BoxFamily) -> NormResult:
     exactly, and by Parseval the cross term is sum_k |U_c(k)|^2 W(k) / N^n:
     one real transform per center, in ``row_chunks`` blocks of centers.
     """
-    return _swept(f, "q", beta, boxes)
+    return _q_levels(f, [beta], boxes)[0]
 
 
 def _q_levels(f: Field, betas: Sequence[float], boxes: BoxFamily) -> list[NormResult]:
@@ -546,17 +509,17 @@ def _require_kind(ext: Extension, kind: str, op: str) -> None:
         raise ValueError(f"{op} requires a {kind} extension, got {ext.kind}")
 
 
-def _carleson_box_norm(ext: Extension, alpha: float, boxes: BoxFamily, op: str) -> NormResult:
+def _carleson_box_norm(ext: Extension, alpha: float, boxes: BoxFamily, norm: Norm) -> NormResult:
     """max over boxes of r^-(2a+n) * int_B int_0^h |grad u|^2 t^w dt dx for
-    the walk key ``NORMS[op].walk(alpha)`` of registry entry ``op``.
+    the walk key ``norm.walk(alpha)`` of a box norm's registry entry.
 
     The time integrals are the extension's, walked by a pass of their own on
     a miss, so the levels and norms that share a walk share them. A walk of
     a lift a != 0 has one reader, this one, so it is dropped once read.
     """
     _check_alpha(alpha)
-    _require_kind(ext, NORMS[op].kind, op)
-    key = NORMS[op].walk(alpha) + (boxes,)
+    _require_kind(ext, norm.kind, "box norm")
+    key = norm.walk(alpha) + (boxes,)
     gradient_pass(ext, [key])
     integrals = ext.box_integrals[key] if key[0] == 0.0 else ext.box_integrals.pop(key)
     return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), integrals,
@@ -565,27 +528,27 @@ def _carleson_box_norm(ext: Extension, alpha: float, boxes: BoxFamily, op: str) 
 
 def h_alpha2_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max r^-(2a+n) int_B int_0^r |grad_{x,t} u|^2 t dt dx."""
-    return _carleson_box_norm(ext, alpha, boxes, "h")
+    return _carleson_box_norm(ext, alpha, boxes, NORMS["h"])
 
 
 def scaled_h_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """Scaling-invariant variant: weight t^(1+2a) in the box integral."""
-    return _carleson_box_norm(ext, alpha, boxes, "scaled_h")
+    return _carleson_box_norm(ext, alpha, boxes, NORMS["scaled_h"])
 
 
 def star_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """h_alpha2_norm of the mode-wise (-Lap)^(-a/2) lift of the extension."""
-    return _carleson_box_norm(ext, alpha, boxes, "star")
+    return _carleson_box_norm(ext, alpha, boxes, NORMS["star"])
 
 
 def t_alpha2_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """value^2 = max r^-(2a+n) int_B int_0^{r^2} |grad_x u|^2 dt dx."""
-    return _carleson_box_norm(ext, alpha, boxes, "t")
+    return _carleson_box_norm(ext, alpha, boxes, NORMS["t"])
 
 
 def scaled_t_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
     """Scaling-invariant variant: weight t^a, parabolic boxes."""
-    return _carleson_box_norm(ext, alpha, boxes, "scaled_t")
+    return _carleson_box_norm(ext, alpha, boxes, NORMS["scaled_t"])
 
 
 def dagger_norm(
@@ -600,7 +563,7 @@ def dagger_norm(
     """
     if box_height not in ("linear", "parabolic"):
         raise ValueError(f"box_height must be linear or parabolic, got {box_height!r}")
-    return _carleson_box_norm(ext, alpha, boxes, f"dagger_{box_height}")
+    return _carleson_box_norm(ext, alpha, boxes, NORMS[f"dagger_{box_height}"])
 
 
 # --- sup-type norms ---
@@ -635,19 +598,22 @@ def besov_norm(f: Field) -> float:
 
 # --- inverse-space and X norms ---
 
-def inverse_space_norm(f: Field | Trace, alpha: float, horizon: float,
-                       boxes: BoxFamily) -> NormResult:
+def inverse_space_norm(f: Field, alpha: float, horizon: float, boxes: BoxFamily,
+                       heat_rows: HeatRows | None = None) -> NormResult:
     """value^2 = max over boxes with r^2 < horizon of
     r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt, the time
-    integral on the default heat mesh."""
-    return _swept(f, "inverse", alpha, boxes, horizon)
+    integral on the default heat mesh. ``heat_rows(times, unit)``, if given,
+    yields (rows, e^{t Lap} of the mean-free f at t = times[rows]) in chunks
+    of whole groups of ``unit`` rows, each array the caller's, in place of
+    the heat extension's rows, as the flow solver's data norm does."""
+    return _inverse_levels(f, [alpha], horizon, boxes, heat_rows)[0]
 
 
 def _inverse_levels(f: Field, alphas: Sequence[float], horizon: float, boxes: BoxFamily,
-                    heat_rows: HeatRows) -> list[NormResult]:
+                    heat_rows: HeatRows | None = None) -> list[NormResult]:
     """``inverse_space_norm`` at each level from one stream of the heat
-    extension on its default mesh, in panel-aligned chunks of the trace's
-    ``heat_rows``: each chunk's u^2 is formed once and pushed into one
+    extension on its default mesh, in panel-aligned chunks of its heat
+    rows: each chunk's u^2 is formed once and pushed into one
     ``_RunningSums`` per level, one block with one term per panel, after
     the level's floor term.
     Only the sums at the radius cuts are kept, and no chunk past the
@@ -675,7 +641,8 @@ def _inverse_levels(f: Field, alphas: Sequence[float], horizon: float, boxes: Bo
     for walk, alpha in zip(walks, alphas):
         walk.add((g.samples**2 * mesh.floor ** (1.0 + alpha) / (1.0 + alpha))[np.newaxis])
     if walks[0].pushed < walks[0].stop:
-        for chunk, u in heat_rows(t, per):
+        for chunk, u in (heat_rows(t, per) if heat_rows
+                         else extension_rows(forward_transform(g), "heat", t, unit=per)):
             # the chunk is ours to overwrite; one row of panels per panel
             u_sq = np.multiply(u, u, out=u).reshape((-1, per) + grid.shape)
             for walk, node_factor in zip(walks, node_factors):
@@ -838,67 +805,64 @@ class Norm:
     """A registry entry: the input a norm takes and how to evaluate it.
 
     ``kind`` is "trace" for a norm of the field itself, or the extension
-    ("poisson" or "heat") the norm takes. ``evaluate(x, alpha, boxes,
-    horizon)`` returns a NormResult or a float; arguments a norm does not
-    take are ignored. ``walk(alpha)``, the (lift, weight exponent, full
-    gradient, parabolic height) of the box time integrals a box norm reads
-    off its extension at level alpha, None for any other norm, and
-    ``peak``, the gradient whose node peaks it reads, state its reads once,
-    for a plan's ``gradient_pass``. ``sweep(trace, levels, boxes, horizon)``,
-    for a trace norm with work no level changes, gives its results at every
-    level from one pass over the ``Trace``'s field, for a plan's
-    ``trace_pass``.
-    """
+    ("poisson" or "heat") the norm takes. ``walk(alpha)``, the (lift, weight
+    exponent, full gradient, parabolic height) of the box time integrals a
+    box norm reads off its extension at level alpha, None for any other
+    norm, and ``peak``, the gradient whose node peaks it reads, state its
+    reads once, for a plan's ``gradient_pass``. ``sweep(f, levels, boxes,
+    horizon)``, for a trace norm with work no level changes, gives its
+    results at every level from one pass over the field, for ``trace_pass``.
+    Any other norm has an ``evaluate(x, alpha, boxes, horizon)``, which
+    returns a NormResult or a float and ignores the arguments it does not
+    take."""
 
     kind: str
-    evaluate: Callable[..., "NormResult | float"]
+    evaluate: Callable[..., "NormResult | float"] | None = None
     walk: Callable[[float], "tuple[float, float, bool, bool] | None"] = lambda alpha: None
     peak: bool | None = None
     sweep: Callable[..., list[NormResult]] | None = None
 
-    def argument(self, f: Field, boxes: BoxFamily) -> Trace | Extension:
-        """The input this norm takes on the family ``boxes``: the field as a
-        ``Trace``, or its extension on the default mesh of its box height,
-        made only once every box height is known to fit the mesh."""
+    def argument(self, f: Field, boxes: BoxFamily) -> Field | Extension:
+        """The input this norm takes on the family ``boxes``: the field, or
+        its extension on the default mesh of its box height, made only once
+        every box height is known to fit the mesh."""
         check_box_heights(boxes, self.kind)
-        return Trace(f) if self.kind == "trace" else Extension(
+        return f if self.kind == "trace" else Extension(
             f, self.kind, default_mesh(f.grid, self.kind))
 
+    def result(self, x, alpha: float, boxes: BoxFamily,
+               horizon: float = math.inf) -> "NormResult | float":
+        """The norm of x, its ``argument``, at level alpha."""
+        if self.evaluate:
+            return self.evaluate(x, alpha, boxes, horizon)
+        if self.sweep:
+            return self.sweep(x, [alpha], boxes, horizon)[0]
+        return _carleson_box_norm(x, alpha, boxes, self)
+
     def value(self, x, alpha: float, boxes: BoxFamily, horizon: float = math.inf) -> float:
-        result = self.evaluate(x, alpha, boxes, horizon)
+        result = self.result(x, alpha, boxes, horizon)
         return result.value if isinstance(result, NormResult) else result
 
 
-# Name -> Norm. Each evaluation looks its function up by module-level name
-# when it runs, so a wrapper installed on this module sees every call.
+# Name -> Norm. Box and swept entries run this module's private functions,
+# not the public ``*_norm`` ones; the others call theirs by name.
 NORMS: dict[str, Norm] = {
-    "campanato": Norm("trace", lambda t, a, boxes, _: campanato_norm(t, a, boxes),
-                      sweep=lambda t, levels, boxes, *_: _campanato_levels(
-                          t.field, levels, boxes, pair=False)),
-    "campanato_pair": Norm("trace", lambda t, a, boxes, _: campanato_pair_norm(t, a, boxes),
-                           sweep=lambda t, levels, boxes, *_: _campanato_levels(
-                               t.field, levels, boxes, pair=True)),
-    "q": Norm("trace", lambda t, a, boxes, _: q_norm(t, a, boxes),
-              sweep=lambda t, levels, boxes, *_: _q_levels(t.field, levels, boxes)),
-    "frac_campanato": Norm("trace", lambda t, a, boxes, _: frac_campanato_norm(t.field, a, boxes)),
-    "besov": Norm("trace", lambda t, *_: besov_norm(t.field)),
-    "inverse": Norm("trace", lambda t, a, boxes, top: inverse_space_norm(t, a, top, boxes),
-                    sweep=lambda t, levels, boxes, top: _inverse_levels(
-                        t.field, levels, top, boxes, t.heat_rows)),
-    "h": Norm("poisson", lambda e, a, boxes, _: h_alpha2_norm(e, a, boxes),
-              walk=lambda a: (0.0, 1.0, True, False)),
-    "scaled_h": Norm("poisson", lambda e, a, boxes, _: scaled_h_norm(e, a, boxes),
-                     walk=lambda a: (0.0, 1.0 + 2 * a, True, False)),
-    "star": Norm("poisson", lambda e, a, boxes, _: star_norm(e, a, boxes),
-                 walk=lambda a: (a, 1.0, True, False)),
+    "campanato": Norm("trace", sweep=lambda f, levels, boxes, _: _campanato_levels(
+        f, levels, boxes, pair=False)),
+    "campanato_pair": Norm("trace", sweep=lambda f, levels, boxes, _: _campanato_levels(
+        f, levels, boxes, pair=True)),
+    "q": Norm("trace", sweep=lambda f, levels, boxes, _: _q_levels(f, levels, boxes)),
+    "frac_campanato": Norm("trace", lambda f, a, boxes, _: frac_campanato_norm(f, a, boxes)),
+    "besov": Norm("trace", lambda f, *_: besov_norm(f)),
+    "inverse": Norm("trace", sweep=lambda f, levels, boxes, top: _inverse_levels(
+        f, levels, top, boxes)),
+    "h": Norm("poisson", walk=lambda a: (0.0, 1.0, True, False)),
+    "scaled_h": Norm("poisson", walk=lambda a: (0.0, 1.0 + 2 * a, True, False)),
+    "star": Norm("poisson", walk=lambda a: (a, 1.0, True, False)),
     "bloch_hb": Norm("poisson", lambda e, *_: bloch_hb_norm(e), peak=True),
-    "t": Norm("heat", lambda e, a, boxes, _: t_alpha2_norm(e, a, boxes),
-              walk=lambda a: (0.0, 0.0, False, True)),
-    "scaled_t": Norm("heat", lambda e, a, boxes, _: scaled_t_norm(e, a, boxes),
-                     walk=lambda a: (0.0, a, False, True)),
-    "dagger_linear": Norm("heat", lambda e, a, boxes, _: dagger_norm(e, a, boxes, "linear"),
-                          walk=lambda a: (a, 1.0, True, False)),
-    "dagger_parabolic": Norm("heat", lambda e, a, boxes, _: dagger_norm(e, a, boxes, "parabolic"),
-                             walk=lambda a: (a, 1.0, True, True)),
+    "t": Norm("heat", walk=lambda a: (0.0, 0.0, False, True)),
+    "scaled_t": Norm("heat", walk=lambda a: (0.0, a, False, True)),
+    "dagger_linear": Norm("heat", walk=lambda a: (a, 1.0, True, False)),
+    "dagger_parabolic": Norm("heat", walk=lambda a: (a, 1.0, True, True)),
     "bloch_cb": Norm("heat", lambda e, *_: bloch_cb_norm(e), peak=False),
 }

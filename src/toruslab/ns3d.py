@@ -79,7 +79,6 @@ from .corpus import CorpusSpec, generate
 from .norms import (
     BoxFamily,
     TimeSeries,
-    Trace,
     XSpaceResult,
     inverse_space_norm,
     x_space_norm,
@@ -481,7 +480,7 @@ class _Symbols:
                   unit: int) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield (rows, grid samples of e^{-rate t} coeff at t = times[rows])
         for a scalar block, ``unit`` rows at a time, each array the caller's:
-        the heat rows of a ``norms.Trace`` from the block."""
+        the ``heat_rows`` of ``norms.inverse_space_norm`` from the block."""
         for lo in range(0, times.size, unit):
             rows = slice(lo, min(lo + unit, times.size))
             decay = np.multiply.outer(-times[rows], self.heat_rate)
@@ -753,8 +752,7 @@ def initial_data_norm(
     block = _block_coefficients(a)
     block[:, 0, 0, 0] = 0.0
     return sum(
-        inverse_space_norm(Trace(c, functools.partial(sym.heat_rows, b)),
-                           alpha, horizon, boxes).value
+        inverse_space_norm(c, alpha, horizon, boxes, functools.partial(sym.heat_rows, b)).value
         for c, b in zip(a.components, block)
     )
 

@@ -24,8 +24,8 @@ import numpy as np
 from .corpus import CorpusSpec, generate
 from .extensions import Extension, gradient_bound_ratio
 from .fieldio import write_csv, write_json
-from .norms import (NORMS, BoxFamily, Norm, Trace, check_box_heights, default_mesh,
-                    gradient_pass, scaled_h_norm, trace_pass)
+from .norms import (NORMS, BoxFamily, Norm, check_box_heights, default_mesh, gradient_pass,
+                    scaled_h_norm, trace_pass)
 from .spectral import Field, TorusGrid
 
 DEGENERATE_RTOL = 1e-13
@@ -344,10 +344,10 @@ class Workspace:
             raise ValueError(f"degenerate member {label!r} has no norm values")
         ops = {key: (_op(key[0]), alpha) for key, alpha in todo.items()}
         lifts: dict[float, list] = {}  # lift -> the walk keys of the ops
+        swept = {}
         if kind == "trace":
-            x = Trace(x)
-            trace_pass(x, [(op, alpha) for (op, _), (norm, alpha) in ops.items() if norm.sweep],
-                       self.boxes)
+            swept = trace_pass(x, [(op, alpha) for (op, _), (norm, alpha) in ops.items()
+                                   if norm.sweep], self.boxes)
         else:
             for walk in (norm.walk(alpha) for norm, alpha in ops.values()):
                 if walk:
@@ -360,7 +360,7 @@ class Workspace:
                 gradient_pass(x, lifts.pop(walk[0]))
             with self._lock:  # grad_constant divides by h at its level, evaluated before it
                 last = self._values[("h", label, level)] if op == "grad_constant" else math.inf
-            value = norm.value(x, alpha, self.boxes, last)
+            value = swept[op, alpha].value if norm.sweep else norm.value(x, alpha, self.boxes, last)
             with self._lock:
                 self._values.setdefault((op, label, level), value)
 
@@ -481,9 +481,9 @@ def _check_report_names(rows: Sequence[tuple[str, float]], betas: Sequence[float
     """Refuse, naming the levels, reports of ``prepare``'s arguments that
     would share a file name: the reports of one row at levels that agree
     to two decimals."""
-    named = ([(_report_name(f"{_row(row, x).theorem}_a", x), x) for row, x in rows]
-             + [(_report_name("inclusions_b", b), b) for b in betas]
-             + [(_report_name(f"scaling_{norm_id}_a", a), a) for _, norm_id, a in scaling])
+    named = ([(_report_name(EquivalenceReport, x, _row(row, x).theorem), x) for row, x in rows]
+             + [(_report_name(InclusionReport, b), b) for b in betas]
+             + [(_report_name(ScalingReport, a, norm_id), a) for _, norm_id, a in scaling])
     shared: dict[str, list[float]] = {}
     for name, level in named:
         shared.setdefault(name, []).append(level)
@@ -631,10 +631,12 @@ def check_scaling(
 
 # --- emitters ---
 
-def _report_name(prefix: str, level: float) -> str:
-    """The file stem of a report, its ``prefix`` (row and level letter) and
-    ``level`` written to two decimals: levels that agree to two decimals
-    share it."""
+def _report_name(report_type: type, level: float, row: str = "") -> str:
+    """The file stem of a report of ``report_type`` on ``row`` (its theorem
+    or scaling norm id) at ``level``, written to two decimals: levels that
+    agree to two decimals share it."""
+    prefix = {EquivalenceReport: f"{row}_a", InclusionReport: "inclusions_b",
+              ScalingReport: f"scaling_{row}_a"}[report_type]
     name = f"report_{prefix}{level:+.2f}"
     return name.replace(".", "_").replace("+", "p").replace("-", "m")
 
@@ -649,19 +651,19 @@ def write_reports(
     all_ok = True
     for report in reports:
         if isinstance(report, EquivalenceReport):
-            name = _report_name(f"{report.theorem}_a", report.alpha)
+            name = _report_name(EquivalenceReport, report.alpha, report.theorem)
             ok = report.passes(config)
             rows.append([report.theorem, report.alpha, report.spread,
                          "" if report.drift is None else report.drift, ok])
         elif isinstance(report, InclusionReport):
-            name = _report_name("inclusions_b", report.beta)
+            name = _report_name(InclusionReport, report.beta)
             ok = report.passes(config)
             for link in report.links:
                 rows.append([link.theorem, link.alpha, link.spread,
                              "" if link.drift is None else link.drift,
                              link.passes(config)])
         elif isinstance(report, ScalingReport):
-            name = _report_name(f"scaling_{report.norm_id}_a", report.alpha)
+            name = _report_name(ScalingReport, report.alpha, report.norm_id)
             ok = report.passes()
             rows.append([f"scaling-{report.norm_id}", report.alpha,
                          "", report.measured, ok])

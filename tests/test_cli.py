@@ -115,6 +115,23 @@ class TestArgPlumbing:
                      "--threads", "1", "--out", str(out)]) == 0
         assert json.loads((out / "run_config.json").read_text())["threads"] == 1
 
+    def test_options_refused_where_they_do_nothing(self, mode_file, tmp_path, capsys):
+        # corpus measures no box norm and norm draws nothing: corpus takes
+        # no --boxes and norm no --seed, and their run configs keep the
+        # defaults
+        for argv, flag in ((["corpus", "--grid", "128"], ["--boxes", "1:3:1"]),
+                           (["norm", "--norm", "campanato", "--input", str(mode_file)],
+                            ["--seed", "3"])):
+            out = tmp_path / argv[0]
+            with pytest.raises(SystemExit) as err:
+                main(argv + flag + ["--out", str(out)])
+            assert err.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+            assert not out.exists()
+            assert main(argv + ["--out", str(out)]) == 0
+            config = json.loads((out / "run_config.json").read_text())
+            assert (config["boxes"], config["seed"]) == (None, 0)
+
     def test_bad_choices_exit_2(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--theorem", "9.9", "--out", "/tmp/x"])

@@ -30,7 +30,6 @@ from toruslab.norms import (
     NORMS,
     NormResult,
     TimeSeries,
-    Trace,
     XSpaceResult,
     besov_norm,
     bloch_cb_norm,
@@ -948,6 +947,43 @@ CARLESON_SHAPES = {
 }
 
 
+class TestRegistry:
+    """Each registry entry evaluates its norm without its public function,
+    and gives what that function gives, bit for bit."""
+
+    PUBLIC = {
+        "campanato": campanato_norm,
+        "campanato_pair": campanato_pair_norm,
+        "q": q_norm,
+        "frac_campanato": frac_campanato_norm,
+        "besov": lambda f, a, boxes: besov_norm(f),
+        "inverse": lambda f, a, boxes: inverse_space_norm(f, a, math.inf, boxes),
+        "h": h_alpha2_norm,
+        "scaled_h": scaled_h_norm,
+        "star": star_norm,
+        "bloch_hb": lambda ext, a, boxes: bloch_hb_norm(ext),
+        "t": t_alpha2_norm,
+        "scaled_t": scaled_t_norm,
+        "dagger_linear": lambda ext, a, boxes: dagger_norm(ext, a, boxes, "linear"),
+        "dagger_parabolic": lambda ext, a, boxes: dagger_norm(ext, a, boxes, "parabolic"),
+        "bloch_cb": lambda ext, a, boxes: bloch_cb_norm(ext),
+    }
+
+    @pytest.mark.parametrize("dims,size", [(1, 64), (2, 32)])
+    def test_entries_equal_public_functions(self, dims, size):
+        grid = TorusGrid(dims, size, length=2 * math.pi)
+        boxes = dataclasses.replace(BoxFamily.default(grid), stride=2)
+        f = random_field(grid, seed=size)
+        assert set(self.PUBLIC) == set(NORMS)
+        for name, norm in NORMS.items():
+            for level in ((0.25, 0.75) if name == "q" else (-0.25, 0.25)):
+                # each side on an argument of its own, so no walk is shared
+                want = self.PUBLIC[name](norm.argument(f, boxes), level, boxes)
+                assert norm.result(norm.argument(f, boxes), level, boxes) == want
+                value = want.value if isinstance(want, NormResult) else want
+                assert norm.value(norm.argument(f, boxes), level, boxes) == value
+
+
 class TestTracePass:
     """One trace pass serves every level of the swept trace norms."""
 
@@ -965,7 +1001,7 @@ class TestTracePass:
     def test_levels_of_one_pass_equal_lone_calls(self, dims, size, monkeypatch):
         # the levels share the ball sums, the q windows' spectra and the
         # heat stream, and each gives the result its own call gives, bit
-        # for bit; a kept level is not swept again
+        # for bit; a repeated pair is swept once
         grid = TorusGrid(dims, size, length=2 * math.pi)
         boxes = dataclasses.replace(BoxFamily.default(grid), stride=2)
         f = random_field(grid, seed=size)
@@ -979,17 +1015,18 @@ class TestTracePass:
                 return _real(f, levels, *args, **kwargs)
 
             monkeypatch.setattr(norms_module, name, counted)
-        trace = Trace(f)
-        trace_pass(trace, pairs + pairs[:2], boxes)
+        results = trace_pass(f, pairs + pairs[:2], boxes)
         assert sorted(sweeps) == sorted([
             ("_campanato_levels", self.LEVELS["campanato"]),
             ("_campanato_levels", self.LEVELS["campanato_pair"]),
             ("_q_levels", self.LEVELS["q"]), ("_inverse_levels", self.LEVELS["inverse"])])
-        assert all(isinstance(r, NormResult) for r in trace.results.values())
+        assert sorted(results) == sorted(pairs)
+        assert all(isinstance(r, NormResult) for r in results.values())
         for op, alpha in pairs:
             want = self.lone(op, f, alpha, boxes)
-            assert NORMS[op].evaluate(trace, alpha, boxes, math.inf) == want
-        assert len(sweeps) == 4 + len(pairs)  # the lone calls, one level each
+            assert results[op, alpha] == want
+            assert NORMS[op].result(f, alpha, boxes) == want
+        assert len(sweeps) == 4 + 2 * len(pairs)  # the lone calls, one level each
 
     def test_levels_are_checked_before_any_work(self, monkeypatch):
         grid = TorusGrid(1, 64)
@@ -999,7 +1036,7 @@ class TestTracePass:
             monkeypatch.setattr(norms_module, name, lambda *a, **k: calls.append(a))
         for op, bad in (("campanato", 1.0), ("q", 0.0), ("inverse", -1.0)):
             with pytest.raises(ValueError, match="must lie in"):
-                trace_pass(Trace(random_field(grid, seed=1)), [(op, 0.5), (op, bad)], boxes)
+                trace_pass(random_field(grid, seed=1), [(op, 0.5), (op, bad)], boxes)
         assert not calls
 
 
@@ -1028,7 +1065,7 @@ class TestBoxTails:
             weight_exp, full_grad, parabolic = CARLESON_SHAPES[name](alpha)
             want = radius_loop_carleson(measured, boxes, weight_exp, 2 * alpha + dims,
                                         full_grad, parabolic)
-            assert norm.evaluate(ext, alpha, boxes, math.inf) == want
+            assert norm.result(ext, alpha, boxes, math.inf) == want
 
     def test_dagger_parabolic_at_alpha0_measures_the_given_stack(self):
         # an extension remade from the inverse-transformed trace differs from
@@ -1322,10 +1359,10 @@ class TestRunningSums:
         boxes = BoxFamily.default(grid)
         norm = NORMS[name]
         f = random_field(grid, seed=7)
-        want = norm.evaluate(norm.argument(f, boxes), 0.25, boxes, math.inf)  # fills the ball caches
+        want = norm.result(norm.argument(f, boxes), 0.25, boxes, math.inf)  # fills the ball caches
         tracemalloc.start()
         try:
-            got = norm.evaluate(norm.argument(f, boxes), 0.25, boxes, math.inf)
+            got = norm.result(norm.argument(f, boxes), 0.25, boxes, math.inf)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1345,10 +1382,10 @@ class TestRunningSums:
         boxes = BoxFamily.default(grid)
         norm = NORMS[name]
         ext = norm.argument(random_field(grid, seed=3), boxes)
-        want = norm.evaluate(ext, 0.25, boxes, math.inf)  # fills the ball caches
+        want = norm.result(ext, 0.25, boxes, math.inf)  # fills the ball caches
         tracemalloc.start()
         try:
-            got = norm.evaluate(ext, 0.25, boxes, math.inf)
+            got = norm.result(ext, 0.25, boxes, math.inf)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1473,10 +1510,10 @@ class TestRunningSums:
         norm = NORMS[name]
         ext = norm.argument(random_field(grid, seed=9), boxes)
         passes = count_passes(monkeypatch)
-        norm.evaluate(ext, 0.25, boxes, math.inf)
+        norm.result(ext, 0.25, boxes, math.inf)
         assert passes == [ext]
         assert ext.box_integrals == {}
-        norm.evaluate(ext, 0.0, boxes, math.inf)
+        norm.result(ext, 0.0, boxes, math.inf)
         assert list(ext.box_integrals) == [norm.walk(0.0) + (boxes,)]
         assert norm.walk(0.0)[0] == 0.0
 

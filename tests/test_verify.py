@@ -28,7 +28,8 @@ import toruslab.verify as verify_module
 from toruslab.cli import DEFAULT_ALPHAS, _scaling_field
 from toruslab.corpus import CorpusSpec, default_corpus_specs, generate
 from toruslab.extensions import Extension, gradient_bound_ratio, row_chunks
-from toruslab.norms import NORMS, BoxFamily, campanato_norm, inverse_space_norm, q_norm
+from toruslab.norms import (NORMS, BoxFamily, campanato_norm, h_alpha2_norm, inverse_space_norm,
+                            q_norm)
 from toruslab.spectral import TorusGrid
 from toruslab.verify import (
     CHECKS,
@@ -343,8 +344,8 @@ class TraceCensus:
     """Counts the work of the trace passes of workspace members, per
     (sweep, grid size, member): the sweeps of each swept trace norm, and
     inside them the Campanato ball sums, the q window transforms and the
-    inverse-space heat streams; the ``Trace`` arguments still alive; and
-    every ``_semigroup`` stream by (grid, kind, times) and whether it fits
+    inverse-space heat streams; the (op, level) keys of each trace pass's
+    results, per (grid size, member); and every ``_semigroup`` stream by (grid, kind, times) and whether it fits
     one chunk, against the decay tables formed."""
 
     SWEEPS = {"_campanato_levels": "campanato", "_q_levels": "q",
@@ -356,7 +357,7 @@ class TraceCensus:
         self.sweeps: collections.Counter = collections.Counter()
         self.work: collections.Counter = collections.Counter()
         self.streams: list[tuple] = []
-        self.traces: list = []
+        self.passes: collections.defaultdict = collections.defaultdict(list)
         self._now = threading.local()
         for name, op in self.SWEEPS.items():
             monkeypatch.setattr(norms_module, name, self._sweep(getattr(norms_module, name), op))
@@ -365,20 +366,20 @@ class TraceCensus:
         self._count(monkeypatch, norms_module, "extension_rows", "inverse", lambda *a, **k: True)
         self._count(monkeypatch, np.fft, "rfftn", "q",
                     lambda arr, *a, **k: np.ndim(arr) == 2)  # the 1-D windows of a block
-        real_semigroup, real_trace = extensions_module._semigroup, verify_module.Trace
+        real_semigroup, real_pass = extensions_module._semigroup, verify_module.trace_pass
 
         def semigroup(trace, kind, times, unit=1):
             fits = len(list(row_chunks(times.size, trace.grid, unit))) == 1
             self.streams.append((trace.grid, kind, times.tobytes(), fits))
             return real_semigroup(trace, kind, times, unit)
 
-        def trace(f):
-            out = real_trace(f)
-            self.traces.append(weakref.ref(out))
+        def trace_pass(f, pairs, boxes):
+            out = real_pass(f, pairs, boxes)
+            self.passes[self.members.get(id(f), ("other",))].append(sorted(out))
             return out
 
         monkeypatch.setattr(extensions_module, "_semigroup", semigroup)
-        monkeypatch.setattr(verify_module, "Trace", trace)
+        monkeypatch.setattr(verify_module, "trace_pass", trace_pass)
         extensions_module._decay_table.cache_clear()
 
     def _sweep(self, real, op):
@@ -401,9 +402,6 @@ class TraceCensus:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, call)
-
-    def alive(self) -> int:
-        return sum(ref() is not None for ref in self.traces)
 
 
 def all_rows(alphas=(-0.25, 0.25), betas=(0.5,)) -> list[tuple[str, float]]:
@@ -490,26 +488,27 @@ class TestPlan:
     def test_grad_constant_reads_h_from_the_table(self, grid, monkeypatch) -> None:
         # grad_constant divides its node-peak sup by h at its level: the
         # task forms h's box sup once per level, for both ops, and plans h
-        # when only grad_constant is asked for
+        # when only grad_constant is asked for. A box sup's scale exponent
+        # 2a + n names its level.
         calls = []
-        real = norms_module.h_alpha2_norm
+        real = norms_module._box_sup
 
-        def counted(ext, alpha, boxes):
-            calls.append(alpha)
-            return real(ext, alpha, boxes)
+        def counted(boxes, eligible, integrals, scale_exp, mean):
+            calls.append(scale_exp)
+            return real(boxes, eligible, integrals, scale_exp, mean)
 
-        monkeypatch.setattr(norms_module, "h_alpha2_norm", counted)
+        monkeypatch.setattr(norms_module, "_box_sup", counted)
         levels = (-0.25, 0.0, 0.25)
         space = Workspace(small_specs(), grid, threads=1)
         label = space.labels[3]
         space.run({label: [(op, a) for op in ("grad_constant", "h") for a in levels]})
-        assert sorted(calls) == sorted(levels)
+        assert sorted(calls) == sorted(2 * a + grid.dims for a in levels)
         alone = Workspace(small_specs(), grid, threads=1)
         alone.run({label: [("grad_constant", a) for a in levels]})
         assert len(calls) == 2 * len(levels)
         for a in levels:
             ext = space.stack(label, "poisson")
-            want = gradient_bound_ratio(ext, a, real(ext, a, space.boxes).value)
+            want = gradient_bound_ratio(ext, a, h_alpha2_norm(ext, a, space.boxes).value)
             assert space.norm("grad_constant", label, a) == want
             assert alone.norm("grad_constant", label, a) == want
 
@@ -517,8 +516,8 @@ class TestPlan:
         # per (grid, member): one Campanato sweep of 3 levels on one pair of
         # ball sums, one q sweep of 2 levels with one window transform per
         # radius and chunk of centers, one inverse sweep of 2 levels on one
-        # heat stream; no Trace outlives its task, and a lone norm call
-        # gives the task's value bit for bit. Each distinct (grid, kind,
+        # heat stream, all from one trace pass of the member, and a lone
+        # norm call gives the task's value bit for bit. Each distinct (grid, kind,
         # times) of the streams that fit one chunk forms one decay table.
         space = Workspace(small_specs(), grid, threads=1)
         workspaces = (space, space.refined())
@@ -533,6 +532,8 @@ class TestPlan:
                 for op, want in work.items():
                     tag = (op, ws.grid.size, label)
                     assert census.sweeps[tag] == 1 and census.work[tag] == want
+                assert census.passes[ws.grid.size, label] == [
+                    sorted((op, x) for op, xs in levels.items() for x in xs)]
                 f = ws.field(label)
                 for a in levels["campanato"]:
                     assert ws.norm("campanato", label, a) == campanato_norm(f, a, ws.boxes).value
@@ -541,7 +542,8 @@ class TestPlan:
                 for a in levels["inverse"]:
                     assert (ws.norm("inverse", label, a)
                             == inverse_space_norm(f, a, math.inf, ws.boxes).value)
-        assert census.traces and census.alive() == 0
+        assert set(census.passes) == {(ws.grid.size, label) for ws in workspaces
+                                      for label in ws.split_members()[0]}
         fitting = [stream[:3] for stream in census.streams if stream[3]]
         assert len(set(fitting)) < len(fitting)
         info = extensions_module._decay_table.cache_info()
