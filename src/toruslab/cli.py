@@ -45,10 +45,7 @@ from .verify import (
     SCALING_NORMS,
     VerifyConfig,
     Workspace,
-    check_inclusions,
-    check_scaling,
-    prepare,
-    run_check,
+    build_reports,
     write_reports,
 )
 
@@ -350,15 +347,7 @@ def _verify_reports(config: RunConfig, ws: Workspace) -> list:
     if want("scaling"):
         fields = {a: _scaling_field(a, ws.grid, config.seed) for a in levels["alpha"]}
         scaling = [(fields[a], norm_id, a) for a in levels["alpha"] for norm_id in SCALING_NORMS]
-    # every value the reports read, member by member, before any report
-    prepare(ws, rows, betas, refine=refine, scaling=scaling)
-    reports: list = [run_check(ws, name, x, refine=refine) for name, x in rows]
-    reports += [check_inclusions(ws, b, refine=refine) for b in betas]
-    # at the -1/2 endpoint no periodic band-limited field can exhibit the
-    # trace exponent, so the row is report-only
-    reports += [check_scaling(ws, f, norm_id, a, enforce=a > -0.5)
-                for f, norm_id, a in scaling]
-    return reports
+    return build_reports(ws, rows, betas, scaling, refine=refine)
 
 
 def cmd_verify(config: RunConfig) -> int:

@@ -87,6 +87,7 @@ from .spectral import Field, TorusGrid, forward_transform
 
 DIVERGENCE_RTOL = 1e-8
 BLOCK_RTOL = 1e-12
+PICARD_TOL = 1e-10
 _ENERGY_SLACK = 1e-9
 
 
@@ -572,7 +573,6 @@ def mild_solve_picard(
     horizon: float,
     nodes: int = 128,
     max_iter: int = 40,
-    tol: float = 1e-10,
     nonlinear: bool = True,
 ) -> NSTrace:
     """Fixed-point iteration of the integral equation
@@ -581,7 +581,7 @@ def mild_solve_picard(
     stored uniform nodes.
 
     Starts from the heat flow of a; converged means the sup-over-nodes
-    relative L2 update fell below tol. A non-contracting run returns a
+    relative L2 update fell below PICARD_TOL. A non-contracting run returns a
     trace flagged converged=False with its residual history intact; a
     sweep whose update overflows ends the solve there with residual inf.
     Data outside the kept 2/3 block is refused (ValueError).
@@ -605,7 +605,7 @@ def mild_solve_picard(
     config = {
         "solver": "picard", "horizon": horizon, "nodes": nodes,
         "viscosity": 1.0, "dealias": "2/3", "max_iter": max_iter,
-        "tol": tol, "nonlinear": nonlinear,
+        "tol": PICARD_TOL, "nonlinear": nonlinear,
         "initial_energy": a.energy(),
     }
 
@@ -625,7 +625,7 @@ def mild_solve_picard(
             residuals.append(worst)
             if not math.isfinite(worst):
                 break
-            if worst <= tol:
+            if worst <= PICARD_TOL:
                 converged = True
                 break
 

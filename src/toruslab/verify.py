@@ -14,10 +14,9 @@ import dataclasses
 import hashlib
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -155,8 +154,8 @@ class InclusionReport:
 
 # Ops the value table holds besides the registry norms: the unit right
 # side, the empirical gradient constant, whose last argument is the value
-# of h at its level (a task reads it from the table, which its plan fills
-# first), and the weight-monotone test of the inclusion chains, which reads
+# of h at its level (its task evaluates h there first and reads it from its
+# own values), and the weight-monotone test of the inclusion chains, which reads
 # the scaled_h walks the inclusion rows plan. They stay out of NORMS, whose
 # names are the `norm` command's choices.
 _TABLE_OPS = {
@@ -198,9 +197,10 @@ class Workspace:
     the meshes they read, then evaluates them, and drops the extension when
     it ends; the walks of a fractional lift a != 0 (``star``, or both
     ``dagger`` heights at one level) are read once, and one more pass
-    streams them together just before the first is read. A lookup that
-    misses plans just the missing key and runs it the same way.
-    Reports read the table in corpus order, so they are deterministic.
+    streams them together just before the first is read. A task returns
+    its values and writes nothing; the calling thread puts them into the
+    table, which ``build_reports`` alone fills. A lookup that misses is an
+    error. Reports read the table in corpus order, so they are deterministic.
     A field outside the corpus, such as a scaling field, that ``add_field``
     names is planned and run as a corpus member is, but it is not in
     ``specs``, so ``labels``, ``split_members`` and the reports never see it.
@@ -223,7 +223,6 @@ class Workspace:
         if threads is not None and threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
         self.threads = default_threads() if threads is None else threads
-        self._lock = threading.Lock()
         self._fields: dict[str, Field | None] = {}
         self._values: dict[tuple, float] = {}
         self._refined: "Workspace | None" = None
@@ -236,9 +235,8 @@ class Workspace:
 
     def field(self, label: str) -> Field | None:
         """The generated member, or None if it is constant/zero."""
-        with self._lock:
-            if label in self._fields:
-                return self._fields[label]
+        if label in self._fields:
+            return self._fields[label]
         spec = next((s for s in self.specs if s.label() == label), None)
         if spec is None:
             raise ValueError(f"no corpus member is labelled {label!r}")
@@ -246,8 +244,7 @@ class Workspace:
         centered = raw.remove_mean()
         scale = max(abs(raw.mean()), 1.0)
         out = None if centered.max_abs() <= DEGENERATE_RTOL * scale else centered
-        with self._lock:
-            self._fields[label] = out
+        self._fields[label] = out
         return out
 
     def split_members(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -263,8 +260,7 @@ class Workspace:
         if f.grid != self.grid:
             raise ValueError("field grid does not match workspace grid")
         label = "field:" + hashlib.sha256(f.samples.tobytes()).hexdigest()[:16]
-        with self._lock:
-            self._fields.setdefault(label, f)
+        self._fields.setdefault(label, f)
         return label
 
     def stack(self, label: str, kind: str) -> Extension:
@@ -278,22 +274,18 @@ class Workspace:
     # -- the value table --
 
     def norm(self, op: str, label: str, alpha: float = 0.0) -> float:
-        """The value of ``op`` on the member at level ``alpha``, evaluated
-        through a plan of its own on a miss."""
+        """The table's value of ``op`` on the member at level ``alpha``."""
         key = (op, label, round(alpha, 12))
-        with self._lock:
-            if key in self._values:
-                return self._values[key]
-        self.run({label: [(op, alpha)]})
-        with self._lock:
-            return self._values[key]
+        if key not in self._values:
+            raise ValueError(f"the table holds no {op!r} value of member {label!r} "
+                             f"at level {alpha}")
+        return self._values[key]
 
     def evaluate(self, op_pairs: tuple[tuple[str, float], tuple[str, float]]):
-        """Member -> (left, right) for an op pair, in corpus order. The values
-        the table lacks are evaluated first, on the pool."""
+        """Member -> (left, right) for an op pair, in corpus order, read from
+        the table."""
         (left_op, left_a), (right_op, right_a) = op_pairs
         usable, skipped = self.split_members()
-        self.run({label: op_pairs for label in usable})
         members = tuple(
             MemberRatio(label=label, left=self.norm(left_op, label, left_a),
                         right=self.norm(right_op, label, right_a))
@@ -301,27 +293,23 @@ class Workspace:
         )
         return members, skipped
 
-    def run(self, plan: dict[str, list[tuple[str, float]]]) -> None:
-        """Evaluate the planned (op, level) pairs of each member that the
-        table lacks."""
-        _run_tasks(self._tasks(plan), self.threads)
-
     def _tasks(self, plan: dict[str, list[tuple[str, float]]]
                ) -> list[tuple["Workspace", str, str, dict]]:
         """(workspace, member, input kind, {(op, level key): level}) for each
-        member and kind with keys the table lacks. Every op and box height
-        is checked here, before any work."""
+        member and kind with keys the table lacks. Every member, op and box
+        height is checked, and every member generated, here, before any work."""
         tasks, kinds = [], set()
         for label, pairs in plan.items():
+            if self.field(label) is None:
+                raise ValueError(f"degenerate member {label!r} has no norm values")
             todo: dict[tuple[str, float], float] = {}
             for op, alpha in pairs:
                 kinds.add(_op(op).kind)
-                if op == "grad_constant":  # it reads h at its level
-                    todo.setdefault(("h", round(alpha, 12)), alpha)
-                todo.setdefault((op, round(alpha, 12)), alpha)
-            with self._lock:
-                todo = {key: alpha for key, alpha in todo.items()
-                        if (key[0], label, key[1]) not in self._values}
+                level = round(alpha, 12)
+                if (op, label, level) not in self._values:
+                    if op == "grad_constant":  # its task evaluates h at its level first
+                        todo.setdefault(("h", level), alpha)
+                    todo.setdefault((op, level), alpha)
             for kind in ("poisson", "heat", "trace"):
                 part = {key: alpha for key, alpha in todo.items() if _op(key[0]).kind == kind}
                 if part:
@@ -330,18 +318,16 @@ class Workspace:
             check_box_heights(self.boxes, kind)
         return tasks
 
-    def _task(self, label: str, kind: str, todo: dict[tuple[str, float], float]) -> None:
-        """Evaluate one member's ops of one input kind: on the field, with
-        one trace pass for the levels of every op with a sweep, or on an
-        extension made here, with one gradient pass for the peaks and the
-        lift-0 walks of every op. The walks of a lift a != 0 (``star``, or
-        ``dagger_linear`` and ``dagger_parabolic`` at one level) are read
-        once, so they are walked together, by one stream over the union of
-        their meshes, just before the first of them is read, and each is
-        dropped once read: no more than one lift is held at a time."""
+    def _task(self, label: str, kind: str, todo: dict[tuple[str, float], float]) -> dict:
+        """The {(op, member, level key): value} of one member's ops of one
+        input kind: on the field, with one trace pass for the levels of every
+        op with a sweep, or on an extension made here, with one gradient pass
+        for the peaks and the lift-0 walks of every op. The walks of a lift
+        a != 0 (``star``, or ``dagger_linear`` and ``dagger_parabolic`` at one
+        level) are read once, so they are walked together, by one stream over
+        the union of their meshes, just before the first of them is read, and
+        each is dropped once read: no more than one lift is held at a time."""
         x = self.field(label) if kind == "trace" else self.stack(label, kind)
-        if x is None:
-            raise ValueError(f"degenerate member {label!r} has no norm values")
         ops = {key: (_op(key[0]), alpha) for key, alpha in todo.items()}
         lifts: dict[float, list] = {}  # lift -> the walk keys of the ops
         swept = {}
@@ -354,15 +340,15 @@ class Workspace:
                     lifts.setdefault(walk[0], []).append(walk + (self.boxes,))
             gradient_pass(x, lifts.pop(0.0, []),
                           [norm.peak for norm, _ in ops.values() if norm.peak is not None])
+        values: dict[tuple, float] = {}
         for (op, level), (norm, alpha) in ops.items():
             walk = norm.walk(alpha)
             if walk and walk[0] in lifts:
                 gradient_pass(x, lifts.pop(walk[0]))
-            with self._lock:  # grad_constant divides by h at its level, evaluated before it
-                last = self._values[("h", label, level)] if op == "grad_constant" else math.inf
-            value = swept[op, alpha].value if norm.sweep else norm.value(x, alpha, self.boxes, last)
-            with self._lock:
-                self._values.setdefault((op, label, level), value)
+            last = values[("h", label, level)] if op == "grad_constant" else math.inf
+            values[(op, label, level)] = (swept[op, alpha].value if norm.sweep
+                                          else norm.value(x, alpha, self.boxes, last))
+        return values
 
     def refined(self) -> "Workspace":
         """Same corpus on the 2N grid; same physical boxes (stride doubled)."""
@@ -374,12 +360,12 @@ class Workspace:
 
 
 def _run_tasks(tasks: list[tuple[Workspace, str, str, dict]], threads: int) -> None:
-    """Run member tasks on one pool of ``threads`` workers; every task's
-    values land in its workspace's table."""
+    """Run member tasks on one pool of ``threads`` workers and put the values
+    each returns into its workspace's table, here on the calling thread."""
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for future in [pool.submit(ws._task, label, kind, todo)
-                       for ws, label, kind, todo in tasks]:
-            future.result()
+        for ws, future in [(ws, pool.submit(ws._task, label, kind, todo))
+                           for ws, label, kind, todo in tasks]:
+            ws._values.update(future.result())
 
 
 def _band_drift(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -478,7 +464,7 @@ def _row(name: str, level: float) -> Check:
 
 def _check_report_names(rows: Sequence[tuple[str, float]], betas: Sequence[float],
                         scaling: Sequence[tuple[Field, str, float]]) -> None:
-    """Refuse, naming the levels, reports of ``prepare``'s arguments that
+    """Refuse, naming the levels, reports of ``build_reports``'s arguments that
     would share a file name: the reports of one row at levels that agree
     to two decimals."""
     named = ([(_report_name(EquivalenceReport, x, _row(row, x).theorem), x) for row, x in rows]
@@ -495,39 +481,43 @@ def _check_report_names(rows: Sequence[tuple[str, float]], betas: Sequence[float
             + " are equal to two decimals, the precision of report file names")
 
 
-def prepare(ws: Workspace, rows: Iterable[tuple[str, float]],
-            betas: Sequence[float] = (), refine: bool = True,
-            scaling: Iterable[tuple[Field, str, float]] = ()) -> None:
-    """Evaluate every value the reports of ``rows``, (check name, level)
-    pairs, the inclusion chains at ``betas`` and the ``scaling`` rows,
-    (field, norm id, level) as ``check_scaling`` reads them, read, member
-    by member, on ``ws`` and, with ``refine``, on its refinement; a scaling
-    field is a member of ``ws`` alone. Every row, op and box height of both
-    grids is checked before any work starts, and so is every report's file
-    name: no two reports may share one. One pool runs the member tasks of
-    both grids."""
-    rows, scaling = list(rows), list(scaling)
+def build_reports(ws: Workspace, rows: Sequence[tuple[str, float]] = (),
+                  betas: Sequence[float] = (),
+                  scaling: Sequence[tuple[Field, str, float]] = (), refine: bool = True) -> list:
+    """The reports of ``rows``, (check name, level) pairs, of the inclusion
+    chains at ``betas`` and of the ``scaling`` rows, (field, norm id, level),
+    in that order; with ``refine``, each equivalence report has its band
+    drift on the doubled grid. Every report name, row, op and box height of
+    both grids is checked, and every value the reports read is planned,
+    member by member, before any work starts; a scaling field is a member of
+    ``ws`` alone. One pool runs the member tasks of both grids."""
     _check_report_names(rows, betas, scaling)
-    rows += [(c.theorem, b) for b in betas for c in CHECKS if c.group == "inclusions"]
-    pairs = [pair for name, level in rows for pair in _row(name, level).pair(level)]
+    scaled = [(_scaling_members(ws, f, norm_id, alpha), norm_id, alpha)
+              for f, norm_id, alpha in scaling]
+    checks = list(rows) + [(c.theorem, b) for b in betas for c in CHECKS
+                           if c.group == "inclusions"]
+    pairs = [pair for name, level in checks for pair in _row(name, level).pair(level)]
     # scaling rows alone read no corpus member: none is generated for them
-    usable = ws.split_members()[0] if rows else ()
+    usable = ws.split_members()[0] if checks else ()
     plan = {label: pairs for label in usable}
     if usable:  # the weight-monotone test reads the first usable member
         plan[usable[0]] = pairs + [("weight_monotone", b) for b in betas]
-    for f, norm_id, alpha in scaling:
-        for label in _scaling_members(ws, f, norm_id):
+    for members, norm_id, alpha in scaled:
+        for label in members:
             plan.setdefault(label, []).append((norm_id, alpha))
     tasks = ws._tasks(plan)
-    if refine and rows:
+    if refine and checks:
         fine = ws.refined()
         # the larger grid's tasks first, so the pool's tail is a short task
         tasks = fine._tasks({label: pairs for label in fine.split_members()[0]}) + tasks
     _run_tasks(tasks, ws.threads)
+    return ([_equivalence_report(ws, name, level, refine) for name, level in rows]
+            + [_inclusion_report(ws, beta, refine) for beta in betas]
+            + [_scaling_report(ws, *row) for row in scaled])
 
 
-def run_check(ws: Workspace, name: str, level: float,
-              refine: bool = True) -> EquivalenceReport:
+def _equivalence_report(ws: Workspace, name: str, level: float,
+                        refine: bool) -> EquivalenceReport:
     """The report of the table row called ``name`` (its theorem id or its
     sweep name) whose domain holds ``level``; with ``refine``, its band
     drift on the doubled grid."""
@@ -546,10 +536,10 @@ def run_check(ws: Workspace, name: str, level: float,
     return dataclasses.replace(report, drift=_band_drift(report.band, fine.band))
 
 
-def check_inclusions(ws: Workspace, beta: float, refine: bool = True) -> InclusionReport:
+def _inclusion_report(ws: Workspace, beta: float, refine: bool) -> InclusionReport:
     """The table's inclusion links at level beta, and the weight-monotone
     test on the first usable member."""
-    links = tuple(run_check(ws, c.theorem, beta, refine)
+    links = tuple(_equivalence_report(ws, c.theorem, beta, refine)
                   for c in CHECKS if c.group == "inclusions")
     usable, _ = ws.split_members()
     return InclusionReport(
@@ -583,36 +573,37 @@ def lattice_rescale(f: Field, lam: int) -> Field:
 SCALING_NORMS = ("campanato", "frac_campanato", "scaled_h", "inverse", "h")
 
 
-def _scaling_members(ws: Workspace, f: Field, norm_id: str) -> tuple[str, str]:
-    """The members of ``ws`` whose ``norm_id`` values give the exponent of f:
-    the mean-free g = f - mean(f) and its rescale g(lam .), lam =
-    SCALING_LAMBDA. The inverse-space norm is invariant under lam*g(lam .),
-    so for it the rescale carries the amplitude factor."""
+def _scaling_members(ws: Workspace, f: Field, norm_id: str, alpha: float) -> tuple[str, str]:
+    """The members of ``ws`` whose ``norm_id`` values give the exponent of f
+    at ``alpha``: the mean-free g = f - mean(f) and its rescale g(lam .),
+    lam = SCALING_LAMBDA, which is refused unless it is mean-free too. The
+    inverse-space norm is invariant under lam*g(lam .), so for it the
+    rescale carries the amplitude factor."""
     if norm_id not in SCALING_NORMS:
         raise ValueError(f"unknown scaling norm id {norm_id!r}")
     g = f.remove_mean()
-    g_lam = lattice_rescale(g, SCALING_LAMBDA)
+    try:
+        g_lam = lattice_rescale(g, SCALING_LAMBDA)
+    except ValueError:
+        raise ValueError(f"scaling row {norm_id} at alpha {alpha}: the rescale of its field "
+                         f"is not mean-free at N={ws.grid.size}, because the field is "
+                         "under-resolved on this grid") from None
     if norm_id == "inverse":
         g_lam = g_lam.scaled(float(SCALING_LAMBDA))
     return ws.add_field(g), ws.add_field(g_lam)
 
 
-def check_scaling(
-    ws: Workspace, f: Field, norm_id: str, alpha: float, enforce: bool = True,
-) -> ScalingReport:
-    """Measured exponent log_lam(norm(f_lam)/norm(f)) for the lattice
-    rescale f_lam = f(lam .), lam = SCALING_LAMBDA, of a field on the grid
-    of ``ws``, against the documented expectation. Both values are read from the table of ``ws``
-    (see ``_scaling_members``), where ``prepare`` evaluates them on its
-    pool; a miss is evaluated here.
+def _scaling_report(ws: Workspace, members: tuple[str, str], norm_id: str, alpha: float):
+    """Measured exponent log_lam(norm(f_lam)/norm(f)) of the ``members``
+    ``_scaling_members`` names for a field f, against the documented
+    expectation.
 
     The plain Carleson box norm is reported against both candidate
     exponents without a pass threshold: the two scaling conventions in
-    circulation disagree (see README notes). ``enforce=False`` records the
-    measurement without a pass threshold, for exponents no periodic
-    band-limited field can exhibit.
+    circulation disagree (see README notes). At the -1/2 endpoint no
+    periodic band-limited field can exhibit the trace exponent, so those
+    rows are reported without a pass threshold too.
     """
-    members = _scaling_members(ws, f, norm_id)
     base, rescaled = (ws.norm(norm_id, label, alpha) for label in members)
     measured = math.log(rescaled / base) / math.log(SCALING_LAMBDA)
 
@@ -625,7 +616,7 @@ def check_scaling(
         expected = (("invariant", 0.0),)
     return ScalingReport(
         norm_id=norm_id, alpha=alpha, measured=measured, expected=expected,
-        enforced=enforce and norm_id != "h",
+        enforced=norm_id != "h" and alpha > -0.5,
     )
 
 

@@ -46,9 +46,7 @@ from toruslab.verify import (
     SCALING_NORMS,
     VerifyConfig,
     Workspace,
-    check_scaling,
-    prepare,
-    run_check,
+    build_reports,
 )
 
 from flow_oracles import scaling_defect, trace_difference, velocity
@@ -293,13 +291,9 @@ def test_criterion_03_scaling_laws():
     ws = Workspace((), grid)
     rows = [(_scaling_field(a, grid, seed=0), norm_id, a)
             for a in ALPHAS for norm_id in SCALING_NORMS]
-    prepare(ws, [], scaling=rows, refine=False)
     enforced_rows = 0
     h_example = None
-    for f, norm_id, a in rows:
-        # the -1/2 endpoint exponent is unreachable for periodic
-        # band-limited fields, so that row is recorded, not scored
-        rep = check_scaling(ws, f, norm_id, a, enforce=a > -0.5)
+    for (_, norm_id, a), rep in zip(rows, build_reports(ws, scaling=rows, refine=False)):
         if rep.enforced:
             enforced_rows += 1
         if not rep.passes():
@@ -322,7 +316,7 @@ def test_criterion_03_scaling_laws():
 def test_criterion_04_harmonic_box_equivalence(workspace):
     start = time.perf_counter()
     bad: list = []
-    reports = [run_check(workspace, "2.1", a, refine=True) for a in ALPHAS]
+    reports = build_reports(workspace, [("2.1", a) for a in ALPHAS], refine=True)
     for r in reports:
         if r.drift is None:
             bad.append(f"2.1 a={r.alpha}: no refinement drift")
@@ -335,11 +329,9 @@ def test_criterion_04_harmonic_box_equivalence(workspace):
 def test_criterion_05_scaled_harmonic_equivalence(workspace):
     start = time.perf_counter()
     bad: list = []
-    reports = [run_check(workspace, "3.1i", a, refine=True) for a in ALPHAS]
-    reports += [run_check(workspace, "3.1ii-bloch", b, refine=True)
-                for b in BETAS]
-    reports += [run_check(workspace, "3.3-star", a, refine=True)
-                for a in ALPHAS]
+    rows = ([("3.1i", a) for a in ALPHAS] + [("3.1ii-bloch", b) for b in BETAS]
+            + [("3.3-star", a) for a in ALPHAS])
+    reports = build_reports(workspace, rows, refine=True)
     spread, drift = _enforce(reports, CONFIG, bad)
     _conclude(5, 180.0, start, bad,
               f"invariant/Bloch/lifted-stack bands: max spread {spread:.2f},"
@@ -349,18 +341,17 @@ def test_criterion_05_scaled_harmonic_equivalence(workspace):
 def test_criterion_06_caloric_equivalence(workspace):
     start = time.perf_counter()
     bad: list = []
-    reports = [run_check(workspace, name, a, refine=True)
-               for name in ("4.1i", "4.1ii") for a in ALPHAS]
-    reports += [run_check(workspace, "4.1iii-bloch", b, refine=True)
-                for b in BETAS]
-    spread, drift = _enforce(reports, CONFIG, bad)
+    parts = ("dagger-linear", "dagger-parabolic")
+    rows = ([(name, a) for name in ("4.1i", "4.1ii") for a in ALPHAS]
+            + [("4.1iii-bloch", b) for b in BETAS])
+    reports = build_reports(workspace, rows + [(f"4.1-{part}", a) for part in parts
+                                               for a in ALPHAS], refine=True)
+    spread, drift = _enforce(reports[:len(rows)], CONFIG, bad)
+    # the full-gradient reports are unenforced: their bands are recorded
     bands = {}
-    for part in ("dagger-linear", "dagger-parabolic"):
-        lo, hi = math.inf, 0.0
-        for a in ALPHAS:
-            rep = run_check(workspace, f"4.1-{part}", a, refine=False)
-            lo, hi = min(lo, rep.band[0]), max(hi, rep.band[1])
-        bands[part] = (lo, hi)
+    for part in parts:
+        daggers = [r for r in reports if r.theorem == f"4.1-{part}"]
+        bands[part] = (min(r.band[0] for r in daggers), max(r.band[1] for r in daggers))
     dagger = ", ".join(f"{p} [{lo:.2g}, {hi:.2g}]"
                        for p, (lo, hi) in bands.items())
     _conclude(6, 180.0, start, bad,
@@ -371,8 +362,8 @@ def test_criterion_06_caloric_equivalence(workspace):
 def test_criterion_07_inverse_and_oscillation_pairings(workspace):
     start = time.perf_counter()
     bad: list = []
-    reports = [run_check(workspace, "4.2", a, refine=False)
-               for a in (0.25, 0.5, 0.75, -0.75, -0.5, -0.25)]
+    reports = build_reports(workspace, [("4.2", a) for a in (0.25, 0.5, 0.75, -0.75, -0.5, -0.25)],
+                            refine=False)
     spread, _ = _enforce(reports, CONFIG, bad)
     _conclude(7, 120.0, start, bad,
               f"six alpha pairings: max spread {spread:.2f} <= 30")
@@ -382,8 +373,8 @@ def test_criterion_08_gradient_constant(workspace):
     start = time.perf_counter()
     bad: list = []
     worst_hi, worst_drift = 0.0, 0.0
-    for a in ALPHAS:
-        rep = run_check(workspace, "2.2i-gradient", a, refine=True)
+    for a, rep in zip(ALPHAS, build_reports(workspace, [("2.2i-gradient", a) for a in ALPHAS],
+                                            refine=True)):
         hi = rep.band[1]
         if not math.isfinite(hi):
             bad.append(f"a={a}: constant not finite")

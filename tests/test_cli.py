@@ -367,6 +367,8 @@ class TestNormRegistry:
         spec = default_corpus_specs(0)[3]
         ws = Workspace([spec], grid, threads=1)
         path = write_field(ws.field(spec.label()), tmp_path / "member.bin")
+        verify_module._run_tasks(ws._tasks({spec.label(): [(name, 0.25) for name in NORMS]}),
+                                 ws.threads)
         for name in NORMS:
             argv = ["norm", "--norm", name, "--alpha", "0.25", "--input", str(path)]
             assert main(argv) == 0, name
@@ -437,6 +439,21 @@ class TestVerifyCommand:
             "--out", str(out),
         ])
         assert code == 0
+
+    def test_under_resolved_scaling_field_refused(self, tmp_path, capsys, monkeypatch):
+        # at N=64 the width-0.04 bump's rescale g(2x) is not mean-free: the
+        # row is refused, naming itself and the grid, before any member task
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluated before the scaling rows were checked")
+
+        monkeypatch.setattr(verify_module, "_run_tasks", no_work)
+        out = tmp_path / "vscale64"
+        assert main(["verify", "--theorem", "scaling", "--grid", "64", "--no-refine",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("error: scaling row campanato at alpha -0.5: the rescale of its field is "
+                "not mean-free at N=64, because the field is under-resolved") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,levels", [
         (["--theorem", "2.1", "--alpha", "0.251,0.254", "--grid", "128", "--no-refine"],

@@ -12,6 +12,7 @@ import collections
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -40,12 +41,10 @@ from toruslab.verify import (
     ScalingReport,
     VerifyConfig,
     Workspace,
-    check_inclusions,
-    check_scaling,
+    _run_tasks,
+    build_reports,
     default_threads,
     lattice_rescale,
-    prepare,
-    run_check,
     write_reports,
 )
 
@@ -125,14 +124,14 @@ class TestCheckScaling:
     def test_exponent_matrix(self, setup, norm_id: str, alpha: float) -> None:
         space, mode2, bump = setup
         f = bump if alpha < 0 else mode2
-        report = check_scaling(space, f, norm_id, alpha)
+        (report,) = build_reports(space, scaling=[(f, norm_id, alpha)])
         assert report.passes()
         want = alpha if norm_id == "campanato" else 0.0
         assert abs(report.measured - want) <= SCALING_TOLERANCE
 
     def test_h_norm_dual_reported_without_threshold(self, setup) -> None:
         space, mode2, _ = setup
-        report = check_scaling(space, mode2, "h", 0.25)
+        (report,) = build_reports(space, scaling=[(mode2, "h", 0.25)])
         assert not report.enforced
         assert report.passes()
         expected = dict(report.expected)
@@ -141,21 +140,31 @@ class TestCheckScaling:
 
     def test_measured_exponent_amplitude_invariant(self, setup) -> None:
         space, mode2, _ = setup
-        a = check_scaling(space, mode2, "campanato", 0.25).measured
-        b = check_scaling(space, mode2.scaled(7.0), "campanato", 0.25).measured
+        a, b = (build_reports(space, scaling=[(f, "campanato", 0.25)])[0].measured
+                for f in (mode2, mode2.scaled(7.0)))
         assert abs(a - b) < 1e-12
+
+    def test_endpoint_row_reported_without_threshold(self, setup) -> None:
+        # no periodic band-limited field exhibits the trace exponent at
+        # alpha = -1/2, so that row is recorded, not scored
+        space, _, bump = setup
+        endpoint, inside = build_reports(space, scaling=[(bump, "campanato", -0.5),
+                                                         (bump, "campanato", -0.25)])
+        assert not endpoint.enforced and endpoint.passes()
+        assert endpoint.to_payload()["enforced"] is False
+        assert inside.enforced
 
     def test_unknown_norm_rejected(self, setup) -> None:
         space, mode2, _ = setup
         with pytest.raises(ValueError):
-            check_scaling(space, mode2, "besov", 0.25)
+            build_reports(space, scaling=[(mode2, "besov", 0.25)])
 
     def test_field_off_the_workspace_grid_rejected(self, setup) -> None:
         space, _, _ = setup
         other = generate(CorpusSpec.make("single_mode", seed=0, k=2),
                          TorusGrid(dims=1, size=128, length=1.0))
         with pytest.raises(ValueError, match="grid"):
-            check_scaling(space, other, "campanato", 0.25)
+            build_reports(space, scaling=[(other, "campanato", 0.25)])
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_planned_rows_match_one_norm_at_a_time(self, seed: int) -> None:
@@ -166,12 +175,9 @@ class TestCheckScaling:
         space = Workspace((), grid, threads=2)
         rows = [(_scaling_field(a, grid, seed), norm_id, a)
                 for a in DEFAULT_ALPHAS for norm_id in SCALING_NORMS]
-        prepare(space, [], scaling=rows, refine=False)
+        got = [report.measured for report in build_reports(space, scaling=rows, refine=False)]
         # bump, mode and their rescales; the inverse rescales add two more
         assert len(space._fields) == 6
-        planned = dict(space._values)
-        got = [check_scaling(space, f, norm_id, a).measured for f, norm_id, a in rows]
-        assert space._values == planned  # every read was a table hit
 
         def value(h, norm_id, a):
             norm = NORMS[norm_id]
@@ -193,25 +199,22 @@ class TestCheckScaling:
         space = Workspace(default_corpus_specs(0), grid, threads=1)
         rows = [(_scaling_field(a, grid, 0), norm_id, a)
                 for a in DEFAULT_ALPHAS for norm_id in SCALING_NORMS]
-        prepare(space, [], scaling=rows)
+        assert len(build_reports(space, scaling=rows)) == len(rows)
         assert space._fields and not set(space._fields) & set(space.labels)
         assert space._refined is None
-        planned = dict(space._values)
-        for row in rows:
-            check_scaling(space, *row)
-        assert space._values == planned  # every read was a table hit
 
     def test_scaling_members_stay_out_of_the_corpus(self, grid: TorusGrid) -> None:
         space = Workspace(small_specs(), grid, threads=1)
         mode2 = generate(CorpusSpec.make("single_mode", seed=0, k=2), grid)
-        check_scaling(space, mode2, "scaled_h", 0.25)
+        build_reports(space, scaling=[(mode2, "scaled_h", 0.25)])
         assert space.labels == tuple(spec.label() for spec in small_specs())
         assert space.split_members() == (space.labels, ())
         assert len(set(space._fields) - set(space.labels)) == 2
 
     def test_payload_fields(self, setup) -> None:
         space, mode2, _ = setup
-        payload = check_scaling(space, mode2, "scaled_h", 0.5).to_payload()
+        (report,) = build_reports(space, scaling=[(mode2, "scaled_h", 0.5)])
+        payload = report.to_payload()
         assert payload["norm"] == "scaled_h"
         assert payload["lambda"] == 2.0
         assert payload["tolerance"] == 0.05
@@ -235,16 +238,27 @@ class TestWorkspace:
 
     def test_norm_memoized(self, ws: Workspace) -> None:
         label = ws.labels[1]
+        build_reports(ws, [("2.1", 0.25)], refine=False)
         value = ws.norm("campanato", label, 0.25)
-        assert ("campanato", label, 0.25) in ws._values
+        assert ws._values[("campanato", label, 0.25)] == value
         assert ws.norm("campanato", label, 0.25) == value
 
+    def test_norm_miss_names_op_member_and_level(self, grid: TorusGrid) -> None:
+        # the table is filled by build_reports alone: a lookup it did not
+        # plan evaluates nothing
+        space = Workspace(small_specs(), grid, threads=1)
+        label = space.labels[2]
+        with pytest.raises(ValueError, match=rf"'campanato'.*{re.escape(repr(label))}.*0\.25"):
+            space.norm("campanato", label, 0.25)
+        assert not space._values
+
     def test_one_op_is_unit(self, ws: Workspace) -> None:
+        build_reports(ws, [("2.2i-gradient", 0.25)], refine=False)
         assert ws.norm("one", ws.labels[0]) == 1.0
 
     def test_unknown_op_rejected(self, ws: Workspace) -> None:
-        with pytest.raises(ValueError):
-            ws.norm("sobolev", ws.labels[0], 0.0)
+        with pytest.raises(ValueError, match="unknown norm op"):
+            ws._tasks({ws.labels[0]: [("sobolev", 0.0)]})
 
     @pytest.mark.parametrize("call", [
         lambda ws: ws.field("bogus"),
@@ -412,18 +426,16 @@ def all_rows(alphas=(-0.25, 0.25), betas=(0.5,)) -> list[tuple[str, float]]:
 
 
 class TestPlan:
-    """prepare() evaluates every report's values member by member: each base
-    extension is made once per grid, makes one gradient pass and lives for
-    one member task."""
+    """build_reports() plans every report's values member by member: each
+    base extension is made once per grid, makes one gradient pass and lives
+    for one member task. Tests of the task mechanics run a plan of their own
+    through ``_run_tasks``."""
 
     def test_each_base_stack_built_once_per_grid(self, grid, monkeypatch) -> None:
         census = PassCensus(monkeypatch)
         space = Workspace(small_specs(), grid, threads=2)
         rows = all_rows()
-        prepare(space, rows, betas=(0.5,), refine=True)
-        for name, level in rows:
-            run_check(space, name, level, refine=True)
-        check_inclusions(space, 0.5, refine=True)
+        build_reports(space, rows, betas=(0.5,), refine=True)
         labels = [spec.label() for spec in small_specs()]
         assert set(census.built) == {(size, label, kind) for size in (64, 128)
                                      for label in labels for kind in ("poisson", "heat")}
@@ -445,7 +457,7 @@ class TestPlan:
                  for level in (-0.25, 0.0, 0.25)]
         tasks = space._tasks({space.labels[3]: pairs})
         assert sorted(kind for _, _, kind, _ in tasks) == ["heat", "poisson"]
-        space.run({space.labels[3]: pairs})
+        _run_tasks(tasks, space.threads)
         base = {(grid.size, space.labels[3], kind): 1 for kind in ("poisson", "heat")}
         assert census.built == census.base() == base
         assert census.lifted() == 2 + 2
@@ -476,7 +488,7 @@ class TestPlan:
         space = Workspace(small_specs(), grid, threads=1)
         pairs = [(op, level) for op in ("h", "star", "dagger_linear", "dagger_parabolic")
                  for level in (-0.25, 0.0, 0.25)]
-        space.run({space.labels[3]: pairs})
+        _run_tasks(space._tasks({space.labels[3]: pairs}), space.threads)
         assert sorted(ext.kind for ext in made) == ["heat", "poisson"]
         for ext in made:
             planned, *lifted = lifts[ext]
@@ -487,8 +499,9 @@ class TestPlan:
 
     def test_grad_constant_reads_h_from_the_table(self, grid, monkeypatch) -> None:
         # grad_constant divides its node-peak sup by h at its level: the
-        # task forms h's box sup once per level, for both ops, and plans h
-        # when only grad_constant is asked for. A box sup's scale exponent
+        # task forms h's box sup once per level, for both ops, and its plan
+        # brings h into the task when only grad_constant is asked for, so
+        # the task reads h from its own values. A box sup's scale exponent
         # 2a + n names its level.
         calls = []
         real = norms_module._box_sup
@@ -501,10 +514,11 @@ class TestPlan:
         levels = (-0.25, 0.0, 0.25)
         space = Workspace(small_specs(), grid, threads=1)
         label = space.labels[3]
-        space.run({label: [(op, a) for op in ("grad_constant", "h") for a in levels]})
+        _run_tasks(space._tasks({label: [(op, a) for op in ("grad_constant", "h")
+                                         for a in levels]}), space.threads)
         assert sorted(calls) == sorted(2 * a + grid.dims for a in levels)
         alone = Workspace(small_specs(), grid, threads=1)
-        alone.run({label: [("grad_constant", a) for a in levels]})
+        _run_tasks(alone._tasks({label: [("grad_constant", a) for a in levels]}), alone.threads)
         assert len(calls) == 2 * len(levels)
         for a in levels:
             ext = space.stack(label, "poisson")
@@ -522,7 +536,7 @@ class TestPlan:
         space = Workspace(small_specs(), grid, threads=1)
         workspaces = (space, space.refined())
         census = TraceCensus(monkeypatch, workspaces)
-        prepare(space, all_rows(alphas=(-0.25, 0.0, 0.25)), betas=(0.5,), refine=True)
+        build_reports(space, all_rows(alphas=(-0.25, 0.0, 0.25)), betas=(0.5,), refine=True)
         levels = {"campanato": (-0.25, 0.0, 0.25), "q": (0.25, 0.5), "inverse": (0.0, 0.25)}
         for ws in workspaces:
             centers = len(ws.boxes.center_view(np.empty(ws.grid.shape)))
@@ -551,22 +565,69 @@ class TestPlan:
 
     def test_live_base_stacks_bounded_by_threads(self, grid, monkeypatch) -> None:
         census = PassCensus(monkeypatch)
-        prepare(Workspace(small_specs(), grid, threads=2), all_rows(),
-                betas=(0.5,), refine=True)
+        build_reports(Workspace(small_specs(), grid, threads=2), all_rows(),
+                      betas=(0.5,), refine=True)
         assert sum(census.built.values()) == 4 * len(small_specs())
         assert 1 <= census.peak <= 2
         assert census.alive == 0
 
     def test_reports_match_check_by_check_evaluation(self, grid) -> None:
         rows = all_rows()
-        planned = Workspace(small_specs(), grid, threads=2)
-        prepare(planned, rows, betas=(0.5,), refine=False)
+        planned = build_reports(Workspace(small_specs(), grid, threads=2), rows,
+                                betas=(0.5,), refine=False)
         bare = Workspace(small_specs(), grid, threads=1)
-        for name, level in rows:
-            assert (run_check(planned, name, level, refine=False).to_payload()
-                    == run_check(bare, name, level, refine=False).to_payload())
-        assert (check_inclusions(planned, 0.5, refine=False).to_payload()
-                == check_inclusions(bare, 0.5, refine=False).to_payload())
+        one_by_one = [build_reports(bare, [row], refine=False)[0] for row in rows]
+        one_by_one += build_reports(bare, betas=(0.5,), refine=False)
+        assert ([r.to_payload() for r in planned]
+                == [r.to_payload() for r in one_by_one])
+
+    def test_table_written_on_the_calling_thread(self, grid) -> None:
+        # pool tasks return their values; only the thread that called
+        # build_reports writes a workspace's table, on both grids
+        writers = set()
+
+        class Table(dict):
+            def __setitem__(self, key, value):
+                writers.add(threading.get_ident())
+                super().__setitem__(key, value)
+
+            def setdefault(self, key, value=None):
+                writers.add(threading.get_ident())
+                return super().setdefault(key, value)
+
+            def update(self, *args, **kwargs):
+                writers.add(threading.get_ident())
+                super().update(*args, **kwargs)
+
+        space = Workspace(small_specs(), grid, threads=4)
+        for ws in (space, space.refined()):
+            ws._values = Table()
+        mode2 = generate(CorpusSpec.make("single_mode", seed=0, k=2), grid)
+        build_reports(space, all_rows(), betas=(0.5,),
+                      scaling=[(mode2, "scaled_h", 0.25)], refine=True)
+        assert space._values and space.refined()._values
+        assert writers == {threading.get_ident()}
+
+    def test_degenerate_member_refused_before_any_task(self, grid, monkeypatch) -> None:
+        # a plan naming a constant member is refused while planning, even
+        # after a usable member: no extension is built and no stream drawn
+        census = PassCensus(monkeypatch)
+        drawn = []
+        real = extensions_module._semigroup
+
+        def semigroup(*args, **kwargs):
+            drawn.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(extensions_module, "_semigroup", semigroup)
+        dead = CorpusSpec.make("single_mode", seed=0, k=1, amplitude=0.0)
+        space = Workspace(small_specs() + [dead], grid, threads=2)
+        pairs = [("h", 0.25), ("t", 0.25), ("campanato", 0.25)]
+        with pytest.raises(ValueError, match=f"degenerate member {re.escape(repr(dead.label()))}"):
+            _run_tasks(space._tasks({space.labels[0]: pairs, dead.label(): pairs}),
+                       space.threads)
+        assert not census.built and not census.streams and not drawn
+        assert not space._values
 
     def test_box_below_mesh_floor_refused_before_any_stack(self, monkeypatch) -> None:
         # at N=8192 the j=12 box height r^2 = 2^-24 is under the heat mesh
@@ -582,13 +643,13 @@ class TestPlan:
         monkeypatch.setattr(extensions_module, "_semigroup", semigroup)
         space = Workspace(small_specs(), TorusGrid(dims=1, size=8192), threads=2)
         with pytest.raises(ValueError, match="below the mesh floor"):
-            prepare(space, [("2.1", 0.25), ("4.1i", 0.25)], refine=False)
+            build_reports(space, [("2.1", 0.25), ("4.1i", 0.25)], refine=False)
         assert not census.built and not census.streams and not drawn
         assert not space._values
 
     def test_unknown_op_refused_before_any_work(self, ws: Workspace) -> None:
         with pytest.raises(ValueError, match="unknown norm op"):
-            ws.run({ws.labels[0]: [("h", 0.1), ("sobolev", 0.1)]})
+            _run_tasks(ws._tasks({ws.labels[0]: [("h", 0.1), ("sobolev", 0.1)]}), ws.threads)
         assert ("h", ws.labels[0], 0.1) not in ws._values
 
 
@@ -704,7 +765,7 @@ class TestFullRun:
 
 class TestReportInvariants:
     def test_band_positive_and_finite(self, ws: Workspace) -> None:
-        report = run_check(ws, "2.1", 0.25)
+        (report,) = build_reports(ws, [("2.1", 0.25)])
         lo, hi = report.band
         assert 0.0 < lo <= hi < math.inf
         assert report.spread >= 1.0
@@ -712,16 +773,16 @@ class TestReportInvariants:
         assert report.passes(VerifyConfig())
 
     def test_drift_absent_without_refinement(self, ws: Workspace) -> None:
-        report = run_check(ws, "2.1", -0.25, refine=False)
+        (report,) = build_reports(ws, [("2.1", -0.25)], refine=False)
         assert report.drift is None
 
     def test_members_follow_corpus_order(self, ws: Workspace) -> None:
-        report = run_check(ws, "2.1", 0.25)
+        (report,) = build_reports(ws, [("2.1", 0.25)])
         assert tuple(m.label for m in report.members) == ws.labels
 
     def test_deterministic_across_workspaces(self, grid: TorusGrid) -> None:
-        a = run_check(Workspace(small_specs(), grid, threads=3), "2.1", 0.25)
-        b = run_check(Workspace(small_specs(), grid, threads=1), "2.1", 0.25)
+        (a,) = build_reports(Workspace(small_specs(), grid, threads=3), [("2.1", 0.25)])
+        (b,) = build_reports(Workspace(small_specs(), grid, threads=1), [("2.1", 0.25)])
         assert a.to_payload() == b.to_payload()
 
     def test_spread_invariant_under_global_rescale(self, grid) -> None:
@@ -730,23 +791,23 @@ class TestReportInvariants:
                             **dict(s.params, amplitude=10.0))
             for s in small_specs()
         ]
-        base = run_check(Workspace(small_specs(), grid, threads=2),
-                         "2.1", 0.25, refine=False)
-        scaled = run_check(Workspace(loud, grid, threads=2),
-                           "2.1", 0.25, refine=False)
+        (base,) = build_reports(Workspace(small_specs(), grid, threads=2),
+                                [("2.1", 0.25)], refine=False)
+        (scaled,) = build_reports(Workspace(loud, grid, threads=2),
+                                  [("2.1", 0.25)], refine=False)
         assert scaled.spread == pytest.approx(base.spread, rel=1e-9)
 
     def test_skipped_member_listed(self, grid: TorusGrid) -> None:
         dead = CorpusSpec.make("single_mode", seed=0, k=1, amplitude=0.0)
         space = Workspace(small_specs() + [dead], grid, threads=1)
-        report = run_check(space, "2.1", 0.0, refine=False)
+        (report,) = build_reports(space, [("2.1", 0.0)], refine=False)
         assert dead.label() in report.skipped
         assert dead.label() not in {m.label for m in report.members}
 
     def test_all_degenerate_corpus_rejected(self, grid: TorusGrid) -> None:
         dead = [CorpusSpec.make("single_mode", seed=0, k=1, amplitude=0.0)]
         with pytest.raises(ValueError):
-            run_check(Workspace(dead, grid, threads=1), "2.1", 0.0)
+            build_reports(Workspace(dead, grid, threads=1), [("2.1", 0.0)])
 
     def test_nonpositive_ratio_rejected(self) -> None:
         bad = (MemberRatio("x", 1.0, 0.0),)
@@ -757,7 +818,8 @@ class TestReportInvariants:
             EquivalenceReport(theorem="t", alpha=0.0, members=neg, skipped=())
 
     def test_payload_complete(self, ws: Workspace) -> None:
-        payload = run_check(ws, "2.1", 0.25).to_payload()
+        (report,) = build_reports(ws, [("2.1", 0.25)])
+        payload = report.to_payload()
         for key in ("theorem", "alpha", "band", "spread", "drift", "members",
                     "skipped", "note", "enforce_spread", "enforce_drift"):
             assert key in payload
@@ -774,29 +836,26 @@ class TestCheckDispatch:
                 assert sign in (-1, 0, 1)
 
     def test_theorem_3_1_parts(self, ws: Workspace) -> None:
-        assert run_check(ws, "3.1i", 0.25, refine=False).theorem == "3.1i"
-        bloch = run_check(ws, "3.1ii-bloch", 0.5, refine=False)
-        assert bloch.theorem == "3.1ii-bloch"
-        star = run_check(ws, "3.3-star", -0.25, refine=False)
-        assert star.theorem == "3.3-star"
+        rows = [("3.1i", 0.25), ("3.1ii-bloch", 0.5), ("3.3-star", -0.25)]
+        reports = build_reports(ws, rows, refine=False)
+        assert [r.theorem for r in reports] == [name for name, _ in rows]
         with pytest.raises(ValueError):
-            run_check(ws, "3.1ii-bloch", 1.2, refine=False)
+            build_reports(ws, [("3.1ii-bloch", 1.2)], refine=False)
         with pytest.raises(ValueError):
-            run_check(ws, "3.1nope", 0.2, refine=False)
+            build_reports(ws, [("3.1nope", 0.2)], refine=False)
 
     def test_theorem_4_1_parts(self, ws: Workspace) -> None:
-        assert run_check(ws, "4.1i", 0.0, refine=False).theorem == "4.1i"
-        assert run_check(ws, "4.1ii", 0.25, refine=False).theorem == "4.1ii"
-        bloch = run_check(ws, "4.1iii-bloch", 0.25, refine=False)
-        assert bloch.theorem == "4.1iii-bloch"
+        rows = [("4.1i", 0.0), ("4.1ii", 0.25), ("4.1iii-bloch", 0.25)]
+        reports = build_reports(ws, rows, refine=False)
+        assert [r.theorem for r in reports] == [name for name, _ in rows]
         with pytest.raises(ValueError):
-            run_check(ws, "4.1iii-bloch", 0.0, refine=False)
+            build_reports(ws, [("4.1iii-bloch", 0.0)], refine=False)
         with pytest.raises(ValueError):
-            run_check(ws, "4.1iv", 0.0, refine=False)
+            build_reports(ws, [("4.1iv", 0.0)], refine=False)
 
     def test_dagger_reported_not_enforced(self, ws: Workspace) -> None:
-        for name in ("4.1-dagger-linear", "4.1-dagger-parabolic"):
-            report = run_check(ws, name, 0.25, refine=False)
+        rows = [("4.1-dagger-linear", 0.25), ("4.1-dagger-parabolic", 0.25)]
+        for report in build_reports(ws, rows, refine=False):
             assert not report.enforce_spread
             assert not report.enforce_drift
             assert report.note
@@ -804,31 +863,26 @@ class TestCheckDispatch:
             assert report.passes(VerifyConfig(spread_max=1e-9, drift_max=0.0))
 
     def test_theorem_4_2_branches(self, ws: Workspace) -> None:
-        assert run_check(ws, "4.2", 0.5, refine=False).theorem == "4.2ii-besov"
-        assert run_check(ws, "4.2", -0.5, refine=False).theorem == "4.2i-q"
-        bmo = run_check(ws, "4.2", 0.0, refine=False)
+        besov, q, bmo = build_reports(ws, [("4.2", 0.5), ("4.2", -0.5), ("4.2", 0.0)],
+                                      refine=False)
+        assert besov.theorem == "4.2ii-besov"
+        assert q.theorem == "4.2i-q"
         assert bmo.theorem == "4.2-alpha0-bmo"
         assert bmo.note
 
     def test_equivalences_pass_default_thresholds(self, ws: Workspace) -> None:
         config = VerifyConfig()
-        reports = [
-            run_check(ws, "3.1i", -0.25, refine=False),
-            run_check(ws, "3.1ii-bloch", 0.5, refine=False),
-            run_check(ws, "3.3-star", 0.25, refine=False),
-            run_check(ws, "4.1i", 0.25, refine=False),
-            run_check(ws, "4.1ii", -0.25, refine=False),
-            run_check(ws, "4.1iii-bloch", 0.5, refine=False),
-            run_check(ws, "4.2", 0.5, refine=False),
-            run_check(ws, "4.2", -0.5, refine=False),
-        ]
+        reports = build_reports(ws, [
+            ("3.1i", -0.25), ("3.1ii-bloch", 0.5), ("3.3-star", 0.25), ("4.1i", 0.25),
+            ("4.1ii", -0.25), ("4.1iii-bloch", 0.5), ("4.2", 0.5), ("4.2", -0.5),
+        ], refine=False)
         for report in reports:
             assert report.passes(config), report.theorem
 
 
 class TestGradientConstant:
     def test_constant_reported_with_drift_only(self, ws: Workspace) -> None:
-        report = run_check(ws, "2.2i-gradient", 0.25)
+        (report,) = build_reports(ws, [("2.2i-gradient", 0.25)])
         assert report.theorem == "2.2i-gradient"
         assert not report.enforce_spread
         assert report.enforce_drift
@@ -840,7 +894,7 @@ class TestGradientConstant:
 
 class TestInclusions:
     def test_chain_at_half(self, ws: Workspace) -> None:
-        report = check_inclusions(ws, 0.5, refine=False)
+        (report,) = build_reports(ws, betas=(0.5,), refine=False)
         assert report.weight_monotone_ok
         names = {link.theorem for link in report.links}
         assert names == {
@@ -853,17 +907,14 @@ class TestInclusions:
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.3])
     def test_beta_domain(self, ws: Workspace, beta: float) -> None:
         with pytest.raises(ValueError):
-            check_inclusions(ws, beta, refine=False)
+            build_reports(ws, betas=(beta,), refine=False)
 
 
 @pytest.fixture(scope="module")
 def reports(ws: Workspace):
     mode = generate(CorpusSpec.make("single_mode", seed=0, k=2), ws.grid)
-    return [
-        run_check(ws, "2.1", 0.25, refine=False),
-        check_inclusions(ws, 0.5, refine=False),
-        check_scaling(ws, mode, "scaled_h", 0.25),
-    ]
+    return build_reports(ws, [("2.1", 0.25)], betas=(0.5,),
+                         scaling=[(mode, "scaled_h", 0.25)], refine=False)
 
 
 class TestWriteReports:
