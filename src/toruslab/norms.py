@@ -20,11 +20,11 @@ the rows of ``extensions.extension_rows``; its chunks are whole rows, so
 batching changes no bit of any result. A caller of ``inverse_space_norm``
 may bring its own heat rows (``heat_rows``), which the same walk reads.
 
-``q_norm``'s pair sum at a center is a diagonal term, the ball's squares
-weighted by the kernel's ball sums, less the cross term <u, w * u> of the
-field u on the ball with the min-image pair kernel w. By Parseval the cross
-term is one real transform per center, taken in ``row_chunks`` blocks of
-strided centers; no pair matrix is built, so memory stays at a few chunks
+The ``q`` norm's pair sum at a center is a diagonal term, the ball's
+squares weighted by the kernel's ball sums, less the cross term <u, w * u>
+of the field u on the ball with the min-image pair kernel w. By Parseval the
+cross term is one real transform per center, taken in ``row_chunks`` blocks
+of strided centers; no pair matrix is built, so memory stays at a few chunks
 and grid fields in every dimension.
 
 Every box norm's time integral is one walk, ``_RunningSums``, pushed blocks
@@ -321,21 +321,13 @@ def trace_pass(f: Field, pairs: Iterable[tuple[str, float]],
             for alpha, result in zip(alphas, NORMS[op].sweep(f, list(alphas), boxes, math.inf))}
 
 
-def campanato_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
-    """value^2 = max over boxes of r^-(n+2a) * integral_B |f - f_B|^2."""
-    return _campanato_levels(f, [alpha], boxes, pair=False)[0]
-
-
-def campanato_pair_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
-    """value^2 = max over boxes of r^-2(a+n) * double integral |f(y)-f(z)|^2."""
-    return _campanato_levels(f, [alpha], boxes, pair=True)[0]
-
-
 def _campanato_levels(f: Field, alphas: Sequence[float], boxes: BoxFamily,
                       pair: bool) -> list[NormResult]:
-    """Both Campanato forms at each level from the ball sums s1 = sum g,
-    s2 = sum g^2, which no level changes: only the scale r^-(n+2a) or
-    r^-2(a+n) and the sup are formed per level."""
+    """The Campanato norm, value^2 = max over boxes of r^-(n+2a) *
+    integral_B |f - f_B|^2, or with ``pair`` the pair form, r^-2(a+n) *
+    double integral |f(y)-f(z)|^2, at each level from the ball sums
+    s1 = sum g, s2 = sum g^2, which no level changes: only the scale and the
+    sup are formed per level."""
     for alpha in alphas:
         _check_alpha(alpha)
     grid = _require_grid(f, boxes)
@@ -358,8 +350,9 @@ def _campanato_levels(f: Field, alphas: Sequence[float], boxes: BoxFamily,
             for e in exponents]
 
 
-def q_norm(f: Field, beta: float, boxes: BoxFamily) -> NormResult:
-    """value^2 = max over boxes of
+def _q_levels(f: Field, betas: Sequence[float], boxes: BoxFamily) -> list[NormResult]:
+    """The q norm at each level b:
+    value^2 = max over boxes of
     r^(2b-n) * double sum_{x != y in B} |f(x)-f(y)|^2 |x-y|^-(n+2b).
 
     With w(d) = |d|^-(n+2b) in the torus metric, w(0) = 0, and u_c(d) =
@@ -368,14 +361,9 @@ def q_norm(f: Field, beta: float, boxes: BoxFamily) -> NormResult:
     circular convolution with the min-image kernel is the torus distance
     exactly, and by Parseval the cross term is sum_k |U_c(k)|^2 W(k) / N^n:
     one real transform per center, in ``row_chunks`` blocks of centers.
-    """
-    return _q_levels(f, [beta], boxes)[0]
-
-
-def _q_levels(f: Field, betas: Sequence[float], boxes: BoxFamily) -> list[NormResult]:
-    """``q_norm`` at each level: per radius and block of centers, the masked
-    windows u and their power spectrum, which no level changes, are formed
-    once, and each level adds its two products with its kernel w."""
+    Per radius and block of centers, the masked windows u and their power
+    spectrum, which no level changes, are formed once, and each level adds
+    its two products with its kernel w."""
     for beta in betas:
         if not (0.0 < beta < 1.0):
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
@@ -418,12 +406,13 @@ def _q_levels(f: Field, betas: Sequence[float], boxes: BoxFamily) -> list[NormRe
 
 
 def frac_campanato_norm(f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
-    """campanato_norm of (-Lap)^(-a/2) f at the same alpha."""
+    """The ``campanato`` norm of (-Lap)^(-a/2) f at the same alpha."""
     _check_alpha(alpha)
     mean = f.mean()
     g = f.remove_mean()
     lifted = inverse_transform(frac_laplacian_power(forward_transform(g), -alpha))
-    return dataclasses.replace(campanato_norm(lifted, alpha, boxes), mean_removed=mean)
+    return dataclasses.replace(_campanato_levels(lifted, [alpha], boxes, pair=False)[0],
+                               mean_removed=mean)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -524,46 +513,6 @@ def _carleson_box_norm(ext: Extension, alpha: float, boxes: BoxFamily, norm: Nor
     integrals = ext.box_integrals[key] if key[0] == 0.0 else ext.box_integrals.pop(key)
     return _box_sup(boxes, list(zip(boxes.j_values, boxes.radii)), integrals,
                     2 * alpha + ext.grid.dims, 0.0)
-
-
-def h_alpha2_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
-    """value^2 = max r^-(2a+n) int_B int_0^r |grad_{x,t} u|^2 t dt dx."""
-    return _carleson_box_norm(ext, alpha, boxes, NORMS["h"])
-
-
-def scaled_h_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
-    """Scaling-invariant variant: weight t^(1+2a) in the box integral."""
-    return _carleson_box_norm(ext, alpha, boxes, NORMS["scaled_h"])
-
-
-def star_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
-    """h_alpha2_norm of the mode-wise (-Lap)^(-a/2) lift of the extension."""
-    return _carleson_box_norm(ext, alpha, boxes, NORMS["star"])
-
-
-def t_alpha2_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
-    """value^2 = max r^-(2a+n) int_B int_0^{r^2} |grad_x u|^2 dt dx."""
-    return _carleson_box_norm(ext, alpha, boxes, NORMS["t"])
-
-
-def scaled_t_norm(ext: Extension, alpha: float, boxes: BoxFamily) -> NormResult:
-    """Scaling-invariant variant: weight t^a, parabolic boxes."""
-    return _carleson_box_norm(ext, alpha, boxes, NORMS["scaled_t"])
-
-
-def dagger_norm(
-    ext: Extension, alpha: float, boxes: BoxFamily, box_height: str = "linear"
-) -> NormResult:
-    """Full-gradient t dt box norm of the (-Lap)^(-a/2) lift of a heat
-    extension.
-
-    ``box_height`` selects the displayed height-r box ("linear") or the
-    parabolic height-r^2 variant that caloric scaling suggests; both are
-    legitimate readings and callers compare them.
-    """
-    if box_height not in ("linear", "parabolic"):
-        raise ValueError(f"box_height must be linear or parabolic, got {box_height!r}")
-    return _carleson_box_norm(ext, alpha, boxes, NORMS[f"dagger_{box_height}"])
 
 
 # --- sup-type norms ---
@@ -844,8 +793,9 @@ class Norm:
         return result.value if isinstance(result, NormResult) else result
 
 
-# Name -> Norm. Box and swept entries run this module's private functions,
-# not the public ``*_norm`` ones; the others call theirs by name.
+# Name -> Norm, the one way to each norm of the paper. Box and swept entries
+# run this module's private walks and sweeps; the others call their public
+# functions by name.
 NORMS: dict[str, Norm] = {
     "campanato": Norm("trace", sweep=lambda f, levels, boxes, _: _campanato_levels(
         f, levels, boxes, pair=False)),

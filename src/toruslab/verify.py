@@ -24,7 +24,7 @@ from .corpus import CorpusSpec, generate
 from .extensions import Extension, gradient_bound_ratio
 from .fieldio import write_csv, write_json
 from .norms import (NORMS, BoxFamily, Norm, check_box_heights, default_mesh, gradient_pass,
-                    scaled_h_norm, trace_pass)
+                    trace_pass)
 from .spectral import Field, TorusGrid
 
 DEGENERATE_RTOL = 1e-13
@@ -378,9 +378,9 @@ class Check:
 
     Each side is (op, sign): the op runs at sign times the level, sign 0
     meaning level 0. ``levels`` names the sweep the row runs over: "alpha",
-    or "beta", whose levels lie in (0, 1). ``domain`` narrows the levels a
-    row accepts; rows that share a ``sweep`` name split one sweep between
-    them by domain.
+    whose levels lie in (-1, 1), the domain of every alpha op, or "beta",
+    whose levels lie in (0, 1). ``domain`` narrows the levels a row accepts;
+    rows that share a ``sweep`` name split one sweep between them by domain.
     """
 
     theorem: str
@@ -399,7 +399,7 @@ class Check:
         return self.sweep or self.theorem
 
     def admits(self, level: float) -> bool:
-        return (self.levels == "alpha" or 0.0 < level < 1.0) and self.domain(level)
+        return (-1.0 if self.levels == "alpha" else 0.0) < level < 1.0 and self.domain(level)
 
     def pair(self, level: float) -> tuple[tuple[str, float], tuple[str, float]]:
         return tuple((op, sign * level if sign else 0.0)
@@ -487,10 +487,11 @@ def build_reports(ws: Workspace, rows: Sequence[tuple[str, float]] = (),
     """The reports of ``rows``, (check name, level) pairs, of the inclusion
     chains at ``betas`` and of the ``scaling`` rows, (field, norm id, level),
     in that order; with ``refine``, each equivalence report has its band
-    drift on the doubled grid. Every report name, row, op and box height of
-    both grids is checked, and every value the reports read is planned,
-    member by member, before any work starts; a scaling field is a member of
-    ``ws`` alone. One pool runs the member tasks of both grids."""
+    drift on the doubled grid. Every report name, row and level (alpha in
+    (-1, 1), beta in (0, 1)), op and box height of both grids is checked,
+    and every value the reports read is planned, member by member, before
+    any work starts; a scaling field is a member of ``ws`` alone. One pool
+    runs the member tasks of both grids."""
     _check_report_names(rows, betas, scaling)
     scaled = [(_scaling_members(ws, f, norm_id, alpha), norm_id, alpha)
               for f, norm_id, alpha in scaling]
@@ -551,7 +552,7 @@ def _inclusion_report(ws: Workspace, beta: float, refine: bool) -> InclusionRepo
 def _weight_monotone_exact(ext: Extension, beta: float, boxes: BoxFamily) -> bool:
     """Per-radius box values of the scaling-invariant norm must decrease
     as the weight exponent grows: exact inequality."""
-    tables = [scaled_h_norm(ext, a, boxes).per_box_table for a in (-beta, 0.0, beta)]
+    tables = [NORMS["scaled_h"].result(ext, a, boxes).per_box_table for a in (-beta, 0.0, beta)]
     for lower, higher in zip(tables[1:], tables):
         for (_, hi_val), (_, lo_val) in zip(higher, lower):
             if lo_val > hi_val * (1 + 1e-12):
@@ -581,6 +582,8 @@ def _scaling_members(ws: Workspace, f: Field, norm_id: str, alpha: float) -> tup
     rescale carries the amplitude factor."""
     if norm_id not in SCALING_NORMS:
         raise ValueError(f"unknown scaling norm id {norm_id!r}")
+    if not (-1.0 < alpha < 1.0):
+        raise ValueError(f"scaling row {norm_id} is not defined at alpha {alpha}")
     g = f.remove_mean()
     try:
         g_lam = lattice_rescale(g, SCALING_LAMBDA)

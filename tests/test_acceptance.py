@@ -19,12 +19,7 @@ import pytest
 
 from toruslab.cli import _scaling_field
 from toruslab.corpus import default_corpus_specs
-from toruslab.norms import (
-    BoxFamily,
-    campanato_norm,
-    campanato_pair_norm,
-    q_norm,
-)
+from toruslab.norms import NORMS, BoxFamily
 from toruslab.ns3d import (
     divergence_defect,
     inflation_probe,
@@ -259,24 +254,24 @@ def test_criterion_02_oracle_equivalence():
     f1 = Field(g1, vals - vals.mean())
     b1 = BoxFamily.default(g1)  # stride 1: every center, N <= 16
     for a in (-0.5, 0.0, 0.5):
-        check(f"campanato 1d a={a}", campanato_norm(f1, a, b1).value,
+        check(f"campanato 1d a={a}", NORMS["campanato"].value(f1, a, b1),
               _brute_campanato(f1, a, b1))
     for a in (-0.25, 0.25):
-        check(f"pair 1d a={a}", campanato_pair_norm(f1, a, b1).value,
+        check(f"pair 1d a={a}", NORMS["campanato_pair"].value(f1, a, b1),
               _brute_pair(f1, a, b1))
     for beta in (0.25, 0.75):
-        check(f"q 1d b={beta}", q_norm(f1, beta, b1).value,
+        check(f"q 1d b={beta}", NORMS["q"].value(f1, beta, b1),
               _brute_q(f1, beta, b1))
 
     g2 = TorusGrid(dims=2, size=8, length=1.0)
     vals = rng.standard_normal(g2.shape)
     f2 = Field(g2, vals - vals.mean())
     b2 = BoxFamily.default(g2)
-    check("campanato 2d", campanato_norm(f2, 0.25, b2).value,
+    check("campanato 2d", NORMS["campanato"].value(f2, 0.25, b2),
           _brute_campanato(f2, 0.25, b2))
-    check("pair 2d", campanato_pair_norm(f2, 0.25, b2).value,
+    check("pair 2d", NORMS["campanato_pair"].value(f2, 0.25, b2),
           _brute_pair(f2, 0.25, b2))
-    check("q 2d", q_norm(f2, 0.5, b2).value, _brute_q(f2, 0.5, b2))
+    check("q 2d", NORMS["q"].value(f2, 0.5, b2), _brute_q(f2, 0.5, b2))
 
     _conclude(2, 60.0, start, bad,
               f"direct-sum oracles worst relative deviation {worst:.2e}")

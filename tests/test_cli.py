@@ -32,7 +32,7 @@ from toruslab.cli import (
 )
 from toruslab.corpus import default_corpus_specs, spec_to_payload, specs_from_manifest
 from toruslab.fieldio import read_field, sha256_hex, write_field
-from toruslab.norms import NORMS, BoxFamily, campanato_norm
+from toruslab.norms import NORMS, BoxFamily
 from toruslab.spectral import Field, TorusGrid
 from toruslab.verify import Workspace
 
@@ -219,7 +219,7 @@ class TestNormCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         f = read_field(mode_file)
-        want = campanato_norm(f, 0.25, BoxFamily.default(f.grid)).value
+        want = NORMS["campanato"].value(f, 0.25, BoxFamily.default(f.grid))
         assert payload["result"]["value"] == want
 
     def test_constant_input_value_zero(self, tmp_path, capsys):

@@ -34,19 +34,10 @@ from toruslab.norms import (
     besov_norm,
     bloch_cb_norm,
     bloch_hb_norm,
-    campanato_norm,
-    campanato_pair_norm,
-    dagger_norm,
     default_mesh,
     frac_campanato_norm,
-    h_alpha2_norm,
     inverse_space_norm,
-    q_norm,
-    scaled_h_norm,
-    scaled_t_norm,
-    star_norm,
     trace_pass,
-    t_alpha2_norm,
     x_space_norm,
     _ball_correlate,
     _ball_mask,
@@ -208,7 +199,7 @@ class TestBruteForce:
         grid = TorusGrid(dims=1, size=16, length=1.0)
         f = random_field(grid, seed=11)
         boxes = BoxFamily.default(grid)
-        got = campanato_norm(f, alpha, boxes).value
+        got = NORMS["campanato"].result(f, alpha, boxes).value
         want = self.brute_campanato(f, alpha, boxes)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -216,7 +207,7 @@ class TestBruteForce:
         grid = TorusGrid(dims=2, size=8, length=1.0)
         f = random_field(grid, seed=12)
         boxes = BoxFamily.default(grid)
-        got = campanato_norm(f, 0.25, boxes).value
+        got = NORMS["campanato"].result(f, 0.25, boxes).value
         want = self.brute_campanato(f, 0.25, boxes)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -225,7 +216,7 @@ class TestBruteForce:
         grid = TorusGrid(dims=1, size=16, length=1.0)
         f = random_field(grid, seed=13)
         boxes = BoxFamily.default(grid)
-        got = campanato_pair_norm(f, alpha, boxes).value
+        got = NORMS["campanato_pair"].result(f, alpha, boxes).value
         want = self.brute_pair(f, alpha, boxes)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -233,7 +224,7 @@ class TestBruteForce:
         grid = TorusGrid(dims=2, size=8, length=1.0)
         f = random_field(grid, seed=14)
         boxes = BoxFamily.default(grid)
-        got = campanato_pair_norm(f, -0.5, boxes).value
+        got = NORMS["campanato_pair"].result(f, -0.5, boxes).value
         want = self.brute_pair(f, -0.5, boxes)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -242,7 +233,7 @@ class TestBruteForce:
         grid = TorusGrid(dims=1, size=16, length=1.0)
         f = random_field(grid, seed=15)
         boxes = BoxFamily.default(grid)
-        got = q_norm(f, beta, boxes).value
+        got = NORMS["q"].result(f, beta, boxes).value
         want = self.brute_q(f, beta, boxes)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -250,7 +241,7 @@ class TestBruteForce:
         grid = TorusGrid(dims=2, size=8, length=1.0)
         f = random_field(grid, seed=16)
         boxes = BoxFamily.default(grid)
-        got = q_norm(f, 0.5, boxes).value
+        got = NORMS["q"].result(f, 0.5, boxes).value
         want = self.brute_q(f, 0.5, boxes)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -259,7 +250,7 @@ class TestBruteForce:
         grid = TorusGrid(dims=3, size=4, length=1.0)
         f = random_field(grid, seed=17)
         boxes = BoxFamily.default(grid)
-        got = q_norm(f, 0.5, boxes).value
+        got = NORMS["q"].result(f, 0.5, boxes).value
         want = self.brute_q(f, 0.5, boxes)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -268,7 +259,7 @@ class TestBruteForce:
         grid = TorusGrid(dims=dims, size=size, length=1.0)
         f = random_field(grid, seed=18)
         boxes = dataclasses.replace(BoxFamily.default(grid), stride=2)
-        got = q_norm(f, 0.25, boxes)
+        got = NORMS["q"].result(f, 0.25, boxes)
         want = self.brute_q(f, 0.25, boxes)
         assert got.value == pytest.approx(want, rel=1e-10)
         assert all(c % 2 == 0 for c in got.arg_center)
@@ -311,7 +302,7 @@ class TestSupTies:
         want = ((int(center_i) * boxes.stride,), boxes.radii[radius_i])
         copies = [f.samples, np.roll(f.samples, 64), np.roll(f.samples[::-1], 1)]
         for samples in copies:
-            got = q_norm(Field(grid, samples), 0.25, boxes)
+            got = NORMS["q"].result(Field(grid, samples), 0.25, boxes)
             assert (got.arg_center, got.arg_radius) == want
             assert got.value == pytest.approx(math.sqrt(best), rel=1e-12)
 
@@ -342,30 +333,30 @@ class TestTraceNormProperties:
         self.boxes = BoxFamily.default(self.grid)
 
     def test_homogeneity(self):
-        base = campanato_norm(self.f, 0.25, self.boxes)
-        scaled = campanato_norm(self.f.scaled(3.5), 0.25, self.boxes)
+        base = NORMS["campanato"].result(self.f, 0.25, self.boxes)
+        scaled = NORMS["campanato"].result(self.f.scaled(3.5), 0.25, self.boxes)
         assert scaled.value == pytest.approx(3.5 * base.value, rel=1e-12)
         assert scaled.arg_center == base.arg_center
         assert scaled.arg_radius == base.arg_radius
 
     def test_constant_field_has_zero_norm(self):
         const = Field(self.grid, np.full(self.grid.shape, 2.7))
-        res = campanato_norm(const, 0.25, self.boxes)
+        res = NORMS["campanato"].result(const, 0.25, self.boxes)
         assert res.value == 0.0
         assert res.mean_removed == pytest.approx(2.7)
 
     def test_mean_recorded(self):
         shifted = Field(self.grid, self.f.samples + 1.25)
-        res = campanato_norm(shifted, 0.1, self.boxes)
+        res = NORMS["campanato"].result(shifted, 0.1, self.boxes)
         assert res.mean_removed == pytest.approx(1.25, abs=1e-12)
-        base = campanato_norm(self.f, 0.1, self.boxes)
+        base = NORMS["campanato"].result(self.f, 0.1, self.boxes)
         assert res.value == pytest.approx(base.value, rel=1e-12)
 
     def test_pair_is_scaled_campanato_per_radius(self):
         # sum_{y,z in B} |f(y)-f(z)|^2 = 2 |B| int_B |f - f_B|^2 exactly.
         alpha = 0.3
-        camp = campanato_norm(self.f, alpha, self.boxes)
-        pair = campanato_pair_norm(self.f, alpha, self.boxes)
+        camp = NORMS["campanato"].result(self.f, alpha, self.boxes)
+        pair = NORMS["campanato_pair"].result(self.f, alpha, self.boxes)
         for (r, cv), (_, pv) in zip(camp.per_box_table, pair.per_box_table):
             j = round(math.log2(self.grid.length / r))
             count = sum(
@@ -380,17 +371,17 @@ class TestTraceNormProperties:
     def test_enlarging_family_never_decreases(self):
         small = BoxFamily(grid=self.grid, stride=4, j_values=(2, 3))
         large = BoxFamily(grid=self.grid, stride=2, j_values=(1, 2, 3, 4))
-        for op in (campanato_norm, campanato_pair_norm):
-            a = op(self.f, 0.25, small).value
-            b = op(self.f, 0.25, large).value
+        for op in ("campanato", "campanato_pair"):
+            a = NORMS[op].value(self.f, 0.25, small)
+            b = NORMS[op].value(self.f, 0.25, large)
             assert b >= a - 1e-14
 
     def test_stride_refinement_is_small(self):
         coarse = BoxFamily(grid=self.grid, stride=2, j_values=(1, 2, 3, 4, 5))
         fine = BoxFamily(grid=self.grid, stride=1, j_values=(1, 2, 3, 4, 5))
-        for op in (campanato_norm, q_norm):
-            a = op(self.f, 0.25, coarse).value
-            b = op(self.f, 0.25, fine).value
+        for op in ("campanato", "q"):
+            a = NORMS[op].value(self.f, 0.25, coarse)
+            b = NORMS[op].value(self.f, 0.25, fine)
             assert b >= a - 1e-14
             assert (b - a) / b <= 0.05
 
@@ -399,38 +390,38 @@ class TestTraceNormProperties:
         cosine = Field(self.grid, np.cos(2 * np.pi * x))
         for alpha in (-0.5, 0.25, 0.5):
             lifted_amp = (2 * np.pi) ** -alpha
-            direct = campanato_norm(cosine, alpha, self.boxes).value
+            direct = NORMS["campanato"].result(cosine, alpha, self.boxes).value
             via_lift = frac_campanato_norm(cosine, alpha, self.boxes).value
             assert via_lift == pytest.approx(lifted_amp * direct, rel=1e-10)
 
     def test_alpha_domain_validated(self):
         with pytest.raises(ValueError):
-            campanato_norm(self.f, 1.0, self.boxes)
+            NORMS["campanato"].result(self.f, 1.0, self.boxes)
         with pytest.raises(ValueError):
-            q_norm(self.f, 0.0, self.boxes)
+            NORMS["q"].result(self.f, 0.0, self.boxes)
         with pytest.raises(ValueError):
-            q_norm(self.f, 1.0, self.boxes)
+            NORMS["q"].result(self.f, 1.0, self.boxes)
 
     def test_grid_mismatch_rejected(self):
         other = BoxFamily.default(TorusGrid(dims=1, size=32, length=1.0))
         with pytest.raises(ValueError):
-            campanato_norm(self.f, 0.25, other)
+            NORMS["campanato"].result(self.f, 0.25, other)
 
     def test_per_box_table_radii(self):
-        res = campanato_norm(self.f, 0.25, self.boxes)
+        res = NORMS["campanato"].result(self.f, 0.25, self.boxes)
         assert tuple(r for r, _ in res.per_box_table) == self.boxes.radii
         assert res.arg_radius in self.boxes.radii
         assert res.value == pytest.approx(max(v for _, v in res.per_box_table))
 
     def test_payload_round_trip_fields(self):
-        payload = campanato_norm(self.f, 0.25, self.boxes).to_payload()
+        payload = NORMS["campanato"].result(self.f, 0.25, self.boxes).to_payload()
         assert set(payload) == {
             "value", "arg_center", "arg_radius", "mean_removed", "per_box"
         }
 
 
 class TestQMemoryGuard:
-    """q_norm holds a few center blocks and grid fields, never a pair matrix."""
+    """The q norm holds a few center blocks and grid fields, never a pair matrix."""
 
     def test_2d_n128_evaluates_in_chunk_memory(self):
         # A dense pair matrix for the radius-1/2 ball would take 1.3 GB here.
@@ -444,10 +435,10 @@ class TestQMemoryGuard:
         grid = TorusGrid(dims=2, size=128, length=1.0)
         f = random_field(grid, seed=5)
         boxes = BoxFamily.default(grid)
-        want = q_norm(f, 0.5, boxes)  # fills the ball caches
+        want = NORMS["q"].result(f, 0.5, boxes)  # fills the ball caches
         tracemalloc.start()
         try:
-            got = q_norm(f, 0.5, boxes)
+            got = NORMS["q"].result(f, 0.5, boxes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -460,7 +451,7 @@ class TestQMemoryGuard:
     @pytest.mark.parametrize("dims,size", [(1, 512), (2, 64)])
     def test_largest_grids_under_the_cap_evaluate(self, dims, size):
         grid = TorusGrid(dims=dims, size=size, length=1.0)
-        res = q_norm(random_field(grid, seed=6), 0.5, BoxFamily.default(grid))
+        res = NORMS["q"].result(random_field(grid, seed=6), 0.5, BoxFamily.default(grid))
         assert math.isfinite(res.value) and res.value > 0
 
 
@@ -544,25 +535,25 @@ class TestCarlesonSingleMode:
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
     def test_h_alpha2(self, alpha):
-        got = h_alpha2_norm(self.poisson, alpha, self.boxes).value
+        got = NORMS["h"].result(self.poisson, alpha, self.boxes).value
         want = self.poisson_box_oracle(alpha, weight=1.0)
         assert got == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.3])
     def test_scaled_h(self, alpha):
-        got = scaled_h_norm(self.poisson, alpha, self.boxes).value
+        got = NORMS["scaled_h"].result(self.poisson, alpha, self.boxes).value
         want = self.poisson_box_oracle(alpha, weight=1.0 + 2 * alpha)
         assert got == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.25, 0.5])
     def test_star(self, alpha):
-        got = star_norm(self.poisson, alpha, self.boxes).value
+        got = NORMS["star"].result(self.poisson, alpha, self.boxes).value
         want = (2 * np.pi) ** -alpha * self.poisson_box_oracle(alpha, weight=1.0)
         assert got == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
     def test_t_alpha2(self, alpha):
-        got = t_alpha2_norm(self.heat, alpha, self.boxes).value
+        got = NORMS["t"].result(self.heat, alpha, self.boxes).value
         want = self.heat_box_oracle(
             alpha, weight=0.0, spatial=self.sin_sq,
             amp=(2 * np.pi) ** 2, rate=8 * np.pi**2, height_exp=2,
@@ -571,7 +562,7 @@ class TestCarlesonSingleMode:
 
     @pytest.mark.parametrize("alpha", [-0.75, 0.0, 0.5])
     def test_scaled_t(self, alpha):
-        got = scaled_t_norm(self.heat, alpha, self.boxes).value
+        got = NORMS["scaled_t"].result(self.heat, alpha, self.boxes).value
         want = self.heat_box_oracle(
             alpha, weight=alpha, spatial=self.sin_sq,
             amp=(2 * np.pi) ** 2, rate=8 * np.pi**2, height_exp=2,
@@ -595,23 +586,19 @@ class TestCarlesonSingleMode:
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
     def test_dagger_linear_height(self, alpha):
-        got = dagger_norm(self.heat, alpha, self.boxes, box_height="linear").value
+        got = NORMS["dagger_linear"].result(self.heat, alpha, self.boxes).value
         assert got == pytest.approx(self.dagger_oracle(alpha, 1), rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.5])
     def test_dagger_parabolic_height(self, alpha):
-        got = dagger_norm(self.heat, alpha, self.boxes, box_height="parabolic").value
+        got = NORMS["dagger_parabolic"].result(self.heat, alpha, self.boxes).value
         assert got == pytest.approx(self.dagger_oracle(alpha, 2), rel=1e-6)
-
-    def test_dagger_height_validated(self):
-        with pytest.raises(ValueError):
-            dagger_norm(self.heat, 0.25, self.boxes, box_height="cubic")
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            h_alpha2_norm(self.heat, 0.25, self.boxes)
+            NORMS["h"].result(self.heat, 0.25, self.boxes)
         with pytest.raises(ValueError):
-            t_alpha2_norm(self.poisson, 0.25, self.boxes)
+            NORMS["t"].result(self.poisson, 0.25, self.boxes)
         with pytest.raises(ValueError):
             bloch_cb_norm(self.poisson)
         with pytest.raises(ValueError):
@@ -623,7 +610,7 @@ class TestCarlesonSingleMode:
         f = random_field(self.grid, seed=31)
         ext = Extension(f, "poisson", default_mesh(self.grid, "poisson"))
         values = [
-            scaled_h_norm(ext, alpha, self.boxes).value
+            NORMS["scaled_h"].result(ext, alpha, self.boxes).value
             for alpha in (-0.6, -0.2, 0.2, 0.6)
         ]
         for lo, hi in zip(values[1:], values):
@@ -633,8 +620,8 @@ class TestCarlesonSingleMode:
         f = random_field(self.grid, seed=32)
         ext1 = Extension(f, "heat", default_mesh(self.grid, "heat"))
         ext2 = Extension(f.scaled(2.5), "heat", default_mesh(self.grid, "heat"))
-        a = t_alpha2_norm(ext1, 0.25, self.boxes)
-        b = t_alpha2_norm(ext2, 0.25, self.boxes)
+        a = NORMS["t"].result(ext1, 0.25, self.boxes)
+        b = NORMS["t"].result(ext2, 0.25, self.boxes)
         assert b.value == pytest.approx(2.5 * a.value, rel=1e-12)
         assert (b.arg_center, b.arg_radius) == (a.arg_center, a.arg_radius)
 
@@ -889,7 +876,7 @@ def radius_loop_carleson(ext, boxes: BoxFamily, weight_exp: float, scale_exp: fl
 
 
 def dagger_lift(ext, alpha: float, parabolic: bool):
-    """The heat extension dagger_norm measures, on the mesh of the box
+    """The heat extension a dagger norm measures, on the mesh of the box
     height: at alpha=0 the given extension's own trace, with no
     inverse-forward round trip, else the lifted trace."""
     mesh = ext.mesh if parabolic else TimeMesh(
@@ -948,24 +935,15 @@ CARLESON_SHAPES = {
 
 
 class TestRegistry:
-    """Each registry entry evaluates its norm without its public function,
-    and gives what that function gives, bit for bit."""
+    """Each registry entry evaluates its norm itself; an entry whose norm
+    has a public function gives what that function gives, bit for bit, and
+    every entry's value is its result's."""
 
     PUBLIC = {
-        "campanato": campanato_norm,
-        "campanato_pair": campanato_pair_norm,
-        "q": q_norm,
         "frac_campanato": frac_campanato_norm,
         "besov": lambda f, a, boxes: besov_norm(f),
         "inverse": lambda f, a, boxes: inverse_space_norm(f, a, math.inf, boxes),
-        "h": h_alpha2_norm,
-        "scaled_h": scaled_h_norm,
-        "star": star_norm,
         "bloch_hb": lambda ext, a, boxes: bloch_hb_norm(ext),
-        "t": t_alpha2_norm,
-        "scaled_t": scaled_t_norm,
-        "dagger_linear": lambda ext, a, boxes: dagger_norm(ext, a, boxes, "linear"),
-        "dagger_parabolic": lambda ext, a, boxes: dagger_norm(ext, a, boxes, "parabolic"),
         "bloch_cb": lambda ext, a, boxes: bloch_cb_norm(ext),
     }
 
@@ -974,12 +952,13 @@ class TestRegistry:
         grid = TorusGrid(dims, size, length=2 * math.pi)
         boxes = dataclasses.replace(BoxFamily.default(grid), stride=2)
         f = random_field(grid, seed=size)
-        assert set(self.PUBLIC) == set(NORMS)
+        assert set(self.PUBLIC) < set(NORMS)
         for name, norm in NORMS.items():
             for level in ((0.25, 0.75) if name == "q" else (-0.25, 0.25)):
-                # each side on an argument of its own, so no walk is shared
-                want = self.PUBLIC[name](norm.argument(f, boxes), level, boxes)
-                assert norm.result(norm.argument(f, boxes), level, boxes) == want
+                # each call on an argument of its own, so no walk is shared
+                want = norm.result(norm.argument(f, boxes), level, boxes)
+                if name in self.PUBLIC:
+                    assert self.PUBLIC[name](norm.argument(f, boxes), level, boxes) == want
                 value = want.value if isinstance(want, NormResult) else want
                 assert norm.value(norm.argument(f, boxes), level, boxes) == value
 
@@ -989,13 +968,6 @@ class TestTracePass:
 
     LEVELS = {"campanato": (-0.5, 0.0, 0.25), "campanato_pair": (-0.25, 0.5),
               "q": (0.25, 0.5, 0.75), "inverse": (-0.5, 0.0, 0.25)}
-
-    @staticmethod
-    def lone(op: str, f: Field, alpha: float, boxes: BoxFamily) -> NormResult:
-        if op == "inverse":
-            return inverse_space_norm(f, alpha, math.inf, boxes)
-        return {"campanato": campanato_norm, "campanato_pair": campanato_pair_norm,
-                "q": q_norm}[op](f, alpha, boxes)
 
     @pytest.mark.parametrize("dims,size", [(1, 64), (2, 32)])
     def test_levels_of_one_pass_equal_lone_calls(self, dims, size, monkeypatch):
@@ -1023,10 +995,12 @@ class TestTracePass:
         assert sorted(results) == sorted(pairs)
         assert all(isinstance(r, NormResult) for r in results.values())
         for op, alpha in pairs:
-            want = self.lone(op, f, alpha, boxes)
+            want = NORMS[op].result(f, alpha, boxes)
             assert results[op, alpha] == want
-            assert NORMS[op].result(f, alpha, boxes) == want
-        assert len(sweeps) == 4 + 2 * len(pairs)  # the lone calls, one level each
+            if op == "inverse":
+                assert inverse_space_norm(f, alpha, math.inf, boxes) == want
+        # the lone calls, one level each
+        assert len(sweeps) == 4 + len(pairs) + len(self.LEVELS["inverse"])
 
     def test_levels_are_checked_before_any_work(self, monkeypatch):
         grid = TorusGrid(1, 64)
@@ -1074,7 +1048,7 @@ class TestBoxTails:
         boxes = BoxFamily.default(grid)
         ext = NORMS["t"].argument(random_field(grid, seed=4), boxes)
         rebuilt = Extension(inverse_transform(ext.trace), "heat", ext.mesh)
-        got = dagger_norm(ext, 0.0, boxes, "parabolic")
+        got = NORMS["dagger_parabolic"].result(ext, 0.0, boxes)
         want = radius_loop_carleson(rebuilt, boxes, 1.0, 1.0, True, True)
         assert got.value == pytest.approx(want.value, rel=1e-14)
         assert (got.arg_center, got.arg_radius) == (want.arg_center, want.arg_radius)
@@ -1315,10 +1289,10 @@ class TestRunningSums:
         f = random_field(grid, seed=3)
         ext = NORMS["scaled_t"].argument(f, boxes)
         # on a second extension, which fills the ball caches
-        want = scaled_t_norm(NORMS["scaled_t"].argument(f, boxes), -0.5, boxes)
+        want = NORMS["scaled_t"].result(NORMS["scaled_t"].argument(f, boxes), -0.5, boxes)
         tracemalloc.start()
         try:
-            got = scaled_t_norm(ext, -0.5, boxes)
+            got = NORMS["scaled_t"].result(ext, -0.5, boxes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1335,10 +1309,10 @@ class TestRunningSums:
         f = random_field(grid, seed=3)
         ext = NORMS["h"].argument(f, boxes)
         # on a second extension, which fills the ball caches
-        want = h_alpha2_norm(NORMS["h"].argument(f, boxes), 0.25, boxes)
+        want = NORMS["h"].result(NORMS["h"].argument(f, boxes), 0.25, boxes)
         tracemalloc.start()
         try:
-            got = h_alpha2_norm(ext, 0.25, boxes)
+            got = NORMS["h"].result(ext, 0.25, boxes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1400,7 +1374,7 @@ class TestRunningSums:
         boxes = BoxFamily.default(grid)
         f = random_field(grid, seed=5)
         levels = (-0.5, 0.0, 0.25)
-        want = [h_alpha2_norm(NORMS["h"].argument(f, boxes), a, boxes) for a in levels]
+        want = [NORMS["h"].result(NORMS["h"].argument(f, boxes), a, boxes) for a in levels]
         walks = []
 
         class CountedWalk(norms_module._BoxWalk):
@@ -1411,12 +1385,12 @@ class TestRunningSums:
         monkeypatch.setattr(norms_module, "_BoxWalk", CountedWalk)
         passes = count_passes(monkeypatch)
         ext = NORMS["h"].argument(f, boxes)
-        assert [h_alpha2_norm(ext, a, boxes) for a in levels] == want
+        assert [NORMS["h"].result(ext, a, boxes) for a in levels] == want
         assert len(walks) == len(passes) == 1
         # scaled_h at alpha=0 has h's weight t, so it reads the same integrals
-        assert scaled_h_norm(ext, 0.0, boxes) == want[1]
+        assert NORMS["scaled_h"].result(ext, 0.0, boxes) == want[1]
         assert len(walks) == len(passes) == 1
-        scaled_h_norm(ext, 0.25, boxes)
+        NORMS["scaled_h"].result(ext, 0.25, boxes)
         assert len(walks) == len(passes) == 2
 
     def test_one_pass_serves_many_walks_and_peaks(self, monkeypatch):
@@ -1447,8 +1421,9 @@ class TestRunningSums:
             assert all(np.array_equal(a, b) for a, b in
                        zip(ext.box_integrals[key], alone.box_integrals[key], strict=True))
         assert bloch_cb_norm(ext) == bloch_cb_norm(NORMS["t"].argument(f, boxes))
-        assert dagger_norm(ext, 0.0, boxes, "parabolic") == dagger_norm(
-            NORMS["t"].argument(f, boxes), 0.0, boxes, "parabolic")
+        dagger = NORMS["dagger_parabolic"]
+        assert dagger.result(ext, 0.0, boxes) == dagger.result(
+            NORMS["t"].argument(f, boxes), 0.0, boxes)
         assert len(passes) == 1 + len(keys) + 1 + 1
         assert len(streams) == 2 + len(keys) + 1 + 1
 
@@ -1470,13 +1445,13 @@ class TestRunningSums:
             alone = []
             for height in heights:
                 ext = NORMS["t"].argument(f, boxes)
-                alone.append(dagger_norm(ext, alpha, boxes, height))
+                alone.append(NORMS[f"dagger_{height}"].result(ext, alpha, boxes))
             ext = NORMS["t"].argument(f, boxes)
             streams = count_streams(monkeypatch)
             norms_module.gradient_pass(
                 ext, [NORMS[f"dagger_{height}"].walk(alpha) + (boxes,) for height in heights])
             assert [times.size for _, times in streams] == [1 + union]
-            together = [dagger_norm(ext, alpha, boxes, height) for height in heights]
+            together = [NORMS[f"dagger_{height}"].result(ext, alpha, boxes) for height in heights]
             assert len(streams) == 1
             for got, want in zip(together, alone, strict=True):
                 assert (got.value, got.per_box_table, got.arg_center) == (
@@ -1576,5 +1551,5 @@ class TestCorpusRegularity:
             spec = CorpusSpec.make("frac_noise", seed=7, s=s, max_freq=20)
             f = generate(spec, grid)
             l2 = math.sqrt(np.sum(f.samples**2) * grid.cell_volume)
-            values.append(campanato_norm(f, 0.25, boxes).value / l2)
+            values.append(NORMS["campanato"].result(f, 0.25, boxes).value / l2)
         assert values == sorted(values, reverse=True)

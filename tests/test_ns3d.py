@@ -553,6 +553,14 @@ class TestSolvers:
         with pytest.warns(UserWarning, match="CFL"):
             step_ifrk4(v, 0.01, steps=2, store=1)
 
+    def test_linear_run_does_not_warn_about_cfl(self, g16):
+        # the heat flow is taken in closed form, with no advective step
+        v = taylor_green(g16, amplitude=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = step_ifrk4(v, 0.01, steps=2, store=1, nonlinear=False)
+        assert not trace.config["nonlinear"]
+
     def test_nonconvergence_is_reported_not_raised(self, rand16):
         v = rand16.scaled(5.0)
         trace = mild_solve_picard(v, 0.5, nodes=32, max_iter=4)

@@ -29,8 +29,7 @@ import toruslab.verify as verify_module
 from toruslab.cli import DEFAULT_ALPHAS, _scaling_field
 from toruslab.corpus import CorpusSpec, default_corpus_specs, generate
 from toruslab.extensions import Extension, gradient_bound_ratio, row_chunks
-from toruslab.norms import (NORMS, BoxFamily, campanato_norm, h_alpha2_norm, inverse_space_norm,
-                            q_norm)
+from toruslab.norms import NORMS, BoxFamily, inverse_space_norm
 from toruslab.spectral import TorusGrid
 from toruslab.verify import (
     CHECKS,
@@ -522,7 +521,7 @@ class TestPlan:
         assert len(calls) == 2 * len(levels)
         for a in levels:
             ext = space.stack(label, "poisson")
-            want = gradient_bound_ratio(ext, a, h_alpha2_norm(ext, a, space.boxes).value)
+            want = gradient_bound_ratio(ext, a, NORMS["h"].value(ext, a, space.boxes))
             assert space.norm("grad_constant", label, a) == want
             assert alone.norm("grad_constant", label, a) == want
 
@@ -550,9 +549,10 @@ class TestPlan:
                     sorted((op, x) for op, xs in levels.items() for x in xs)]
                 f = ws.field(label)
                 for a in levels["campanato"]:
-                    assert ws.norm("campanato", label, a) == campanato_norm(f, a, ws.boxes).value
+                    assert ws.norm("campanato", label, a) == NORMS["campanato"].value(
+                        f, a, ws.boxes)
                 for b in levels["q"]:
-                    assert ws.norm("q", label, b) == q_norm(f, b, ws.boxes).value
+                    assert ws.norm("q", label, b) == NORMS["q"].value(f, b, ws.boxes)
                 for a in levels["inverse"]:
                     assert (ws.norm("inverse", label, a)
                             == inverse_space_norm(f, a, math.inf, ws.boxes).value)
@@ -628,6 +628,31 @@ class TestPlan:
                        space.threads)
         assert not census.built and not census.streams and not drawn
         assert not space._values
+
+    @pytest.mark.parametrize("row", ["equivalence", "scaling"])
+    def test_level_outside_the_domain_refused_before_any_task(self, grid, monkeypatch,
+                                                              row) -> None:
+        # an alpha outside (-1, 1), after one inside it, is refused while
+        # planning, naming its row and level: no member task runs
+        tasks = []
+        real = Workspace._task
+
+        def counted(ws, *args):
+            tasks.append(args)
+            return real(ws, *args)
+
+        monkeypatch.setattr(Workspace, "_task", counted)
+        space = Workspace(small_specs(), grid, threads=2)
+        if row == "equivalence":
+            args = dict(rows=[("2.1", 0.5), ("2.1", 1.0)])
+            match = "check '2.1' is not defined at alpha 1.0"
+        else:
+            mode2 = generate(CorpusSpec.make("single_mode", seed=0, k=2), grid)
+            args = dict(scaling=[(mode2, "campanato", 0.5), (mode2, "campanato", -1.0)])
+            match = "scaling row campanato is not defined at alpha -1.0"
+        with pytest.raises(ValueError, match=match):
+            build_reports(space, **args)
+        assert not tasks and not space._values
 
     def test_box_below_mesh_floor_refused_before_any_stack(self, monkeypatch) -> None:
         # at N=8192 the j=12 box height r^2 = 2^-24 is under the heat mesh
