@@ -64,19 +64,14 @@ def _check_band_limit(max_freq: float, grid: TorusGrid) -> int:
 
 def _canonical_modes(dims: int, max_freq: int) -> list[tuple[int, ...]]:
     """One representative per conjugate pair, |k|_2 <= max_freq, lex order."""
-    ranges = [range(-max_freq, max_freq + 1)] * dims
-    reps = []
-    for k in np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, dims):
-        if not np.any(k):
-            continue
-        if float(np.dot(k, k)) > max_freq**2:
-            continue
-        nonzero = k[k != 0]
-        if nonzero[0] < 0:
-            continue  # conjugate partner is the representative
-        reps.append(tuple(int(v) for v in k))
-    reps.sort()
-    return reps
+    side = np.arange(-max_freq, max_freq + 1)
+    # the "ij" lattice with ascending sides is already in lex order
+    k = np.stack(np.meshgrid(*[side] * dims, indexing="ij"), axis=-1).reshape(-1, dims)
+    # k, not its conjugate partner -k, when its first nonzero entry is
+    # positive; the zero mode has none
+    first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+    keep = (first > 0) & (np.sum(k * k, axis=1) <= max_freq**2)
+    return [tuple(row) for row in k[keep].tolist()]
 
 
 def _place_coefficients(

@@ -269,24 +269,32 @@ class _RunningSums:
     runs that end at the wanted counts inside it and at its end; each run's
     first row gets the carry of the terms before added in place, and the
     run is summed with one ``np.add.reduce`` along the leading axis, whose
-    result, a new array, is carried on and kept at a wanted count. numpy
-    reduces the leading axis of a C-ordered block row by row, left to
-    right, when a row has more than one element, as every grid-shaped term
-    here does (one-element rows would be summed pairwise). ``sums()`` reads
-    the kept sums once ``stop`` = max(counts) terms are in."""
+    result, a new array, is carried on and kept at a wanted count. A run of
+    one row is the same carry + row written into the carry instead, unless
+    the carry is kept or not yet an array (a carry holds no -0.0, which the
+    reduce would turn to +0.0). numpy reduces the leading axis of a
+    C-ordered block row by row, left to right, when a row has more than one
+    element, as every grid-shaped term here does (one-element rows would be
+    summed pairwise). ``sums()`` reads the kept sums once ``stop`` =
+    max(counts) terms are in."""
 
     def __init__(self, counts: Sequence[int]) -> None:
         self.counts = list(counts)
         self.stop = max(self.counts, default=0)
         self.pushed, self._kept, self._carry = 0, {0: 0.0}, 0.0
+        self._owned = False  # the carry is an array no kept sum shares
 
     def add(self, block: np.ndarray) -> None:
         start, lo = self.pushed, 0
         self.pushed += len(block)
         for end in sorted({c for c in self.counts if start < c < self.pushed} | {self.pushed}):
-            np.add(self._carry, block[lo], out=block[lo])
-            self._carry = np.add.reduce(block[lo : end - start], axis=0)
-            if end in self.counts:
+            if end - start - lo == 1 and self._owned:
+                np.add(self._carry, block[lo], out=self._carry)
+            else:
+                np.add(self._carry, block[lo], out=block[lo])
+                self._carry = np.add.reduce(block[lo : end - start], axis=0)
+            self._owned = end not in self.counts
+            if not self._owned:
                 self._kept[end] = self._carry
             lo = end - start
 
@@ -305,7 +313,8 @@ def _running_sums(blocks: Iterable[np.ndarray], counts: Sequence[int]) -> list:
 
 # --- trace-side norms ---
 
-# heat_rows(times, unit) of inverse_space_norm
+# heat_rows(times, unit) of inverse_space_norm: each array it yields is the
+# caller's only until the next chunk is drawn
 HeatRows = Callable[[np.ndarray, int], Iterable[tuple[slice, np.ndarray]]]
 
 
@@ -553,8 +562,9 @@ def inverse_space_norm(f: Field, alpha: float, horizon: float, boxes: BoxFamily,
     r^-(2a+n) int_0^{r^2} int_B |e^{t Lap} f|^2 t^a dy dt, the time
     integral on the default heat mesh. ``heat_rows(times, unit)``, if given,
     yields (rows, e^{t Lap} of the mean-free f at t = times[rows]) in chunks
-    of whole groups of ``unit`` rows, each array the caller's, in place of
-    the heat extension's rows, as the flow solver's data norm does."""
+    of whole groups of ``unit`` rows, in place of the heat extension's rows,
+    as the flow solver's data norm does; each array is the caller's, to
+    overwrite, only until the next chunk is drawn."""
     return _inverse_levels(f, [alpha], horizon, boxes, heat_rows)[0]
 
 
@@ -702,18 +712,23 @@ def x_space_norm(
     peaks: list = []
     first_sq: list = []  # u_0^2, for the leading strip
     tails: dict = {}  # box -> the straddling segment clipped at r^2
+    # h of this node and the previous one alternate in two node buffers,
+    # and each segment fills a third
+    h_pair, segment = np.empty((2,) + grid.shape), np.empty((1,) + grid.shape)
 
     def h_nodes() -> Iterator[np.ndarray]:
         """h = u^2 t^a of each node, taking its peak and the straddling
-        segments that end at it on the way."""
+        segments that end at it on the way; each h lives until the next
+        but one is made."""
         previous = None
         for i, u in enumerate(itertools.islice(series.nodes(), visits)):
+            h = h_pair[i % 2]
             if i < in_range:
-                peaks.append(np.abs(u).max())
-            sq = u**2
+                peaks.append(np.abs(u, out=h).max())
+            sq = np.square(u, out=h)
             if i == 0:
-                first_sq.append(sq)
-            h = sq * weights[i]
+                first_sq.append(sq.copy())
+            np.multiply(sq, weights[i], out=h)
             for box, k in straddles.items():
                 if k + 1 == i:
                     upper, t0 = uppers[box], times[k]
@@ -723,9 +738,15 @@ def x_space_norm(
             yield h
             previous = h
 
+    def segments() -> Iterator[np.ndarray]:
+        """Each trapezoid segment (h_k + h_{k+1}) (t_{k+1} - t_k) / 2, one
+        row, which the walk may overwrite."""
+        for (a, b), d in zip(itertools.pairwise(h), np.diff(times) / 2.0):
+            np.multiply(np.add(a, b, out=segment[0]), d, out=segment[0])
+            yield segment
+
     h = h_nodes()
-    segments = ((a + b) * d for (a, b), d in zip(itertools.pairwise(h), np.diff(times) / 2.0))
-    sums = _running_sums((segment[np.newaxis] for segment in segments), counts)
+    sums = _running_sums(segments(), counts)
     for _ in h:  # the nodes past the tallest box that the sup or a straddle needs
         pass
     # rounding a product by a positive scalar is monotone, so this is the

@@ -58,6 +58,17 @@ the X norm of a trace reads each node's samples once, so no series of
 every node on the grid is built. The data norm reads its heat rows off
 the block the same way, one panel of nodes at a time.
 
+Buffers belong to calls, never to the per-grid ``_Symbols`` that threads
+share. ``to_grid`` runs its passes in its output and one ``scratch``,
+``from_grid`` in two; a nonlinear evaluation runs its 3 inverses and 5 forwards
+in one set of ``nonlinear_buffers``, which a Picard sweep makes once for
+all its evaluations; the heat flow fills the node array node by node; the
+data norm's heat rows fill one chunk buffer and a trace's node reads one
+node buffer. So a Picard sweep, and the X norm of its trace, make no
+array larger than a block per evaluation or node, and their speed does not
+rest on the allocator keeping freed memory mapped (glibc's dynamic mmap
+threshold).
+
 A Picard sweep runs on the calling thread: it evaluates each node's
 nonlinear term on the old iterate just before the scan overwrites that
 node. The terms of one sweep are independent, but evaluating them on a
@@ -103,17 +114,29 @@ def _interleaved(m: np.ndarray) -> np.ndarray:
     return out.reshape(2 * a, 2 * b)
 
 
-def _cycled(values: np.ndarray) -> np.ndarray:
-    """A contiguous copy with the third-last axis moved last:
-    (..., A, B, C) -> (..., B, C, A)."""
+def _carved(buffer: np.ndarray, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """The first prod(shape) items of a C-contiguous buffer's memory, viewed
+    as dtype and shaped: a pass's array laid over a scratch buffer."""
+    return buffer.reshape(-1).view(dtype)[: math.prod(shape)].reshape(shape)
+
+
+def _cycled(values: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """A contiguous copy in ``into``'s memory with the third-last axis moved
+    last: (..., A, B, C) -> (..., B, C, A)."""
     lead = values.ndim - 3
-    return np.ascontiguousarray(values.transpose(*range(lead), lead + 1, lead + 2, lead))
+    moved = values.transpose(*range(lead), lead + 1, lead + 2, lead)
+    out = _carved(into, moved.shape, values.dtype)
+    np.copyto(out, moved)
+    return out
 
 
-def _line_pass(lines: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Complex rows along the last axis times an _interleaved matrix. The
-    matmul runs one gemm per slab of the leading axes."""
-    return np.matmul(lines.view(np.float64), matrix).view(np.complex128)
+def _line_pass(lines: np.ndarray, matrix: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """Complex rows along the last axis times an _interleaved matrix, written
+    to ``into``'s memory. The matmul runs one gemm per slab of the leading
+    axes."""
+    real = lines.view(np.float64)
+    out = _carved(into, real.shape[:-1] + matrix.shape[1:], np.float64)
+    return np.matmul(real, matrix, out=out).view(np.complex128)
 
 
 def _max_divergence(kd, coeff: np.ndarray) -> float:
@@ -391,16 +414,18 @@ class NSTrace:
 
 class _NodeSamples(Sequence):
     """Grid samples of a stack of scalar blocks; item i transforms block i
-    when it is read."""
+    when it is read, into one node buffer, so it is the caller's only until
+    the next item is read."""
 
     def __init__(self, sym: "_Symbols", blocks: np.ndarray):
         self._sym, self._blocks = sym, blocks
+        self._samples, self._work = np.empty(sym._grid_shape), sym.scratch()
 
     def __len__(self) -> int:
         return len(self._blocks)
 
     def __getitem__(self, i):
-        return self._sym.to_grid(self._blocks[i])
+        return self._sym.to_grid(self._blocks[i], out=self._samples, work=self._work)
 
 
 class _Symbols:
@@ -426,6 +451,8 @@ class _Symbols:
         self.weight = np.full(k + 1, 2.0)
         self.weight[0] = 1.0
         n = grid.size
+        self._grid_shape = grid.shape
+        self._pass_items = n * n * (k + 1)
         # e^{2 pi i k x / N} per mode and grid point, the phase reduced mod N
         points = np.arange(n)
         side_exp = np.exp((2j * np.pi / n) * np.mod(np.outer(side, points), n))
@@ -445,73 +472,142 @@ class _Symbols:
 
     def heat_flow(self, ahat: np.ndarray, times: np.ndarray) -> np.ndarray:
         """e^{-rate t} ahat at each time, shape (times, 3, ...): the linear
-        flow in closed form, one broadcast."""
-        decay = np.multiply.outer(-times, self.heat_rate)
-        return np.exp(decay, out=decay)[:, None] * ahat
+        flow in closed form, filled one node at a time."""
+        flow = np.empty((times.size,) + ahat.shape, dtype=np.complex128)
+        decay = np.empty(self.shape)
+        for node, t in zip(flow, times):
+            np.exp(np.multiply(-t, self.heat_rate, out=decay), out=decay)
+            np.multiply(decay, ahat, out=node)
+        return flow
 
     @_node_by_node
     def power(self, coeff: np.ndarray) -> float:
         """sum |c_k|^2 over the full spectrum of a (3, ...) block
         (Parseval: the mean of |u|^2 over the grid)."""
-        sq = np.square(coeff.real)
-        sq += np.square(coeff.imag)  # in place: one scratch array beside the square
-        return float((sq @ self.weight).sum())
+        # one component's square at a time, summed over k_z into its rows:
+        # the gemvs and the sum of the whole square, with a third of its
+        # scratch
+        rows = np.empty(coeff.shape[:-1])
+        for c, row in zip(coeff, rows):
+            sq = np.square(c.real)
+            sq += np.square(c.imag)  # in place: one scratch array beside the square
+            np.matmul(sq, self.weight, out=row)
+        return float(rows.sum())
 
     @_node_by_node
     def divergence_defect(self, coeff: np.ndarray) -> float:
         """max_k |k . u_hat(k)| of a block, relative to its peak."""
         return _max_divergence(self.kd, coeff)
 
-    def to_grid(self, coeff: np.ndarray) -> np.ndarray:
-        """Grid samples (..., N, N, N) of block coefficients: the pruned
-        inverse as three matrix passes (module docstring)."""
-        lines = _line_pass(_cycled(coeff), self._expand)  # (..., y, z, X)
-        lines = _line_pass(_cycled(lines), self._expand)  # (..., z, X, Y)
-        return np.matmul(_cycled(lines).view(np.float64), self._z_expand)
+    def scratch(self, lead: tuple[int, ...] = ()) -> np.ndarray:
+        """Scratch for the middle passes of ``to_grid`` and ``from_grid`` on
+        blocks of leading shape ``lead``: the largest of them, N^2 (K+1)
+        complex values per block."""
+        return np.empty(lead + (self._pass_items,), dtype=np.complex128)
 
-    def from_grid(self, samples: np.ndarray) -> np.ndarray:
+    def to_grid(self, coeff: np.ndarray, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
+        """Grid samples (..., N, N, N) of block coefficients: the pruned
+        inverse as three matrix passes (module docstring), in ``out``.
+
+        The passes alternate between ``work`` (a ``scratch``) and ``out``,
+        which holds each middle pass since 2 (K+1) <= N; either is made for
+        the call if not given."""
+        lead = coeff.shape[:-3]
+        out = np.empty(lead + self._grid_shape) if out is None else out
+        work = self.scratch(lead) if work is None else work
+        lines = _line_pass(_cycled(coeff, work), self._expand, out)  # (..., y, z, X)
+        lines = _line_pass(_cycled(lines, work), self._expand, out)  # (..., z, X, Y)
+        return np.matmul(_cycled(lines, work).view(np.float64), self._z_expand, out=out)
+
+    def from_grid(self, samples: np.ndarray, out: np.ndarray | None = None,
+                  work: np.ndarray | None = None,
+                  spare: np.ndarray | None = None) -> np.ndarray:
         """Block coefficients of grid samples (..., N, N, N): the pruned
-        forward as three matrix passes (module docstring)."""
-        planes = np.matmul(samples, self._z_reduce).view(np.complex128)  # (..., X, Y, z)
-        rows = _line_pass(_cycled(planes), self._reduce)  # (..., Y, z, x)
-        rows = _line_pass(_cycled(rows), self._reduce)  # (..., z, x, y)
-        return _cycled(rows)
+        forward as three matrix passes (module docstring), in ``out``.
+
+        The passes alternate between ``work`` and ``spare``, two
+        ``scratch``es; ``spare`` may be ``samples`` itself, which the first
+        pass reads whole. Any buffer not given is made for the call."""
+        lead = samples.shape[:-3]
+        out = np.empty(lead + self.shape, dtype=np.complex128) if out is None else out
+        work = self.scratch(lead) if work is None else work
+        spare = self.scratch(lead) if spare is None else spare
+        planes = np.matmul(samples, self._z_reduce,
+                           out=_carved(work, samples.shape[:-1] + self._z_reduce.shape[1:],
+                                       np.float64)).view(np.complex128)  # (..., X, Y, z)
+        rows = _line_pass(_cycled(planes, spare), self._reduce, work)  # (..., Y, z, x)
+        rows = _line_pass(_cycled(rows, spare), self._reduce, work)  # (..., z, x, y)
+        return _cycled(rows, out)
 
     def heat_rows(self, coeff: np.ndarray, times: np.ndarray,
                   unit: int) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield (rows, grid samples of e^{-rate t} coeff at t = times[rows])
-        for a scalar block, ``unit`` rows at a time, each array the caller's:
-        the ``heat_rows`` of ``norms.inverse_space_norm`` from the block."""
+        for a scalar block, ``unit`` rows at a time: the ``heat_rows`` of
+        ``norms.inverse_space_norm`` from the block. Every chunk fills one
+        buffer, so each array is the caller's only until the next chunk is
+        drawn."""
+        lead = (min(unit, times.size),)
+        samples = np.empty(lead + self._grid_shape)
+        decay = np.empty(lead + self.shape)
+        flowed = np.empty(lead + self.shape, dtype=np.complex128)
+        work = self.scratch(lead)
         for lo in range(0, times.size, unit):
             rows = slice(lo, min(lo + unit, times.size))
-            decay = np.multiply.outer(-times[rows], self.heat_rate)
-            yield rows, self.to_grid(np.exp(decay, out=decay) * coeff)
+            m = rows.stop - lo
+            rate = np.multiply.outer(-times[rows], self.heat_rate, out=decay[:m])
+            np.multiply(np.exp(rate, out=rate), coeff, out=flowed[:m])
+            yield rows, self.to_grid(flowed[:m], out=samples[:m], work=work[:m])
 
-    def nonlinear(self, vhat: np.ndarray) -> np.ndarray:
+    def nonlinear_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The buffers one ``nonlinear`` evaluation runs in: the three
+        velocity components and one product on the grid, one ``scratch``
+        and the five stress entries."""
+        return (np.empty((4,) + self._grid_shape), self.scratch(),
+                np.empty((5,) + self.shape, dtype=np.complex128))
+
+    def nonlinear(self, vhat: np.ndarray, out: np.ndarray | None = None,
+                  buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
         """-P div(u (x) u) on the block, evaluated pseudospectrally from the
-        five entries of the stress less u_2^2 I (module docstring)."""
+        five entries of the stress less u_2^2 I (module docstring), in
+        ``out`` if given.
+
+        Every pass runs in ``buffers``, a ``nonlinear_buffers`` that a
+        caller evaluating many terms passes to each, or one made for the
+        call; a product, or a diagonal entry's component, is the spare of
+        its own forward."""
+        grid, work, stress = self.nonlinear_buffers() if buffers is None else buffers
+        u0, u1, u2, product = grid
+        s00, s11, s01, s02, s12 = stress
         # one component at a time: a batched call would hold every
         # component's transform intermediates at once
-        u0, u1, u2 = (self.to_grid(c) for c in vhat)
-        s01, s02, s12 = (self.from_grid(x * y) for x, y in ((u0, u1), (u0, u2), (u1, u2)))
+        for c, u in zip(vhat, (u0, u1, u2)):
+            self.to_grid(c, out=u, work=work)
+        for s, (x, y) in zip((s01, s02, s12), ((u0, u1), (u0, u2), (u1, u2))):
+            self.from_grid(np.multiply(x, y, out=product), out=s, work=work, spare=product)
         # the diagonal entries in place: no product above reads u again
         w = np.square(u2, out=u2)
-        s00 = self.from_grid(np.subtract(np.square(u0, out=u0), w, out=u0))
-        s11 = self.from_grid(np.subtract(np.square(u1, out=u1), w, out=u1))
-        del u0, u1, u2, w
+        for s, u in ((s00, u0), (s11, u1)):
+            self.from_grid(np.subtract(np.square(u, out=u), w, out=u), out=s, work=work, spare=u)
         # sum_b k_b S_jb and its projection have real symbols: they run on
-        # the float64 views, and -2 pi i / L multiplies the result once
+        # the float64 views, and -2 pi i / L multiplies the result once;
+        # each product and the projection's scale go to spent grid buffers
         kd = self._kd_pairs
-        s00, s11, s01, s02, s12 = (s.view(np.float64) for s in (s00, s11, s01, s02, s12))
-        flux = np.empty_like(vhat)
+        term, scale = (_carved(g, kd.shape[1:], np.float64) for g in (product, u0))
+        s00, s11, s01, s02, s12 = (s.view(np.float64) for s in stress)
+        flux = np.empty_like(vhat) if out is None else out
         div = flux.view(np.float64)
         for j, row in enumerate(((s00, s01, s02), (s01, s11, s12), (s02, s12))):
             np.multiply(kd[0], row[0], out=div[j])
             for b in range(1, len(row)):
-                div[j] += kd[b] * row[b]
-        scale = (kd[0] * div[0] + kd[1] * div[1] + kd[2] * div[2]) / self._ksq_pairs
+                div[j] += np.multiply(kd[b], row[b], out=term)
+        # (k0 d0 + k1 d1 + k2 d2) / |k|^2, operand for operand
+        np.multiply(kd[0], div[0], out=scale)
+        for b in (1, 2):
+            scale += np.multiply(kd[b], div[b], out=term)
+        scale /= self._ksq_pairs
         for j in range(3):
-            div[j] -= kd[j] * scale
+            div[j] -= np.multiply(kd[j], scale, out=term)
         flux *= self._flux_factor
         return flux
 
@@ -541,11 +637,13 @@ def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray, b0: np.ndarray
     first node whose update overflows; that node and the later ones then
     keep their previous iterate.
     """
-    prev_b = b0
     heat_tail = b0.copy()  # E_i applied to the s=0 integrand
     running = np.zeros_like(ahat)  # sum_{j=1}^{i-1} E_{i-j} B_j
     lin = ahat.copy()
     new, scratch = np.empty_like(ahat), np.empty_like(ahat)
+    # B_i = N(u[i]); the running sum takes B_{i-1} before B_i overwrites it
+    b_here = np.empty_like(ahat)
+    buffers = sym.nonlinear_buffers()  # every evaluation of the sweep runs in these
     worst = 0.0
     # each line is the one-expression form evaluated in place, operand for
     # operand: new = lin + h * (0.5 heat_tail + running + 0.5 b_here)
@@ -553,8 +651,8 @@ def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray, b0: np.ndarray
         np.multiply(step, lin, out=lin)
         np.multiply(step, heat_tail, out=heat_tail)
         if i > 0:
-            np.multiply(step, np.add(running, prev_b, out=running), out=running)
-        b_here = sym.nonlinear(u[i])
+            np.multiply(step, np.add(running, b_here, out=running), out=running)
+        sym.nonlinear(u[i], out=b_here, buffers=buffers)
         np.add(np.multiply(0.5, heat_tail, out=new), running, out=new)
         np.add(new, np.multiply(0.5, b_here, out=scratch), out=new)
         np.add(lin, np.multiply(h, new, out=new), out=new)
@@ -564,7 +662,6 @@ def _picard_sweep(sym: _Symbols, u: np.ndarray, ahat: np.ndarray, b0: np.ndarray
             return math.inf
         u[i] = new
         worst = max(worst, change)
-        prev_b = b_here
     return worst
 
 
@@ -599,15 +696,15 @@ def mild_solve_picard(
     sym = _symbols(grid)
     h = horizon / nodes
     times = h * np.arange(1, nodes + 1)
-    # u[i] is node i + 1; it starts as the heat flow e^{t L} a
-    u = sym.heat_flow(ahat, times)
-
     config = {
         "solver": "picard", "horizon": horizon, "nodes": nodes,
         "viscosity": 1.0, "dealias": "2/3", "max_iter": max_iter,
         "tol": PICARD_TOL, "nonlinear": nonlinear,
+        # before the nodes: its grid square adds nothing to their peak
         "initial_energy": a.energy(),
     }
+    # u[i] is node i + 1; it starts as the heat flow e^{t L} a
+    u = sym.heat_flow(ahat, times)
 
     if not nonlinear:
         return NSTrace(grid, times, u, config, residuals=(), converged=True)

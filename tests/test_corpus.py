@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toruslab.corpus import (
+    _canonical_modes,
     CorpusSpec,
     default_corpus_specs,
     generate,
@@ -15,6 +16,32 @@ from toruslab.corpus import (
     write_corpus_manifest,
 )
 from toruslab.spectral import TorusGrid
+
+
+def canonical_modes_loop(dims: int, max_freq: int) -> list[tuple[int, ...]]:
+    """The lattice walk the vectorised ``_canonical_modes`` replaced: every
+    point of the cube, one representative per conjugate pair, then sorted."""
+    ranges = [range(-max_freq, max_freq + 1)] * dims
+    reps = []
+    for k in np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, dims):
+        if not np.any(k):
+            continue
+        if float(np.dot(k, k)) > max_freq**2:
+            continue
+        nonzero = k[k != 0]
+        if nonzero[0] < 0:
+            continue  # conjugate partner is the representative
+        reps.append(tuple(int(v) for v in k))
+    reps.sort()
+    return reps
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("max_freq", range(1, 7))
+def test_canonical_modes_match_the_lattice_walk(dims, max_freq):
+    got = _canonical_modes(dims, max_freq)
+    assert got == canonical_modes_loop(dims, max_freq)
+    assert all(type(v) is int for k in got for v in k)
 
 
 class TestSpecs:

@@ -10,6 +10,8 @@ which gives an exact nonlinear reference.
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -223,9 +225,9 @@ class TestTracelessStress:
         for name in calls:
             real = getattr(sym, name)
 
-            def counted(x, _real=real, _name=name):
+            def counted(x, *buffers, _real=real, _name=name, **named):
                 calls[_name] += 1
-                return _real(x)
+                return _real(x, *buffers, **named)
 
             monkeypatch.setattr(sym, name, counted)
         sym.nonlinear(_block_coefficients(rand16))
@@ -303,6 +305,53 @@ class TestMatrixTransforms:
             monkeypatch.setattr(np.fft, name, refuse)
         sym = ns3d._symbols(g16)
         sym.from_grid(sym.to_grid(sym.nonlinear(ahat)))
+
+    def test_reused_buffers_give_a_fresh_calls_bits(self, g16):
+        # a sweep passes one set of buffers to every evaluation: what an
+        # evaluation leaves in them must not reach the next one
+        sym = ns3d._symbols(g16)
+        rng = np.random.default_rng(6)
+        shape = (3,) + sym.shape
+        buffers, flux = sym.nonlinear_buffers(), np.empty(shape, dtype=np.complex128)
+        for _ in range(3):
+            vhat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = sym.nonlinear(vhat, out=flux, buffers=buffers)
+            assert got is flux
+            assert np.array_equal(flux, sym.nonlinear(vhat))
+
+    def test_threads_share_a_grids_symbols(self, g16):
+        # every pass runs in buffers of its own call, so two threads on one
+        # shared _Symbols get the bits of a serial call
+        sym = ns3d._symbols(g16)
+        rng = np.random.default_rng(5)
+        shape = (3,) + sym.shape
+        inputs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                  for _ in range(2)]
+        want = [(sym.nonlinear(v), sym.to_grid(v)) for v in inputs]
+        got: list[list] = [[], []]
+        start = threading.Barrier(2, timeout=60)
+
+        def evaluate(k):
+            start.wait()
+            for _ in range(20):
+                got[k].append((sym.nonlinear(inputs[k]), sym.to_grid(inputs[k])))
+
+        threads = [threading.Thread(target=evaluate, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, results in enumerate(got):
+            assert len(results) == 20
+            for flux, samples in results:
+                assert np.array_equal(flux, want[k][0])
+                assert np.array_equal(samples, want[k][1])
 
     def test_one_read_only_table_set_per_grid(self, g16):
         sym = ns3d._symbols(g16)
@@ -492,6 +541,28 @@ class TestHeatFlow:
         heat_a = mild_solve_picard(rand16, 0.1, nodes=32, nonlinear=False)
         heat_b = step_ifrk4(rand16, 0.1, steps=32, store=32, nonlinear=False)
         assert trace_difference(heat_a, heat_b) <= 1e-12
+
+    def test_linear_solve_memory_is_the_node_array(self):
+        # 32^3 with 128 nodes: the heat flow fills the node array one node at
+        # a time, never a (nodes, ...) decay table (5 MB here) beside it
+        n, nodes = 32, 128
+        grid = TorusGrid(dims=3, size=n, length=1.0)
+        a = random_divergence_free(grid, seed=0)
+        k = n // 3
+        block = 3 * (2 * k + 1) ** 2 * (k + 1) * 16
+        node_array = nodes * block
+        # the data's block, one node's trace-check temporaries and one
+        # node's real decay
+        bound = node_array + 2 * block + block // 6
+        mild_solve_picard(a, 0.1, nodes=nodes, nonlinear=False)  # fill the symbol cache
+        tracemalloc.start()
+        try:
+            trace = mild_solve_picard(a, 0.1, nodes=nodes, nonlinear=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.coefficients.nbytes == node_array
+        assert peak <= bound
 
     def test_zero_data_stays_zero(self, g16):
         zero = VelocityField(g16, tuple(Field(g16, np.zeros(g16.shape)) for _ in range(3)))
@@ -766,12 +837,27 @@ class TestDataNorms:
         with monkeypatch.context() as patched:
             for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
                 patched.setattr(np.fft, name, refuse)
-            got = list(sym.heat_rows(block, times, 8))
+            # a chunk lives only until the next one is drawn
+            got = [(rows, u.copy()) for rows, u in sym.heat_rows(block, times, 8)]
         assert [rows for rows, _ in got] == [slice(0, 8), slice(8, 16), slice(16, 24)]
         want = np.concatenate([u for _, u in extension_rows(
             forward_transform(rand16.components[0].remove_mean()), "heat", times)])
         rows = np.concatenate([u for _, u in got])
         assert np.max(np.abs(rows - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_heat_rows_fill_one_buffer_with_each_chunks_bits(self, g16, rand16):
+        # unit 8 over 20 times: two full chunks and a ragged one of 4 rows
+        sym = ns3d._symbols(g16)
+        block = _block_coefficients(rand16)[1]
+        times = np.geomspace(1e-5, 0.1, 20)
+        previous = None
+        for rows, u in sym.heat_rows(block, times, 8):
+            decay = np.exp(np.multiply.outer(-times[rows], sym.heat_rate))
+            assert np.array_equal(u, sym.to_grid(decay * block))
+            if previous is not None:
+                assert np.shares_memory(u, previous)
+            previous = u
+        assert rows == slice(16, 20) and len(u) == 4
 
     def test_heat_solution_norm_matches_analytic(self, g16, boxes16):
         v = shear_y(g16)
