@@ -6,8 +6,10 @@ Geometry conventions shared by every functional here:
   - boxes are open balls in the torus metric, centered on stride-subsampled
     lattice points, with dyadic radii L*2^-j;
   - spatial integrals are lattice Riemann sums with cell volume (L/N)^n;
-  - time integrals run over dyadic Gauss-Legendre meshes, with the analytic
-    t -> 0 limit supplying the certified below-floor correction;
+  - time integrals run over dyadic Gauss-Legendre meshes; below the mesh
+    floor the t = 0 row times the analytic t^w integral is added, a
+    first-order term whose relative error reaches 1.4e-3 (1-D) and 1.7e-3
+    (2-D) on the default 20 x 8 mesh (ROADMAP item 7 sizes the mesh by it);
   - the mean is removed from trace inputs first and recorded on the result.
 
 Ball sums over all centers at once are FFT correlations, which is what makes
@@ -34,10 +36,12 @@ of the weighted gradient square per node (Carleson norms, one block per
 series (``x_space_norm``, one block per segment, which adds the segment
 clipped at r^2 after them). Each block is summed with one ``np.add.reduce``
 per run of rows up to the next box height, left to right from the carry of
-the blocks before; only sums at box heights are kept and nothing past the
-tallest box is drawn. Every family's ball sums, scales and sup are whole
-(radius, *centers) stacks: ``_sup_over_family`` takes one max and one
-first-True argmax per radius row.
+the blocks before; only sums at box heights are kept. Each norm drives its
+walk in its own loop, over gradient chunks, heat chunks or the series'
+nodes, and pushes no block once the walk holds its tallest box. Every
+family's ball sums, scales and sup are whole (radius, *centers) stacks:
+``_sup_over_family`` takes one max and one first-True argmax per radius
+row.
 
 Every Carleson norm, the seven box norms alike, reads its extension's walk
 of key (lift, weight, gradient, height, family), which does not depend on
@@ -300,15 +304,6 @@ class _RunningSums:
 
     def sums(self) -> list:
         return [self._kept[c] for c in self.counts]
-
-
-def _running_sums(blocks: Iterable[np.ndarray], counts: Sequence[int]) -> list:
-    """``_RunningSums`` of ``counts`` over ``blocks``, drawn one at a time:
-    none past max(counts) is drawn."""
-    walk, blocks = _RunningSums(counts), iter(blocks)
-    while walk.pushed < walk.stop:
-        walk.add(next(blocks))
-    return walk.sums()
 
 
 # --- trace-side norms ---
@@ -678,13 +673,14 @@ def x_space_norm(
     the stored nodes clipped to [t_0, r^2], with h = u^2 t^a interpolated
     linearly to r^2 on the segment that straddles it.
 
-    The series is read in one pass, node by node in time order, and only as
-    far as the sup and the tallest box need: each node's peak, h = u^2 t^a
-    and the segment that straddles an r^2 come from the same samples. The
-    full segments of every box go through ``_running_sums`` in node order,
-    each h carried to the next segment, and the straddling segment is added
-    after them. Only node-sized arrays are alive, a few per eligible box, so
-    a series that computes its nodes on demand is never held whole.
+    The series is read in one loop, node by node in time order, and only as
+    far as the sup, the tallest box or a straddle needs. Each node gives its
+    peak and h = u^2 t^a; the segment that ends at it is pushed into one
+    ``_RunningSums`` of the full segments below every r^2 while the walk
+    wants more, and each segment that straddles an r^2 is clipped there and
+    added after the walk. Only node-sized arrays are alive, a few per
+    eligible box, so a series that computes its nodes on demand is never
+    held whole.
     """
     _check_alpha(alpha)
     grid = series.grid
@@ -709,55 +705,38 @@ def x_space_norm(
                  if k + 1 < times.size and times[k] < upper}
     visits = max([in_range] + [c + 1 for c in counts] + [k + 2 for k in straddles.values()])
     weights = times ** alpha
+    walk = _RunningSums(counts)
     peaks: list = []
-    first_sq: list = []  # u_0^2, for the leading strip
     tails: dict = {}  # box -> the straddling segment clipped at r^2
     # h of this node and the previous one alternate in two node buffers,
     # and each segment fills a third
     h_pair, segment = np.empty((2,) + grid.shape), np.empty((1,) + grid.shape)
-
-    def h_nodes() -> Iterator[np.ndarray]:
-        """h = u^2 t^a of each node, taking its peak and the straddling
-        segments that end at it on the way; each h lives until the next
-        but one is made."""
-        previous = None
-        for i, u in enumerate(itertools.islice(series.nodes(), visits)):
-            h = h_pair[i % 2]
-            if i < in_range:
-                peaks.append(np.abs(u, out=h).max())
-            sq = np.square(u, out=h)
-            if i == 0:
-                first_sq.append(sq.copy())
-            np.multiply(sq, weights[i], out=h)
-            for box, k in straddles.items():
-                if k + 1 == i:
-                    upper, t0 = uppers[box], times[k]
-                    theta = (upper - t0) / (times[i] - t0)
-                    h_up = previous * (1 - theta) + h * theta
-                    tails[box] = (upper - t0) * (previous + h_up) / 2.0
-            yield h
-            previous = h
-
-    def segments() -> Iterator[np.ndarray]:
-        """Each trapezoid segment (h_k + h_{k+1}) (t_{k+1} - t_k) / 2, one
-        row, which the walk may overwrite."""
-        for (a, b), d in zip(itertools.pairwise(h), np.diff(times) / 2.0):
-            np.multiply(np.add(a, b, out=segment[0]), d, out=segment[0])
-            yield segment
-
-    h = h_nodes()
-    sums = _running_sums(segments(), counts)
-    for _ in h:  # the nodes past the tallest box that the sup or a straddle needs
-        pass
+    for i, u in enumerate(itertools.islice(series.nodes(), visits)):
+        h, previous = h_pair[i % 2], h_pair[(i - 1) % 2]
+        if i < in_range:
+            peaks.append(np.abs(u, out=h).max())
+        if i == 0:
+            first_sq = np.square(u)  # for the leading strip
+        np.multiply(np.square(u, out=h), weights[i], out=h)
+        if 0 < i and walk.pushed < walk.stop:
+            # (h_{i-1} + h_i) (t_i - t_{i-1}) / 2, which the walk may overwrite
+            np.add(previous, h, out=segment[0])
+            walk.add(np.multiply(segment, (times[i] - times[i - 1]) / 2.0, out=segment))
+        for box, k in straddles.items():
+            if k + 1 == i:
+                upper, t0 = uppers[box], times[k]
+                theta = (upper - t0) / (times[i] - t0)
+                h_up = previous * (1 - theta) + h * theta
+                tails[box] = (upper - t0) * (previous + h_up) / 2.0
     # rounding a product by a positive scalar is monotone, so this is the
     # max of sqrt(t) |u| over every in-range sample
     sup_part = float(np.max(np.sqrt(times[:in_range]) * peaks))
     time_integrals = []
-    for box, (upper, total) in enumerate(zip(uppers, sums)):
+    for box, (upper, total) in enumerate(zip(uppers, walk.sums())):
         if box in tails:
             total = total + tails.pop(box)
         time_integrals.append(
-            first_sq[0] * min(times[0], upper) ** (1.0 + alpha) / (1.0 + alpha) + total)
+            first_sq * min(times[0], upper) ** (1.0 + alpha) / (1.0 + alpha) + total)
     carleson = _box_sup(boxes, eligible, time_integrals, 2 * alpha + grid.dims, 0.0).value
     return XSpaceResult(
         value=sup_part + carleson,

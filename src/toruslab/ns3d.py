@@ -90,7 +90,6 @@ from .corpus import CorpusSpec, generate
 from .norms import (
     BoxFamily,
     TimeSeries,
-    XSpaceResult,
     inverse_space_norm,
     x_space_norm,
 )
@@ -470,10 +469,12 @@ class _Symbols:
     def propagator(self, dt: float) -> np.ndarray:
         return np.exp(-self.heat_rate * dt)
 
-    def heat_flow(self, ahat: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """e^{-rate t} ahat at each time, shape (times, 3, ...): the linear
-        flow in closed form, filled one node at a time."""
-        flow = np.empty((times.size,) + ahat.shape, dtype=np.complex128)
+    def heat_flow(self, ahat: np.ndarray, times: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """e^{-rate t} ahat at each time, shape (times, *ahat.shape): the
+        linear flow in closed form, filled one node at a time into ``out``,
+        or into an array made for the call if not given."""
+        flow = np.empty((times.size,) + ahat.shape, dtype=np.complex128) if out is None else out
         decay = np.empty(self.shape)
         for node, t in zip(flow, times):
             np.exp(np.multiply(-t, self.heat_rate, out=decay), out=decay)
@@ -549,14 +550,12 @@ class _Symbols:
         drawn."""
         lead = (min(unit, times.size),)
         samples = np.empty(lead + self._grid_shape)
-        decay = np.empty(lead + self.shape)
         flowed = np.empty(lead + self.shape, dtype=np.complex128)
         work = self.scratch(lead)
         for lo in range(0, times.size, unit):
             rows = slice(lo, min(lo + unit, times.size))
             m = rows.stop - lo
-            rate = np.multiply.outer(-times[rows], self.heat_rate, out=decay[:m])
-            np.multiply(np.exp(rate, out=rate), coeff, out=flowed[:m])
+            self.heat_flow(coeff, times[rows], out=flowed[:m])
             yield rows, self.to_grid(flowed[:m], out=samples[:m], work=work[:m])
 
     def nonlinear_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -736,38 +735,30 @@ def step_ifrk4(
     a: VelocityField,
     horizon: float,
     steps: int,
-    store: int | None = None,
     nonlinear: bool = True,
 ) -> NSTrace:
     """Integrating-factor RK4 reference on the projected spectral ODE.
 
     The stiff viscous factor is integrated exactly, so with the
     nonlinearity disabled the trace is the heat flow in closed form.
-    Snapshots are stored at `store` evenly spaced times (default: every
-    step up to 128 nodes). Data outside the kept 2/3 block is refused.
+    Every ceil(steps/128)-th step and the last step are stored, at most 128
+    nodes. Data outside the kept 2/3 block is refused.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if steps < 1:
         raise ValueError("need at least one step")
     grid = a.grid
-    if store is None:
-        stride = math.ceil(steps / 128)
-        while steps % stride:
-            stride += 1
-        store = steps // stride
-    if steps % store != 0:
-        raise ValueError("store count must divide the step count")
-    stride = steps // store
+    stride = math.ceil(steps / 128)
     vhat = _block_coefficients(a)
     sym = _symbols(grid)
     dt = horizon / steps
+    times = np.append(np.arange(stride, steps, stride), steps) * dt
     config = {
         "solver": "ifrk4", "horizon": horizon, "steps": steps,
-        "stored": store, "viscosity": 1.0, "dealias": "2/3",
+        "stored": times.size, "viscosity": 1.0, "dealias": "2/3",
         "nonlinear": nonlinear, "initial_energy": a.energy(),
     }
-    times = np.arange(stride, steps + 1, stride) * dt
     if not nonlinear:
         return NSTrace(grid, times, sym.heat_flow(vhat, times), config)
     # only the advective step is bound by the CFL number
@@ -779,7 +770,7 @@ def step_ifrk4(
         )
     full = sym.propagator(dt)
     half = sym.propagator(dt / 2.0)
-    stored = np.empty((store,) + vhat.shape, dtype=np.complex128)
+    stored = np.empty((times.size,) + vhat.shape, dtype=np.complex128)
     for n in range(1, steps + 1):
         k1 = sym.nonlinear(vhat)
         k2 = sym.nonlinear(half * (vhat + (dt / 2.0) * k1))
@@ -788,8 +779,8 @@ def step_ifrk4(
         vhat = full * vhat + (dt / 6.0) * (
             full * k1 + 2.0 * half * (k2 + k3) + k4
         )
-        if n % stride == 0:
-            stored[n // stride - 1] = vhat
+        if n % stride == 0 or n == steps:
+            stored[(n - 1) // stride] = vhat
     return NSTrace(grid, times, stored, config)
 
 
@@ -854,20 +845,12 @@ def initial_data_norm(
     )
 
 
-def solution_x_report(
-    trace: NSTrace, alpha: float, horizon: float, boxes: BoxFamily
-) -> tuple[XSpaceResult, XSpaceResult, XSpaceResult]:
-    return tuple(
-        x_space_norm(trace.component_series(j), alpha, horizon, boxes)
-        for j in range(3)
-    )
-
-
 def solution_x_norm(
     trace: NSTrace, alpha: float, horizon: float, boxes: BoxFamily
 ) -> float:
     """Componentwise sum of the solution-space norms over the trace."""
-    return sum(r.value for r in solution_x_report(trace, alpha, horizon, boxes))
+    return sum(x_space_norm(trace.component_series(j), alpha, horizon, boxes).value
+               for j in range(3))
 
 
 # --- probes ---

@@ -1,7 +1,8 @@
 """Flow-solver oracles that only the tests use: a node of a trace as a
-velocity field, the node-by-node difference of two traces, and the defect
-of the Navier-Stokes scaling symmetry. They read the solver's kept-block
-machinery (``ns3d._Symbols``) but are not part of the library."""
+velocity field, some of a trace's nodes as a trace, the node-by-node
+difference of two traces, and the defect of the Navier-Stokes scaling
+symmetry. They read the solver's kept-block machinery (``ns3d._Symbols``)
+but are not part of the library."""
 
 import numpy as np
 
@@ -18,6 +19,11 @@ def velocity(trace: NSTrace, coeff: np.ndarray) -> VelocityField:
 
 def final_velocity(trace: NSTrace) -> VelocityField:
     return velocity(trace, trace.coefficients[-1])
+
+
+def nodes_of(trace: NSTrace, index: slice) -> NSTrace:
+    """The trace's nodes at ``index`` as a trace of their own."""
+    return NSTrace(trace.grid, trace.times[index], trace.coefficients[index], trace.config)
 
 
 def trace_difference(a: NSTrace, b: NSTrace) -> float:

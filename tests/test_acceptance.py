@@ -391,7 +391,7 @@ def test_criterion_09_flow_correctness():
 
     tg = taylor_green(grid, 0.05)
     iterative = mild_solve_picard(tg, 0.1, nodes=128)
-    stepped = step_ifrk4(tg, 0.1, steps=128, store=128)
+    stepped = step_ifrk4(tg, 0.1, steps=128)
     gap = trace_difference(iterative, stepped)
     if gap > 1e-6:
         bad.append(f"solver gap {gap:.2e} > 1e-6")

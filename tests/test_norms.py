@@ -14,6 +14,7 @@ import math
 import threading
 import time
 import tracemalloc
+from collections.abc import Sequence
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,7 +44,6 @@ from toruslab.norms import (
     _ball_mask,
     _ball_spectra,
     _RunningSums,
-    _running_sums,
     _sup_over_family,
 )
 from toruslab.spectral import (
@@ -796,6 +796,34 @@ class TestXSpace:
         with pytest.raises(ValueError):
             x_space_norm(self.series, 0.25, horizon=1e-9, boxes=self.boxes)
 
+    class CountedNodes(Sequence):
+        """A series' nodes that record each index read."""
+
+        def __init__(self, values):
+            self.values, self.reads = values, []
+
+        def __len__(self):
+            return len(self.values)
+
+        def __getitem__(self, i):
+            self.reads.append(i)
+            return self.values[i]
+
+    # nodes at 0.001, 0.002, ...: the tallest box's r^2 = 1/64 lies between
+    # node 14 (t = 0.015) and node 15 (t = 0.016)
+    @pytest.mark.parametrize("horizon,k", [
+        (0.05, 49),  # the sup reads the nodes below the horizon
+        (0.0158, 16),  # the sup stops at node 14; the tallest box's straddle reads node 15
+    ], ids=["sup", "straddle"])
+    def test_reads_each_node_once_up_to_the_last_needed(self, horizon, k):
+        boxes = BoxFamily(self.grid, stride=1, j_values=(3, 4, 5))
+        times = 0.001 * np.arange(1, 101)
+        values = np.random.default_rng(3).standard_normal((times.size, self.N))
+        nodes = self.CountedNodes(values)
+        got = x_space_norm(TimeSeries(self.grid, times, nodes), 0.25, horizon, boxes)
+        assert nodes.reads == list(range(k))
+        assert got == x_space_norm(TimeSeries(self.grid, times, values), 0.25, horizon, boxes)
+
     def test_from_stack(self):
         f = Field(self.grid, self.cos_vals)
         ext = Extension(f, "heat", default_mesh(self.grid, "heat"))
@@ -1193,29 +1221,35 @@ class TestRunningSums:
     """The one walk every box norm sums its time axis with."""
 
     @staticmethod
-    def blocks(rows, sizes, drawn):
-        """Yield owned blocks of consecutive rows, of the given sizes,
-        recording the first row of each block drawn."""
-        start = 0
-        for size in sizes:
-            drawn.append(start)
-            yield rows[start : start + size].copy()
-            start += size
+    def blocks(rows, sizes):
+        """Owned blocks of consecutive rows, of the given sizes."""
+        starts = np.cumsum([0] + sizes[:-1]).tolist()
+        return [rows[start : start + size].copy() for start, size in zip(starts, sizes)]
+
+    @staticmethod
+    def sums(blocks, counts):
+        """The walk's sums, each block added in order while the walk
+        wants more terms, as the norms push them."""
+        walk = _RunningSums(counts)
+        for block in blocks:
+            if walk.pushed >= walk.stop:
+                break
+            walk.add(block)
+        return walk.sums()
 
     def test_counts_with_zero_repeats_and_any_order(self):
         # (1 + 1e16) - 1e16 is 0 left to right and 1 in any other order;
         # the carry 1 meets 1e16 at the head of the second block
         values = np.array([[1.0], [1e16], [-1e16], [2.0], [3.0], [4.0]])
-        drawn = []
-        got = _running_sums(self.blocks(values, [1, 2, 1, 1, 1], drawn), [3, 0, 5, 3, 1])
+        got = self.sums(self.blocks(values, [1, 2, 1, 1, 1]), [3, 0, 5, 3, 1])
         assert got == [[0.0], 0.0, [5.0], [0.0], [1.0]]
-        assert drawn == [0, 1, 3, 4]  # the block of the sixth term is never drawn
 
     def test_draws_nothing_for_zero_counts(self):
-        drawn = []
-        assert _running_sums(self.blocks(np.ones((3, 2)), [1, 2], drawn), [0, 0]) == [0.0, 0.0]
-        assert _running_sums(self.blocks(np.ones((3, 2)), [1, 2], drawn), []) == []
-        assert drawn == []
+        # a walk that wants no term is never pushed one
+        for counts in ([0, 0], []):
+            walk = _RunningSums(counts)
+            assert walk.stop == 0
+            assert walk.sums() == [0.0] * len(counts)
 
     def test_arrays_match_cumsum_bits(self):
         rows = np.random.default_rng(0).standard_normal((40, 64)) ** 3
@@ -1228,16 +1262,13 @@ class TestRunningSums:
         # one-row blocks, a lone row before full chunks, full chunks, and a
         # partial last chunk
         for sizes in ([1] * 40, [1, 16, 16, 7], [16, 16, 8], [40]):
-            drawn = []
-            got = _running_sums(self.blocks(rows, sizes, drawn), counts)
+            got = self.sums(self.blocks(rows, sizes), counts)
             for c, total in zip(counts, got):
                 if c:
                     assert np.array_equal(total, prefix[c - 1])
                     assert np.array_equal(total, loop[c])
                 else:
                     assert total == 0.0
-            starts = np.cumsum([0] + sizes[:-1]).tolist()
-            assert drawn == [start for start in starts if start < max(counts)]
 
     def test_runs_sum_left_to_right_not_pairwise(self):
         # columns of 1e16, 1, -1e16, 1, ... (each column shifted by a row):
@@ -1267,7 +1298,7 @@ class TestRunningSums:
     def test_kept_sums_are_copies(self):
         rows = np.random.default_rng(1).standard_normal((10, 8))
         blocks = [rows[:4].copy(), rows[4:].copy()]
-        got = _running_sums(iter(blocks), [2, 10, 4])
+        got = self.sums(blocks, [2, 10, 4])
         want = np.cumsum(rows, axis=0)[[1, 9, 3]]
         for block in blocks:
             block[...] = np.nan

@@ -39,14 +39,13 @@ from toruslab.ns3d import (
     shear_modes,
     smalldata_probe,
     solution_x_norm,
-    solution_x_report,
     step_ifrk4,
     taylor_green,
 )
 from toruslab.spectral import Field, TorusGrid
 from toruslab.verify import lattice_rescale
 
-from flow_oracles import final_velocity, scaling_defect, trace_difference, velocity
+from flow_oracles import final_velocity, nodes_of, scaling_defect, trace_difference, velocity
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +193,7 @@ class TestHalfSpectrumOracles:
 
     def test_shell_fraction_matches_full_spectrum(self, g16):
         # interacting shear waves push energy into the outermost kept shell
-        trace = step_ifrk4(shear_modes(g16, 4, seed=2), 0.01, steps=20, store=4)
+        trace = step_ifrk4(shear_modes(g16, 4, seed=2), 0.01, steps=20)
         got = _Symbols(g16).shell_energy_fraction(trace.coefficients)
         # kept: every |k_j| < 16/3; shell: some |k_j| = floor(16/3) = 5
         keep = np.all([np.abs(k) < 16 / 3.0 for k in g16.modes], axis=0)
@@ -397,7 +396,7 @@ class TestKeptBlock:
         step = sym.propagator(0.1 / 32)
         lin = _block_coefficients(rand16)
         picard = mild_solve_picard(rand16, 0.1, nodes=32, nonlinear=False)
-        rk4 = step_ifrk4(rand16, 0.1, steps=32, store=32, nonlinear=False)
+        rk4 = step_ifrk4(rand16, 0.1, steps=32, nonlinear=False)
         for got_p, got_r in zip(picard.coefficients, rk4.coefficients):
             lin = step * lin
             peak = np.max(np.abs(lin))
@@ -539,7 +538,7 @@ class TestHeatFlow:
 
     def test_ifrk4_linear_matches_picard_linear(self, rand16):
         heat_a = mild_solve_picard(rand16, 0.1, nodes=32, nonlinear=False)
-        heat_b = step_ifrk4(rand16, 0.1, steps=32, store=32, nonlinear=False)
+        heat_b = step_ifrk4(rand16, 0.1, steps=32, nonlinear=False)
         assert trace_difference(heat_a, heat_b) <= 1e-12
 
     def test_linear_solve_memory_is_the_node_array(self):
@@ -587,9 +586,9 @@ class TestSolvers:
     def test_picard_matches_ifrk4(self, rand16):
         v = rand16.scaled(0.5)
         picard = mild_solve_picard(v, 0.1, nodes=64)
-        rk4 = step_ifrk4(v, 0.1, steps=256, store=64)
+        rk4 = step_ifrk4(v, 0.1, steps=256)  # every second step
         assert picard.converged
-        assert trace_difference(picard, rk4) <= 2e-4
+        assert trace_difference(picard, nodes_of(rk4, slice(1, None, 2))) <= 2e-4
 
     def test_trapezoid_refinement_second_order(self, rand16):
         v = rand16.scaled(0.5)
@@ -607,10 +606,22 @@ class TestSolvers:
 
     def test_ifrk4_fourth_order(self, rand16):
         v = rand16.scaled(0.5)
-        runs = {s: step_ifrk4(v, 0.1, steps=s, store=1) for s in (16, 32, 128)}
+        runs = {s: nodes_of(step_ifrk4(v, 0.1, steps=s), slice(-1, None)) for s in (16, 32, 128)}
         e16 = trace_difference(runs[16], runs[128])
         e32 = trace_difference(runs[32], runs[128])
         assert 8.0 <= e16 / e32 <= 32.0
+
+    def test_ifrk4_stores_every_stride_and_the_last_step(self, g16):
+        # 257 steps: every third step (85 nodes) and the last one. The
+        # Taylor-Green flow is pure heat decay, so each stored node is the
+        # closed-form flow at its time.
+        v = taylor_green(g16, amplitude=0.05)
+        trace = step_ifrk4(v, 0.1, steps=257)
+        assert 64 <= trace.times.size <= 128 and trace.config["stored"] == trace.times.size
+        assert trace.times[-1] == 0.1
+        heat = step_ifrk4(v, 0.1, steps=257, nonlinear=False)
+        assert np.array_equal(heat.times, trace.times)
+        assert trace_difference(trace, heat) <= 1e-10
 
     def test_energy_non_increasing(self, rand16):
         trace = mild_solve_picard(rand16.scaled(0.5), 0.1, nodes=32)
@@ -622,14 +633,14 @@ class TestSolvers:
     def test_cfl_warning(self, g16):
         v = taylor_green(g16, amplitude=20.0)
         with pytest.warns(UserWarning, match="CFL"):
-            step_ifrk4(v, 0.01, steps=2, store=1)
+            step_ifrk4(v, 0.01, steps=2)
 
     def test_linear_run_does_not_warn_about_cfl(self, g16):
         # the heat flow is taken in closed form, with no advective step
         v = taylor_green(g16, amplitude=20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = step_ifrk4(v, 0.01, steps=2, store=1, nonlinear=False)
+            trace = step_ifrk4(v, 0.01, steps=2, nonlinear=False)
         assert not trace.config["nonlinear"]
 
     def test_nonconvergence_is_reported_not_raised(self, rand16):
@@ -647,8 +658,6 @@ class TestSolvers:
             mild_solve_picard(rand16, 0.1, nodes=16)
         with pytest.raises(ValueError, match="at least one step"):
             step_ifrk4(rand16, 0.1, steps=0)
-        with pytest.raises(ValueError, match="divide"):
-            step_ifrk4(rand16, 0.1, steps=10, store=3)
 
     def test_trace_validation(self, g16):
         v = taylor_green(g16, amplitude=0.1)
@@ -874,15 +883,15 @@ class TestDataNorms:
 
     def test_solution_report_parts(self, g16, boxes16, rand16):
         trace = mild_solve_picard(rand16.scaled(0.5), 0.1, nodes=32)
-        reports = solution_x_report(trace, 0.25, 0.1, boxes16)
-        assert len(reports) == 3
+        reports = [x_space_norm(trace.component_series(j), 0.25, 0.1, boxes16)
+                   for j in range(3)]
         for r in reports:
             assert r.value == r.sup_part + r.carleson_part
             assert r.alpha == 0.25 and r.horizon == 0.1
         total = solution_x_norm(trace, 0.25, 0.1, boxes16)
-        assert total == pytest.approx(sum(r.value for r in reports), rel=1e-12)
+        assert total == sum(r.value for r in reports)
 
-    def test_solution_x_report_memory_is_one_series(self):
+    def test_solution_x_norm_memory_is_one_series(self):
         # 32^3 with 128 nodes: one component series on the grid plus
         # node-sized arrays, never a second (nodes, N^3) temporary
         n, nodes, horizon = 32, 128, 0.1
@@ -890,7 +899,7 @@ class TestDataNorms:
         boxes = BoxFamily.default(grid)
         a = random_divergence_free(grid, seed=0)
         trace = mild_solve_picard(a, horizon, nodes=nodes, nonlinear=False)
-        solution_x_report(trace, -0.5, horizon, boxes)  # fill ball and symbol caches
+        solution_x_norm(trace, -0.5, horizon, boxes)  # fill ball and symbol caches
         radii = sum(r * r < horizon for r in boxes.radii)
         field = 8 * n**3  # one real grid array; a complex one is two
         series = nodes * field
@@ -906,22 +915,22 @@ class TestDataNorms:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            solution_x_report(trace, -0.5, horizon, boxes)
+            solution_x_norm(trace, -0.5, horizon, boxes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - start <= series + trapezoid + tail + slack
 
 
-    def test_solution_x_report_holds_no_node_series(self):
-        # 32 nodes at 32^3 against one box: the report streams the nodes, so
+    def test_solution_x_norm_holds_no_node_series(self):
+        # 32 nodes at 32^3 against one box: the norm streams the nodes, so
         # its peak is a few grid arrays, below one component's series
         n, nodes, horizon = 32, 32, 0.1
         grid = TorusGrid(dims=3, size=n, length=1.0)
         boxes = BoxFamily(grid, stride=1, j_values=(2,))
         trace = mild_solve_picard(random_divergence_free(grid, seed=0), horizon,
                                   nodes=nodes, nonlinear=False)
-        solution_x_report(trace, -0.5, horizon, boxes)  # fill ball and symbol caches
+        solution_x_norm(trace, -0.5, horizon, boxes)  # fill ball and symbol caches
         field = 8 * n**3
         # the box's sum, straddle and time integral, u_0^2, and a node's
         # samples, |u|, u^2, h, previous h, pair sum, segment and carry
@@ -933,7 +942,7 @@ class TestDataNorms:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            solution_x_report(trace, -0.5, horizon, boxes)
+            solution_x_norm(trace, -0.5, horizon, boxes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1037,6 +1046,14 @@ class TestProbes:
         assert payload["growth_ratio"] == report.growth_ratio
         assert payload["resolved"] is False
         json.dumps(payload)
+
+    def test_inflation_ratio_holds_at_a_prime_step_count(self, g16):
+        # 257 steps sample the sqrt(t) peaks along the run, as 256 steps do,
+        # not at the horizon alone
+        with pytest.warns(UserWarning, match="dealiasing shell"):
+            ratios = [inflation_probe(1.0, 0.5, g16, mode_count=2, steps=s).growth_ratio
+                      for s in (256, 257)]
+        assert ratios[1] == pytest.approx(ratios[0], rel=0.02)
 
     def test_inflation_validation(self, g16):
         with pytest.raises(ValueError, match="alpha"):
